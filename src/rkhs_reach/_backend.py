@@ -2,8 +2,11 @@
 
 Three operations dominate runtime: radial-basis cross-kernel matrices,
 the banded upper-triangular apply of the integrator-chain state matrix,
-and the quadrature-plus-interpolation sweep of the grid oracle. Each has
-a numba-compiled implementation and a pure-numpy fallback.
+and the quadrature-plus-interpolation sweep of the grid oracle. The
+first two have a numba-compiled implementation and a pure-numpy
+fallback; the grid backup has a single numpy implementation, a blocked
+matrix contraction that runs in the platform BLAS, used on both
+backends.
 
 Selection is controlled by two environment variables, read at import:
 
@@ -18,10 +21,10 @@ Selection is controlled by two environment variables, read at import:
     and ignores this variable.
 
 Within one backend all three kernels are deterministic (parallelism only
-over independent output elements). The banded apply and the quadrature
-backup agree bitwise across backends (same arithmetic in the same
-order); the cross-kernel paths use different but mathematically equal
-distance formulas and agree to ~1e-12 relative.
+over independent output elements). The banded apply agrees bitwise
+across backends (same arithmetic in the same order); the cross-kernel
+paths use different but mathematically equal distance formulas and
+agree to ~1e-12 relative.
 
 The compiled cross-kernel sums squared differences directly, which is
 cancellation-free but cannot compete with a BLAS matrix product once
@@ -95,28 +98,19 @@ def _axis_rule(m, sd, lo, hi, glx, glw):
     return t, w
 
 
-def _dp_backup_np(values, a1, h1, a2, h2, t1, w1, t2, w2):
-    n1, n2 = values.shape
-    f1 = (t1 - a1) / h1
-    f2 = (t2 - a2) / h2
-    i1 = np.clip(f1.astype(np.int64), 0, n1 - 2)
-    i2 = np.clip(f2.astype(np.int64), 0, n2 - 2)
-    r1 = f1 - i1
-    r2 = f2 - i2
-    out = np.zeros(t1.shape[0])
-    # accumulation order matches the compiled path for bitwise agreement
-    for j in range(t1.shape[1]):
-        ja, jr, jw = i1[:, j], r1[:, j], w1[:, j]
-        for k in range(t2.shape[1]):
-            ka, kr = i2[:, k], r2[:, k]
-            v = (
-                (1.0 - jr) * (1.0 - kr) * values[ja, ka]
-                + jr * (1.0 - kr) * values[ja + 1, ka]
-                + (1.0 - jr) * kr * values[ja, ka + 1]
-                + jr * kr * values[ja + 1, ka + 1]
-            )
-            out += jw * w2[:, k] * v
-    return out
+def _cells(t, w, lo, h, n):
+    # bilinear split of each weighted node: its cell index along the axis
+    # (clipped to the grid) and the weights its cell's lower and upper
+    # grid nodes receive
+    f = (t - lo) / h
+    i = np.clip(f.astype(np.int64), 0, n - 2)
+    r = f - i
+    return i, w * (1.0 - r), w * r
+
+
+# queries per backup block; bounds the per-block rules, coefficient rows
+# and their product with the field to a few MB at any query count
+_BACKUP_BLOCK = 1024
 
 
 _numba_ok = False
@@ -153,41 +147,6 @@ if _MODE != "0":
                     c = coeffs[j]
                     for col in range(n - j):
                         out[i, col] += c * x[i, col + j]
-            return out
-
-        @njit(cache=True, parallel=True)
-        def _dp_backup_nb(values, a1, h1, a2, h2, t1, w1, t2, w2):
-            n1, n2 = values.shape
-            p = t1.shape[0]
-            nq = t1.shape[1]
-            out = np.zeros(p)
-            for i in prange(p):
-                acc = 0.0
-                for j in range(nq):
-                    jw = w1[i, j]
-                    f1 = (t1[i, j] - a1) / h1
-                    ja = int(f1)
-                    if ja < 0:
-                        ja = 0
-                    elif ja > n1 - 2:
-                        ja = n1 - 2
-                    jr = f1 - ja
-                    for k in range(nq):
-                        f2 = (t2[i, k] - a2) / h2
-                        ka = int(f2)
-                        if ka < 0:
-                            ka = 0
-                        elif ka > n2 - 2:
-                            ka = n2 - 2
-                        kr = f2 - ka
-                        v = (
-                            (1.0 - jr) * (1.0 - kr) * values[ja, ka]
-                            + jr * (1.0 - kr) * values[ja + 1, ka]
-                            + (1.0 - jr) * kr * values[ja, ka + 1]
-                            + jr * kr * values[ja + 1, ka + 1]
-                        )
-                        acc += jw * w2[i, k] * v
-                out[i] = acc
             return out
 
         _numba_ok = True
@@ -248,6 +207,22 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     (``glx``/``glw`` on [-1, 1]) never straddles the boundary jump.
     Weights are normalized by the fixed +-4 sd tail mass; mass falling
     beyond the grid counts as zero rather than being renormalized away.
+
+    Bilinear interpolation is a sum of hat functions, so under the
+    tensor rule each query's sum over node pairs factorises exactly as
+    ``c1 @ values @ c2``, where ``c1[a]`` collects the first-axis weights
+    times hat function ``a`` at the first-axis nodes and ``c2`` the same
+    on the second axis. Queries are sorted by their first-axis mean and
+    run in blocks of ``_BACKUP_BLOCK``. A block's ``c1`` rows are built
+    with ``np.bincount`` over the band of grid rows the block touches and
+    contracted with that band of ``values`` in one matrix product; the
+    result is then read at each query's second-axis cells.
+
+    Cost: the band is the +-4 sd window, ``8 * sd / step + 2`` grid rows
+    at most ``n1``, plus the block's spread of means, so the product
+    costs about that many times ``n2`` multiply-adds per query; the rest
+    is ``O(quad_nodes)`` per query. At a fixed ``sd`` a finer grid makes
+    each query dearer, in proportion to the number of grid nodes.
     """
     values = _as2d(values)
     means = _as2d(means)
@@ -255,18 +230,32 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     glw = np.ascontiguousarray(glw, dtype=np.float64)
     a1, a2 = float(origin[0]), float(origin[1])
     h1, h2 = float(steps[0]), float(steps[1])
+    sd1, sd2 = float(sds[0]), float(sds[1])
     n1, n2 = values.shape
-    # per-query rules are prepared here with one code path so the two
-    # backends consume identical node and weight arrays
-    t1, w1 = _axis_rule(
-        means[:, 0], float(sds[0]), a1, a1 + h1 * (n1 - 1), glx, glw
-    )
-    t2, w2 = _axis_rule(
-        means[:, 1], float(sds[1]), a2, a2 + h2 * (n2 - 1), glx, glw
-    )
-    if _numba_ok:
-        return _dp_backup_nb(values, a1, h1, a2, h2, t1, w1, t2, w2)
-    return _dp_backup_np(values, a1, h1, a2, h2, t1, w1, t2, w2)
+    b1, b2 = a1 + h1 * (n1 - 1), a2 + h2 * (n2 - 1)
+    out = np.empty(means.shape[0])
+    order = np.argsort(means[:, 0], kind="stable")
+    for s in range(0, means.shape[0], _BACKUP_BLOCK):
+        q = order[s : s + _BACKUP_BLOCK]
+        rows = np.arange(q.shape[0])[:, None]
+        t1, w1 = _axis_rule(means[q, 0], sd1, a1, b1, glx, glw)
+        i1, lo1, hi1 = _cells(t1, w1, a1, h1, n1)
+        first = int(i1.min())
+        band = int(i1.max()) + 2 - first
+        at = rows * band + (i1 - first)
+        c1 = np.bincount(
+            np.concatenate([at.ravel(), at.ravel() + 1]),
+            weights=np.concatenate([lo1.ravel(), hi1.ravel()]),
+            minlength=q.shape[0] * band,
+        )
+        u = (c1.reshape(-1, band) @ values[first : first + band]).ravel()
+        t2, w2 = _axis_rule(means[q, 1], sd2, a2, b2, glx, glw)
+        i2, lo2, hi2 = _cells(t2, w2, a2, h2, n2)
+        at = rows * n2 + i2
+        out[q] = np.einsum("pk,pk->p", u[at], lo2) + np.einsum(
+            "pk,pk->p", u[at + 1], hi2
+        )
+    return out
 
 
 def warmup():
@@ -279,12 +268,3 @@ def warmup():
     a = np.zeros((2, 3))
     rbf_cross(a, a, 1.0)
     chain_apply(np.array([1.0, 0.5]), a)
-    dp_backup(
-        np.zeros((2, 2)),
-        (0.0, 0.0),
-        (1.0, 1.0),
-        (0.1, 0.1),
-        np.full((2, 2), 0.5),
-        np.zeros(1),
-        np.full(1, 2.0),
-    )

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from .errors import InputError
-from .reach import BoxSet, ReachProblem
+from .reach import BoxSet
 from .systems import (
     AffinePolicy,
     BetaDisturbance,
@@ -35,7 +35,6 @@ __all__ = [
     "build_disturbance",
     "build_policy",
     "build_sets",
-    "build_problem",
     "default_sample_box",
     "evaluation_points",
     "parse_box",
@@ -311,11 +310,6 @@ def build_sets(cfg, dim):
     safe = parse_box(cfg.safe_box, dim, "safe_box")
     target = parse_box(cfg.target_box, dim, "target_box")
     return safe, target
-
-
-def build_problem(cfg, dim):
-    safe, target = build_sets(cfg, dim)
-    return ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
 
 
 def _inflated(box, factor=1.1):

@@ -151,26 +151,30 @@ def dp_reach(system, disturbance, problem, eval_points, policy, grid=None):
     n_steps = problem.horizon
     rows = np.empty((n_steps + 1, eval_points.shape[0]))
     rows[n_steps] = exact_terminal(target.contains(eval_points))
-    v_grid = None
+
+    def expectation(means, v2d):
+        # E[v(mean + w)], clipped to [0, 1]: closed form against the
+        # target box at the first backward step, quadrature against the
+        # stored grid field after it
+        if v2d is None:
+            expected = _box_hit_probability(means, target, sd)
+        else:
+            expected = _backend.dp_backup(v2d, origin, steps, sd, means, glx, glw)
+        return np.clip(expected, 0.0, 1.0)
+
+    v2d = None
     means_grid = means_eval = None
     for k in range(n_steps - 1, -1, -1):
-        if means_grid is None or not time_invariant:
-            means_grid = means_at(grid_pts, k)
+        if means_eval is None or not time_invariant:
             means_eval = means_at(eval_points, k)
-        if k == n_steps - 1:
-            exp_grid = _box_hit_probability(means_grid, target, sd)
-            exp_eval = _box_hit_probability(means_eval, target, sd)
-        else:
-            v2d = v_grid.reshape(grid.shape)
-            exp_grid = _backend.dp_backup(
-                v2d, origin, steps, sd, means_grid, glx, glw
-            )
-            exp_eval = _backend.dp_backup(
-                v2d, origin, steps, sd, means_eval, glx, glw
-            )
-        rows[k] = exact_step(mask_eval, np.clip(exp_eval, 0.0, 1.0))
+        rows[k] = exact_step(mask_eval, expectation(means_eval, v2d))
+        # the grid field feeds only the steps before k, so none at k == 0
         if k > 0:
-            v_grid = exact_step(mask_grid, np.clip(exp_grid, 0.0, 1.0))
+            if means_grid is None or not time_invariant:
+                means_grid = means_at(grid_pts, k)
+            v2d = exact_step(mask_grid, expectation(means_grid, v2d)).reshape(
+                grid.shape
+            )
     return ValueField(points=eval_points, values=rows)
 
 

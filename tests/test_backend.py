@@ -230,3 +230,56 @@ def test_dp_backup_matches_gaussian_closed_form():
 
 def test_warmup_runs():
     _backend.warmup()
+
+
+def _brute_force_backup(values, origin, steps, sds, means, glx, glw):
+    # per-node bilinear gathers over the same per-axis rules
+    n1, n2 = values.shape
+    (a1, a2), (h1, h2) = origin, steps
+    t1, w1 = _backend._axis_rule(
+        means[:, 0], sds[0], a1, a1 + h1 * (n1 - 1), glx, glw
+    )
+    t2, w2 = _backend._axis_rule(
+        means[:, 1], sds[1], a2, a2 + h2 * (n2 - 1), glx, glw
+    )
+    f1 = (t1 - a1) / h1
+    f2 = (t2 - a2) / h2
+    i1 = np.clip(f1.astype(np.int64), 0, n1 - 2)
+    i2 = np.clip(f2.astype(np.int64), 0, n2 - 2)
+    r1 = f1 - i1
+    r2 = f2 - i2
+    out = np.zeros(means.shape[0])
+    for j in range(t1.shape[1]):
+        ja, jr = i1[:, j], r1[:, j]
+        for k in range(t2.shape[1]):
+            ka, kr = i2[:, k], r2[:, k]
+            v = (
+                (1.0 - jr) * (1.0 - kr) * values[ja, ka]
+                + jr * (1.0 - kr) * values[ja + 1, ka]
+                + (1.0 - jr) * kr * values[ja, ka + 1]
+                + jr * kr * values[ja + 1, ka + 1]
+            )
+            out += w1[:, j] * w2[:, k] * v
+    return out
+
+
+@pytest.mark.parametrize("sds", [(0.3, 0.25), (0.04, 0.03)])
+def test_dp_backup_matches_brute_force(sds):
+    # non-square grid with unequal steps over [-1, 1] x [-0.72, 0.72];
+    # the smaller sds lie inside one grid cell
+    rng = np.random.default_rng(13)
+    values = rng.uniform(size=(21, 19))
+    origin, steps = (-1.0, -0.72), (0.1, 0.08)
+    inside = rng.uniform([-0.5, -0.3], [0.5, 0.3], size=(600, 2))
+    # windows that cross an edge, on one axis or both
+    edge = rng.uniform(-1.3, 1.3, size=(600, 2))
+    outside = np.array([[5.0, 0.0], [0.0, -4.0], [-3.0, 3.0]])
+    means = np.concatenate([inside, edge, outside])
+    # two full blocks plus a remainder, the rows above repeated cyclically
+    means = np.resize(means, (2 * _backend._BACKUP_BLOCK + 37, 2))
+    glx, glw = _rule(9)
+    got = _backend.dp_backup(values, origin, steps, sds, means, glx, glw)
+    want = _brute_force_backup(values, origin, steps, sds, means, glx, glw)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    far = len(inside) + len(edge)
+    np.testing.assert_array_equal(got[far : far + len(outside)], 0.0)
