@@ -1,38 +1,14 @@
-"""Compute backends for the hot numerical kernels.
+"""Numerical kernels of the hot paths, in numpy and the platform BLAS.
 
 Three operations dominate runtime: radial-basis cross-kernel matrices,
 the banded upper-triangular apply of the integrator-chain state matrix,
-and the quadrature-plus-interpolation sweep of the grid oracle. The
-first two have a numba-compiled implementation and a pure-numpy
-fallback; the grid backup has a single numpy implementation, a blocked
-matrix contraction that runs in the platform BLAS, used on both
-backends.
+and the quadrature-plus-interpolation sweep of the grid oracle. Each has
+one implementation here. The cross-kernel matrix uses the expanded
+distance form, so its cost is one matrix product; the grid backup is a
+blocked matrix contraction. Threading is left to the BLAS library.
 
-Selection is controlled by two environment variables, read at import:
-
-``RKHS_REACH_NUMBA``
-    ``auto`` (default): use numba when importable, else numpy.
-    ``1``: require numba, raise if it cannot be imported.
-    ``0``: force the numpy path.
-
-``RKHS_REACH_THREADS``
-    Thread count for the compiled path; ``0`` (default) keeps numba's
-    own default. The numpy path delegates threading to the platform BLAS
-    and ignores this variable.
-
-Within one backend all three kernels are deterministic (parallelism only
-over independent output elements). The banded apply agrees bitwise
-across backends (same arithmetic in the same order); the cross-kernel
-paths use different but mathematically equal distance formulas and
-agree to ~1e-12 relative.
-
-The compiled cross-kernel sums squared differences directly, which is
-cancellation-free but cannot compete with a BLAS matrix product once
-vectors get wide; the numba backend therefore uses it only up to
-``_NARROW_DIM_MAX`` columns and hands wider inputs to the BLAS form.
+All three are deterministic: the same inputs give the same bits.
 """
-
-import os
 
 import numpy as np
 
@@ -41,17 +17,25 @@ __all__ = [
     "rbf_cross",
     "chain_apply",
     "dp_backup",
-    "warmup",
 ]
 
-_MODE = os.environ.get("RKHS_REACH_NUMBA", "auto").strip().lower()
-if _MODE not in ("auto", "0", "1"):
-    raise RuntimeError(
-        f"RKHS_REACH_NUMBA must be 'auto', '0', or '1', got {_MODE!r}"
-    )
+
+def active_backend():
+    """Name of the compute backend, always ``"numpy"``."""
+    return "numpy"
 
 
-def _rbf_cross_np(a, b, gamma):
+def _as2d(arr):
+    a = np.ascontiguousarray(arr, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    return a
+
+
+def rbf_cross(a, b, gamma):
+    """Cross matrix ``exp(-gamma * |a_i - b_j|^2)`` of shape (len(a), len(b))."""
+    a = _as2d(a)
+    b = _as2d(b)
     # expanded form |a|^2 + |b|^2 - 2ab; cancellation can leave small
     # negative values, clamped before exp
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
@@ -61,7 +45,14 @@ def _rbf_cross_np(a, b, gamma):
     return np.exp(sq, out=sq)
 
 
-def _chain_apply_np(coeffs, x):
+def chain_apply(coeffs, x):
+    """Apply the banded upper-triangular Toeplitz matrix given by ``coeffs``.
+
+    ``out[r, i] = sum_j coeffs[j] * x[r, i + j]`` for ``i + j`` in range.
+    Rows of ``x`` are independent state vectors.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    x = _as2d(x)
     out = np.zeros_like(x)
     n = x.shape[1]
     for j in range(min(len(coeffs), n)):
@@ -111,88 +102,6 @@ def _cells(t, w, lo, h, n):
 # queries per backup block; bounds the per-block rules, coefficient rows
 # and their product with the field to a few MB at any query count
 _BACKUP_BLOCK = 1024
-
-
-_numba_ok = False
-if _MODE != "0":
-    try:
-        import numba
-        from numba import njit, prange
-
-        _threads = int(os.environ.get("RKHS_REACH_THREADS", "0") or 0)
-        if _threads > 0:
-            numba.set_num_threads(min(_threads, numba.config.NUMBA_NUM_THREADS))
-
-        @njit(cache=True, parallel=True)
-        def _rbf_cross_nb(a, b, gamma):
-            ra, d = a.shape
-            rb = b.shape[0]
-            out = np.empty((ra, rb))
-            for i in prange(ra):
-                for j in range(rb):
-                    s = 0.0
-                    for k in range(d):
-                        diff = a[i, k] - b[j, k]
-                        s += diff * diff
-                    out[i, j] = np.exp(-gamma * s)
-            return out
-
-        @njit(cache=True, parallel=True)
-        def _chain_apply_nb(coeffs, x):
-            r, n = x.shape
-            q = coeffs.shape[0]
-            out = np.zeros((r, n))
-            for i in prange(r):
-                for j in range(min(q, n)):
-                    c = coeffs[j]
-                    for col in range(n - j):
-                        out[i, col] += c * x[i, col + j]
-            return out
-
-        _numba_ok = True
-    except ImportError:
-        if _MODE == "1":
-            raise RuntimeError(
-                "RKHS_REACH_NUMBA=1 requires numba, which failed to import"
-            )
-
-
-def active_backend():
-    """Name of the backend in use, ``"numba"`` or ``"numpy"``."""
-    return "numba" if _numba_ok else "numpy"
-
-
-def _as2d(arr):
-    a = np.ascontiguousarray(arr, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    return a
-
-
-# widest input the compiled direct-sum distance handles faster than BLAS
-_NARROW_DIM_MAX = 16
-
-
-def rbf_cross(a, b, gamma):
-    """Cross matrix ``exp(-gamma * |a_i - b_j|^2)`` of shape (len(a), len(b))."""
-    a = _as2d(a)
-    b = _as2d(b)
-    if _numba_ok and a.shape[1] <= _NARROW_DIM_MAX:
-        return _rbf_cross_nb(a, b, gamma)
-    return _rbf_cross_np(a, b, gamma)
-
-
-def chain_apply(coeffs, x):
-    """Apply the banded upper-triangular Toeplitz matrix given by ``coeffs``.
-
-    ``out[r, i] = sum_j coeffs[j] * x[r, i + j]`` for ``i + j`` in range.
-    Rows of ``x`` are independent state vectors.
-    """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    x = _as2d(x)
-    if _numba_ok:
-        return _chain_apply_nb(coeffs, x)
-    return _chain_apply_np(coeffs, x)
 
 
 def dp_backup(values, origin, steps, sds, means, glx, glw):
@@ -257,14 +166,3 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
         )
     return out
 
-
-def warmup():
-    """Trigger compilation of the hot kernels on tiny inputs.
-
-    Useful before timed sections; a no-op on the numpy path.
-    """
-    if not _numba_ok:
-        return
-    a = np.zeros((2, 3))
-    rbf_cross(a, a, 1.0)
-    chain_apply(np.array([1.0, 0.5]), a)

@@ -24,6 +24,7 @@ file-format and IO problems.
 """
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import __version__, _backend
 from .config import (
+    _KEY_ALIASES,
     RunConfig,
     apply_overrides,
     build_disturbance,
@@ -43,6 +45,7 @@ from .config import (
     parse_box,
     parse_config_file,
     parse_control_grid,
+    parse_shape,
     validate,
 )
 from .embedding import Embedding
@@ -62,57 +65,29 @@ from .systems import generate_transitions
 
 __all__ = ["main"]
 
-# (flag, config field); every value is passed as text and coerced by the
-# same rules as config-file entries
-_CONFIG_FLAGS = [
-    ("--system", "system"),
-    ("--dim", "dim"),
-    ("--sampling-time", "sampling_time"),
-    ("--disturbance", "disturbance"),
-    ("--noise-sd", "noise_sd"),
-    ("--beta-alpha", "beta_alpha"),
-    ("--beta-beta", "beta_beta"),
-    ("--beta-centered", "beta_centered"),
-    ("--sigma", "sigma"),
-    ("--lambda", "lam"),
-    ("--eta", "eta"),
-    ("--normalize-weights", "normalize_weights"),
-    ("--horizon", "horizon"),
-    ("--samples", "samples"),
-    ("--seed", "seed"),
-    ("--policy", "policy"),
-    ("--sample-box", "sample_box"),
-    ("--grid", "grid"),
-    ("--point", "point"),
-    ("--points-file", "points_file"),
-    ("--mode", "mode"),
-    ("--control-grid", "control_grid"),
-    ("--safe-box", "safe_box"),
-    ("--target-box", "target_box"),
-    ("--rollouts", "rollouts"),
-    ("--dp-grid", "dp_grid"),
-    ("--dp-quad", "dp_quad"),
-]
+# Flag spellings that differ from the field name, taken from the
+# config-file aliases: ``--lambda`` sets ``lam``.
+_FLAG_KEYS = {field: key for key, field in _KEY_ALIASES.items()}
 
 
 def _add_config_args(parser):
     parser.add_argument(
         "--config", metavar="FILE", help="key = value configuration file"
     )
+    # one flag per RunConfig field, in declaration order; every value is
+    # passed as text and coerced by the same rules as config-file entries
     group = parser.add_argument_group("configuration overrides")
-    for flag, name in _CONFIG_FLAGS:
-        group.add_argument(flag, dest=name, metavar="V", default=None)
+    for field in dataclasses.fields(RunConfig):
+        flag = "--" + _FLAG_KEYS.get(field.name, field.name).replace("_", "-")
+        group.add_argument(flag, dest=field.name, metavar="V", default=None)
 
 
 def _load_config(args):
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = apply_overrides(cfg, parse_config_file(args.config))
-    overrides = {}
-    for _, name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    # unset flags are None, which apply_overrides skips
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     return validate(apply_overrides(cfg, overrides))
 
 
@@ -169,7 +144,6 @@ def _cmd_reach(args):
     problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
     points = evaluation_points(cfg, n)
     kernel = RBFKernel(cfg.sigma)
-    _backend.warmup()
     t0 = time.perf_counter()
     emb = Embedding(
         sample,
@@ -199,17 +173,6 @@ def _cmd_reach(args):
     return 0
 
 
-def _parse_shape(text):
-    parts = text.lower().split("x")
-    try:
-        shape = tuple(int(p) for p in parts)
-    except ValueError:
-        raise InputError(f"grid shape must be like 201x201, got {text!r}")
-    if len(shape) != 2 or any(s < 2 for s in shape):
-        raise InputError(f"grid shape must be like 201x201, got {text!r}")
-    return shape
-
-
 def _cmd_oracle_dp(args):
     cfg = _load_config(args)
     system = build_system(cfg)
@@ -218,10 +181,8 @@ def _cmd_oracle_dp(args):
     problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
     points = evaluation_points(cfg, system.n)
     policy = build_policy(cfg, system)
-    grid = default_dp_grid(
-        problem, shape=_parse_shape(cfg.dp_grid), quad_nodes=cfg.dp_quad
-    )
-    _backend.warmup()
+    shape = parse_shape(cfg.dp_grid, "dp_grid")
+    grid = default_dp_grid(problem, shape=shape, quad_nodes=cfg.dp_quad)
     t0 = time.perf_counter()
     field = dp_reach(system, disturbance, problem, points, policy, grid)
     seconds = time.perf_counter() - t0
@@ -310,7 +271,6 @@ def _cmd_bench_dims(args):
     if args.repeats < 1:
         raise InputError("--repeats must be at least 1")
     kernel = RBFKernel(cfg.sigma)
-    _backend.warmup()
     rows = []
     for n in dims:
         cfg_n = apply_overrides(cfg, {"dim": n})

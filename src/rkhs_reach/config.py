@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from .errors import InputError
+from .io import read_points
 from .reach import BoxSet
 from .systems import (
     AffinePolicy,
@@ -40,6 +41,7 @@ __all__ = [
     "parse_box",
     "parse_point",
     "parse_control_grid",
+    "parse_shape",
     "CWH_SAMPLE_BOX",
 ]
 
@@ -82,26 +84,11 @@ class RunConfig:
 # Config-file spellings that differ from the field name.
 _KEY_ALIASES = {"lambda": "lam"}
 
-_OPTIONAL_FLOAT_FIELDS = {"sampling_time", "noise_sd"}
-_BOOL_FIELDS = {"normalize_weights", "beta_centered"}
+_FIELD_TYPES = {field.name: field.type for field in dataclasses.fields(RunConfig)}
 
-
-def _field_types():
-    # annotations may arrive as type objects or strings depending on how
-    # the module is evaluated; normalize to category names
-    types = {}
-    for field in dataclasses.fields(RunConfig):
-        t = field.type
-        if t is int or t == "int":
-            types[field.name] = "int"
-        elif t is float or t == "float":
-            types[field.name] = "float"
-        else:
-            types[field.name] = "str"
-    return types
-
-
-_FIELD_TYPES = _field_types()
+# Text-to-number conversion by declared type; ``None`` is a default only
+# and has no spelling, so optional floats parse as plain floats.
+_NUMBER_TYPES = {int: int, float: float, float | None: float}
 
 
 def coerce_value(name, raw):
@@ -110,22 +97,20 @@ def coerce_value(name, raw):
     if name not in _FIELD_TYPES:
         raise InputError(f"unknown configuration key: {name}")
     raw = raw.strip()
-    if name in _BOOL_FIELDS:
+    kind = _FIELD_TYPES[name]
+    if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "1", "yes", "on"):
             return name, True
         if lowered in ("false", "0", "no", "off"):
             return name, False
         raise InputError(f"{name} must be true or false, got {raw!r}")
-    kind = _FIELD_TYPES[name]
+    if kind is str:
+        return name, raw
     try:
-        if name in _OPTIONAL_FLOAT_FIELDS or kind == "float":
-            return name, float(raw)
-        if kind == "int":
-            return name, int(raw)
+        return name, _NUMBER_TYPES[kind](raw)
     except ValueError:
         raise InputError(f"{name} expects a number, got {raw!r}")
-    return name, raw
 
 
 def parse_config_file(path):
@@ -340,18 +325,26 @@ def build_sampler(cfg, dim):
     return BoxSampler(box.lower, box.upper)
 
 
-def parse_grid(text):
-    """Parse ``n1xn2:lo1,hi1,lo2,hi2`` into (shape, BoxSet)."""
-    head, _, tail = text.partition(":")
-    parts = head.lower().split("x")
+def parse_shape(text, what="grid"):
+    """Parse ``n1xn2`` into a pair of axis sizes, each at least 2."""
+    parts = text.lower().split("x")
     if len(parts) != 2:
-        raise InputError(f"grid shape must be n1xn2, got {head!r}")
+        raise InputError(f"{what} shape must be n1xn2, got {text!r}")
     try:
         shape = (int(parts[0]), int(parts[1]))
     except ValueError:
-        raise InputError(f"grid shape must be n1xn2, got {head!r}")
+        raise InputError(f"{what} shape must be n1xn2, got {text!r}")
     if shape[0] < 2 or shape[1] < 2:
-        raise InputError(f"grid must have at least 2 points per axis, got {head!r}")
+        raise InputError(
+            f"{what} must have at least 2 points per axis, got {text!r}"
+        )
+    return shape
+
+
+def parse_grid(text):
+    """Parse ``n1xn2:lo1,hi1,lo2,hi2`` into (shape, BoxSet)."""
+    head, _, tail = text.partition(":")
+    shape = parse_shape(head)
     if not tail:
         raise InputError(f"grid must include bounds after a colon, got {text!r}")
     box = parse_box(tail, 2, "grid bounds")
@@ -368,8 +361,7 @@ def grid_points(shape, box):
 def evaluation_points(cfg, dim):
     """Resolve where to evaluate: points file, single point, or 2-D grid."""
     if cfg.points_file:
-        points, _, _ = read_value_table_points(cfg.points_file, dim)
-        return points
+        return read_points(cfg.points_file, dim)
     if cfg.point:
         return parse_point(cfg.point, dim)
     if dim != 2:
@@ -380,17 +372,3 @@ def evaluation_points(cfg, dim):
     shape, box = parse_grid(cfg.grid)
     return grid_points(shape, box)
 
-
-def read_value_table_points(path, dim):
-    """Read just the coordinate columns from any table with x headers."""
-    from .io import _numbered_block, _parse_table
-
-    names, data, metadata = _parse_table(path)
-    n = _numbered_block(names, "x", 0)
-    if n == 0:
-        raise InputError(f"{path}: header must start with x1")
-    if n != dim:
-        raise InputError(f"{path}: points are {n}-D, expected {dim}-D")
-    if data.shape[0] == 0:
-        raise InputError(f"{path}: no points")
-    return data[:, :n], None, metadata

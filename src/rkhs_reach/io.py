@@ -24,6 +24,7 @@ __all__ = [
     "read_values_csv",
     "write_mc_csv",
     "read_value_table",
+    "read_points",
     "write_table",
     "atomic_write_text",
 ]
@@ -231,3 +232,20 @@ def read_value_table(path):
     if data.shape[0] == 0:
         raise FileFormatError(f"{path}: no data rows")
     return data[:, :n], data[:, col], metadata
+
+
+def read_points(path, dim):
+    """Read the ``x1..xn`` coordinate columns of any table as points.
+
+    Raises :class:`InputError` when the table has no ``x1`` header, holds
+    points of another dimension than ``dim``, or has no rows.
+    """
+    names, data, _ = _parse_table(path)
+    n = _numbered_block(names, "x", 0)
+    if n == 0:
+        raise InputError(f"{path}: header must start with x1")
+    if n != dim:
+        raise InputError(f"{path}: points are {n}-D, expected {dim}-D")
+    if data.shape[0] == 0:
+        raise InputError(f"{path}: no points")
+    return data[:, :n]

@@ -20,7 +20,6 @@ from rkhs_reach import (
     RBFKernel,
     ReachProblem,
     ZeroPolicy,
-    _backend,
     dp_reach,
     generate_transitions,
 )
@@ -54,13 +53,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"CRITERION {k}: {word} - {detail}")
         else:
             terminalreporter.write_line(f"CRITERION {k}: NOT RUN")
-
-
-@pytest.fixture(scope="session")
-def warm_backend():
-    """Compile the hot kernels before anything is timed."""
-    _backend.warmup()
-    return _backend.active_backend()
 
 
 @pytest.fixture(scope="session")
@@ -131,7 +123,6 @@ def dp_truth(
     bench_policy,
     bench_sample,
     grid_points_101,
-    warm_backend,
 ):
     """Grid-oracle values at the evaluation grid and the sample successors.
 

@@ -47,7 +47,6 @@ def test_criterion_1_truth_match(
     bench_policy,
     grid_points_101,
     interior_mask,
-    warm_backend,
 ):
     dp_field, dp_seconds = dp_truth
     n_grid = grid_points_101.shape[0]
@@ -80,7 +79,6 @@ def test_criterion_2_sample_size_convergence(
     bench_policy,
     grid_points_101,
     interior_mask,
-    warm_backend,
 ):
     t_start = time.perf_counter()
     dp_field, _ = dp_truth
@@ -131,7 +129,7 @@ def _timed_evaluation(n, repeats):
     return statistics.median(times), value
 
 
-def test_criterion_3_dimension_scaling(acceptance, warm_backend):
+def test_criterion_3_dimension_scaling(acceptance):
     t100, _ = _timed_evaluation(100, repeats=3)
     t1000, _ = _timed_evaluation(1000, repeats=3)
     ratio = t1000 / t100
@@ -149,7 +147,7 @@ def test_criterion_3_dimension_scaling(acceptance, warm_backend):
     assert total_10k < 300.0
 
 
-def test_criterion_4_beta_disturbance(acceptance, warm_backend):
+def test_criterion_4_beta_disturbance(acceptance):
     t_start = time.perf_counter()
     system = IntegratorChain(2, sampling_time=0.25)
     disturbance = BetaDisturbance(0.5, 0.5, 2)
@@ -178,7 +176,7 @@ def test_criterion_4_beta_disturbance(acceptance, warm_backend):
     assert gap <= 0.15
 
 
-def test_criterion_5_structural_invariants(acceptance, warm_backend):
+def test_criterion_5_structural_invariants(acceptance):
     t_start = time.perf_counter()
     rng = np.random.default_rng(42)
     system = IntegratorChain(2, sampling_time=0.25)
@@ -256,7 +254,6 @@ def test_criterion_6_oracle_cross_validation(
     bench_problem,
     bench_policy,
     grid_points_101,
-    warm_backend,
 ):
     t_start = time.perf_counter()
     dp_field, _ = dp_truth
@@ -290,7 +287,7 @@ def test_criterion_6_oracle_cross_validation(
     )
 
 
-def test_criterion_7_rendezvous_pipeline(acceptance, warm_backend):
+def test_criterion_7_rendezvous_pipeline(acceptance):
     t_start = time.perf_counter()
     system = CWHSystem()
     policy = cwh_lqr_policy(system)
@@ -349,7 +346,6 @@ def test_criterion_8_error_accumulation(
     bench_policy,
     grid_points_101,
     interior_mask,
-    warm_backend,
 ):
     dp_field, _ = dp_truth
     n_grid = grid_points_101.shape[0]

@@ -1,119 +1,9 @@
-"""Backend selection and cross-backend agreement.
-
-The two backends are exercised in subprocesses because the choice is
-frozen at import time from RKHS_REACH_NUMBA.
-"""
-
-import os
-import subprocess
-import sys
+"""Hot numerical kernels against dense, closed-form and loop references."""
 
 import numpy as np
 import pytest
 
 from rkhs_reach import _backend
-
-_CHILD = r"""
-import sys
-import numpy as np
-from rkhs_reach import _backend
-
-out = sys.argv[1]
-rng = np.random.default_rng(12)
-a = rng.normal(size=(40, 3))
-b = rng.normal(size=(25, 3))
-wide_a = rng.normal(size=(8, 400))
-wide_b = rng.normal(size=(6, 400))
-coeffs = np.array([1.0, 0.25, 0.03125])
-x = rng.normal(size=(30, 12))
-values = rng.uniform(size=(21, 19))
-means = rng.uniform(-1.5, 1.5, size=(50, 2))
-glx, glw = np.polynomial.legendre.leggauss(9)
-
-np.savez(
-    out,
-    backend=np.array([_backend.active_backend()]),
-    cross=_backend.rbf_cross(a, b, 2.0),
-    cross_wide=_backend.rbf_cross(wide_a, wide_b, 0.01),
-    chain=_backend.chain_apply(coeffs, x),
-    backup=_backend.dp_backup(
-        values, (-1.0, -0.9), (0.1, 0.1), (0.3, 0.25), means, glx, glw
-    ),
-)
-"""
-
-
-def _run_child(tmp_path, mode, name):
-    out = tmp_path / f"{name}.npz"
-    env = dict(os.environ)
-    env["RKHS_REACH_NUMBA"] = mode
-    subprocess.run(
-        [sys.executable, "-c", _CHILD, str(out)],
-        check=True,
-        env=env,
-        capture_output=True,
-    )
-    return np.load(out)
-
-
-@pytest.fixture(scope="module")
-def both_backends(tmp_path_factory):
-    base = tmp_path_factory.mktemp("backends")
-    nb = _run_child(base, "1", "numba")
-    npy = _run_child(base, "0", "numpy")
-    assert nb["backend"][0] == "numba"
-    assert npy["backend"][0] == "numpy"
-    return nb, npy
-
-
-def test_chain_apply_agrees_bitwise(both_backends):
-    nb, npy = both_backends
-    np.testing.assert_array_equal(nb["chain"], npy["chain"])
-
-
-def test_dp_backup_agrees_bitwise(both_backends):
-    nb, npy = both_backends
-    np.testing.assert_array_equal(nb["backup"], npy["backup"])
-
-
-def test_rbf_cross_agrees_to_rounding(both_backends):
-    # different but equal distance formulas on the narrow path
-    nb, npy = both_backends
-    np.testing.assert_allclose(nb["cross"], npy["cross"], rtol=1e-12, atol=1e-14)
-
-
-def test_rbf_cross_wide_agrees_bitwise(both_backends):
-    # above the width cutoff both backends run the same BLAS form
-    nb, npy = both_backends
-    np.testing.assert_array_equal(nb["cross_wide"], npy["cross_wide"])
-
-
-def test_bogus_mode_rejected(tmp_path):
-    env = dict(os.environ)
-    env["RKHS_REACH_NUMBA"] = "fast"
-    proc = subprocess.run(
-        [sys.executable, "-c", "import rkhs_reach"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "RKHS_REACH_NUMBA" in proc.stderr
-
-
-def test_thread_count_smoke(tmp_path):
-    env = dict(os.environ)
-    env["RKHS_REACH_NUMBA"] = "1"
-    env["RKHS_REACH_THREADS"] = "2"
-    code = (
-        "from rkhs_reach import _backend; _backend.warmup(); "
-        "print(_backend.active_backend())"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip().endswith("numba")
 
 
 def test_rbf_cross_values():
@@ -226,10 +116,6 @@ def test_dp_backup_matches_gaussian_closed_form():
         glw,
     )
     np.testing.assert_allclose(got, [2.0, 0.3 * 4.1 + 0.63], rtol=1e-7)
-
-
-def test_warmup_runs():
-    _backend.warmup()
 
 
 def _brute_force_backup(values, origin, steps, sds, means, glx, glw):

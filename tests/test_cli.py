@@ -1,10 +1,13 @@
 """End-to-end command-line flows, run in process through main()."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rkhs_reach import __version__
-from rkhs_reach.cli import main
+from rkhs_reach.cli import _build_parser, _load_config, main
+from rkhs_reach.config import RunConfig
 from rkhs_reach.io import (
     read_transitions_csv,
     read_value_table,
@@ -256,6 +259,75 @@ def test_exit_codes_by_failure_class(tmp_path, capsys):
         capsys, "reach", "--sample-file", str(bad), "--point", "0,0"
     )
     assert rc == 4 and "bad.csv:2" in err
+
+    # a grid-oracle shape that is not n1xn2 with at least 2 per axis
+    for shape in ("201", "1x5"):
+        rc, _, err = run(
+            capsys, "oracle-dp", "--dp-grid", shape, "--point", "0,0"
+        )
+        assert rc == 2 and "dp_grid" in err
+
+    # a points file is a configuration input: a table without x columns
+    # exits 2, an unreadable or malformed one exits 4
+    headless = tmp_path / "headless.csv"
+    headless.write_text("a,b\n0.0,0.0\n")
+    mc = ("oracle-mc", "--rollouts", "10", "--points-file")
+    rc, _, err = run(capsys, *mc, str(headless))
+    assert rc == 2 and "x1" in err
+    rc, _, err = run(capsys, *mc, str(tmp_path / "missing.csv"))
+    assert rc == 4 and err.startswith("file error:")
+    rc, _, err = run(capsys, *mc, str(bad))
+    assert rc == 4 and "bad.csv:2" in err
+
+
+def test_every_config_field_has_a_flag(tmp_path):
+    # one non-default value per RunConfig field, valid together
+    texts = {
+        "system": "cwh",
+        "dim": "4",
+        "sampling_time": "0.5",
+        "disturbance": "beta",
+        "noise_sd": "0.2",
+        "beta_alpha": "2.0",
+        "beta_beta": "3.0",
+        "beta_centered": "true",
+        "sigma": "0.3",
+        "lam": "0.5",
+        "eta": "2.0",
+        "normalize_weights": "false",
+        "horizon": "5",
+        "samples": "77",
+        "seed": "9",
+        "policy": "lqr",
+        "sample_box": "0,2",
+        "grid": "5x5:0,1,0,1",
+        "point": "0.1,0.2,0,0",
+        "points_file": "pts.csv",
+        "mode": "max",
+        "control_grid": "0,0;1,1",
+        "safe_box": "-2,2",
+        "target_box": "-0.5,0.5",
+        "rollouts": "123",
+        "dp_grid": "11x13",
+        "dp_quad": "7",
+    }
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(texts) == fields
+    keys = {name: "lambda" if name == "lam" else name for name in fields}
+    argv = ["generate", "--out", "x.csv"]
+    for name, text in texts.items():
+        argv.append("--" + keys[name].replace("_", "-") + "=" + text)
+    from_flags = _load_config(_build_parser().parse_args(argv))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "".join(f"{keys[name]} = {text}\n" for name, text in texts.items())
+    )
+    argv = ["generate", "--out", "x.csv", "--config", str(cfg_file)]
+    from_file = _load_config(_build_parser().parse_args(argv))
+    assert from_flags == from_file
+    default = RunConfig()
+    for name in fields:
+        assert getattr(from_flags, name) != getattr(default, name), name
 
 
 def test_cwh_end_to_end_smoke(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -162,6 +162,9 @@ def test_monotone_decay_in_distance(sigma, dist, extra):
     a = np.array([[0.0]])
     near = k.cross(a, np.array([[dist]]))[0, 0]
     far = k.cross(a, np.array([[dist + extra]]))[0, 0]
+    # strict decay is only observable while the nearer value is a normal
+    # float64; past that both can underflow to 0.0
+    assume(near >= np.finfo(np.float64).tiny)
     assert far < near
 
 
