@@ -359,16 +359,23 @@ def grid_points(shape, box):
 
 
 def evaluation_points(cfg, dim):
-    """Resolve where to evaluate: points file, single point, or 2-D grid."""
+    """Resolve where to evaluate: points file, single point, or 2-D grid.
+
+    Raises :class:`InputError` when a coordinate is NaN or infinite.
+    """
     if cfg.points_file:
-        return read_points(cfg.points_file, dim)
-    if cfg.point:
-        return parse_point(cfg.point, dim)
-    if dim != 2:
+        points = read_points(cfg.points_file, dim)
+    elif cfg.point:
+        points = parse_point(cfg.point, dim)
+    elif dim != 2:
         raise InputError(
             "grid evaluation is 2-D only; pass point=... or points_file=... "
             f"for dimension {dim}"
         )
-    shape, box = parse_grid(cfg.grid)
-    return grid_points(shape, box)
+    else:
+        shape, box = parse_grid(cfg.grid)
+        points = grid_points(shape, box)
+    if not np.all(np.isfinite(points)):
+        raise InputError("evaluation points must be finite")
+    return points
 

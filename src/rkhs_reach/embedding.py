@@ -151,19 +151,17 @@ class Embedding:
         self._joint = sample.joint()
         self.gram = kernel.gram(self._joint)
         m = sample.count
-        reg = self.gram + (lam * m) * np.eye(m)
         try:
-            self._factor = cho_factor(reg, lower=True)
+            self._factor = cho_factor(self.gram + (lam * m) * np.eye(m), lower=True)
         except np.linalg.LinAlgError as exc:  # cannot happen for lam*M > 0
             raise NumericalError(f"ridge system factorization failed: {exc}")
-        self._reg = reg
 
     @property
     def count(self):
         return self.sample.count
 
     def _joint_queries(self, states, controls):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = _as_matrix("query states", np.atleast_2d(states))
         if states.shape[1] != self.sample.state_dim:
             raise InputError(
                 f"query states have dimension {states.shape[1]}, "
@@ -176,7 +174,7 @@ class Embedding:
             return states
         if controls is None:
             raise InputError(f"sample has {m} control columns, controls required")
-        controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
+        controls = _as_matrix("query controls", np.atleast_2d(controls))
         if controls.shape != (states.shape[0], m):
             raise InputError(
                 f"controls must have shape {(states.shape[0], m)}, "
@@ -223,4 +221,5 @@ class Embedding:
         """Relative residual of the regularized solve on right-hand side v."""
         v = np.asarray(v, dtype=np.float64)
         x = cho_solve(self._factor, v)
-        return float(np.linalg.norm(self._reg @ x - v) / np.linalg.norm(v))
+        r = self.gram @ x + (self.lam * self.count) * x - v
+        return float(np.linalg.norm(r) / np.linalg.norm(v))

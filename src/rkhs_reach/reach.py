@@ -145,19 +145,27 @@ def _clamped_step(weights, next_values, safe_mask):
     return est
 
 
-def _policy_controls(policy, k, points, control_dim):
-    if control_dim == 0:
-        return None
-    controls = np.atleast_2d(np.asarray(policy(k, points), dtype=np.float64))
-    if controls.shape != (points.shape[0], control_dim):
+def _policy_weights(emb, policy, k, states):
+    m = emb.sample.control_dim
+    if m == 0:
+        return emb.weights(states)
+    controls = np.atleast_2d(np.asarray(policy(k, states), dtype=np.float64))
+    if controls.shape != (states.shape[0], m):
         raise InputError(
             f"policy returned shape {controls.shape}, expected "
-            f"{(points.shape[0], control_dim)}"
+            f"{(states.shape[0], m)}"
         )
-    return controls
+    return emb.weights(states, controls)
 
 
-def _prepare(emb, problem, points):
+def _recursion(emb, problem, points, policies, reuse):
+    """Backward recursion maximizing over candidate policies.
+
+    Returns the points, the value rows and the winning candidate per step
+    and point. Successor values (row k is step k) come first; then the
+    points are swept one candidate at a time, so one point-weight matrix
+    is alive at once. A strict ``>`` keeps the lowest index on ties.
+    """
     if not isinstance(emb, Embedding):
         raise InputError("emb must be a fitted Embedding")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -169,11 +177,33 @@ def _prepare(emb, problem, points):
             f"sample has {emb.sample.state_dim}"
         )
     successors = emb.sample.successors
+    reuse = reuse or emb.sample.control_dim == 0
+    n_steps = problem.horizon
     mask_pts = problem.safe.contains(points).astype(np.float64)
     mask_succ = problem.safe.contains(successors).astype(np.float64)
-    term_pts = exact_terminal(problem.target.contains(points))
-    term_succ = exact_terminal(problem.target.contains(successors))
-    return points, successors, mask_pts, mask_succ, term_pts, term_succ
+    v_succ = np.full((n_steps + 1, successors.shape[0]), -np.inf)
+    v_succ[n_steps] = exact_terminal(problem.target.contains(successors))
+    w_succ = [None] * len(policies)
+    for k in range(n_steps - 1, 0, -1):
+        for c, policy in enumerate(policies):
+            if k == n_steps - 1 or not reuse:
+                w_succ[c] = _policy_weights(emb, policy, k, successors)
+            est = _clamped_step(w_succ[c], v_succ[k + 1], mask_succ)
+            np.maximum(v_succ[k], est, out=v_succ[k])
+    del w_succ  # M x M per candidate; the points pass reads only v_succ
+    values = np.full((n_steps + 1, points.shape[0]), -np.inf)
+    values[n_steps] = exact_terminal(problem.target.contains(points))
+    choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
+    for c, policy in enumerate(policies):
+        for k in range(n_steps - 1, -1, -1):
+            if k == n_steps - 1 or not reuse:
+                w_pts = None  # free the last matrix before solving the next
+                w_pts = _policy_weights(emb, policy, k, points)
+            est = _clamped_step(w_pts, v_succ[k + 1], mask_pts)
+            better = est > values[k]
+            values[k, better] = est[better]
+            choices[k, better] = c
+    return points, values, choices
 
 
 def value_recursion(emb, problem, points, policy):
@@ -189,32 +219,15 @@ def value_recursion(emb, problem, points, policy):
         ``policy(k, states) -> controls`` with one row per state. Ignored
         when the sample has no control columns. Policies carrying a true
         ``time_invariant`` attribute are evaluated once and their weight
-        matrices reused across steps.
+        matrices reused across steps; any other policy is queried, and
+        its weights solved, at every step.
 
     Returns
     -------
     ValueField
     """
-    points, successors, mask_pts, mask_succ, term_pts, term_succ = _prepare(
-        emb, problem, points
-    )
-    n_steps = problem.horizon
-    values = np.empty((n_steps + 1, points.shape[0]))
-    values[n_steps] = term_pts
-    v_succ = term_succ
-    m = emb.sample.control_dim
-    reuse = m == 0 or getattr(policy, "time_invariant", False)
-    w_pts = w_succ = None
-    for k in range(n_steps - 1, -1, -1):
-        if w_pts is None or not reuse:
-            w_pts = emb.weights(points, _policy_controls(policy, k, points, m))
-        values[k] = _clamped_step(w_pts, v_succ, mask_pts)
-        if k > 0:
-            if w_succ is None or not reuse:
-                w_succ = emb.weights(
-                    successors, _policy_controls(policy, k, successors, m)
-                )
-            v_succ = _clamped_step(w_succ, v_succ, mask_succ)
+    reuse = getattr(policy, "time_invariant", False)
+    points, values, _ = _recursion(emb, problem, points, [policy], reuse)
     return ValueField(points=points, values=values)
 
 
@@ -225,7 +238,9 @@ def value_recursion_max(emb, problem, points, control_grid):
     computed for each control in the grid and the largest is kept; ties
     resolve to the lowest grid index. With a single-entry grid the result
     matches :func:`value_recursion` under the matching constant policy
-    exactly.
+    exactly. Each control's weights are solved once and reused at every
+    step, and only one evaluation-point weight matrix (M x P) is alive at
+    a time, whatever the grid size.
 
     Returns
     -------
@@ -243,28 +258,10 @@ def value_recursion_max(emb, problem, points, control_grid):
             f"control grid entries have dimension {control_grid.shape[1]}, "
             f"sample controls have {m}"
         )
-    points, successors, mask_pts, mask_succ, term_pts, term_succ = _prepare(
-        emb, problem, points
-    )
-    n_pts = points.shape[0]
-    n_succ = successors.shape[0]
-    w_pts = [
-        emb.weights(points, np.tile(u, (n_pts, 1))) for u in control_grid
+    # not ConstantPolicy: systems imports this module
+    policies = [
+        lambda k, states, u=u: np.tile(u, (states.shape[0], 1))
+        for u in control_grid
     ]
-    w_succ = [
-        emb.weights(successors, np.tile(u, (n_succ, 1))) for u in control_grid
-    ]
-    n_steps = problem.horizon
-    values = np.empty((n_steps + 1, n_pts))
-    values[n_steps] = term_pts
-    choices = np.empty((n_steps, n_pts), dtype=np.int64)
-    v_succ = term_succ
-    for k in range(n_steps - 1, -1, -1):
-        candidates = np.stack([_clamped_step(w, v_succ, mask_pts) for w in w_pts])
-        values[k] = candidates.max(axis=0)
-        choices[k] = candidates.argmax(axis=0)
-        if k > 0:
-            v_succ = np.stack(
-                [_clamped_step(w, v_succ, mask_succ) for w in w_succ]
-            ).max(axis=0)
+    points, values, choices = _recursion(emb, problem, points, policies, True)
     return ValueField(points=points, values=values, policy_choices=choices)

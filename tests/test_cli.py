@@ -236,7 +236,7 @@ def test_bench_dims_flow(tmp_path, capsys):
     assert rc == 2 and "integrator" in err
 
 
-def test_exit_codes_by_failure_class(tmp_path, capsys):
+def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
     # argparse problems (unknown flags, missing subcommand) exit 2
     assert run(capsys, "reach", "--bogus-flag", "1")[0] == 2
     assert run(capsys)[0] == 2
@@ -278,6 +278,19 @@ def test_exit_codes_by_failure_class(tmp_path, capsys):
     assert rc == 4 and err.startswith("file error:")
     rc, _, err = run(capsys, *mc, str(bad))
     assert rc == 4 and "bad.csv:2" in err
+
+    # a NaN or infinite evaluation point is a configuration problem on
+    # every subcommand that evaluates points
+    rc, _, err = run(
+        capsys, "reach", "--sample-file", sample_file, "--point", "nan,0"
+    )
+    assert rc == 2 and "finite" in err
+    rc, _, err = run(capsys, "oracle-dp", "--point", "nan,0")
+    assert rc == 2 and "finite" in err
+    infinite = tmp_path / "infinite.csv"
+    infinite.write_text("x1,x2\n0.0,0.0\ninf,0.0\n")
+    rc, _, err = run(capsys, *mc, str(infinite))
+    assert rc == 2 and "finite" in err
 
 
 def test_every_config_field_has_a_flag(tmp_path):

@@ -218,6 +218,8 @@ def test_control_free_sample():
     np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
     with pytest.raises(InputError):
         emb.weights(rng.normal(size=(3, 2)), np.zeros((3, 1)))
+    with pytest.raises(InputError, match="non-finite"):
+        emb.weights([[0.0, -np.inf]])
 
 
 def test_validation_errors():
@@ -245,6 +247,10 @@ def test_validation_errors():
         emb.weights(np.zeros((2, 2)))  # controls required
     with pytest.raises(InputError):
         emb.weights(np.zeros((2, 2)), np.zeros((3, 1)))  # row mismatch
+    with pytest.raises(InputError, match="non-finite"):
+        emb.weights([[np.nan, 0.0]], [[0.0]])  # not scipy's ValueError
+    with pytest.raises(InputError, match="non-finite"):
+        emb.weights([[0.0, 0.0]], [[np.inf]])
     with pytest.raises(InputError):
         emb.expectation(np.zeros(4), np.zeros((2, 2)), np.zeros((2, 1)))
 

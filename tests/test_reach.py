@@ -1,5 +1,7 @@
 """Backward recursion on the fitted estimator: semantics and invariants."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,8 @@ def test_recursion_is_deterministic(controlled):
 
 
 class RecordingPolicy:
+    """Time-varying policy that logs each ``(k, rows)`` query."""
+
     time_invariant = False
 
     def __init__(self, control_dim):
@@ -129,7 +133,7 @@ class RecordingPolicy:
     def __call__(self, k, states):
         states = np.atleast_2d(states)
         self.calls.append((k, states.shape[0]))
-        return np.zeros((states.shape[0], self.control_dim))
+        return np.full((states.shape[0], self.control_dim), 0.3 * k - 0.4)
 
 
 def test_time_invariant_flag_controls_policy_reuse(controlled):
@@ -139,14 +143,127 @@ def test_time_invariant_flag_controls_policy_reuse(controlled):
     varying = RecordingPolicy(1)
     value_recursion(emb, problem, pts, varying)
     # horizon 3: points queried at k = 2, 1, 0; successors at k = 2, 1
-    assert varying.calls == [
+    assert sorted(varying.calls) == sorted([
         (2, n_pts), (2, n_succ), (1, n_pts), (1, n_succ), (0, n_pts),
-    ]
+    ])
 
     frozen = RecordingPolicy(1)
     frozen.time_invariant = True
     value_recursion(emb, problem, pts, frozen)
-    assert frozen.calls == [(2, n_pts), (2, n_succ)]
+    assert sorted(frozen.calls) == sorted([(2, n_pts), (2, n_succ)])
+
+
+def _reference_step(weights, next_values, safe_mask):
+    return np.clip(next_values @ weights, 0.0, 1.0) * safe_mask
+
+
+def _reference_fixed(emb, problem, pts, policy):
+    """Reference fixed-policy recursion: step-outer, points and
+    successors advanced together."""
+    succ = emb.sample.successors
+    m = emb.sample.control_dim
+
+    def weights(k, states):
+        return emb.weights(states, None if m == 0 else policy(k, states))
+
+    mask_pts = problem.safe.contains(pts).astype(np.float64)
+    mask_succ = problem.safe.contains(succ).astype(np.float64)
+    n = problem.horizon
+    values = np.empty((n + 1, pts.shape[0]))
+    values[n] = problem.target.contains(pts)
+    v_succ = problem.target.contains(succ).astype(np.float64)
+    reuse = m == 0 or getattr(policy, "time_invariant", False)
+    w_pts = w_succ = None
+    for k in range(n - 1, -1, -1):
+        if w_pts is None or not reuse:
+            w_pts = weights(k, pts)
+        values[k] = _reference_step(w_pts, v_succ, mask_pts)
+        if k > 0:
+            if w_succ is None or not reuse:
+                w_succ = weights(k, succ)
+            v_succ = _reference_step(w_succ, v_succ, mask_succ)
+    return values
+
+
+def _reference_max(emb, problem, pts, control_grid):
+    """Reference max-mode recursion: step-outer, every control's weights
+    alive at once, candidates stacked and reduced with max/argmax."""
+    succ = emb.sample.successors
+    grid = np.atleast_2d(np.asarray(control_grid, dtype=np.float64))
+    w_pts = [emb.weights(pts, np.tile(u, (len(pts), 1))) for u in grid]
+    w_succ = [emb.weights(succ, np.tile(u, (len(succ), 1))) for u in grid]
+    mask_pts = problem.safe.contains(pts).astype(np.float64)
+    mask_succ = problem.safe.contains(succ).astype(np.float64)
+    n = problem.horizon
+    values = np.empty((n + 1, pts.shape[0]))
+    values[n] = problem.target.contains(pts)
+    choices = np.empty((n, pts.shape[0]), dtype=np.int64)
+    v_succ = problem.target.contains(succ).astype(np.float64)
+    for k in range(n - 1, -1, -1):
+        cand = np.stack([_reference_step(w, v_succ, mask_pts) for w in w_pts])
+        values[k] = cand.max(axis=0)
+        choices[k] = cand.argmax(axis=0)
+        if k > 0:
+            v_succ = np.stack(
+                [_reference_step(w, v_succ, mask_succ) for w in w_succ]
+            ).max(axis=0)
+    return values, choices
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_merged_recursion_matches_reference_loops_bitwise(
+    controlled, horizon, normalize
+):
+    emb, problem, pts = controlled
+    if not normalize:
+        emb = Embedding(emb.sample, emb.kernel, emb.lam, normalize_weights=False)
+    problem = ReachProblem(problem.safe, problem.target, horizon)
+    for policy in (ZeroPolicy(1), RecordingPolicy(1)):
+        field = value_recursion(emb, problem, pts, policy)
+        want = _reference_fixed(emb, problem, pts, policy)
+        np.testing.assert_array_equal(field.values, want)
+        assert field.policy_choices is None
+    for grid in ([[0.4]], [[-0.5], [0.0], [0.5]], [[0.3], [-0.3], [0.3]]):
+        field = value_recursion_max(emb, problem, pts, grid)
+        values, choices = _reference_max(emb, problem, pts, grid)
+        np.testing.assert_array_equal(field.values, values)
+        np.testing.assert_array_equal(field.policy_choices, choices)
+
+
+def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
+    # wrap ``weights`` on the instance and release each point-weight
+    # matrix in a ``weakref.finalize`` callback, as the benchmark tracer does
+    emb, problem, pts = controlled
+    n_pts = pts.shape[0]
+    assert n_pts != emb.count
+    stats = {"live": 0, "peak": 0, "succ_calls": 0}
+    original = emb.weights
+
+    def release():
+        stats["live"] -= 1
+
+    def weights(states, controls=None):
+        w = original(states, controls)
+        if w.shape[1] == n_pts:
+            stats["live"] += 1
+            stats["peak"] = max(stats["peak"], stats["live"])
+            weakref.finalize(w, release)
+        else:
+            stats["succ_calls"] += 1
+        return w
+
+    monkeypatch.setattr(emb, "weights", weights)
+    grid = [[-0.5], [0.0], [0.5]]
+    value_recursion_max(emb, problem, pts, grid)  # horizon 3
+    assert stats["peak"] == 1 and stats["live"] == 0
+    assert stats["succ_calls"] == len(grid)
+
+    one = ReachProblem(problem.safe, problem.target, horizon=1)
+    stats.update(peak=0, succ_calls=0)
+    value_recursion_max(emb, one, pts, grid)
+    # a one-step recursion never reads successor values
+    assert stats["succ_calls"] == 0 and stats["peak"] == 1
 
 
 def test_recursion_input_validation(controlled):
