@@ -39,7 +39,9 @@ def rbf_cross(a, b, gamma):
     # expanded form |a|^2 + |b|^2 - 2ab; cancellation can leave small
     # negative values, clamped before exp
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    sq -= 2.0 * (a @ b.T)
+    ab = a @ b.T
+    ab *= 2.0  # in place: exact, and no third matrix-sized temporary
+    sq -= ab
     np.maximum(sq, 0.0, out=sq)
     sq *= -gamma
     return np.exp(sq, out=sq)

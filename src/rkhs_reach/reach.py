@@ -158,13 +158,20 @@ def _policy_weights(emb, policy, k, states):
     return emb.weights(states, controls)
 
 
+# evaluation points per block of the points pass; bounds the one live
+# point-weight matrix to M x _POINT_BLOCK (16 MB at M = 1024)
+_POINT_BLOCK = 2048
+
+
 def _recursion(emb, problem, points, policies, reuse):
     """Backward recursion maximizing over candidate policies.
 
     Returns the points, the value rows and the winning candidate per step
     and point. Successor values (row k is step k) come first; then the
-    points are swept one candidate at a time, so one point-weight matrix
-    is alive at once. A strict ``>`` keeps the lowest index on ties.
+    points are swept in blocks of ``_POINT_BLOCK``, and within a block
+    one candidate at a time through all steps, so one point-weight
+    matrix of at most ``_POINT_BLOCK`` columns is alive at once. A strict
+    ``>`` keeps the lowest index on ties.
     """
     if not isinstance(emb, Embedding):
         raise InputError("emb must be a fitted Embedding")
@@ -194,15 +201,18 @@ def _recursion(emb, problem, points, policies, reuse):
     values = np.full((n_steps + 1, points.shape[0]), -np.inf)
     values[n_steps] = exact_terminal(problem.target.contains(points))
     choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
-    for c, policy in enumerate(policies):
-        for k in range(n_steps - 1, -1, -1):
-            if k == n_steps - 1 or not reuse:
-                w_pts = None  # free the last matrix before solving the next
-                w_pts = _policy_weights(emb, policy, k, points)
-            est = _clamped_step(w_pts, v_succ[k + 1], mask_pts)
-            better = est > values[k]
-            values[k, better] = est[better]
-            choices[k, better] = c
+    for start in range(0, points.shape[0], _POINT_BLOCK):
+        block = slice(start, start + _POINT_BLOCK)
+        for c, policy in enumerate(policies):
+            for k in range(n_steps - 1, -1, -1):
+                if k == n_steps - 1 or not reuse:
+                    w_pts = None  # free the last matrix before solving the next
+                    w_pts = _policy_weights(emb, policy, k, points[block])
+                est = _clamped_step(w_pts, v_succ[k + 1], mask_pts[block])
+                best = values[k, block]  # views: writes land in the rows
+                better = est > best
+                best[better] = est[better]
+                choices[k, block][better] = c
     return points, values, choices
 
 
@@ -218,9 +228,10 @@ def value_recursion(emb, problem, points, policy):
     policy : callable
         ``policy(k, states) -> controls`` with one row per state. Ignored
         when the sample has no control columns. Policies carrying a true
-        ``time_invariant`` attribute are evaluated once and their weight
+        ``time_invariant`` attribute are evaluated once per block of
+        evaluation points (and once for the successors) and their weight
         matrices reused across steps; any other policy is queried, and
-        its weights solved, at every step.
+        its weights computed, at every step.
 
     Returns
     -------
@@ -238,9 +249,10 @@ def value_recursion_max(emb, problem, points, control_grid):
     computed for each control in the grid and the largest is kept; ties
     resolve to the lowest grid index. With a single-entry grid the result
     matches :func:`value_recursion` under the matching constant policy
-    exactly. Each control's weights are solved once and reused at every
-    step, and only one evaluation-point weight matrix (M x P) is alive at
-    a time, whatever the grid size.
+    exactly. The evaluation points are swept in blocks of at most 2048;
+    within a block each control's weights are computed once and reused
+    at every step, and only one block's weight matrix (M x block) is
+    alive at a time, whatever the grid size and the number of points.
 
     Returns
     -------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from rkhs_reach import (
     BoxSampler,
@@ -10,6 +11,7 @@ from rkhs_reach import (
     GaussianDisturbance,
     InputError,
     IntegratorChain,
+    NumericalError,
     RBFKernel,
     TransitionSample,
     ZeroPolicy,
@@ -61,14 +63,18 @@ def test_constant_function_single_point():
     assert est[0] == pytest.approx(1.0 / 4.0, rel=1e-12)
 
 
-def dense_weights(emb, states, controls):
-    # independent reimplementation with a dense solve
+def cholesky_solve(a, b):
+    return cho_solve(cho_factor(a, lower=True), b)
+
+
+def dense_weights(emb, states, controls, solve=np.linalg.solve):
+    # independent reimplementation with a per-column solve
     joint = np.hstack([states, controls]) if controls.shape[1] else states
     sample_joint = emb.sample.joint()
     g = emb.kernel.gram(sample_joint)
     m = emb.count
     k = emb.kernel.cross(sample_joint, joint)
-    w = np.linalg.solve(g + emb.lam * m * np.eye(m), k)
+    w = solve(g + emb.lam * m * np.eye(m), k)
     if emb.normalize_weights:
         w = np.maximum(w, 0.0)
         s = w.sum(axis=0)
@@ -95,6 +101,37 @@ def test_weights_match_dense_solve(m_count, normalize):
     got = emb.weights(states, controls)
     want = dense_weights(emb, states, controls)
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_inverse_weights_match_cholesky_solve(lam, normalize):
+    # one path: the once-formed inverse must stay within 1e-12 of two
+    # triangular solves per column down to lam = 1e-4 (condition ~240)
+    sample = make_bench_sample(256, 0)
+    emb = Embedding(
+        sample, RBFKernel(BENCH_SIGMA), lam, normalize_weights=normalize
+    )
+    rng = np.random.default_rng(8)
+    states = rng.uniform(-1.1, 1.1, size=(300, 2))
+    controls = np.zeros((300, 1))
+    got = emb.weights(states, controls)
+    want = dense_weights(emb, states, controls, solve=cholesky_solve)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_non_finite_inverse_raises(normalize):
+    rng = np.random.default_rng(9)
+    sample = TransitionSample(
+        states=rng.normal(size=(10, 2)),
+        controls=rng.normal(size=(10, 1)),
+        successors=rng.normal(size=(10, 2)),
+    )
+    emb = Embedding(sample, RBFKernel(0.6), 0.7, normalize_weights=normalize)
+    emb._inv[3, 5] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        emb.weights(rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
 
 
 def test_far_query_raw_weights_negligible():

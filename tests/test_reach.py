@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkhs_reach import reach as reach_module
 from rkhs_reach import (
     AffinePolicy,
     BoxSampler,
@@ -264,6 +265,60 @@ def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
     value_recursion_max(emb, one, pts, grid)
     # a one-step recursion never reads successor values
     assert stats["succ_calls"] == 0 and stats["peak"] == 1
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
+    emb, problem, pts = controlled
+    if not normalize:
+        emb = Embedding(emb.sample, emb.kernel, emb.lam, normalize_weights=False)
+    grid = [[-0.5], [0.0], [0.5]]
+    n_pts, block = pts.shape[0], 16
+    assert n_pts < reach_module._POINT_BLOCK and n_pts % block != 0
+    whole = [
+        value_recursion(emb, problem, pts, ZeroPolicy(1)),
+        value_recursion(emb, problem, pts, RecordingPolicy(1)),
+        value_recursion_max(emb, problem, pts, grid),
+    ]
+
+    monkeypatch.setattr(reach_module, "_POINT_BLOCK", block)
+    stats = {"live": 0, "peak": 0, "widths": []}
+    original = emb.weights
+
+    def release():
+        stats["live"] -= 1
+
+    def weights(states, controls=None):
+        w = original(states, controls)
+        if w.shape[1] != emb.count:
+            stats["live"] += 1
+            stats["peak"] = max(stats["peak"], stats["live"])
+            stats["widths"].append(w.shape[1])
+            weakref.finalize(w, release)
+        return w
+
+    monkeypatch.setattr(emb, "weights", weights)
+    varying = RecordingPolicy(1)
+    blocked = [
+        value_recursion(emb, problem, pts, ZeroPolicy(1)),
+        value_recursion(emb, problem, pts, varying),
+        value_recursion_max(emb, problem, pts, grid),
+    ]
+    for got, want in zip(blocked, whole):
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-14)
+    # the controlled sample's controls are distinct, so no choice is a tie
+    np.testing.assert_array_equal(
+        blocked[2].policy_choices, whole[2].policy_choices
+    )
+    sizes = [16, 16, 8]
+    assert stats["peak"] == 1 and stats["live"] == 0
+    # zero policy: once per block; varying: per block and step (horizon
+    # 3); max: per block and control (3)
+    thrice = [b for b in sizes for _ in range(3)]
+    assert stats["widths"] == sizes + thrice + thrice
+    n_succ = emb.sample.successors.shape[0]
+    want_calls = [(k, b) for k in (2, 1, 0) for b in sizes]
+    assert sorted(varying.calls) == sorted(want_calls + [(2, n_succ), (1, n_succ)])
 
 
 def test_recursion_input_validation(controlled):
