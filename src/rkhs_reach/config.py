@@ -151,6 +151,12 @@ def apply_overrides(cfg, overrides):
 
 
 def validate(cfg):
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if kind in (float, float | None) and value is not None:
+            if not np.isfinite(value):
+                key = "lambda" if name == "lam" else name
+                raise InputError(f"{key} must be finite, got {value}")
     if cfg.system not in ("integrator", "cwh"):
         raise InputError(f"system must be integrator or cwh, got {cfg.system!r}")
     if cfg.disturbance not in ("gaussian", "beta", "none"):
@@ -181,8 +187,8 @@ def validate(cfg):
         raise InputError(f"dp_quad must be at least 2, got {cfg.dp_quad}")
     if cfg.sampling_time is not None and cfg.sampling_time <= 0:
         raise InputError("sampling_time must be positive")
-    if cfg.noise_sd is not None and cfg.noise_sd < 0:
-        raise InputError("noise_sd must be nonnegative")
+    if cfg.noise_sd is not None and cfg.noise_sd <= 0:
+        raise InputError("noise_sd must be positive")
     if cfg.beta_alpha <= 0 or cfg.beta_beta <= 0:
         raise InputError("beta shape parameters must be positive")
     return cfg

@@ -145,7 +145,6 @@ def dp_reach(system, disturbance, problem, eval_points, policy, grid=None):
             mu = mu + np.atleast_2d(policy(k, pts)) @ b.T
         return mu
 
-    time_invariant = policy is None or getattr(policy, "time_invariant", False)
     mask_grid = safe.contains(grid_pts).astype(np.float64)
     mask_eval = safe.contains(eval_points).astype(np.float64)
     n_steps = problem.horizon
@@ -163,18 +162,12 @@ def dp_reach(system, disturbance, problem, eval_points, policy, grid=None):
         return np.clip(expected, 0.0, 1.0)
 
     v2d = None
-    means_grid = means_eval = None
     for k in range(n_steps - 1, -1, -1):
-        if means_eval is None or not time_invariant:
-            means_eval = means_at(eval_points, k)
-        rows[k] = exact_step(mask_eval, expectation(means_eval, v2d))
+        rows[k] = exact_step(mask_eval, expectation(means_at(eval_points, k), v2d))
         # the grid field feeds only the steps before k, so none at k == 0
         if k > 0:
-            if means_grid is None or not time_invariant:
-                means_grid = means_at(grid_pts, k)
-            v2d = exact_step(mask_grid, expectation(means_grid, v2d)).reshape(
-                grid.shape
-            )
+            expected = expectation(means_at(grid_pts, k), v2d)
+            v2d = exact_step(mask_grid, expected).reshape(grid.shape)
     return ValueField(points=eval_points, values=rows)
 
 

@@ -145,17 +145,24 @@ def _clamped_step(weights, next_values, safe_mask):
     return est
 
 
-def _policy_weights(emb, policy, k, states):
-    m = emb.sample.control_dim
-    if m == 0:
-        return emb.weights(states)
-    controls = np.atleast_2d(np.asarray(policy(k, states), dtype=np.float64))
-    if controls.shape != (states.shape[0], m):
-        raise InputError(
-            f"policy returned shape {controls.shape}, expected "
-            f"{(states.shape[0], m)}"
-        )
-    return emb.weights(states, controls)
+def _update_weights(emb, policy, k, states, held):
+    """Bring ``held = [controls, weights]`` to ``policy`` at step k.
+
+    ``held`` is the candidate's pair from its last step (``[None, None]``
+    before the first). The policy is queried at every step, and weights
+    are solved again only when its controls differ from the held ones.
+    The controls are kept as an owned copy, so a policy that refills and
+    returns one buffer cannot look like a repeat. Without control
+    columns the policy is not queried and one solve serves every step.
+    """
+    controls = None
+    if emb.sample.control_dim:
+        controls = np.array(policy(k, states), dtype=np.float64)
+    if held[1] is None or (
+        controls is not None and not np.array_equal(controls, held[0])
+    ):
+        held[1] = None  # free the old matrix before solving the new one
+        held[:] = controls, emb.weights(states, controls)
 
 
 # evaluation points per block of the points pass; bounds the one live
@@ -163,15 +170,17 @@ def _policy_weights(emb, policy, k, states):
 _POINT_BLOCK = 2048
 
 
-def _recursion(emb, problem, points, policies, reuse):
+def _recursion(emb, problem, points, policies):
     """Backward recursion maximizing over candidate policies.
 
     Returns the points, the value rows and the winning candidate per step
     and point. Successor values (row k is step k) come first; then the
     points are swept in blocks of ``_POINT_BLOCK``, and within a block
     one candidate at a time through all steps, so one point-weight
-    matrix of at most ``_POINT_BLOCK`` columns is alive at once. A strict
-    ``>`` keeps the lowest index on ties.
+    matrix of at most ``_POINT_BLOCK`` columns is alive at once. Each
+    candidate is queried once per step (and block), and its weights are
+    reused while its controls repeat (see :func:`_update_weights`). A
+    strict ``>`` keeps the lowest index on ties.
     """
     if not isinstance(emb, Embedding):
         raise InputError("emb must be a fitted Embedding")
@@ -184,31 +193,28 @@ def _recursion(emb, problem, points, policies, reuse):
             f"sample has {emb.sample.state_dim}"
         )
     successors = emb.sample.successors
-    reuse = reuse or emb.sample.control_dim == 0
     n_steps = problem.horizon
     mask_pts = problem.safe.contains(points).astype(np.float64)
     mask_succ = problem.safe.contains(successors).astype(np.float64)
     v_succ = np.full((n_steps + 1, successors.shape[0]), -np.inf)
     v_succ[n_steps] = exact_terminal(problem.target.contains(successors))
-    w_succ = [None] * len(policies)
+    held = [[None, None] for _ in policies]
     for k in range(n_steps - 1, 0, -1):
         for c, policy in enumerate(policies):
-            if k == n_steps - 1 or not reuse:
-                w_succ[c] = _policy_weights(emb, policy, k, successors)
-            est = _clamped_step(w_succ[c], v_succ[k + 1], mask_succ)
+            _update_weights(emb, policy, k, successors, held[c])
+            est = _clamped_step(held[c][1], v_succ[k + 1], mask_succ)
             np.maximum(v_succ[k], est, out=v_succ[k])
-    del w_succ  # M x M per candidate; the points pass reads only v_succ
+    del held  # M x M per candidate; the points pass reads only v_succ
     values = np.full((n_steps + 1, points.shape[0]), -np.inf)
     values[n_steps] = exact_terminal(problem.target.contains(points))
     choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
     for start in range(0, points.shape[0], _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
         for c, policy in enumerate(policies):
+            last = [None, None]  # frees the previous candidate's matrix
             for k in range(n_steps - 1, -1, -1):
-                if k == n_steps - 1 or not reuse:
-                    w_pts = None  # free the last matrix before solving the next
-                    w_pts = _policy_weights(emb, policy, k, points[block])
-                est = _clamped_step(w_pts, v_succ[k + 1], mask_pts[block])
+                _update_weights(emb, policy, k, points[block], last)
+                est = _clamped_step(last[1], v_succ[k + 1], mask_pts[block])
                 best = values[k, block]  # views: writes land in the rows
                 better = est > best
                 best[better] = est[better]
@@ -227,18 +233,17 @@ def value_recursion(emb, problem, points, policy):
         States at which values are reported.
     policy : callable
         ``policy(k, states) -> controls`` with one row per state. Ignored
-        when the sample has no control columns. Policies carrying a true
-        ``time_invariant`` attribute are evaluated once per block of
-        evaluation points (and once for the successors) and their weight
-        matrices reused across steps; any other policy is queried, and
-        its weights computed, at every step.
+        when the sample has no control columns. It is queried once per
+        step for the successors and once per step and block of
+        evaluation points; its weights are solved again only when the
+        controls differ from the previous step's, so a policy whose
+        controls do not depend on k costs one solve per block.
 
     Returns
     -------
     ValueField
     """
-    reuse = getattr(policy, "time_invariant", False)
-    points, values, _ = _recursion(emb, problem, points, [policy], reuse)
+    points, values, _ = _recursion(emb, problem, points, [policy])
     return ValueField(points=points, values=values)
 
 
@@ -275,5 +280,5 @@ def value_recursion_max(emb, problem, points, control_grid):
         lambda k, states, u=u: np.tile(u, (states.shape[0], 1))
         for u in control_grid
     ]
-    points, values, choices = _recursion(emb, problem, points, policies, True)
+    points, values, choices = _recursion(emb, problem, points, policies)
     return ValueField(points=points, values=values, policy_choices=choices)

@@ -16,7 +16,7 @@ from scipy.special import gammaln
 from . import _backend
 from .embedding import TransitionSample
 from .errors import InputError, NumericalError
-from .reach import PredicateSet
+from .reach import BoxSet, PredicateSet
 
 __all__ = [
     "IntegratorChain",
@@ -135,18 +135,19 @@ class CWHSystem:
         orbit_altitude=850.0e3,
         control_bound=0.1,
     ):
+        # ``0 < x < inf`` is false for NaN too
         sampling_time = float(sampling_time)
-        if sampling_time <= 0.0:
-            raise InputError("sampling time must be positive")
+        if not 0.0 < sampling_time < math.inf:
+            raise InputError("sampling time must be positive and finite")
         mass = float(mass)
-        if mass <= 0.0:
-            raise InputError("mass must be positive")
+        if not 0.0 < mass < math.inf:
+            raise InputError("mass must be positive and finite")
         if orbital_rate is None:
             semi_major = EARTH_RADIUS + float(orbit_altitude)
             orbital_rate = math.sqrt(EARTH_MU / semi_major**3)
         orbital_rate = float(orbital_rate)
-        if orbital_rate <= 0.0:
-            raise InputError("orbital rate must be positive")
+        if not 0.0 < orbital_rate < math.inf:
+            raise InputError("orbital rate must be positive and finite")
         self.sampling_time = sampling_time
         self.orbital_rate = orbital_rate
         self.mass = mass
@@ -284,8 +285,8 @@ class BetaDisturbance:
     def __init__(self, alpha, beta, dim, centered=False):
         alpha = float(alpha)
         beta = float(beta)
-        if alpha <= 0.0 or beta <= 0.0:
-            raise InputError("Beta shape parameters must be positive")
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise InputError("Beta shape parameters must be positive and finite")
         self.alpha = alpha
         self.beta = beta
         self.dim = int(dim)
@@ -312,20 +313,8 @@ class ZeroDisturbance:
         return np.zeros((count, self.dim))
 
 
-class BoxSampler:
-    """Uniform sampler over an axis-aligned box."""
-
-    def __init__(self, lower, upper):
-        lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
-        upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
-        if lower.shape != upper.shape or np.any(lower > upper):
-            raise InputError("sampler box bounds are inconsistent")
-        self.lower = lower
-        self.upper = upper
-
-    @property
-    def dim(self):
-        return self.lower.shape[0]
+class BoxSampler(BoxSet):
+    """Uniform sampler over an axis-aligned box with finite bounds."""
 
     def draw(self, rng, count):
         return rng.uniform(self.lower, self.upper, size=(count, self.dim))
@@ -333,8 +322,6 @@ class BoxSampler:
 
 class ZeroPolicy:
     """Zero control at every state and step."""
-
-    time_invariant = True
 
     def __init__(self, control_dim):
         self.control_dim = int(control_dim)
@@ -346,8 +333,6 @@ class ZeroPolicy:
 
 class ConstantPolicy:
     """The same control vector at every state and step."""
-
-    time_invariant = True
 
     def __init__(self, control):
         self.control = np.atleast_1d(np.asarray(control, dtype=np.float64))
@@ -362,8 +347,6 @@ class ConstantPolicy:
 
 class AffinePolicy:
     """Saturated linear state feedback ``u = clip(offset - gain @ x)``."""
-
-    time_invariant = True
 
     def __init__(self, gain, offset=None, lower=None, upper=None):
         self.gain = np.atleast_2d(np.asarray(gain, dtype=np.float64))

@@ -292,6 +292,27 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
     rc, _, err = run(capsys, *mc, str(infinite))
     assert rc == 2 and "finite" in err
 
+    # a NaN or infinite value in any float field is a configuration
+    # problem, also in fields the subcommand does not read
+    floats = [
+        f.name for f in dataclasses.fields(RunConfig)
+        if f.type in (float, float | None)
+    ]
+    assert len(floats) == 7
+    point = ("oracle-mc", "--rollouts", "10", "--point", "0,0")
+    for name in floats:
+        flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+        for value in ("nan", "inf", "-inf"):
+            rc, _, err = run(capsys, *point, f"{flag}={value}")
+            assert rc == 2 and "finite" in err, (flag, value)
+    rc, _, err = run(
+        capsys, "oracle-mc", "--system", "cwh", "--policy", "lqr",
+        "--point", "0,-0.5,0,0", "--sampling-time", "nan",
+    )
+    assert rc == 2 and "sampling_time" in err
+    rc, _, err = run(capsys, *point, "--noise-sd", "0")
+    assert rc == 2 and "noise_sd" in err
+
 
 def test_every_config_field_has_a_flag(tmp_path):
     # one non-default value per RunConfig field, valid together

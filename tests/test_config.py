@@ -107,6 +107,13 @@ def test_apply_overrides_skips_none_and_coerces():
     assert dataclasses.asdict(RunConfig()) == dataclasses.asdict(cfg)
 
 
+FLOAT_FIELDS = [
+    field.name
+    for field in dataclasses.fields(RunConfig)
+    if field.type in (float, float | None)
+]
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -124,6 +131,12 @@ def test_apply_overrides_skips_none_and_coerces():
         ("sampling_time", 0.0),
         ("noise_sd", -0.1),
         ("beta_alpha", 0.0),
+        ("noise_sd", 0.0),
+    ]
+    + [
+        (name, value)
+        for name in FLOAT_FIELDS
+        for value in (float("nan"), float("inf"), float("-inf"))
     ],
 )
 def test_validate_rejects_bad_fields(field, value):

@@ -31,8 +31,7 @@ def setup():
 
 
 class StepPolicy:
-    """Control flips sign after the first step; intentionally lacks the
-    time_invariant attribute so the oracle recomputes means per step."""
+    """Control flips sign after the first step."""
 
     description = "step"
 
@@ -188,6 +187,29 @@ def test_dp_time_varying_policy_agrees_with_monte_carlo(setup):
     mc, hw = mc_reach(system, disturbance, two_step, policy, pts, 150000, 3)
     gaps = np.abs(field.values[0] - mc)
     assert np.all(gaps <= np.maximum(0.01, 3.0 * hw))
+
+
+def test_dp_plain_function_matches_zero_policy_bitwise(setup):
+    # the oracle queries every policy at every step, whatever its class
+    system, disturbance, problem, _ = setup
+    grid = default_dp_grid(problem, shape=(61, 61), quad_nodes=9)
+    pts = np.array([[0.0, 0.0], [0.5, -0.4], [-0.7, 0.6]])
+    steps = {"class": [], "function": []}
+
+    class RecordingZero(ZeroPolicy):
+        def __call__(self, k, states):
+            steps["class"].append(k)
+            return super().__call__(k, states)
+
+    def zeros(k, states):
+        steps["function"].append(k)
+        return np.zeros((states.shape[0], 1))
+
+    want = dp_reach(system, disturbance, problem, pts, RecordingZero(1), grid)
+    got = dp_reach(system, disturbance, problem, pts, zeros, grid)
+    np.testing.assert_array_equal(got.values, want.values)
+    # evaluation points at k = 2, 1, 0; the grid at k = 2, 1
+    assert sorted(steps["class"]) == sorted(steps["function"]) == [0, 1, 1, 2, 2]
 
 
 def test_dp_fixed_policy_agrees_with_monte_carlo(setup):

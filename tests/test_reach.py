@@ -125,8 +125,6 @@ def test_recursion_is_deterministic(controlled):
 class RecordingPolicy:
     """Time-varying policy that logs each ``(k, rows)`` query."""
 
-    time_invariant = False
-
     def __init__(self, control_dim):
         self.control_dim = control_dim
         self.calls = []
@@ -137,21 +135,81 @@ class RecordingPolicy:
         return np.full((states.shape[0], self.control_dim), 0.3 * k - 0.4)
 
 
-def test_time_invariant_flag_controls_policy_reuse(controlled):
+class BufferPolicy(RecordingPolicy):
+    """The same controls, refilled into one returned buffer per row count."""
+
+    def __init__(self, control_dim):
+        super().__init__(control_dim)
+        self.buffers = {}
+
+    def __call__(self, k, states):
+        controls = super().__call__(k, states)
+        buffer = self.buffers.setdefault(controls.shape, np.empty(controls.shape))
+        buffer[...] = controls
+        return buffer
+
+
+def _record_solves(monkeypatch, emb):
+    """Wrap ``emb.weights`` to log the row count of every solve."""
+    solves = []
+    original = emb.weights
+
+    def weights(states, controls=None):
+        solves.append(states.shape[0])
+        return original(states, controls)
+
+    monkeypatch.setattr(emb, "weights", weights)
+    return solves
+
+
+def test_weights_are_reused_while_controls_repeat(controlled, monkeypatch):
     emb, problem, pts = controlled
-    n_pts, n_succ = pts.shape[0], emb.sample.successors.shape[0]
+    n_succ = emb.sample.successors.shape[0]
+    monkeypatch.setattr(reach_module, "_POINT_BLOCK", 16)
+    sizes = [16, 16, 8]  # blocks of the 40 points
+    solves = _record_solves(monkeypatch, emb)
 
+    # horizon 3: successors queried at k = 2, 1, then each block at
+    # k = 2, 1, 0; a time-varying policy is solved at every query
+    every_step = [(k, n_succ) for k in (2, 1)]
+    every_step += [(k, b) for b in sizes for k in (2, 1, 0)]
     varying = RecordingPolicy(1)
-    value_recursion(emb, problem, pts, varying)
-    # horizon 3: points queried at k = 2, 1, 0; successors at k = 2, 1
-    assert sorted(varying.calls) == sorted([
-        (2, n_pts), (2, n_succ), (1, n_pts), (1, n_succ), (0, n_pts),
-    ])
+    want = value_recursion(emb, problem, pts, varying)
+    assert varying.calls == every_step
+    assert solves == [rows for _, rows in every_step]
 
-    frozen = RecordingPolicy(1)
-    frozen.time_invariant = True
-    value_recursion(emb, problem, pts, frozen)
-    assert sorted(frozen.calls) == sorted([(2, n_pts), (2, n_succ)])
+    # one buffer refilled per call holds new controls, not a repeat
+    solves.clear()
+    buffered = BufferPolicy(1)
+    got = value_recursion(emb, problem, pts, buffered)
+    assert buffered.calls == every_step
+    assert solves == [rows for _, rows in every_step]
+    np.testing.assert_array_equal(got.values, want.values)
+
+    # a plain function with constant controls is queried at every step
+    # and solved once for the successors and once per block
+    steps = []
+
+    def constant(k, states):
+        steps.append(k)
+        return np.full((states.shape[0], 1), 0.2)
+
+    solves.clear()
+    got = value_recursion(emb, problem, pts, constant)
+    assert steps == [k for k, _ in every_step]
+    assert solves == [n_succ] + sizes
+    solves.clear()
+    want = value_recursion(emb, problem, pts, ConstantPolicy([0.2]))
+    assert solves == [n_succ] + sizes
+    np.testing.assert_array_equal(got.values, want.values)
+
+    # controls that repeat at k = 2, 1 and change at k = 0 are solved
+    # again at k = 0 only
+    solves.clear()
+    value_recursion(
+        emb, problem, pts, lambda k, s: np.full((s.shape[0], 1), 0.2 if k else -0.2)
+    )
+    assert solves == [n_succ] + [b for b in sizes for _ in range(2)]
 
 
 def _reference_step(weights, next_values, safe_mask):
@@ -160,7 +218,7 @@ def _reference_step(weights, next_values, safe_mask):
 
 def _reference_fixed(emb, problem, pts, policy):
     """Reference fixed-policy recursion: step-outer, points and
-    successors advanced together."""
+    successors advanced together, weights solved at every step."""
     succ = emb.sample.successors
     m = emb.sample.control_dim
 
@@ -173,16 +231,10 @@ def _reference_fixed(emb, problem, pts, policy):
     values = np.empty((n + 1, pts.shape[0]))
     values[n] = problem.target.contains(pts)
     v_succ = problem.target.contains(succ).astype(np.float64)
-    reuse = m == 0 or getattr(policy, "time_invariant", False)
-    w_pts = w_succ = None
     for k in range(n - 1, -1, -1):
-        if w_pts is None or not reuse:
-            w_pts = weights(k, pts)
-        values[k] = _reference_step(w_pts, v_succ, mask_pts)
+        values[k] = _reference_step(weights(k, pts), v_succ, mask_pts)
         if k > 0:
-            if w_succ is None or not reuse:
-                w_succ = weights(k, succ)
-            v_succ = _reference_step(w_succ, v_succ, mask_succ)
+            v_succ = _reference_step(weights(k, succ), v_succ, mask_succ)
     return values
 
 
@@ -337,7 +389,7 @@ def test_recursion_input_validation(controlled):
         value_recursion_max(emb, problem, pts, [[0.0, 1.0]])
 
 
-def test_control_free_sample_rejects_maximization():
+def test_control_free_sample_rejects_maximization(monkeypatch):
     rng = np.random.default_rng(0)
     sample = TransitionSample(
         rng.uniform(-1, 1, (20, 2)),
@@ -349,9 +401,12 @@ def test_control_free_sample_rejects_maximization():
     problem = ReachProblem(safe=box, target=box, horizon=2)
     with pytest.raises(InputError, match="control"):
         value_recursion_max(emb, problem, np.zeros((1, 2)), [[0.0]])
-    # the fixed-policy recursion ignores the policy entirely
-    field = value_recursion(emb, problem, np.zeros((1, 2)), None)
+    # the fixed-policy recursion ignores the policy entirely and solves
+    # once for the successors and once for the points
+    solves = _record_solves(monkeypatch, emb)
+    field = value_recursion(emb, ReachProblem(box, box, 3), np.zeros((1, 2)), None)
     assert 0.0 <= field.values[0][0] <= 1.0
+    assert solves == [20, 1]
 
 
 def test_value_field_validation():

@@ -146,6 +146,11 @@ def test_cwh_validates_inputs():
         CWHSystem(mass=0.0)
     with pytest.raises(InputError):
         CWHSystem(orbital_rate=0.0)
+    # NaN fails every comparison, so each value is checked for finiteness
+    for bad in (np.nan, np.inf, -np.inf):
+        for key in ("sampling_time", "mass", "orbital_rate"):
+            with pytest.raises(InputError):
+                CWHSystem(**{key: bad})
     system = CWHSystem()
     with pytest.raises(InputError):
         system.step([[0.0, 0.0]], None, None)
@@ -226,6 +231,11 @@ def test_beta_disturbance_centered_shifts_mean():
         BetaDisturbance(0.0, 1.0, dim=1)
     with pytest.raises(InputError):
         BetaDisturbance(1.0, 1.0, dim=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError):
+            BetaDisturbance(bad, 1.0, dim=1)
+        with pytest.raises(InputError):
+            BetaDisturbance(1.0, bad, dim=1)
 
 
 def test_zero_disturbance_is_exactly_zero():
@@ -243,6 +253,10 @@ def test_box_sampler_uniform_in_box():
         BoxSampler([1.0], [0.0])
     with pytest.raises(InputError):
         BoxSampler([0.0, 0.0], [1.0])
+    with pytest.raises(InputError):
+        BoxSampler([0.0, 0.0], [1.0, np.inf])
+    with pytest.raises(InputError):
+        BoxSampler([np.nan, 0.0], [1.0, 1.0])
 
 
 # ------------------------------------------------------------------ policies
