@@ -1,20 +1,21 @@
 """Numerical kernels of the hot paths, in numpy and the platform BLAS.
 
-Three operations dominate runtime: radial-basis cross-kernel matrices,
-the banded upper-triangular apply of the integrator-chain state matrix,
-and the quadrature-plus-interpolation sweep of the grid oracle. Each has
-one implementation here. The cross-kernel matrix uses the expanded
-distance form, so its cost is one matrix product; the grid backup is a
-blocked matrix contraction. Threading is left to the BLAS library.
+Two hot paths live here: the banded upper-triangular apply of the
+integrator-chain state matrix, and the quadrature-plus-interpolation
+sweep of the grid oracle, a blocked matrix contraction. The Gaussian
+cross-kernel matrix is computed in ``RBFKernel.cross``. Threading is
+left to the BLAS library, and both are deterministic: the same inputs
+give the same bits.
 
-All three are deterministic: the same inputs give the same bits.
+The benchmark's tracer (``perfbench/tracing.py``) patches
+``chain_apply`` and ``dp_backup`` by name and its worker records
+``active_backend()``, so the three names stay in this module.
 """
 
 import numpy as np
 
 __all__ = [
     "active_backend",
-    "rbf_cross",
     "chain_apply",
     "dp_backup",
 ]
@@ -30,21 +31,6 @@ def _as2d(arr):
     if a.ndim != 2:
         raise ValueError("expected a 2-D array")
     return a
-
-
-def rbf_cross(a, b, gamma):
-    """Cross matrix ``exp(-gamma * |a_i - b_j|^2)`` of shape (len(a), len(b))."""
-    a = _as2d(a)
-    b = _as2d(b)
-    # expanded form |a|^2 + |b|^2 - 2ab; cancellation can leave small
-    # negative values, clamped before exp
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    ab = a @ b.T
-    ab *= 2.0  # in place: exact, and no third matrix-sized temporary
-    sq -= ab
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -gamma
-    return np.exp(sq, out=sq)
 
 
 def chain_apply(coeffs, x):

@@ -244,9 +244,12 @@ def build_policy(cfg, system, control_dim=None):
 def _parse_floats(text, what):
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise InputError(f"{what}: expected comma-separated numbers, got {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{what}: numbers must be finite, got {text!r}")
+    return values
 
 
 def parse_box(text, dim, what):
@@ -367,21 +370,18 @@ def grid_points(shape, box):
 def evaluation_points(cfg, dim):
     """Resolve where to evaluate: points file, single point, or 2-D grid.
 
-    Raises :class:`InputError` when a coordinate is NaN or infinite.
+    Coordinates are checked for finiteness by the estimators
+    (:func:`rkhs_reach.reach.checked_points`).
     """
     if cfg.points_file:
-        points = read_points(cfg.points_file, dim)
-    elif cfg.point:
-        points = parse_point(cfg.point, dim)
-    elif dim != 2:
+        return read_points(cfg.points_file, dim)
+    if cfg.point:
+        return parse_point(cfg.point, dim)
+    if dim != 2:
         raise InputError(
             "grid evaluation is 2-D only; pass point=... or points_file=... "
             f"for dimension {dim}"
         )
-    else:
-        shape, box = parse_grid(cfg.grid)
-        points = grid_points(shape, box)
-    if not np.all(np.isfinite(points)):
-        raise InputError("evaluation points must be finite")
-    return points
+    shape, box = parse_grid(cfg.grid)
+    return grid_points(shape, box)
 

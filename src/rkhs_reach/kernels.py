@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
 from .errors import InputError
 
 __all__ = ["RBFKernel"]
@@ -47,15 +46,25 @@ class RBFKernel:
 
     def cross(self, a, b):
         """Matrix of kernel values between the rows of ``a`` and of ``b``."""
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+        a = np.ascontiguousarray(np.atleast_2d(np.asarray(a, dtype=np.float64)))
+        b = np.ascontiguousarray(np.atleast_2d(np.asarray(b, dtype=np.float64)))
+        if a.ndim != 2 or b.ndim != 2:
+            raise InputError("point sets must be 2-D arrays, one point per row")
         if a.shape[1] != b.shape[1]:
             raise InputError(
                 f"point sets have mixed dimensions {a.shape[1]} and {b.shape[1]}"
             )
         if a.shape[0] == 0 or b.shape[0] == 0:
             raise InputError("point sets must be non-empty")
-        return _backend.rbf_cross(a, b, self.gamma)
+        # expanded form |a|^2 + |b|^2 - 2ab, one matrix product; cancellation
+        # can leave small negative values, clamped before exp
+        sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+        ab = a @ b.T
+        ab *= 2.0  # in place: exact, and no third matrix-sized temporary
+        sq -= ab
+        np.maximum(sq, 0.0, out=sq)
+        sq *= -self.gamma
+        return np.exp(sq, out=sq)
 
     def gram(self, points):
         """Symmetric PSD matrix of pairwise kernel values over ``points``."""

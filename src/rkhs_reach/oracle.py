@@ -15,7 +15,14 @@ from scipy.special import ndtr
 
 from . import _backend
 from .errors import InputError
-from .reach import BoxSet, ReachProblem, ValueField, exact_step, exact_terminal
+from .reach import (
+    BoxSet,
+    ReachProblem,
+    ValueField,
+    checked_points,
+    exact_step,
+    exact_terminal,
+)
 from .systems import GaussianDisturbance
 
 __all__ = ["DPGrid", "default_dp_grid", "dp_reach", "mc_reach"]
@@ -124,9 +131,7 @@ def dp_reach(system, disturbance, problem, eval_points, policy, grid=None):
     ):
         raise InputError("grid does not cover the safe and target boxes")
 
-    eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
-    if eval_points.shape[1] != 2:
-        raise InputError("evaluation points must be 2-D")
+    eval_points = checked_points(eval_points, 2)
     a = system.dense_a()
     b = system.dense_b()
     m = b.shape[1]
@@ -198,11 +203,7 @@ def mc_reach(
     rollouts = int(rollouts)
     if rollouts < 1:
         raise InputError(f"rollouts must be >= 1, got {rollouts}")
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=np.float64))
-    if x0s.shape[1] != system.n:
-        raise InputError(
-            f"start states have dimension {x0s.shape[1]}, system has {system.n}"
-        )
+    x0s = checked_points(x0s, system.n)
     n_steps = problem.horizon
     m = getattr(system, "m", 0)
     streams = np.random.SeedSequence(seed).spawn(x0s.shape[0])

@@ -37,6 +37,7 @@ __all__ = [
     "value_recursion_max",
     "exact_terminal",
     "exact_step",
+    "checked_points",
 ]
 
 
@@ -138,6 +139,24 @@ def exact_step(safe_indicator, expected_next):
     )
 
 
+def checked_points(points, dim):
+    """Evaluation points as a float (P, dim) array, P >= 1, every entry finite.
+
+    The one check of the points (or start states) of all three
+    estimators; raises :class:`InputError` otherwise.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise InputError("evaluation points must be a non-empty 2-D array")
+    if points.shape[1] != dim:
+        raise InputError(
+            f"evaluation points have dimension {points.shape[1]}, expected {dim}"
+        )
+    if not np.all(np.isfinite(points)):
+        raise InputError("evaluation points must be finite")
+    return points
+
+
 def _clamped_step(weights, next_values, safe_mask):
     est = next_values @ weights
     np.clip(est, 0.0, 1.0, out=est)
@@ -184,14 +203,7 @@ def _recursion(emb, problem, points, policies):
     """
     if not isinstance(emb, Embedding):
         raise InputError("emb must be a fitted Embedding")
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[0] == 0:
-        raise InputError("evaluation-point set is empty")
-    if points.shape[1] != emb.sample.state_dim:
-        raise InputError(
-            f"evaluation points have dimension {points.shape[1]}, "
-            f"sample has {emb.sample.state_dim}"
-        )
+    points = checked_points(points, emb.sample.state_dim)
     successors = emb.sample.successors
     n_steps = problem.horizon
     mask_pts = problem.safe.contains(points).astype(np.float64)
@@ -256,8 +268,10 @@ def value_recursion_max(emb, problem, points, control_grid):
     matches :func:`value_recursion` under the matching constant policy
     exactly. The evaluation points are swept in blocks of at most 2048;
     within a block each control's weights are computed once and reused
-    at every step, and only one block's weight matrix (M x block) is
-    alive at a time, whatever the grid size and the number of points.
+    at every step, and one point-weight matrix (M x 2048 at most) is
+    alive at a time, whatever the number of points. The successor pass
+    before it keeps one M x M weight matrix per control alive, so that
+    memory grows with the grid size.
 
     Returns
     -------

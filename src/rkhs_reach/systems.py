@@ -1,9 +1,11 @@
 """Benchmark dynamics, disturbance samplers, policies, and sample generation.
 
-Two discrete-time linear systems ship with the package: a chain of
-integrators of arbitrary dimension, and the in-plane relative motion of a
-chaser spacecraft about a circular-orbit target (Clohessy-Wiltshire
-dynamics) discretized exactly under zero-order hold.
+Two discrete-time linear systems ``x' = A x + B u + w`` ship with the
+package, and share one ``step``: a chain of integrators of arbitrary
+dimension, applied through its banded state matrix, and the in-plane
+relative motion of a chaser spacecraft about a circular-orbit target
+(Clohessy-Wiltshire dynamics), discretized under zero-order hold by the
+matrix exponential.
 """
 
 import math
@@ -15,7 +17,7 @@ from scipy.special import gammaln
 
 from . import _backend
 from .embedding import TransitionSample
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .reach import BoxSet, PredicateSet
 
 __all__ = [
@@ -37,7 +39,54 @@ EARTH_MU = 3.986004418e14  # m^3 / s^2
 EARTH_RADIUS = 6371.0e3  # m
 
 
-class IntegratorChain:
+class _LinearSystem:
+    """Discrete-time ``x' = A x + B u + w``, one state per row.
+
+    Subclasses set ``n``, ``m``, ``_b`` (n x m) and either ``_a`` (n x n)
+    or their own ``apply_a`` and ``dense_a``. A subclass that declares a
+    per-axis ``control_bound`` gets a warning from :meth:`step` for
+    controls beyond it.
+    """
+
+    control_bound = None
+
+    def dense_a(self):
+        return self._a.copy()
+
+    def dense_b(self):
+        return self._b.copy()
+
+    def apply_a(self, states):
+        """Row-wise product with the state matrix."""
+        return states @ self._a.T
+
+    def step(self, states, controls, disturbances):
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        if states.shape[1] != self.n:
+            raise InputError(
+                f"{self.name} states must have {self.n} components, "
+                f"got {states.shape[1]}"
+            )
+        out = self.apply_a(states)
+        if controls is not None and np.size(controls) > 0:
+            controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
+            if controls.shape != (states.shape[0], self.m):
+                raise InputError(
+                    f"controls must have shape {(states.shape[0], self.m)}, "
+                    f"got {controls.shape}"
+                )
+            bound = self.control_bound
+            if bound is not None and np.any(np.abs(controls) > bound):
+                warnings.warn(
+                    f"controls exceed the declared bound {bound}", stacklevel=2
+                )
+            out += controls @ self._b.T
+        if disturbances is not None:
+            out += disturbances
+        return out
+
+
+class IntegratorChain(_LinearSystem):
     """Discrete n-dimensional integrator chain with control on the last state.
 
     State component i is the sampled integral of component i+1, and the
@@ -70,7 +119,7 @@ class IntegratorChain:
         self._coeffs = coeffs[: nonzero[-1] + 1]
         powers = n - j  # row i couples to the control through T^(n-i)/(n-i)!
         with np.errstate(under="ignore"):
-            self._b = np.exp(powers * log_t - gammaln(powers + 1.0))
+            self._b = np.exp(powers * log_t - gammaln(powers + 1.0))[:, None]
 
     @property
     def bandwidth(self):
@@ -86,30 +135,12 @@ class IntegratorChain:
             a[idx, idx + j] = self._coeffs[j]
         return a
 
-    def dense_b(self):
-        return self._b[:, None].copy()
-
     def apply_a(self, states):
         """Row-wise product with the state matrix, via the banded form."""
         return _backend.chain_apply(self._coeffs, states)
 
-    def step(self, states, controls, disturbances):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        out = self.apply_a(states)
-        if controls is not None and np.size(controls) > 0:
-            controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
-            if controls.shape != (states.shape[0], 1):
-                raise InputError(
-                    f"controls must have shape {(states.shape[0], 1)}, "
-                    f"got {controls.shape}"
-                )
-            out += controls @ self._b[None, :]
-        if disturbances is not None:
-            out += disturbances
-        return out
 
-
-class CWHSystem:
+class CWHSystem(_LinearSystem):
     """In-plane spacecraft relative motion, exactly discretized.
 
     State is ``(x, y, vx, vy)`` in meters and meters per second in the
@@ -119,8 +150,12 @@ class CWHSystem:
         ax = 3 w^2 x + 2 w vy + Fx / mass
         ay = -2 w vx + Fy / mass
 
-    are discretized in closed form under zero-order hold, and the result
-    is checked at construction against a matrix-exponential reference.
+    are discretized under zero-order hold: ``[A B]`` is the top block
+    row of ``expm([[Ac, Bc], [0, 0]] T)`` (Van Loan, IEEE TAC 1978).
+    Unlike the closed form in ``sin wT`` and ``cos wT``, this does not
+    cancel as ``w`` goes to zero, so geostationary and lunar-distance
+    orbits work too. Controls beyond the bound draw a warning in
+    ``step``; they are not clipped.
     """
 
     name = "cwh"
@@ -144,106 +179,39 @@ class CWHSystem:
             raise InputError("mass must be positive and finite")
         if orbital_rate is None:
             semi_major = EARTH_RADIUS + float(orbit_altitude)
+            if not 0.0 < semi_major < math.inf:
+                raise InputError(
+                    "orbit altitude must give a positive, finite semi-major "
+                    f"axis, got {semi_major}"
+                )
             orbital_rate = math.sqrt(EARTH_MU / semi_major**3)
         orbital_rate = float(orbital_rate)
         if not 0.0 < orbital_rate < math.inf:
             raise InputError("orbital rate must be positive and finite")
+        control_bound = float(control_bound)
+        if not control_bound > 0.0:
+            raise InputError(f"control bound must be positive, got {control_bound}")
         self.sampling_time = sampling_time
         self.orbital_rate = orbital_rate
         self.mass = mass
-        self.control_bound = float(control_bound)
+        self.control_bound = control_bound
 
         w = orbital_rate
-        t = sampling_time
-        s = math.sin(w * t)
-        c = math.cos(w * t)
-        self._a = np.array(
-            [
-                [4.0 - 3.0 * c, 0.0, s / w, 2.0 * (1.0 - c) / w],
-                [
-                    6.0 * (s - w * t),
-                    1.0,
-                    -2.0 * (1.0 - c) / w,
-                    (4.0 * s - 3.0 * w * t) / w,
-                ],
-                [3.0 * w * s, 0.0, c, 2.0 * s],
-                [-6.0 * w * (1.0 - c), 0.0, -2.0 * s, 4.0 * c - 3.0],
-            ]
-        )
-        self._b = (
-            np.array(
-                [
-                    [(1.0 - c) / w**2, 2.0 * (t - s / w) / w],
-                    [
-                        -2.0 * (t - s / w) / w,
-                        4.0 * (1.0 - c) / w**2 - 1.5 * t**2,
-                    ],
-                    [s / w, 2.0 * (1.0 - c) / w],
-                    [-2.0 * (1.0 - c) / w, 4.0 * s / w - 3.0 * t],
-                ]
-            )
-            / mass
-        )
-        self._verify_discretization()
-
-    def _verify_discretization(self):
-        w = self.orbital_rate
-        a_cont = np.array(
-            [
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-                [3.0 * w * w, 0.0, 0.0, 2.0 * w],
-                [0.0, 0.0, -2.0 * w, 0.0],
-            ]
-        )
-        b_cont = np.array(
-            [[0.0, 0.0], [0.0, 0.0], [1.0 / self.mass, 0.0], [0.0, 1.0 / self.mass]]
-        )
-        block = np.zeros((6, 6))
-        block[:4, :4] = a_cont
-        block[:4, 4:] = b_cont
-        phi = expm(block * self.sampling_time)
-        err_a = np.abs(phi[:4, :4] - self._a).max()
-        err_b = np.abs(phi[:4, 4:] - self._b).max()
-        if err_a > 1e-10 or err_b > 1e-10:
-            raise NumericalError(
-                f"closed-form discretization disagrees with the matrix "
-                f"exponential (A err {err_a:.2e}, B err {err_b:.2e})"
-            )
+        block = np.zeros((6, 6))  # [[Ac, Bc], [0, 0]]
+        block[0, 2] = block[1, 3] = 1.0
+        block[2, 0] = 3.0 * w * w
+        block[2, 3] = 2.0 * w
+        block[3, 2] = -2.0 * w
+        block[2, 4] = block[3, 5] = 1.0 / mass
+        phi = expm(block * sampling_time)
+        self._a = phi[:4, :4].copy()
+        self._b = phi[:4, 4:].copy()
 
     def default_disturbance(self):
         """Diagonal Gaussian acting on the discrete state update."""
         return GaussianDisturbance.from_covariance_diagonal(
             [1e-4, 1e-4, 5e-8, 5e-8]
         )
-
-    def dense_a(self):
-        return self._a.copy()
-
-    def dense_b(self):
-        return self._b.copy()
-
-    def step(self, states, controls, disturbances):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if states.shape[1] != 4:
-            raise InputError("CWH states must have 4 components")
-        out = states @ self._a.T
-        if controls is not None and np.size(controls) > 0:
-            controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
-            if controls.shape != (states.shape[0], 2):
-                raise InputError(
-                    f"controls must have shape {(states.shape[0], 2)}, "
-                    f"got {controls.shape}"
-                )
-            if np.any(np.abs(controls) > self.control_bound):
-                warnings.warn(
-                    f"controls exceed the declared bound {self.control_bound}",
-                    stacklevel=2,
-                )
-            out += controls @ self._b.T
-        if disturbances is not None:
-            out += disturbances
-        return out
 
 
 class GaussianDisturbance:

@@ -6,34 +6,6 @@ import pytest
 from rkhs_reach import _backend
 
 
-def test_rbf_cross_values():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    b = np.array([[0.0, 0.0]])
-    got = _backend.rbf_cross(a, b, 0.5)
-    np.testing.assert_allclose(got[:, 0], [1.0, np.exp(-0.5)], rtol=1e-14)
-
-
-def test_rbf_cross_deterministic():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(31, 5))
-    b = rng.normal(size=(17, 5))
-    first = _backend.rbf_cross(a, b, 1.3)
-    second = _backend.rbf_cross(a, b, 1.3)
-    np.testing.assert_array_equal(first, second)
-
-
-def test_rbf_cross_matches_unfused_expression_bitwise():
-    # doubling in place is exact, so dropping the ``2.0 * (a @ b.T)``
-    # temporary must not move a bit
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(64, 3))
-    b = rng.normal(size=(45, 3))
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    sq -= 2.0 * (a @ b.T)
-    want = np.exp(-0.7 * np.maximum(sq, 0.0))
-    np.testing.assert_array_equal(_backend.rbf_cross(a, b, 0.7), want)
-
-
 def test_chain_apply_matches_dense_matrix():
     rng = np.random.default_rng(10)
     coeffs = np.array([1.0, 0.5, 0.125, 1.0 / 48])

@@ -292,6 +292,19 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
     rc, _, err = run(capsys, *mc, str(infinite))
     assert rc == 2 and "finite" in err
 
+    # so is a NaN or infinite number inside a string-typed key
+    rc, _, err = run(
+        capsys, "oracle-mc", "--rollouts", "10", "--policy", "constant:nan",
+        "--point", "0,0",
+    )
+    assert rc == 2 and "policy" in err and "finite" in err
+    assert "Traceback" not in err
+    rc, _, err = run(
+        capsys, "oracle-dp", "--policy", "constant:inf", "--point", "0,0"
+    )
+    assert rc == 2 and "policy" in err and "finite" in err
+    assert "Traceback" not in err
+
     # a NaN or infinite value in any float field is a configuration
     # problem, also in fields the subcommand does not read
     floats = [

@@ -21,6 +21,34 @@ def double_loop_gram(points, sigma):
     return out
 
 
+def test_cross_values():
+    a = np.array([[0.0, 0.0], [1.0, 0.0]])
+    b = np.array([[0.0, 0.0]])
+    got = RBFKernel(1.0).cross(a, b)  # gamma = 1 / (2 sigma^2) = 0.5
+    np.testing.assert_allclose(got[:, 0], [1.0, np.exp(-0.5)], rtol=1e-14)
+
+
+def test_cross_deterministic():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(31, 5))
+    b = rng.normal(size=(17, 5))
+    k = RBFKernel(0.6)
+    np.testing.assert_array_equal(k.cross(a, b), k.cross(a, b))
+
+
+def test_cross_matches_unfused_expression_bitwise():
+    # doubling in place is exact, so dropping the ``2.0 * (a @ b.T)``
+    # temporary must not move a bit
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(64, 3))
+    b = rng.normal(size=(45, 3))
+    k = RBFKernel(0.85)
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    sq -= 2.0 * (a @ b.T)
+    want = np.exp(-k.gamma * np.maximum(sq, 0.0))
+    np.testing.assert_array_equal(k.cross(a, b), want)
+
+
 def test_same_point_is_one():
     k = RBFKernel(0.1)
     v = np.array([0.3, -0.7])

@@ -88,6 +88,12 @@ def test_dp_rejects_unsupported_problems(setup):
         dp_reach(system, disturbance, problem, pts, policy, grid=small)
     with pytest.raises(InputError):
         dp_reach(system, disturbance, problem, np.zeros((2, 3)), policy)
+    # NaN and infinite points are rejected, not answered with nan
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="finite"):
+            dp_reach(system, disturbance, problem, [[0.0, bad]], policy)
+    with pytest.raises(InputError, match="non-empty"):
+        dp_reach(system, disturbance, problem, np.empty((0, 2)), policy)
 
 
 # ------------------------------------------------------------ dp recursion
@@ -292,3 +298,9 @@ def test_mc_validates_inputs(setup):
         mc_reach(system, disturbance, problem, policy, [[0.0, 0.0]], 0, 0)
     with pytest.raises(InputError):
         mc_reach(system, disturbance, problem, policy, [[0.0, 0.0, 0.0]], 10, 0)
+    # a NaN start state is rejected, not answered with probability 0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError, match="finite"):
+            mc_reach(system, disturbance, problem, policy, [[bad, 0.0]], 10, 0)
+    with pytest.raises(InputError, match="non-empty"):
+        mc_reach(system, disturbance, problem, policy, np.empty((0, 2)), 10, 0)

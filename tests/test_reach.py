@@ -381,6 +381,8 @@ def test_recursion_input_validation(controlled):
         value_recursion(emb, problem, np.empty((0, 2)), ZeroPolicy(1))
     with pytest.raises(InputError):
         value_recursion(emb, problem, np.zeros((3, 5)), ZeroPolicy(1))
+    with pytest.raises(InputError, match="finite"):
+        value_recursion(emb, problem, [[0.0, np.nan]], ZeroPolicy(1))
     with pytest.raises(InputError):
         value_recursion(emb, problem, pts, ZeroPolicy(2))  # wrong control dim
     with pytest.raises(InputError):

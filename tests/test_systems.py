@@ -21,6 +21,7 @@ from rkhs_reach import (
     cwh_sets,
     generate_transitions,
 )
+from rkhs_reach.systems import EARTH_RADIUS
 
 
 # ---------------------------------------------------------------- integrator
@@ -90,30 +91,57 @@ def test_integrator_validates_inputs():
     system = IntegratorChain(2)
     with pytest.raises(InputError):
         system.step([[0.0, 0.0]], [[1.0, 2.0]], None)  # control must be scalar
+    # a state of the wrong width is rejected, with and without controls
+    chain = IntegratorChain(3)
+    with pytest.raises(InputError, match="3 components"):
+        chain.step(np.zeros((2, 5)), None, None)
+    with pytest.raises(InputError, match="3 components"):
+        chain.step(np.zeros((2, 2)), np.zeros((2, 1)), None)
 
 
 # ----------------------------------------------------------------------- cwh
 
 
-def test_cwh_discretization_matches_matrix_exponential():
-    system = CWHSystem(sampling_time=20.0)
-    w = system.orbital_rate
-    a_cont = np.array(
+def _cwh_closed_form(w, t, mass):
+    # zero-order-hold solution of the CWH equations, written out by hand
+    s, c = math.sin(w * t), math.cos(w * t)
+    a = np.array(
         [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [3.0 * w * w, 0.0, 0.0, 2.0 * w],
-            [0.0, 0.0, -2.0 * w, 0.0],
+            [4.0 - 3.0 * c, 0.0, s / w, 2.0 * (1.0 - c) / w],
+            [6.0 * (s - w * t), 1.0, -2.0 * (1.0 - c) / w, (4.0 * s - 3.0 * w * t) / w],
+            [3.0 * w * s, 0.0, c, 2.0 * s],
+            [-6.0 * w * (1.0 - c), 0.0, -2.0 * s, 4.0 * c - 3.0],
         ]
     )
-    from scipy.linalg import expm
+    b = np.array(
+        [
+            [(1.0 - c) / w**2, 2.0 * (t - s / w) / w],
+            [-2.0 * (t - s / w) / w, 4.0 * (1.0 - c) / w**2 - 1.5 * t**2],
+            [s / w, 2.0 * (1.0 - c) / w],
+            [-2.0 * (1.0 - c) / w, 4.0 * s / w - 3.0 * t],
+        ]
+    )
+    return a, b / mass
 
-    block = np.zeros((6, 6))
-    block[:4, :4] = a_cont
-    block[2, 4] = block[3, 5] = 1.0 / system.mass
-    phi = expm(block * system.sampling_time)
-    np.testing.assert_allclose(system.dense_a(), phi[:4, :4], atol=1e-10)
-    np.testing.assert_allclose(system.dense_b(), phi[:4, 4:], atol=1e-10)
+
+def test_cwh_discretization_matches_matrix_exponential():
+    # at the default orbit the hand-written closed form is accurate, and
+    # the exponential must agree with it
+    system = CWHSystem(sampling_time=20.0)
+    a, b = _cwh_closed_form(system.orbital_rate, 20.0, system.mass)
+    np.testing.assert_allclose(system.dense_a(), a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(system.dense_b(), b, rtol=0, atol=1e-12)
+    # at high orbits the closed form cancels badly in (1 - cos wT) / w^2;
+    # check the semigroup identities of the exact discretization instead:
+    # A(2T) = A(T)^2 and B(2T) = A(T) B(T) + B(T)
+    for altitude in (36_000e3, 384_400e3):
+        for t in (20.0, 300.0):
+            one = CWHSystem(sampling_time=t, orbit_altitude=altitude)
+            two = CWHSystem(sampling_time=2.0 * t, orbit_altitude=altitude)
+            a, b = one.dense_a(), one.dense_b()
+            for got, want in ((two.dense_a(), a @ a), (two.dense_b(), a @ b + b)):
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
 
 def test_cwh_zero_control_zero_noise_drifts():
@@ -151,6 +179,14 @@ def test_cwh_validates_inputs():
         for key in ("sampling_time", "mass", "orbital_rate"):
             with pytest.raises(InputError):
                 CWHSystem(**{key: bad})
+    # the semi-major axis must be positive and finite; the control bound
+    # must be positive (NaN would silence the warning, -1 fire it always)
+    for altitude in (-7e6, -EARTH_RADIUS, np.nan, np.inf):
+        with pytest.raises(InputError, match="semi-major"):
+            CWHSystem(orbit_altitude=altitude)
+    for bound in (np.nan, -1.0, 0.0):
+        with pytest.raises(InputError, match="control bound"):
+            CWHSystem(control_bound=bound)
     system = CWHSystem()
     with pytest.raises(InputError):
         system.step([[0.0, 0.0]], None, None)
