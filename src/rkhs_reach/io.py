@@ -2,8 +2,11 @@
 
 All files are UTF-8 with LF line endings. Optional metadata rides in
 ``# key=value`` comment lines before the header. Floats are written with
-17 significant digits, which round-trips IEEE double exactly, so a
-write/read cycle reproduces arrays bit for bit. Writes go through a
+17 significant digits (``%.17g``), which round-trips IEEE double
+exactly, so a write/read cycle reproduces arrays bit for bit; integer
+columns are written with ``%d``. Each table builds one ``%`` template
+from its column kinds and formats a row per call, after checking once
+that the rows are as wide as the header. Writes go through a
 temporary file in the destination directory followed by an atomic
 rename.
 """
@@ -30,10 +33,6 @@ __all__ = [
 ]
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
 def atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".csv")
@@ -55,12 +54,23 @@ def _render(names, rows, metadata=None, int_columns=()):
             raise InputError("metadata entries must be single-line")
         lines.append(f"# {key}={value}")
     lines.append(",".join(names))
+    try:
+        rows = np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise InputError(f"table rows must be numbers of equal width: {exc}")
+    if rows.size == 0:
+        rows = rows.reshape(0, len(names))
+    if rows.ndim != 2 or rows.shape[1] != len(names):
+        raise InputError(
+            f"table has {len(names)} columns, rows have shape {rows.shape}"
+        )
     int_set = set(int_columns)
-    for row in rows:
-        cells = [
-            str(int(v)) if i in int_set else _fmt(v) for i, v in enumerate(row)
-        ]
-        lines.append(",".join(cells))
+    template = ",".join(
+        "%d" if i in int_set else "%.17g" for i in range(len(names))
+    )
+    # one row at a time: a whole-table tolist() would hold every cell as
+    # a Python float at once
+    lines.extend(template % tuple(row.tolist()) for row in rows)
     return "\n".join(lines) + "\n"
 
 

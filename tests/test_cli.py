@@ -13,6 +13,7 @@ from rkhs_reach.io import (
     read_value_table,
     read_values_csv,
 )
+from rkhs_reach.reach import _POINT_BLOCK
 
 
 def run(capsys, *argv):
@@ -78,11 +79,21 @@ def test_reach_fixed_policy_flow(tmp_path, capsys, sample_file):
 
 
 def test_reach_is_byte_reproducible(tmp_path, capsys, sample_file):
+    # one point; 47 x 47 = 2209 points, more than one point block; and
+    # max mode on those blocks, whose choice columns hang on the last bit
+    grid = ("--grid", "47x47:-1.1,1.1,-1.1,1.1")
+    assert 47 * 47 > _POINT_BLOCK
+    cases = [
+        ("--point", "0.1,0.2"),
+        grid,
+        (*grid, "--mode", "max", "--control-grid", "0;0.5;-0.5"),
+    ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["reach", "--sample-file", sample_file, "--point", "0.1,0.2"]
-    assert run(capsys, *argv, "--out", str(a))[0] == 0
-    assert run(capsys, *argv, "--out", str(b))[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+    for extra in cases:
+        argv = ["reach", "--sample-file", sample_file, *extra]
+        assert run(capsys, *argv, "--out", str(a))[0] == 0
+        assert run(capsys, *argv, "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes(), extra
 
 
 def test_reach_max_mode_writes_choices(tmp_path, capsys, sample_file):

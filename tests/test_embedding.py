@@ -121,6 +121,29 @@ def test_inverse_weights_match_cholesky_solve(lam, normalize):
 
 
 @pytest.mark.parametrize("normalize", [False, True])
+def test_weights_match_cross_on_raw_rows(normalize):
+    # the fit lifts the sample rows once; that must give the same bits as
+    # a cross kernel on the raw joint rows
+    sample = make_bench_sample(256, 1)
+    emb = Embedding(
+        sample, RBFKernel(BENCH_SIGMA), 0.5, eta=1.3, normalize_weights=normalize
+    )
+    rng = np.random.default_rng(10)
+    states = rng.uniform(-1.1, 1.1, size=(50, 2))
+    controls = rng.uniform(-0.15, 0.15, size=(50, 1))
+    k = emb.kernel.cross(sample.joint(), np.hstack([states, controls]))
+    want = emb._inv @ k
+    if normalize:
+        want = np.maximum(want, 0.0)
+        s = want.sum(axis=0)
+        s[s == 0.0] = 1.0
+        want /= s
+    else:
+        want *= 1.3
+    np.testing.assert_array_equal(emb.weights(states, controls), want)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
 def test_non_finite_inverse_raises(normalize):
     rng = np.random.default_rng(9)
     sample = TransitionSample(
@@ -132,6 +155,20 @@ def test_non_finite_inverse_raises(normalize):
     emb._inv[3, 5] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         emb.weights(rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+
+
+def test_overflowing_sample_raises_numerical_error():
+    # |x|^2 overflows, so the Gram matrix is not finite: exit code 3, not
+    # a scipy traceback
+    rng = np.random.default_rng(12)
+    states = rng.uniform(-1.0, 1.0, size=(16, 2))
+    states[5] = [1e200, 0.0]
+    sample = TransitionSample(
+        states=states, controls=np.zeros((16, 1)), successors=0.9 * states
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="not finite"):
+            Embedding(sample, RBFKernel(0.1), 1.0)
 
 
 def test_far_query_raw_weights_negligible():

@@ -204,3 +204,77 @@ def test_generic_reader_skips_blank_lines(tmp_path):
     np.testing.assert_array_equal(pts, [[0.5]])
     np.testing.assert_array_equal(vals, [0.25])
     assert metadata == {"a": "1"}
+
+
+def per_cell_render(names, rows, metadata=None, int_columns=()):
+    # the writer's earlier per-cell loop, kept as the byte reference
+    lines = [f"# {key}={value}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(names))
+    for row in rows:
+        lines.append(",".join(
+            str(int(v)) if i in int_columns else format(float(v), ".17g")
+            for i, v in enumerate(row)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [
+    -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0 / 3.0,
+    float(2**53 + 1), -1e308, 1.0, -2.5, 123456789.0, 1e-7,
+]
+EDGE_INTS = [0, 2, 10_000]
+
+
+def test_table_bytes_match_per_cell_formatting(tmp_path):
+    rows = np.array([
+        [v, EDGE_INTS[i % 3], EDGE_FLOATS[-1 - i]]
+        for i, v in enumerate(EDGE_FLOATS)
+    ])
+    names = ["value", "n", "other"]
+    path = tmp_path / "t.csv"
+    write_table(path, names, rows, metadata={"seed": "3"}, int_columns=(1,))
+    assert path.read_text() == per_cell_render(
+        names, rows, {"seed": "3"}, int_columns=(1,)
+    )
+    # rows given as a list of tuples, as bench-dims passes them
+    listed = [(10_000.0, 0.25, 1.0 / 3.0), (2.0, -0.0, 5e-324)]
+    write_table(path, ["n", "seconds", "value"], listed, int_columns=(0,))
+    assert path.read_text() == per_cell_render(
+        ["n", "seconds", "value"], listed, int_columns=(0,)
+    )
+
+
+def test_value_and_sample_bytes_match_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(5)
+    points = awkward_floats(rng, (12, 2))
+    points[:4, 1] = EDGE_FLOATS[6:10]
+    values = rng.uniform(size=(3, 12))
+    values[0, :3] = [-0.0, 5e-324, 2.2250738585072014e-308]
+    choices = np.array([EDGE_INTS * 4, [1] * 12])
+    field = ValueField(points=points, values=values, policy_choices=choices)
+    path = tmp_path / "v.csv"
+    write_values_csv(path, field, metadata={"mode": "max"})
+    names = ["x1", "x2", "v0", "v1", "v2", "choice0", "choice1"]
+    rows = np.hstack([points, values.T, choices.T])
+    assert path.read_text() == per_cell_render(
+        names, rows, {"mode": "max"}, int_columns=(5, 6)
+    )
+    sample = TransitionSample(
+        states=points, controls=values[:1].T, successors=points[::-1]
+    )
+    write_transitions_csv(path, sample)
+    rows = np.hstack([points, values[:1].T, points[::-1]])
+    assert path.read_text() == per_cell_render(
+        ["x1", "x2", "u1", "y1", "y2"], rows
+    )
+
+
+def test_write_table_rejects_rows_of_another_width(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(InputError, match="2 columns"):
+        write_table(path, ["x1", "v0"], [[1, 2, 3]])
+    with pytest.raises(InputError):
+        write_table(path, ["x1", "v0"], [[1, 2], [1, 2, 3]])
+    assert not path.exists()
+    write_table(path, ["x1", "v0"], [])  # no rows: a header-only table
+    assert path.read_text() == "x1,v0\n"

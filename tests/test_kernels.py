@@ -36,17 +36,88 @@ def test_cross_deterministic():
     np.testing.assert_array_equal(k.cross(a, b), k.cross(a, b))
 
 
-def test_cross_matches_unfused_expression_bitwise():
-    # doubling in place is exact, so dropping the ``2.0 * (a @ b.T)``
-    # temporary must not move a bit
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(64, 3))
-    b = rng.normal(size=(45, 3))
-    k = RBFKernel(0.85)
+def direct_cross(a, b, gamma):
+    # the definition: one difference per coordinate, no expansion
+    d = a[:, None, :] - b[None, :, :]
+    return np.exp(-gamma * np.einsum("ijk,ijk->ij", d, d))
+
+
+def expanded_cross(a, b, gamma):
+    # the earlier form |a|^2 + |b|^2 - 2ab, uncentered
     sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
     sq -= 2.0 * (a @ b.T)
-    want = np.exp(-k.gamma * np.maximum(sq, 0.0))
-    np.testing.assert_array_equal(k.cross(a, b), want)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
+def test_cross_matches_direct_difference_reference():
+    rng = np.random.default_rng(21)
+    cases = [
+        ("small d", rng.normal(size=(40, 3)), rng.normal(size=(30, 3)), 0.85),
+        (
+            "d = 1200",
+            0.03 * rng.normal(size=(12, 1200)),
+            0.03 * rng.normal(size=(9, 1200)),
+            1.0,
+        ),
+    ]
+    for name, a, b, sigma in cases:
+        k = RBFKernel(sigma)
+        np.testing.assert_allclose(
+            k.cross(a, b), direct_cross(a, b, k.gamma), rtol=1e-13, atol=0.0,
+            err_msg=name,
+        )
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.1])
+def test_cross_is_accurate_far_from_the_origin(sigma):
+    # at an offset of 100 the uncentered expanded form cancels |a|^2 ~ 3e4
+    # down to distances ~1; the tolerance sits well under its own error
+    rng = np.random.default_rng(22)
+    a = rng.uniform(-0.3, 0.3, size=(40, 3)) + 100.0
+    b = rng.uniform(-0.3, 0.3, size=(30, 3)) + 100.0
+    k = RBFKernel(sigma)
+    want = direct_cross(a, b, k.gamma)
+    tol = 1e-13
+    assert np.abs(expanded_cross(a, b, k.gamma) - want).max() > 10 * tol
+    np.testing.assert_allclose(k.cross(a, b), want, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0])
+def test_cross_of_coincident_points_is_at_most_one(offset):
+    rng = np.random.default_rng(23)
+    pts = rng.normal(size=(20, 3)) + offset
+    c = RBFKernel(0.1).cross(pts, pts)
+    assert np.all(c <= 1.0)
+    np.testing.assert_allclose(np.diag(c), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_far_pairs_underflow_to_exact_zero():
+    # (5, 5) at sigma 0.1 is exp(-2500) from the origin: below the
+    # smallest subnormal, so the value is 0.0, not a tiny negative or nan
+    k = RBFKernel(0.1)
+    a = np.array([[5.0, 5.0], [0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [0.05, -0.1], [5.0, 4.9]])
+    got = k.cross(a, b)
+    want = direct_cross(a, b, k.gamma)
+    assert got[0, 0] == 0.0 and got[0, 1] == 0.0 and got[1, 2] == 0.0
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    # the rows sit about 3.5 from their mean, so the expansion cancels
+    # gamma |a'|^2 ~ 600 down to the exponent: ~1e-13 relative
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_lifted_rows_give_the_same_bits():
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=(33, 4))
+    b = rng.normal(size=(17, 4))
+    k = RBFKernel(0.6)
+    lifted = k.lift(a)
+    np.testing.assert_array_equal(k.cross(lifted, b), k.cross(a, b))
+    np.testing.assert_array_equal(k.cross(lifted, b[:1]), k.cross(a, b[:1]))
+    with pytest.raises(InputError, match="bandwidth"):
+        RBFKernel(0.7).cross(lifted, b)
+    with pytest.raises(InputError, match="mixed dimensions"):
+        k.cross(lifted, b[:, :3])
 
 
 def test_same_point_is_one():
