@@ -9,7 +9,8 @@ product of the lifted rows ``[2 gamma a', -gamma |a'|^2, 1]`` and
 small positive exponent for near-coincident points) and exponentiating
 in place makes one matrix-sized array in two elementwise passes. A side
 used in many crosses, such as a fitted sample, is lifted once with
-:meth:`RBFKernel.lift`.
+:meth:`RBFKernel.lift`. A Gram matrix takes the half-cost symmetric
+product of the centered points with themselves instead.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,9 @@ import numpy as np
 from .errors import InputError
 
 __all__ = ["RBFKernel", "LiftedRows"]
+
+# entries of the norm-sum block in RBFKernel.gram (256 KB)
+_GRAM_BLOCK = 32768
 
 
 def _point_set(a):
@@ -127,13 +131,34 @@ class RBFKernel:
         return np.exp(e, out=e)
 
     def gram(self, points):
-        """Symmetric PSD matrix of pairwise kernel values over ``points``."""
-        g = self.cross(points, points)
-        # the expanded-form distance is symmetric only up to roundoff
-        g += g.T
-        g *= 0.5
-        np.fill_diagonal(g, 1.0)
-        return g
+        """Symmetric PSD matrix of pairwise kernel values over ``points``.
+
+        The rows are centered on their mean, ``a' = a - c``, and
+        ``g = a' a'^T`` is one symmetric product (a rank-k update in
+        BLAS). With ``|a'_i|^2 = g_ii`` from its diagonal, the distance
+        ``(g_ii + g_jj) - 2 g_ij`` is symmetric to the bit and exactly 0
+        on the diagonal, so the matrix is too, with a unit diagonal.
+        """
+        a = _point_set(points)
+        a = a - a.mean(axis=0)
+        g = a @ a.T
+        sq = g.diagonal().copy()
+        g *= -2.0
+        # the norm sums go in by row blocks: a full-size sum array, freed
+        # after the result was allocated, left a heap hole that added its
+        # size to the peak memory of the weight sweeps after the fit
+        m = sq.shape[0]
+        rows = max(1, _GRAM_BLOCK // m)
+        sums = np.empty((min(rows, m), m))
+        for s in range(0, m, rows):
+            head = sq[s : s + rows]
+            block = sums[: head.shape[0]]
+            np.add.outer(head, sq, out=block)
+            g[s : s + rows] += block
+        # cancellation can leave a small negative distance
+        np.maximum(g, 0.0, out=g)
+        g *= -self.gamma
+        return np.exp(g, out=g)
 
     def vector(self, points, query):
         """Kernel column: component i is ``K(points[i], query)``."""

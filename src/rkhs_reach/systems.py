@@ -91,12 +91,20 @@ class IntegratorChain(_LinearSystem):
 
     State component i is the sampled integral of component i+1, and the
     scalar control enters through the final component. The state matrix
-    is upper-triangular Toeplitz with ``T^j / j!`` on the j-th
-    superdiagonal and the input vector has ``T^(n-i) / (n-i)!`` in row i
-    (0-indexed). Entries beyond float range underflow to zero, which for
-    sub-second sampling times makes the matrix effectively banded; the
-    matrix apply exploits that and never materializes A, so dimensions in
-    the tens of thousands stay cheap.
+    is upper-triangular Toeplitz with ``c_j = T^j / j!`` on the j-th
+    superdiagonal and the input vector has ``c_(n-i)`` in row i
+    (0-indexed).
+
+    The band keeps the diagonals ``0..J``, where J is the last index
+    whose tail ``sum_{i >= J} c_i`` exceeds ``2^-53`` times the row sum
+    ``sum_{i < n} c_i``. What is dropped is then at most half an ulp of
+    ``||A||_inf``, inside the round-off bound that any floating-point
+    product with A carries (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, section 3.1). Once n is that long, the band is 12
+    diagonals at T = 0.25, 5 at T = 1e-3 and 23 at T = 2; the apply
+    never materializes A, so dimensions in the tens of thousands stay
+    cheap. A sampling time whose Taylor terms or row sum overflow is
+    rejected.
     """
 
     name = "integrator"
@@ -111,19 +119,23 @@ class IntegratorChain(_LinearSystem):
         self.n = n
         self.m = 1
         self.sampling_time = sampling_time
-        log_t = math.log(sampling_time)
-        j = np.arange(n)
-        with np.errstate(under="ignore"):
-            coeffs = np.exp(j * log_t - gammaln(j + 1.0))
-        nonzero = np.nonzero(coeffs)[0]
-        self._coeffs = coeffs[: nonzero[-1] + 1]
-        powers = n - j  # row i couples to the control through T^(n-i)/(n-i)!
-        with np.errstate(under="ignore"):
-            self._b = np.exp(powers * log_t - gammaln(powers + 1.0))[:, None]
+        j = np.arange(n + 1)
+        with np.errstate(under="ignore", over="ignore"):
+            taylor = np.exp(j * math.log(sampling_time) - gammaln(j + 1.0))
+            tail = np.cumsum(taylor[n - 1 :: -1])[::-1]  # sum of c_i, i >= j
+        # the row sum bounds every c_i of A; B adds only c_n
+        if not (np.isfinite(tail[0]) and np.isfinite(taylor[n])):
+            raise InputError(
+                f"sampling time {sampling_time} overflows the state or input "
+                f"matrix of the {n}-dimensional integrator chain"
+            )
+        band = np.count_nonzero(tail > 2.0**-53 * tail[0])
+        self._coeffs = taylor[:band]
+        self._b = taylor[n:0:-1, None].copy()  # row i: c_(n-i)
 
     @property
     def bandwidth(self):
-        """Number of nonzero superdiagonals plus one."""
+        """Number of kept diagonals: the main one and those above it."""
         return self._coeffs.shape[0]
 
     def dense_a(self):

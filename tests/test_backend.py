@@ -26,6 +26,33 @@ def test_chain_apply_short_vector():
     np.testing.assert_allclose(got, [[2.0 - 0.5, -1.0]])
 
 
+def _one_pass_chain_apply(coeffs, x):
+    # all rows in one pass, one diagonal at a time
+    out = np.zeros_like(x)
+    n = x.shape[1]
+    for j in range(min(len(coeffs), n)):
+        out[:, : n - j] += coeffs[j] * x[:, j:]
+    return out
+
+
+def test_chain_apply_row_blocks_match_one_pass_bitwise():
+    rng = np.random.default_rng(12)
+    coeffs = rng.uniform(0.0, 1.0, size=12)
+    budget = _backend._CHAIN_BLOCK_BYTES
+    per_block = budget // (8 * 1000)
+    shapes = {
+        "remainder block": (2 * per_block + 5, 1000),
+        "single row": (1, 1000),
+        "n = 1": (9, 1),
+        "n shorter than the band": (9, 7),
+        "one row per block": (3, budget // 8 + 3),
+    }
+    for name, shape in shapes.items():
+        x = rng.normal(size=shape)
+        got = _backend.chain_apply(coeffs, x)
+        assert got.tobytes() == _one_pass_chain_apply(coeffs, x).tobytes(), name
+
+
 def _rule(n):
     return np.polynomial.legendre.leggauss(n)
 

@@ -337,6 +337,14 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
     rc, _, err = run(capsys, *point, "--noise-sd", "0")
     assert rc == 2 and "noise_sd" in err
 
+    # a sampling time that overflows the integrator chain's matrices is
+    # named, not reported as non-finite successors
+    rc, _, err = run(
+        capsys, "generate", "--dim", "3", "--sampling-time", "1e200",
+        "--out", str(tmp_path / "overflow.csv"),
+    )
+    assert rc == 2 and "sampling time 1e+200 overflows" in err
+
 
 def test_every_config_field_has_a_flag(tmp_path):
     # one non-default value per RunConfig field, valid together

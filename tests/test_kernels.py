@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rkhs_reach import InputError, RBFKernel
+from rkhs_reach import InputError, RBFKernel, kernels
 
 
 def double_loop_gram(points, sigma):
@@ -66,6 +66,10 @@ def test_cross_matches_direct_difference_reference():
             k.cross(a, b), direct_cross(a, b, k.gamma), rtol=1e-13, atol=0.0,
             err_msg=name,
         )
+        np.testing.assert_allclose(
+            k.gram(a), direct_cross(a, a, k.gamma), rtol=1e-13, atol=0.0,
+            err_msg=name + " gram",
+        )
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.1])
@@ -80,6 +84,9 @@ def test_cross_is_accurate_far_from_the_origin(sigma):
     tol = 1e-13
     assert np.abs(expanded_cross(a, b, k.gamma) - want).max() > 10 * tol
     np.testing.assert_allclose(k.cross(a, b), want, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(
+        k.gram(a), direct_cross(a, a, k.gamma), rtol=0.0, atol=tol
+    )
 
 
 @pytest.mark.parametrize("offset", [0.0, 100.0])
@@ -166,6 +173,20 @@ def test_gram_matches_double_loop():
     )
 
 
+def test_gram_row_blocks_are_symmetric_to_the_bit():
+    # more points than one norm-sum block holds, with a remainder block
+    m = 300
+    assert m % (kernels._GRAM_BLOCK // m)
+    pts = np.random.default_rng(5).normal(size=(m, 3))
+    k = RBFKernel(0.85)
+    g = k.gram(pts)
+    np.testing.assert_array_equal(g, g.T)
+    np.testing.assert_array_equal(np.diag(g), 1.0)
+    np.testing.assert_allclose(
+        g, direct_cross(pts, pts, k.gamma), rtol=1e-13, atol=0.0
+    )
+
+
 def test_cross_matches_double_loop():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(9, 4))
@@ -230,8 +251,8 @@ finite_points = arrays(
 @given(finite_points, st.floats(0.05, 3.0))
 def test_gram_symmetric_unit_diagonal(pts, sigma):
     g = RBFKernel(sigma).gram(pts)
-    np.testing.assert_allclose(g, g.T, atol=1e-12)
-    np.testing.assert_allclose(np.diag(g), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(g, g.T)
+    np.testing.assert_array_equal(np.diag(g), 1.0)
     assert np.all(g >= 0.0) and np.all(g <= 1.0 + 1e-12)
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
+from rkhs_reach import _backend
 from rkhs_reach import (
     AffinePolicy,
     BetaDisturbance,
@@ -62,8 +64,9 @@ def test_integrator_banded_apply_matches_dense():
 
 def test_integrator_high_dimension_is_banded_and_cheap():
     system = IntegratorChain(10000, sampling_time=0.25)
-    # factorial growth underflows the far superdiagonals to exact zero
-    assert system.bandwidth < 200
+    # the Taylor terms past the 12th sum to less than half an ulp of the
+    # row sum, so the band stops there at any dimension
+    assert system.bandwidth == 12
     states = np.zeros((3, 10000))
     states[:, -1] = [1.0, 2.0, -1.0]
     out = system.apply_a(states)
@@ -72,6 +75,69 @@ def test_integrator_high_dimension_is_banded_and_cheap():
     np.testing.assert_allclose(out[:, -2], [0.25, 0.5, -0.25])
     with pytest.raises(InputError):
         system.dense_a()
+
+
+def _taylor(n, t):
+    # T^j / j! for j < n, every term down to underflow: the band as it
+    # was built before the round-off cut
+    j = np.arange(n)
+    with np.errstate(under="ignore"):
+        return np.exp(j * math.log(t) - gammaln(j + 1.0))
+
+
+# sampling time -> band of the round-off cut at large n
+CUT_BANDS = {1e-3: 5, 0.25: 12, 2.0: 23, 5.0: 33}
+
+
+@pytest.mark.parametrize("t, band", CUT_BANDS.items())
+def test_integrator_band_drops_at_most_half_an_ulp_of_the_row_sum(t, band):
+    n = 400  # longer than the underflow band at every t here
+    full = _taylor(n, t)
+    a = IntegratorChain(n, sampling_time=t).dense_a()
+    np.testing.assert_array_equal(a[0, :band], full[:band])
+    assert not a[0, band:].any()
+    row_sum = math.fsum(full)
+    assert math.fsum(full[band:]) <= 2.0**-53 * row_sum
+    # and no shorter band would do
+    assert math.fsum(full[band - 1 :]) > 2.0**-53 * row_sum
+
+
+@pytest.mark.parametrize("t", CUT_BANDS)
+def test_integrator_apply_is_within_the_gamma_bound_of_the_exact_product(t):
+    # the states are signed powers of two, so every product c_j x_k is
+    # exact and math.fsum rounds each row's exact sum once
+    n = 300
+    rng = np.random.default_rng(31)
+    x = rng.choice([-1.0, 1.0], size=(4, n)) * 2.0 ** rng.integers(0, 4, (4, n))
+    full = _taylor(n, t)
+    exact = np.array(
+        [[math.fsum(full[: n - i] * row[i:]) for i in range(n)] for row in x]
+    )
+    system = IntegratorChain(n, sampling_time=t)
+    # gamma_k = k u / (1 - k u) covers the band's products and, through
+    # one more u, the dropped tail (Higham, section 3.1)
+    k, u = system.bandwidth + 1, 2.0**-53
+    bound = k * u / (1.0 - k * u) * math.fsum(full) * np.abs(x).max()
+    assert np.abs(system.apply_a(x) - exact).max() <= bound
+    # the apply of every term down to underflow meets the same bound
+    assert np.abs(_backend.chain_apply(full, x) - exact).max() <= bound
+
+
+@pytest.mark.parametrize("t", CUT_BANDS)
+def test_integrator_step_keeps_its_bits_where_the_band_is_whole(t):
+    # up to n = 12 (n = 5 at t = 1e-3) the cut keeps every diagonal, and
+    # step gives the bits of the full-band apply
+    rng = np.random.default_rng(32)
+    for n in range(1, min(12, CUT_BANDS[t]) + 1):
+        system = IntegratorChain(n, sampling_time=t)
+        assert system.bandwidth == n
+        x = rng.normal(size=(16, n))
+        u = rng.normal(size=(16, 1))
+        w = rng.normal(size=(16, n))
+        want = _backend.chain_apply(_taylor(n, t), x)
+        want += u @ _taylor(n + 1, t)[:0:-1, None].T
+        want += w
+        assert system.step(x, u, w).tobytes() == want.tobytes(), n
 
 
 def test_integrator_step_adds_disturbance_rowwise():
@@ -88,6 +154,10 @@ def test_integrator_validates_inputs():
         IntegratorChain(2, sampling_time=0.0)
     with pytest.raises(InputError):
         IntegratorChain(2, sampling_time=float("nan"))
+    # a sampling time whose Taylor terms, or their row sum, overflow
+    for n, t in ((2000, 1000.0), (3, 1e200), (2000, 711.0)):
+        with pytest.raises(InputError, match="sampling time .* overflows"):
+            IntegratorChain(n, sampling_time=t)
     system = IntegratorChain(2)
     with pytest.raises(InputError):
         system.step([[0.0, 0.0]], [[1.0, 2.0]], None)  # control must be scalar
