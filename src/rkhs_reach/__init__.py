@@ -16,7 +16,7 @@ from .errors import (
     RKHSReachError,
 )
 from .kernels import RBFKernel
-from .oracle import DPGrid, default_dp_grid, dp_reach, mc_reach
+from .oracle import dp_reach, mc_reach
 from .reach import (
     BoxSet,
     PredicateSet,
@@ -52,8 +52,6 @@ __all__ = [
     "NumericalError",
     "FileFormatError",
     "RBFKernel",
-    "DPGrid",
-    "default_dp_grid",
     "dp_reach",
     "mc_reach",
     "BoxSet",

@@ -59,7 +59,7 @@ from .io import (
     write_values_csv,
 )
 from .kernels import RBFKernel
-from .oracle import default_dp_grid, dp_reach, mc_reach
+from .oracle import dp_reach, mc_reach
 from .reach import ReachProblem, value_recursion, value_recursion_max
 from .systems import generate_transitions
 
@@ -115,25 +115,15 @@ def _cmd_generate(args):
     disturbance = build_disturbance(cfg, system)
     policy = build_policy(cfg, system)
     sampler = build_sampler(cfg, system.n)
-    sample = generate_sample(cfg, system, disturbance, policy, sampler)
+    sample = generate_transitions(
+        system, policy, sampler, disturbance, cfg.samples, cfg.seed
+    )
     write_transitions_csv(args.out, sample)
     print(
         f"wrote {sample.count} transitions ({sample.state_dim}-D state, "
         f"{sample.control_dim}-D control, seed {cfg.seed}) to {args.out}"
     )
     return 0
-
-
-def generate_sample(cfg, system, disturbance, policy, sampler):
-    return generate_transitions(
-        system,
-        policy,
-        sampler,
-        disturbance,
-        cfg.samples,
-        cfg.seed,
-        metadata={"sampling_time": format(system.sampling_time, ".17g")},
-    )
 
 
 def _cmd_reach(args):
@@ -182,9 +172,11 @@ def _cmd_oracle_dp(args):
     points = evaluation_points(cfg, system.n)
     policy = build_policy(cfg, system)
     shape = parse_shape(cfg.dp_grid, "dp_grid")
-    grid = default_dp_grid(problem, shape=shape, quad_nodes=cfg.dp_quad)
     t0 = time.perf_counter()
-    field = dp_reach(system, disturbance, problem, points, policy, grid)
+    field = dp_reach(
+        system, disturbance, problem, points, policy,
+        shape=shape, quad_nodes=cfg.dp_quad,
+    )
     seconds = time.perf_counter() - t0
     if args.out:
         metadata = {
@@ -278,7 +270,9 @@ def _cmd_bench_dims(args):
         disturbance = build_disturbance(cfg_n, system)
         policy = build_policy(cfg_n, system)
         sampler = build_sampler(cfg_n, n)
-        sample = generate_sample(cfg_n, system, disturbance, policy, sampler)
+        sample = generate_transitions(
+            system, policy, sampler, disturbance, cfg.samples, cfg.seed
+        )
         safe, target = build_sets(cfg_n, n)
         problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
         x0 = np.zeros((1, n))

@@ -181,6 +181,8 @@ def validate(cfg):
         raise InputError(f"horizon must be at least 1, got {cfg.horizon}")
     if cfg.samples < 1:
         raise InputError(f"samples must be at least 1, got {cfg.samples}")
+    if cfg.seed < 0:
+        raise InputError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.rollouts < 1:
         raise InputError(f"rollouts must be at least 1, got {cfg.rollouts}")
     if cfg.dp_quad < 2:

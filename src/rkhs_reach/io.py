@@ -227,7 +227,8 @@ def read_value_table(path):
 
     Accepts the output of the estimator, the grid oracle, or the Monte
     Carlo oracle. Returns ``(points, values, metadata)`` where ``values``
-    is the ``v0`` column when present, else the ``value`` column.
+    is the ``v0`` column when present, else the ``value`` column. A NaN
+    or infinite cell anywhere in the table is a format error.
     """
     names, data, metadata = _parse_table(path)
     n = _numbered_block(names, "x", 0)
@@ -241,6 +242,13 @@ def read_value_table(path):
         raise FileFormatError(f"{path}: no v0 or value column")
     if data.shape[0] == 0:
         raise FileFormatError(f"{path}: no data rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, c = bad[0]
+        raise FileFormatError(
+            f"{path}: data row {row + 1}, column {names[c]} is {data[row, c]}; "
+            "every cell must be finite"
+        )
     return data[:, :n], data[:, col], metadata
 
 

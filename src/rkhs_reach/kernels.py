@@ -77,7 +77,10 @@ class RBFKernel:
     Parameters
     ----------
     sigma : float
-        Bandwidth in the units of the input vectors. Must be positive.
+        Bandwidth in the units of the input vectors. Must be positive,
+        and large enough that the exponent scale ``gamma = 1 / (2 sigma^2)``
+        and the ``2 gamma`` of the lifted rows are finite floats (sigma
+        above about 7.46e-155).
     """
 
     sigma: float
@@ -85,6 +88,15 @@ class RBFKernel:
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma <= 0.0:
             raise InputError(f"kernel bandwidth must be positive, got {self.sigma}")
+        # 2 gamma by the operations of the property and the lift; a tiny
+        # bandwidth overflows it to inf, or divides by an underflowed 0
+        sigma = np.float64(self.sigma)
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.isfinite(2.0 * (1.0 / (2.0 * sigma * sigma))):
+                raise InputError(
+                    f"kernel bandwidth {self.sigma} is too small: "
+                    "1/sigma^2 overflows"
+                )
 
     @property
     def gamma(self):

@@ -8,8 +8,6 @@ package can simulate. Both implement the exact recursion semantics from
 indicator multiplying every earlier step).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtr
 
@@ -17,7 +15,6 @@ from . import _backend
 from .errors import InputError
 from .reach import (
     BoxSet,
-    ReachProblem,
     ValueField,
     checked_points,
     exact_step,
@@ -25,54 +22,10 @@ from .reach import (
 )
 from .systems import GaussianDisturbance
 
-__all__ = ["DPGrid", "default_dp_grid", "dp_reach", "mc_reach"]
+__all__ = ["dp_reach", "mc_reach"]
 
-
-@dataclass(frozen=True)
-class DPGrid:
-    """Computation grid and quadrature resolution for the grid oracle.
-
-    The grid must cover the union of the safe and target boxes; the
-    recursion treats the field as zero outside the grid, which is exact
-    there because those states are unsafe.
-    """
-
-    lower: tuple
-    upper: tuple
-    shape: tuple = (201, 201)
-    quad_nodes: int = 25
-
-    def __post_init__(self):
-        if len(self.lower) != 2 or len(self.upper) != 2 or len(self.shape) != 2:
-            raise InputError("grid oracle supports exactly 2 state dimensions")
-        if any(s < 2 for s in self.shape):
-            raise InputError("grid needs at least 2 nodes per axis")
-        if self.quad_nodes < 2:
-            raise InputError("quadrature needs at least 2 nodes per axis")
-        if any(u <= l for l, u in zip(self.lower, self.upper)):
-            raise InputError("grid box is degenerate")
-
-    def axes(self):
-        return [
-            np.linspace(self.lower[d], self.upper[d], self.shape[d])
-            for d in range(2)
-        ]
-
-
-def default_dp_grid(problem, shape=(201, 201), quad_nodes=25):
-    """Grid spanning the union of the problem's safe and target boxes."""
-    safe, target = problem.safe, problem.target
-    if not isinstance(safe, BoxSet) or not isinstance(target, BoxSet):
-        raise InputError("the grid oracle requires box safe and target sets")
-    lower = np.minimum(safe.lower, target.lower)
-    upper = np.maximum(safe.upper, target.upper)
-    return DPGrid(tuple(lower), tuple(upper), tuple(shape), int(quad_nodes))
-
-
-def _base_rule(quad_nodes):
-    # Gauss-Legendre nodes and weights on [-1, 1]; the backup rescales
-    # them per query onto the +-4 sd window clipped to the grid
-    return np.polynomial.legendre.leggauss(quad_nodes)
+# rollouts stepped at once per start state (1 MB of 2-D states)
+_MC_CHUNK = 65536
 
 
 def _box_hit_probability(means, box, sd):
@@ -85,28 +38,37 @@ def _box_hit_probability(means, box, sd):
     return p
 
 
-def dp_reach(system, disturbance, problem, eval_points, policy, grid=None):
+def dp_reach(
+    system, disturbance, problem, eval_points, policy, shape=(201, 201), quad_nodes=25
+):
     """Backward recursion on a dense grid, for 2-D Gaussian problems.
 
-    The first backward step integrates the target indicator in closed
-    form (products of normal CDF differences), so the discontinuous
-    terminal condition never meets the interpolator; the remaining steps
-    use tensor Gauss-Legendre quadrature with multilinear interpolation
-    of the stored grid field. The field drops to zero at the safe-set
-    boundary, which coincides with the grid edge, so each query's
-    integration window is clipped to the grid per axis: the excluded
-    region contributes exactly zero and the quadrature never integrates
-    across the jump, keeping its fast convergence.
+    The grid spans the union of the safe and target boxes with
+    ``shape`` nodes; the recursion treats the field as zero outside it,
+    which is exact there because those states are unsafe. The first
+    backward step integrates the target indicator in closed form
+    (products of normal CDF differences), so the discontinuous terminal
+    condition never meets the interpolator; the remaining steps use
+    tensor Gauss-Legendre quadrature with ``quad_nodes`` nodes per axis
+    and multilinear interpolation of the stored grid field. The field
+    drops to zero at the safe-set boundary, which coincides with the
+    grid edge, so each query's integration window is clipped to the grid
+    per axis: the excluded region contributes exactly zero and the
+    quadrature never integrates across the jump, keeping its fast
+    convergence.
 
     Parameters
     ----------
     system : object with ``dense_a``/``dense_b`` and ``n == 2``
     disturbance : GaussianDisturbance
-    problem : ReachProblem with box safe and target sets
+    problem : ReachProblem with 2-D box safe and target sets
     eval_points : (P, 2) array
         Where values are reported (independent of the computation grid).
     policy : callable as in :func:`rkhs_reach.reach.value_recursion`
-    grid : DPGrid, optional
+    shape : (int, int)
+        Grid nodes per axis, at least 2 each.
+    quad_nodes : int
+        Gauss-Legendre nodes per axis, at least 2.
 
     Returns
     -------
@@ -124,25 +86,31 @@ def dp_reach(system, disturbance, problem, eval_points, policy, grid=None):
     safe, target = problem.safe, problem.target
     if not isinstance(safe, BoxSet) or not isinstance(target, BoxSet):
         raise InputError("the grid oracle requires box safe and target sets")
-    if grid is None:
-        grid = default_dp_grid(problem)
-    if np.any(np.array(grid.lower) > np.minimum(safe.lower, target.lower)) or np.any(
-        np.array(grid.upper) < np.maximum(safe.upper, target.upper)
-    ):
-        raise InputError("grid does not cover the safe and target boxes")
+    if safe.dim != 2 or target.dim != 2:
+        raise InputError("the grid oracle requires 2-D safe and target boxes")
+    shape = tuple(shape)
+    if len(shape) != 2 or min(shape) < 2:
+        raise InputError(f"grid needs 2 axes of at least 2 nodes, got {shape}")
+    if quad_nodes < 2:
+        raise InputError("quadrature needs at least 2 nodes per axis")
+    lower = np.minimum(safe.lower, target.lower)
+    upper = np.maximum(safe.upper, target.upper)
+    if np.any(upper <= lower):
+        raise InputError("the safe and target boxes span a degenerate grid box")
 
     eval_points = checked_points(eval_points, 2)
     a = system.dense_a()
     b = system.dense_b()
     m = b.shape[1]
     sd = disturbance.sd
-    axes = grid.axes()
-    ax1, ax2 = axes
+    ax1, ax2 = (np.linspace(lower[d], upper[d], shape[d]) for d in range(2))
     g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
     grid_pts = np.column_stack([g1.ravel(), g2.ravel()])
     origin = (ax1[0], ax2[0])
     steps = (ax1[1] - ax1[0], ax2[1] - ax2[0])
-    glx, glw = _base_rule(grid.quad_nodes)
+    # Gauss-Legendre nodes and weights on [-1, 1]; the backup rescales
+    # them per query onto the +-4 sd window clipped to the grid
+    glx, glw = np.polynomial.legendre.leggauss(quad_nodes)
 
     def means_at(pts, k):
         mu = pts @ a.T
@@ -172,7 +140,7 @@ def dp_reach(system, disturbance, problem, eval_points, policy, grid=None):
         # the grid field feeds only the steps before k, so none at k == 0
         if k > 0:
             expected = expectation(means_at(grid_pts, k), v2d)
-            v2d = exact_step(mask_grid, expected).reshape(grid.shape)
+            v2d = exact_step(mask_grid, expected).reshape(shape)
     return ValueField(points=eval_points, values=rows)
 
 
@@ -184,7 +152,6 @@ def mc_reach(
     x0s,
     rollouts,
     seed,
-    chunk_size=65536,
 ):
     """Monte Carlo estimate of the reach-avoid probability per start state.
 
@@ -193,6 +160,8 @@ def mc_reach(
     and inside the target at step N. Each start state gets its own
     deterministic random stream derived from ``seed`` and its row index,
     so appending more start states leaves earlier estimates unchanged.
+    The rollouts run in chunks of ``_MC_CHUNK``, drawn in order from the
+    start state's stream.
 
     Returns
     -------
@@ -203,6 +172,8 @@ def mc_reach(
     rollouts = int(rollouts)
     if rollouts < 1:
         raise InputError(f"rollouts must be >= 1, got {rollouts}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     x0s = checked_points(x0s, system.n)
     n_steps = problem.horizon
     m = getattr(system, "m", 0)
@@ -214,7 +185,7 @@ def mc_reach(
         hits = 0
         done = 0
         while done < rollouts:
-            count = min(chunk_size, rollouts - done)
+            count = min(_MC_CHUNK, rollouts - done)
             states = np.repeat(x0[None, :], count, axis=0)
             alive = np.ones(count, dtype=bool)
             for k in range(n_steps):

@@ -72,14 +72,13 @@ class BoxSet:
 class PredicateSet:
     """Membership set defined by a vectorized predicate on state rows."""
 
-    def __init__(self, fn, dim=None, description=""):
+    def __init__(self, fn, dim):
         self.fn = fn
         self.dim = dim
-        self.description = description
 
     def contains(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if self.dim is not None and points.shape[1] != self.dim:
+        if points.shape[1] != self.dim:
             raise InputError(
                 f"points have dimension {points.shape[1]}, set expects {self.dim}"
             )

@@ -162,9 +162,11 @@ class CWHSystem(_LinearSystem):
         ax = 3 w^2 x + 2 w vy + Fx / mass
         ay = -2 w vx + Fy / mass
 
-    are discretized under zero-order hold: ``[A B]`` is the top block
-    row of ``expm([[Ac, Bc], [0, 0]] T)`` (Van Loan, IEEE TAC 1978).
-    Unlike the closed form in ``sin wT`` and ``cos wT``, this does not
+    with the orbital rate ``w = sqrt(mu / a^3)`` of a circular orbit
+    ``orbit_altitude`` above the Earth's surface (kept as
+    ``orbital_rate``), are discretized under zero-order hold: ``[A B]``
+    is the top block row of ``expm([[Ac, Bc], [0, 0]] T)`` (Van Loan,
+    IEEE TAC 1978). Unlike the closed form in ``sin wT`` and ``cos wT``, this does not
     cancel as ``w`` goes to zero, so geostationary and lunar-distance
     orbits work too. Controls beyond the bound draw a warning in
     ``step``; they are not clipped.
@@ -177,7 +179,6 @@ class CWHSystem(_LinearSystem):
     def __init__(
         self,
         sampling_time=20.0,
-        orbital_rate=None,
         mass=300.0,
         orbit_altitude=850.0e3,
         control_bound=0.1,
@@ -189,17 +190,18 @@ class CWHSystem(_LinearSystem):
         mass = float(mass)
         if not 0.0 < mass < math.inf:
             raise InputError("mass must be positive and finite")
-        if orbital_rate is None:
-            semi_major = EARTH_RADIUS + float(orbit_altitude)
-            if not 0.0 < semi_major < math.inf:
-                raise InputError(
-                    "orbit altitude must give a positive, finite semi-major "
-                    f"axis, got {semi_major}"
-                )
+        semi_major = EARTH_RADIUS + float(orbit_altitude)
+        if not 0.0 < semi_major < math.inf:
+            raise InputError(
+                "orbit altitude must give a positive, finite semi-major "
+                f"axis, got {semi_major}"
+            )
+        try:
             orbital_rate = math.sqrt(EARTH_MU / semi_major**3)
-        orbital_rate = float(orbital_rate)
-        if not 0.0 < orbital_rate < math.inf:
-            raise InputError("orbital rate must be positive and finite")
+        except OverflowError:
+            raise InputError(
+                f"orbit altitude {orbit_altitude} overflows the cubed semi-major axis"
+            )
         control_bound = float(control_bound)
         if not control_bound > 0.0:
             raise InputError(f"control bound must be positive, got {control_bound}")
@@ -350,17 +352,17 @@ class AffinePolicy:
         return u
 
 
-def cwh_lqr_policy(system, state_weight=None, control_weight=None):
+def cwh_lqr_policy(system):
     """Stabilizing feedback for the CWH system from a discrete Riccati solve.
 
-    Weights default to penalizing velocity error more strongly than
-    position error, which produces gentle approaches that respect the
-    small force bound. Controls saturate at the system's declared bound.
+    The weights penalize velocity error more strongly than position
+    error, which produces gentle approaches that respect the small force
+    bound. Controls saturate at the system's declared bound.
     """
     if not isinstance(system, CWHSystem):
         raise InputError("cwh_lqr_policy requires a CWHSystem")
-    q = np.diag([1.0, 1.0, 1e3, 1e3]) if state_weight is None else state_weight
-    r = np.eye(2) * 1e4 if control_weight is None else control_weight
+    q = np.diag([1.0, 1.0, 1e3, 1e3])
+    r = np.eye(2) * 1e4
     a, b = system.dense_a(), system.dense_b()
     p = solve_discrete_are(a, b, q, r)
     gain = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
@@ -393,24 +395,24 @@ def cwh_sets():
             & (np.abs(z[:, 3]) <= 0.05)
         )
 
-    target = PredicateSet(in_target, dim=4, description="docking box")
-    safe = PredicateSet(in_safe, dim=4, description="line-of-sight cone")
-    return target, safe
+    return PredicateSet(in_target, dim=4), PredicateSet(in_safe, dim=4)
 
 
-def generate_transitions(
-    system, policy, state_sampler, disturbance, count, seed, metadata=None
-):
+def generate_transitions(system, policy, state_sampler, disturbance, count, seed):
     """Draw one-step transitions ``(x_i, u_i) -> y_i`` reproducibly.
 
     Start states come from ``state_sampler``, controls from the policy at
     step 0, and successors from one system step under the disturbance.
     The draw order (states first, then disturbances) is fixed, so equal
-    arguments give bit-identical samples.
+    arguments give bit-identical samples. The sample's metadata records
+    the system, its sampling time, the seed, the policy and the
+    disturbance.
     """
     count = int(count)
     if count < 1:
         raise InputError(f"sample count must be >= 1, got {count}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if state_sampler.dim != system.n:
         raise InputError(
             f"state sampler dimension {state_sampler.dim} does not match "
@@ -433,9 +435,8 @@ def generate_transitions(
         "count": str(count),
         "policy": getattr(policy, "description", type(policy).__name__),
         "disturbance": disturbance.kind,
+        "sampling_time": format(system.sampling_time, ".17g"),
     }
-    if metadata:
-        meta.update(metadata)
     return TransitionSample(
         states=states, controls=controls, successors=successors, metadata=meta
     )

@@ -14,21 +14,19 @@ import pytest
 from rkhs_reach import (
     BoxSampler,
     BoxSet,
-    Embedding,
     GaussianDisturbance,
     IntegratorChain,
-    RBFKernel,
     ReachProblem,
     ZeroPolicy,
     dp_reach,
-    generate_transitions,
 )
 
-BENCH_SIGMA = 0.1
-BENCH_LAMBDA = 1.0
-BENCH_NOISE_SD = 0.1
-BENCH_HORIZON = 3
-BENCH_SAMPLES = 1024
+from bench_setup import (
+    BENCH_HORIZON,
+    BENCH_NOISE_SD,
+    BENCH_SAMPLES,
+    make_bench_sample,
+)
 
 
 def pytest_configure(config):
@@ -79,22 +77,6 @@ def bench_policy():
 @pytest.fixture(scope="session")
 def bench_sampler():
     return BoxSampler([-1.1, -1.1], [1.1, 1.1])
-
-
-def make_bench_sample(count, seed):
-    system = IntegratorChain(2, sampling_time=0.25)
-    return generate_transitions(
-        system,
-        ZeroPolicy(1),
-        BoxSampler([-1.1, -1.1], [1.1, 1.1]),
-        GaussianDisturbance([BENCH_NOISE_SD, BENCH_NOISE_SD]),
-        count,
-        seed,
-    )
-
-
-def fit_bench(sample, lam=BENCH_LAMBDA, sigma=BENCH_SIGMA):
-    return Embedding(sample, RBFKernel(sigma), lam)
 
 
 @pytest.fixture(scope="session")

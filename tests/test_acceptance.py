@@ -29,7 +29,7 @@ from rkhs_reach import (
     value_recursion_max,
 )
 
-from conftest import (
+from bench_setup import (
     BENCH_HORIZON,
     BENCH_LAMBDA,
     BENCH_NOISE_SD,

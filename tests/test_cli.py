@@ -345,6 +345,33 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
     )
     assert rc == 2 and "sampling time 1e+200 overflows" in err
 
+    # a negative seed is a configuration problem on every seeded
+    # subcommand, not a numpy traceback
+    for argv in (
+        ("generate", "--out", str(tmp_path / "seed.csv")),
+        ("oracle-mc", "--rollouts", "10", "--point", "0,0"),
+        ("bench-dims", "--dims", "2", "--samples", "16", "--repeats", "1"),
+    ):
+        rc, _, err = run(capsys, *argv, "--seed=-1")
+        assert rc == 2 and "seed must be non-negative" in err, argv
+
+    # a bandwidth whose exponent scale 1/(2 sigma^2) is not a finite
+    # float: 1e-200 divides by an underflowed 0, 1e-160 overflows to inf
+    for sigma in ("1e-200", "1e-160"):
+        rc, _, err = run(
+            capsys, "reach", "--sample-file", sample_file, "--point", "0,0",
+            "--sigma", sigma,
+        )
+        assert rc == 2 and "bandwidth" in err and "Traceback" not in err, sigma
+
+    # a value table with a NaN cell is a malformed file for compare
+    good, nan = tmp_path / "good.csv", tmp_path / "nan.csv"
+    good.write_text("x1,x2,v0\n0.0,0.0,0.5\n")
+    nan.write_text("x1,x2,v0\n0.0,0.0,nan\n")
+    rc, out, err = run(capsys, "compare", str(good), str(nan))
+    assert rc == 4 and "nan.csv" in err and "finite" in err
+    assert out == ""
+
 
 def test_every_config_field_has_a_flag(tmp_path):
     # one non-default value per RunConfig field, valid together

@@ -126,6 +126,7 @@ FLOAT_FIELDS = [
         ("eta", 0.0),
         ("horizon", 0),
         ("samples", 0),
+        ("seed", -1),
         ("rollouts", 0),
         ("dp_quad", 1),
         ("sampling_time", 0.0),

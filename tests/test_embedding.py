@@ -20,7 +20,7 @@ from rkhs_reach import (
     ReachProblem,
 )
 
-from conftest import BENCH_NOISE_SD, BENCH_SIGMA, make_bench_sample
+from bench_setup import BENCH_NOISE_SD, BENCH_SIGMA, make_bench_sample
 
 
 def single_sample(lam, eta=1.0, normalize=False):

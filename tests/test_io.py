@@ -178,6 +178,22 @@ def test_values_header_contract(tmp_path):
         read_value_table(path)
 
 
+def test_value_table_rejects_non_finite_cells(tmp_path):
+    # a NaN or infinite cell would turn compare's error statistics into
+    # nan; the reader names the file, the row and the column instead
+    path = tmp_path / "values.csv"
+    for table, where in (
+        ("x1,x2,v0\n0.0,0.0,0.5\n0.1,0.0,nan\n", "row 2, column v0"),
+        ("x1,x2,value,halfwidth\n0.0,inf,0.5,0.01\n", "row 1, column x2"),
+        ("x1,v0,v1\n0.0,0.5,-inf\n", "row 1, column v1"),
+    ):
+        path.write_text(table)
+        with pytest.raises(FileFormatError) as info:
+            read_value_table(path)
+        message = str(info.value)
+        assert str(path) in message and where in message and "finite" in message
+
+
 def test_metadata_must_be_single_line(tmp_path):
     field = ValueField(points=np.zeros((1, 1)), values=np.zeros((1, 1)))
     with pytest.raises(InputError, match="single-line"):

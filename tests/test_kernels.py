@@ -232,6 +232,16 @@ def test_bandwidth_validation():
         RBFKernel(-1.0)
     with pytest.raises(InputError):
         RBFKernel(float("nan"))
+    # gamma = 1 / (2 sigma^2) and the lift's 2 gamma must be finite
+    # floats: at 1e-200 sigma^2 underflows to 0, at 1e-160 gamma
+    # overflows, at 7.45e-155 only 2 gamma does; Python and numpy floats
+    for sigma in (1e-200, 1e-160, 7.45e-155, np.float64(1e-200), np.float64(1e-160)):
+        with pytest.raises(InputError, match="too small"):
+            RBFKernel(sigma)
+    # just above the threshold the kernel of a point with itself is 1
+    k = RBFKernel(7.46e-155)
+    assert np.isfinite(k.gamma)
+    assert k.cross(np.zeros((1, 2)), np.zeros((1, 2)))[0, 0] == 1.0
 
 
 def test_dimension_mismatch_rejected():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from rkhs_reach import _backend, oracle
 from rkhs_reach import (
     BetaDisturbance,
     BoxSet,
-    DPGrid,
     GaussianDisturbance,
     InputError,
     IntegratorChain,
@@ -15,7 +15,6 @@ from rkhs_reach import (
     ReachProblem,
     ZeroDisturbance,
     ZeroPolicy,
-    default_dp_grid,
     dp_reach,
     mc_reach,
 )
@@ -43,31 +42,50 @@ class StepPolicy:
 # ------------------------------------------------------------------ dp grid
 
 
-def test_default_grid_spans_safe_target_union():
+def test_dp_grid_spans_safe_target_union(setup, monkeypatch):
+    # the target pokes past the safe box on the second axis, so the grid
+    # runs from the safe box's lower corner to the target's top edge
+    system, disturbance, _, policy = setup
     problem = ReachProblem(
         safe=BoxSet([-1.0, -1.0], [1.0, 1.0]),
         target=BoxSet([-0.5, -1.0], [0.75, 1.2]),
         horizon=2,
     )
-    grid = default_dp_grid(problem)
-    assert grid.lower == (-1.0, -1.0)
-    assert grid.upper == (1.0, 1.2)
-    assert grid.shape == (201, 201)
-    assert grid.quad_nodes == 25
-    axes = grid.axes()
-    assert axes[0][0] == -1.0 and axes[0][-1] == 1.0
-    assert axes[1][0] == -1.0 and axes[1][-1] == 1.2
+    seen = []
+    backup = _backend.dp_backup
+
+    def recording(v2d, origin, steps, sd, means, glx, glw):
+        seen.append((v2d.shape, origin, steps, len(glx)))
+        return backup(v2d, origin, steps, sd, means, glx, glw)
+
+    monkeypatch.setattr(_backend, "dp_backup", recording)
+    pts = np.zeros((1, 2))
+    dp_reach(system, disturbance, problem, pts, policy)
+    dp_reach(system, disturbance, problem, pts, policy, shape=(41, 57), quad_nodes=7)
+    # one quadrature backup per call: horizon 2 has one step after the
+    # closed-form first step
+    assert [(s[0], s[3]) for s in seen] == [((201, 201), 25), ((41, 57), 7)]
+    for shape, origin, steps, _ in seen:
+        assert origin == (-1.0, -1.0)
+        last = [origin[d] + steps[d] * (shape[d] - 1) for d in range(2)]
+        np.testing.assert_allclose(last, [1.0, 1.2], rtol=0, atol=1e-12)
 
 
-def test_dpgrid_validation():
-    with pytest.raises(InputError):
-        DPGrid((0.0,), (1.0,))
-    with pytest.raises(InputError):
-        DPGrid((0.0, 0.0), (1.0, 1.0), shape=(1, 5))
-    with pytest.raises(InputError):
-        DPGrid((0.0, 0.0), (1.0, 1.0), quad_nodes=1)
-    with pytest.raises(InputError):
-        DPGrid((0.0, 0.0), (0.0, 1.0))
+def test_dp_validates_grid_and_quadrature(setup):
+    system, disturbance, problem, policy = setup
+    pts = np.zeros((1, 2))
+    for shape in ((1, 5), (5, 1), (5,), (5, 5, 5)):
+        with pytest.raises(InputError, match="grid needs"):
+            dp_reach(system, disturbance, problem, pts, policy, shape=shape)
+    with pytest.raises(InputError, match="quadrature"):
+        dp_reach(system, disturbance, problem, pts, policy, quad_nodes=1)
+    # the union of the safe and target boxes is flat on the first axis
+    flat = BoxSet([0.0, 0.0], [0.0, 1.0])
+    with pytest.raises(InputError, match="degenerate"):
+        dp_reach(system, disturbance, ReachProblem(flat, flat, 2), pts, policy)
+    cube = BoxSet([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(InputError, match="2-D safe and target"):
+        dp_reach(system, disturbance, ReachProblem(cube, cube, 2), pts, policy)
 
 
 def test_dp_rejects_unsupported_problems(setup):
@@ -83,9 +101,6 @@ def test_dp_rejects_unsupported_problems(setup):
     bad = ReachProblem(safe=cone, target=cone, horizon=2)
     with pytest.raises(InputError, match="box"):
         dp_reach(system, disturbance, bad, pts, policy)
-    small = DPGrid((-0.5, -0.5), (1.0, 1.0))
-    with pytest.raises(InputError, match="cover"):
-        dp_reach(system, disturbance, problem, pts, policy, grid=small)
     with pytest.raises(InputError):
         dp_reach(system, disturbance, problem, np.zeros((2, 3)), policy)
     # NaN and infinite points are rejected, not answered with nan
@@ -162,14 +177,16 @@ def test_dp_zero_variance_limit_recovers_indicators():
 
 def test_dp_monotone_in_target(setup):
     system, disturbance, problem, policy = setup
-    grid = default_dp_grid(problem)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.0, 1.0, size=(25, 2))
+    # both targets lie in the safe box, so both problems get the grid
+    # over the safe box
     small = ReachProblem(
         problem.safe, BoxSet([-0.4, -0.4], [0.4, 0.4]), problem.horizon
     )
-    v_small = dp_reach(system, disturbance, small, pts, policy, grid=grid)
-    v_big = dp_reach(system, disturbance, problem, pts, policy, grid=grid)
+    grid = {"shape": (201, 201), "quad_nodes": 25}
+    v_small = dp_reach(system, disturbance, small, pts, policy, **grid)
+    v_big = dp_reach(system, disturbance, problem, pts, policy, **grid)
     assert np.all(v_small.values <= v_big.values + 1e-12)
 
 
@@ -177,10 +194,8 @@ def test_dp_quadrature_doubling_barely_moves_values(setup):
     system, disturbance, problem, policy = setup
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1.0, 1.0, size=(5, 2))
-    lo = default_dp_grid(problem, quad_nodes=25)
-    hi = default_dp_grid(problem, quad_nodes=50)
-    v_lo = dp_reach(system, disturbance, problem, pts, policy, grid=lo)
-    v_hi = dp_reach(system, disturbance, problem, pts, policy, grid=hi)
+    v_lo = dp_reach(system, disturbance, problem, pts, policy, quad_nodes=25)
+    v_hi = dp_reach(system, disturbance, problem, pts, policy, quad_nodes=50)
     assert np.abs(v_lo.values - v_hi.values).max() <= 0.005
 
 
@@ -198,7 +213,7 @@ def test_dp_time_varying_policy_agrees_with_monte_carlo(setup):
 def test_dp_plain_function_matches_zero_policy_bitwise(setup):
     # the oracle queries every policy at every step, whatever its class
     system, disturbance, problem, _ = setup
-    grid = default_dp_grid(problem, shape=(61, 61), quad_nodes=9)
+    grid = {"shape": (61, 61), "quad_nodes": 9}
     pts = np.array([[0.0, 0.0], [0.5, -0.4], [-0.7, 0.6]])
     steps = {"class": [], "function": []}
 
@@ -211,8 +226,8 @@ def test_dp_plain_function_matches_zero_policy_bitwise(setup):
         steps["function"].append(k)
         return np.zeros((states.shape[0], 1))
 
-    want = dp_reach(system, disturbance, problem, pts, RecordingZero(1), grid)
-    got = dp_reach(system, disturbance, problem, pts, zeros, grid)
+    want = dp_reach(system, disturbance, problem, pts, RecordingZero(1), **grid)
+    got = dp_reach(system, disturbance, problem, pts, zeros, **grid)
     np.testing.assert_array_equal(got.values, want.values)
     # evaluation points at k = 2, 1, 0; the grid at k = 2, 1
     assert sorted(steps["class"]) == sorted(steps["function"]) == [0, 1, 1, 2, 2]
@@ -282,13 +297,23 @@ def test_mc_seeds_agree_within_confidence(setup):
     assert abs(v1[0] - v2[0]) <= 2.0 * (h1[0] + h2[0])
 
 
-def test_mc_chunking_only_regroups_rollouts(setup):
+def test_mc_chunking_only_regroups_rollouts(setup, monkeypatch):
     system, disturbance, problem, policy = setup
     pts = [[0.6, 0.6]]
     v1, h1 = mc_reach(system, disturbance, problem, policy, pts, 20000, 4)
+    draws = []
+
+    class Recording(GaussianDisturbance):
+        def draw(self, rng, count):
+            draws.append(count)
+            return super().draw(rng, count)
+
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 777)
     v2, h2 = mc_reach(
-        system, disturbance, problem, policy, pts, 20000, 4, chunk_size=777
+        system, Recording(disturbance.sd), problem, policy, pts, 20000, 4
     )
+    # 25 full chunks and a 575-rollout remainder, one draw per step each
+    assert draws == [777] * 3 * 25 + [575] * 3
     assert abs(v1[0] - v2[0]) <= 2.0 * (h1[0] + h2[0])
 
 
@@ -296,6 +321,8 @@ def test_mc_validates_inputs(setup):
     system, disturbance, problem, policy = setup
     with pytest.raises(InputError):
         mc_reach(system, disturbance, problem, policy, [[0.0, 0.0]], 0, 0)
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        mc_reach(system, disturbance, problem, policy, [[0.0, 0.0]], 10, -1)
     with pytest.raises(InputError):
         mc_reach(system, disturbance, problem, policy, [[0.0, 0.0, 0.0]], 10, 0)
     # a NaN start state is rejected, not answered with probability 0

@@ -23,7 +23,7 @@ from rkhs_reach import (
     cwh_sets,
     generate_transitions,
 )
-from rkhs_reach.systems import EARTH_RADIUS
+from rkhs_reach.systems import EARTH_MU, EARTH_RADIUS
 
 
 # ---------------------------------------------------------------- integrator
@@ -242,18 +242,21 @@ def test_cwh_validates_inputs():
         CWHSystem(sampling_time=-1.0)
     with pytest.raises(InputError):
         CWHSystem(mass=0.0)
-    with pytest.raises(InputError):
-        CWHSystem(orbital_rate=0.0)
     # NaN fails every comparison, so each value is checked for finiteness
     for bad in (np.nan, np.inf, -np.inf):
-        for key in ("sampling_time", "mass", "orbital_rate"):
+        for key in ("sampling_time", "mass"):
             with pytest.raises(InputError):
                 CWHSystem(**{key: bad})
-    # the semi-major axis must be positive and finite; the control bound
-    # must be positive (NaN would silence the warning, -1 fire it always)
-    for altitude in (-7e6, -EARTH_RADIUS, np.nan, np.inf):
+    # the semi-major axis must be positive and finite, and so must its
+    # cube; the control bound must be positive (NaN would silence the
+    # warning, -1 fire it always)
+    for altitude in (-7e6, -EARTH_RADIUS, np.nan, np.inf, 1e103, 1e300):
         with pytest.raises(InputError, match="semi-major"):
             CWHSystem(orbit_altitude=altitude)
+    # the orbital rate is derived from the altitude, also for a tiny one
+    far = CWHSystem(orbit_altitude=1e102)
+    assert far.orbital_rate == math.sqrt(EARTH_MU / (EARTH_RADIUS + 1e102) ** 3)
+    assert np.all(np.isfinite(far.dense_a()))
     for bound in (np.nan, -1.0, 0.0):
         with pytest.raises(InputError, match="control bound"):
             CWHSystem(control_bound=bound)
@@ -399,6 +402,33 @@ def test_generate_transitions_reproducible_and_consistent():
     assert one.metadata["system"] == "integrator"
     assert one.metadata["seed"] == "9"
     assert one.metadata["disturbance"] == "gaussian"
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        generate_transitions(system, ZeroPolicy(1), sampler, dist, 256, -1)
+
+
+def test_generate_transitions_records_the_sampling_time():
+    chain = IntegratorChain(2, sampling_time=0.1)
+    sample = generate_transitions(
+        chain,
+        ZeroPolicy(1),
+        BoxSampler([-1.0, -1.0], [1.0, 1.0]),
+        GaussianDisturbance([0.1, 0.1]),
+        8,
+        0,
+    )
+    assert sample.metadata["sampling_time"] == "0.10000000000000001"
+    cwh = CWHSystem(sampling_time=20.0)
+    sample = generate_transitions(
+        cwh,
+        cwh_lqr_policy(cwh),
+        BoxSampler([-0.5, -1.0, -0.01, -0.01], [0.5, -0.5, 0.01, 0.01]),
+        cwh.default_disturbance(),
+        8,
+        0,
+    )
+    assert sample.metadata["sampling_time"] == "20"
+    # appended after the other keys, where the CSV has always carried it
+    assert list(sample.metadata)[-1] == "sampling_time"
 
 
 def test_generate_transitions_successors_follow_dynamics():
