@@ -102,6 +102,38 @@ def _embedding_metadata(cfg, sample):
     }
 
 
+def _fit(cfg, sample):
+    """The estimator that ``cfg`` configures, fitted on ``sample``."""
+    return Embedding(
+        sample,
+        RBFKernel(cfg.sigma),
+        cfg.lam,
+        eta=cfg.eta,
+        normalize_weights=cfg.normalize_weights,
+    )
+
+
+def _draw_sample(cfg, system, policy):
+    """The transitions that ``cfg`` asks of ``system`` under ``policy``."""
+    disturbance = build_disturbance(cfg, system)
+    sampler = build_sampler(cfg, system.n)
+    return generate_transitions(
+        system, policy, sampler, disturbance, cfg.samples, cfg.seed
+    )
+
+
+def _oracle_inputs(args):
+    """Config, system, disturbance, problem, points and policy of an oracle."""
+    cfg = _load_config(args)
+    system = build_system(cfg)
+    disturbance = build_disturbance(cfg, system)
+    safe, target = build_sets(cfg, system.n)
+    problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
+    points = evaluation_points(cfg, system.n)
+    policy = build_policy(cfg, system)
+    return cfg, system, disturbance, problem, points, policy
+
+
 def _print_summary(label, values):
     print(
         f"{label} min={values.min():.6f} mean={values.mean():.6f} "
@@ -112,12 +144,7 @@ def _print_summary(label, values):
 def _cmd_generate(args):
     cfg = _load_config(args)
     system = build_system(cfg)
-    disturbance = build_disturbance(cfg, system)
-    policy = build_policy(cfg, system)
-    sampler = build_sampler(cfg, system.n)
-    sample = generate_transitions(
-        system, policy, sampler, disturbance, cfg.samples, cfg.seed
-    )
+    sample = _draw_sample(cfg, system, build_policy(cfg, system))
     write_transitions_csv(args.out, sample)
     print(
         f"wrote {sample.count} transitions ({sample.state_dim}-D state, "
@@ -133,15 +160,8 @@ def _cmd_reach(args):
     safe, target = build_sets(cfg, n)
     problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
     points = evaluation_points(cfg, n)
-    kernel = RBFKernel(cfg.sigma)
     t0 = time.perf_counter()
-    emb = Embedding(
-        sample,
-        kernel,
-        cfg.lam,
-        eta=cfg.eta,
-        normalize_weights=cfg.normalize_weights,
-    )
+    emb = _fit(cfg, sample)
     fit_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     if cfg.mode == "max":
@@ -164,13 +184,7 @@ def _cmd_reach(args):
 
 
 def _cmd_oracle_dp(args):
-    cfg = _load_config(args)
-    system = build_system(cfg)
-    disturbance = build_disturbance(cfg, system)
-    safe, target = build_sets(cfg, system.n)
-    problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
-    points = evaluation_points(cfg, system.n)
-    policy = build_policy(cfg, system)
+    cfg, system, disturbance, problem, points, policy = _oracle_inputs(args)
     shape = parse_shape(cfg.dp_grid, "dp_grid")
     t0 = time.perf_counter()
     field = dp_reach(
@@ -193,13 +207,7 @@ def _cmd_oracle_dp(args):
 
 
 def _cmd_oracle_mc(args):
-    cfg = _load_config(args)
-    system = build_system(cfg)
-    disturbance = build_disturbance(cfg, system)
-    safe, target = build_sets(cfg, system.n)
-    problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
-    points = evaluation_points(cfg, system.n)
-    policy = build_policy(cfg, system)
+    cfg, system, disturbance, problem, points, policy = _oracle_inputs(args)
     t0 = time.perf_counter()
     values, halfwidths = mc_reach(
         system, disturbance, problem, policy, points, cfg.rollouts, cfg.seed
@@ -262,17 +270,12 @@ def _cmd_bench_dims(args):
         raise InputError(f"--dims entries must be positive, got {args.dims!r}")
     if args.repeats < 1:
         raise InputError("--repeats must be at least 1")
-    kernel = RBFKernel(cfg.sigma)
     rows = []
     for n in dims:
         cfg_n = apply_overrides(cfg, {"dim": n})
         system = build_system(cfg_n)
-        disturbance = build_disturbance(cfg_n, system)
         policy = build_policy(cfg_n, system)
-        sampler = build_sampler(cfg_n, n)
-        sample = generate_transitions(
-            system, policy, sampler, disturbance, cfg.samples, cfg.seed
-        )
+        sample = _draw_sample(cfg_n, system, policy)
         safe, target = build_sets(cfg_n, n)
         problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
         x0 = np.zeros((1, n))
@@ -280,13 +283,7 @@ def _cmd_bench_dims(args):
         value = None
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            emb = Embedding(
-                sample,
-                kernel,
-                cfg.lam,
-                eta=cfg.eta,
-                normalize_weights=cfg.normalize_weights,
-            )
+            emb = _fit(cfg, sample)
             field = value_recursion(emb, problem, x0, policy)
             times.append(time.perf_counter() - t0)
             value = field.values[0, 0]

@@ -15,7 +15,6 @@ from .errors import InputError
 from .io import read_points
 from .reach import BoxSet
 from .systems import (
-    AffinePolicy,
     BetaDisturbance,
     BoxSampler,
     ConstantPolicy,
@@ -36,7 +35,7 @@ __all__ = [
     "build_disturbance",
     "build_policy",
     "build_sets",
-    "default_sample_box",
+    "build_sampler",
     "evaluation_points",
     "parse_box",
     "parse_point",
@@ -308,32 +307,22 @@ def build_sets(cfg, dim):
     return safe, target
 
 
-def _inflated(box, factor=1.1):
-    center = (box.lower + box.upper) / 2.0
-    half = (box.upper - box.lower) / 2.0
-    return BoxSet(center - factor * half, center + factor * half)
+def build_sampler(cfg, dim):
+    """Uniform sampler of initial states: the safe box inflated by 10%.
 
-
-def default_sample_box(cfg, dim):
-    """Sampling box for initial states: the safe box inflated by 10%.
-
-    The rendezvous system instead uses a fixed tube around the approach
-    corridor, since its safe set is a cone rather than a box.
+    ``sample_box`` overrides it. The rendezvous system instead uses a
+    fixed tube around the approach corridor, since its safe set is a cone
+    rather than a box.
     """
     if cfg.sample_box:
-        return parse_box(cfg.sample_box, dim, "sample_box")
+        box = parse_box(cfg.sample_box, dim, "sample_box")
+        return BoxSampler(box.lower, box.upper)
     if cfg.system == "cwh":
-        values = list(CWH_SAMPLE_BOX)
-        lower = np.array(values[0::2])
-        upper = np.array(values[1::2])
-        return BoxSet(lower, upper)
+        return BoxSampler(CWH_SAMPLE_BOX[0::2], CWH_SAMPLE_BOX[1::2])
     safe = parse_box(cfg.safe_box, dim, "safe_box")
-    return _inflated(safe)
-
-
-def build_sampler(cfg, dim):
-    box = default_sample_box(cfg, dim)
-    return BoxSampler(box.lower, box.upper)
+    center = (safe.lower + safe.upper) / 2.0
+    half = (safe.upper - safe.lower) / 2.0
+    return BoxSampler(center - 1.1 * half, center + 1.1 * half)
 
 
 def parse_shape(text, what="grid"):

@@ -28,6 +28,9 @@ from the factor, so a batch of queries costs one kernel matrix and one
 matrix product with the inverse, not two triangular solves per query.
 The fit also lifts the joint sample rows for the kernel once
 (:meth:`RBFKernel.lift`), so each batch lifts only its query rows.
+It adds the ridge onto the Gram matrix, factors that in place and
+solves the factor into an identity in place, so a fit keeps one M x M
+matrix (the inverse; 8 MB at M = 1024) and holds about two at its peak.
 The ridge keeps every eigenvalue at or above ``lam*M``, so the condition
 number is at most ``1 + |G|_2 / (lam*M)``: 1.016 on the 1024-sample
 benchmark at ``lam = 1``, and weights from the inverse agree with a
@@ -159,12 +162,15 @@ class Embedding:
         self.eta = eta
         self.normalize_weights = bool(normalize_weights)
         joint = sample.joint()
-        self.gram = kernel.gram(joint)
+        ridge = kernel.gram(joint)
         # the sample side of every query cross, lifted once per fit
         self._lifted = kernel.lift(joint)
         m = sample.count
+        ridge.flat[:: m + 1] += lam * m
         try:
-            factor = cho_factor(self.gram + (lam * m) * np.eye(m), lower=True)
+            # the matrix is symmetric to the bit, so its transpose is the
+            # same matrix in Fortran order and LAPACK factors it in place
+            factor = cho_factor(ridge.T, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError as exc:  # cannot happen for lam*M > 0
             raise NumericalError(f"ridge system factorization failed: {exc}")
         except ValueError as exc:
@@ -173,7 +179,7 @@ class Embedding:
             raise NumericalError(f"kernel matrix is not finite: {exc}")
         # well conditioned (module docstring), so the inverse replaces
         # two triangular solves per query with one matrix product
-        self._inv = cho_solve(factor, np.eye(m), overwrite_b=True)
+        self._inv = cho_solve(factor, np.eye(m, order="F"), overwrite_b=True)
 
     @property
     def count(self):
@@ -240,8 +246,12 @@ class Embedding:
         return f @ self.weights(states, controls)
 
     def solve_residual(self, v):
-        """Relative residual ``|(G + lam*M*I) x - v| / |v|`` of ``x = inverse @ v``."""
+        """Relative residual ``|(G + lam*M*I) x - v| / |v|`` of ``x = inverse @ v``.
+
+        The fit does not keep ``G``; it is formed again here.
+        """
         v = np.asarray(v, dtype=np.float64)
         x = self._inv @ v
-        r = self.gram @ x + (self.lam * self.count) * x - v
+        gram = self.kernel.gram(self.sample.joint())
+        r = gram @ x + (self.lam * self.count) * x - v
         return float(np.linalg.norm(r) / np.linalg.norm(v))

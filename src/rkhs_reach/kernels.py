@@ -11,6 +11,13 @@ in place makes one matrix-sized array in two elementwise passes. A side
 used in many crosses, such as a fitted sample, is lifted once with
 :meth:`RBFKernel.lift`. A Gram matrix takes the half-cost symmetric
 product of the centered points with themselves instead.
+
+A bandwidth that is tiny against the points' distance from their mean
+is an open limit of the cross matrix: the lifted product rounds
+``gamma |a'|^2`` (about 5e14 at sigma = 1e-8 for points in the unit
+square) to within about 0.5, so ``RBFKernel(1e-8).cross(x, x)`` for
+x = (0.3, 0.7), (0.1, 0.2), (0.5, -0.4) reads exp(-0.5) = 0.607 on its
+first diagonal entry, where :meth:`RBFKernel.gram` reads 1.
 """
 
 from dataclasses import dataclass

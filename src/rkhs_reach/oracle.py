@@ -13,13 +13,7 @@ from scipy.special import ndtr
 
 from . import _backend
 from .errors import InputError
-from .reach import (
-    BoxSet,
-    ValueField,
-    checked_points,
-    exact_step,
-    exact_terminal,
-)
+from .reach import BoxSet, ValueField, checked_points
 from .systems import GaussianDisturbance
 
 __all__ = ["dp_reach", "mc_reach"]
@@ -122,7 +116,7 @@ def dp_reach(
     mask_eval = safe.contains(eval_points).astype(np.float64)
     n_steps = problem.horizon
     rows = np.empty((n_steps + 1, eval_points.shape[0]))
-    rows[n_steps] = exact_terminal(target.contains(eval_points))
+    rows[n_steps] = target.contains(eval_points)
 
     def expectation(means, v2d):
         # E[v(mean + w)], clipped to [0, 1]: closed form against the
@@ -136,11 +130,11 @@ def dp_reach(
 
     v2d = None
     for k in range(n_steps - 1, -1, -1):
-        rows[k] = exact_step(mask_eval, expectation(means_at(eval_points, k), v2d))
+        rows[k] = mask_eval * expectation(means_at(eval_points, k), v2d)
         # the grid field feeds only the steps before k, so none at k == 0
         if k > 0:
             expected = expectation(means_at(grid_pts, k), v2d)
-            v2d = exact_step(mask_grid, expected).reshape(shape)
+            v2d = (mask_grid * expected).reshape(shape)
     return ValueField(points=eval_points, values=rows)
 
 

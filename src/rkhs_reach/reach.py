@@ -15,10 +15,6 @@ estimate: at each step the previous value estimates at the sampled
 successor states act as the function being averaged. Estimates are
 clamped to [0, 1] before the safe-set indicator is applied, so every
 returned value is a valid probability.
-
-The grid and Monte Carlo oracles implement the same recursion and event
-definition independently; :func:`exact_terminal` and :func:`exact_step`
-spell out the shared semantics in one place.
 """
 
 from dataclasses import dataclass
@@ -35,8 +31,6 @@ __all__ = [
     "ValueField",
     "value_recursion",
     "value_recursion_max",
-    "exact_terminal",
-    "exact_step",
     "checked_points",
 ]
 
@@ -126,18 +120,6 @@ class ValueField:
         return self.values.shape[0] - 1
 
 
-def exact_terminal(target_indicator):
-    """Terminal condition of the exact recursion: the target indicator."""
-    return np.asarray(target_indicator, dtype=np.float64)
-
-
-def exact_step(safe_indicator, expected_next):
-    """One exact backward step: safe indicator times expected next value."""
-    return np.asarray(safe_indicator, dtype=np.float64) * np.asarray(
-        expected_next, dtype=np.float64
-    )
-
-
 def checked_points(points, dim):
     """Evaluation points as a float (P, dim) array, P >= 1, every entry finite.
 
@@ -208,7 +190,7 @@ def _recursion(emb, problem, points, policies):
     mask_pts = problem.safe.contains(points).astype(np.float64)
     mask_succ = problem.safe.contains(successors).astype(np.float64)
     v_succ = np.full((n_steps + 1, successors.shape[0]), -np.inf)
-    v_succ[n_steps] = exact_terminal(problem.target.contains(successors))
+    v_succ[n_steps] = problem.target.contains(successors)
     held = [[None, None] for _ in policies]
     for k in range(n_steps - 1, 0, -1):
         for c, policy in enumerate(policies):
@@ -217,7 +199,7 @@ def _recursion(emb, problem, points, policies):
             np.maximum(v_succ[k], est, out=v_succ[k])
     del held  # M x M per candidate; the points pass reads only v_succ
     values = np.full((n_steps + 1, points.shape[0]), -np.inf)
-    values[n_steps] = exact_terminal(problem.target.contains(points))
+    values[n_steps] = problem.target.contains(points)
     choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
     for start in range(0, points.shape[0], _POINT_BLOCK):
         block = slice(start, start + _POINT_BLOCK)
@@ -288,10 +270,8 @@ def value_recursion_max(emb, problem, points, control_grid):
             f"control grid entries have dimension {control_grid.shape[1]}, "
             f"sample controls have {m}"
         )
-    # not ConstantPolicy: systems imports this module
-    policies = [
-        lambda k, states, u=u: np.tile(u, (states.shape[0], 1))
-        for u in control_grid
-    ]
+    from .systems import ConstantPolicy  # systems imports this module
+
+    policies = [ConstantPolicy(u) for u in control_grid]
     points, values, choices = _recursion(emb, problem, points, policies)
     return ValueField(points=points, values=values, policy_choices=choices)

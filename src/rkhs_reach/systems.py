@@ -302,17 +302,6 @@ class BoxSampler(BoxSet):
         return rng.uniform(self.lower, self.upper, size=(count, self.dim))
 
 
-class ZeroPolicy:
-    """Zero control at every state and step."""
-
-    def __init__(self, control_dim):
-        self.control_dim = int(control_dim)
-        self.description = "zero"
-
-    def __call__(self, k, states):
-        return np.zeros((np.atleast_2d(states).shape[0], self.control_dim))
-
-
 class ConstantPolicy:
     """The same control vector at every state and step."""
 
@@ -325,6 +314,14 @@ class ConstantPolicy:
     def __call__(self, k, states):
         count = np.atleast_2d(states).shape[0]
         return np.tile(self.control, (count, 1))
+
+
+class ZeroPolicy(ConstantPolicy):
+    """Zero control at every state and step."""
+
+    def __init__(self, control_dim):
+        super().__init__(np.zeros(int(control_dim)))
+        self.description = "zero"
 
 
 class AffinePolicy:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rkhs_reach import __version__
+from rkhs_reach import ConstantPolicy, ZeroPolicy, __version__
 from rkhs_reach.cli import _build_parser, _load_config, main
 from rkhs_reach.config import RunConfig
 from rkhs_reach.io import (
@@ -40,6 +40,15 @@ def test_generate_writes_a_readable_sample(tmp_path, capsys):
     assert sample.state_dim == 2 and sample.control_dim == 1
     assert sample.metadata["seed"] == "3"
     assert sample.metadata["sampling_time"] == "0.25"
+
+
+def test_zero_policy_is_a_constant_policy_named_zero(tmp_path, capsys):
+    # one constant-control implementation; the zero policy keeps its name
+    assert isinstance(ZeroPolicy(1), ConstantPolicy)
+    path = tmp_path / "sample.csv"
+    assert run(capsys, "generate", "--samples", "4", "--out", str(path))[0] == 0
+    assert "# policy=zero\n" in path.read_text()
+    assert read_transitions_csv(path).metadata["policy"] == "zero"
 
 
 def test_generate_is_byte_reproducible(tmp_path, capsys):

@@ -23,10 +23,10 @@ from rkhs_reach.config import (
     apply_overrides,
     build_disturbance,
     build_policy,
+    build_sampler,
     build_sets,
     build_system,
     coerce_value,
-    default_sample_box,
     evaluation_points,
     grid_points,
     parse_box,
@@ -243,12 +243,12 @@ def test_build_sets_by_system():
 
 
 def test_default_sample_box_rules():
-    box = default_sample_box(RunConfig(sample_box="0,2"), 2)
+    box = build_sampler(RunConfig(sample_box="0,2"), 2)
     np.testing.assert_array_equal(box.lower, [0.0, 0.0])
-    box = default_sample_box(RunConfig(safe_box="-1,1"), 2)
+    box = build_sampler(RunConfig(safe_box="-1,1"), 2)
     np.testing.assert_allclose(box.lower, [-1.1, -1.1])
     np.testing.assert_allclose(box.upper, [1.1, 1.1])
-    box = default_sample_box(RunConfig(system="cwh"), 4)
+    box = build_sampler(RunConfig(system="cwh"), 4)
     np.testing.assert_array_equal(box.lower, CWH_SAMPLE_BOX[0::2])
     np.testing.assert_array_equal(box.upper, CWH_SAMPLE_BOX[1::2])
 

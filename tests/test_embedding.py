@@ -1,5 +1,7 @@
 """Embedding estimator tests against closed forms and a dense-solve oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -20,7 +22,7 @@ from rkhs_reach import (
     ReachProblem,
 )
 
-from bench_setup import BENCH_NOISE_SD, BENCH_SIGMA, make_bench_sample
+from bench_setup import BENCH_LAMBDA, BENCH_NOISE_SD, BENCH_SIGMA, make_bench_sample
 
 
 def single_sample(lam, eta=1.0, normalize=False):
@@ -171,6 +173,45 @@ def test_overflowing_sample_raises_numerical_error():
             Embedding(sample, RBFKernel(0.1), 1.0)
 
 
+def test_fit_keeps_one_matrix_with_the_bits_of_a_separate_solve():
+    # the ridge is factored and inverted in the Gram matrix's own buffer;
+    # the inverse must have the bits of a factor of a separate sum
+    m = 256
+    sample = make_bench_sample(m, 4)
+    emb = Embedding(sample, RBFKernel(BENCH_SIGMA), BENCH_LAMBDA)
+    square = [
+        name
+        for name, value in vars(emb).items()
+        if isinstance(value, np.ndarray) and value.shape == (m, m)
+    ]
+    assert square == ["_inv"]
+    gram = emb.kernel.gram(sample.joint())
+    factor = cho_factor(gram + emb.lam * m * np.eye(m), lower=True)
+    want = cho_solve(factor, np.eye(m))
+    np.testing.assert_array_equal(emb._inv.view(np.uint64), want.view(np.uint64))
+
+
+def test_fit_peak_memory_is_about_two_matrices():
+    # the Gram matrix (factored in place) and the identity (solved in
+    # place) are the fit's only M x M arrays; a separate ridge sum, factor
+    # copy or C-ordered identity each add one more
+    m = 256
+    sample = make_bench_sample(m, 4)
+    kernel = RBFKernel(BENCH_SIGMA)
+    Embedding(sample, kernel, BENCH_LAMBDA)  # first-call allocations
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        Embedding(sample, kernel, BENCH_LAMBDA)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2.5 * m * m * 8
+
+
 def test_far_query_raw_weights_negligible():
     rng = np.random.default_rng(2)
     sample = TransitionSample(
@@ -181,7 +222,8 @@ def test_far_query_raw_weights_negligible():
     emb = Embedding(sample, RBFKernel(1.0), 1.0, normalize_weights=False)
     # joint distance >= 10 from every sample point -> kernel column <= e^-50
     far = emb.weights(np.array([[20.0, 20.0]]), np.array([[20.0]]))
-    reg = emb.gram + emb.lam * emb.count * np.eye(emb.count)
+    gram = emb.kernel.gram(emb.sample.joint())
+    reg = gram + emb.lam * emb.count * np.eye(emb.count)
     bound = np.exp(-50.0) * np.abs(np.linalg.inv(reg)).sum(axis=1).max()
     assert np.abs(far).max() <= bound
 
