@@ -18,23 +18,23 @@ from .errors import (
 from .kernels import RBFKernel
 from .oracle import dp_reach, mc_reach
 from .reach import (
+    AffinePolicy,
     BoxSet,
+    ConstantPolicy,
     PredicateSet,
     ReachProblem,
     ValueField,
+    ZeroPolicy,
     value_recursion,
     value_recursion_max,
 )
 from .systems import (
-    AffinePolicy,
     BetaDisturbance,
     BoxSampler,
-    ConstantPolicy,
     CWHSystem,
     GaussianDisturbance,
     IntegratorChain,
     ZeroDisturbance,
-    ZeroPolicy,
     cwh_lqr_policy,
     cwh_sets,
     generate_transitions,

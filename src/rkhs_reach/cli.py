@@ -31,15 +31,15 @@ import time
 
 import numpy as np
 
-from . import __version__, _backend
+from . import __version__
 from .config import (
     _KEY_ALIASES,
     RunConfig,
     apply_overrides,
     build_disturbance,
     build_policy,
+    build_problem,
     build_sampler,
-    build_sets,
     build_system,
     evaluation_points,
     parse_box,
@@ -60,7 +60,7 @@ from .io import (
 )
 from .kernels import RBFKernel
 from .oracle import dp_reach, mc_reach
-from .reach import ReachProblem, value_recursion, value_recursion_max
+from .reach import value_recursion, value_recursion_max
 from .systems import generate_transitions
 
 __all__ = ["main"]
@@ -98,7 +98,6 @@ def _embedding_metadata(cfg, sample):
         "lambda": format(cfg.lam, ".17g"),
         "horizon": str(cfg.horizon),
         "mode": cfg.mode,
-        "backend": _backend.active_backend(),
     }
 
 
@@ -127,8 +126,7 @@ def _oracle_inputs(args):
     cfg = _load_config(args)
     system = build_system(cfg)
     disturbance = build_disturbance(cfg, system)
-    safe, target = build_sets(cfg, system.n)
-    problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
+    problem = build_problem(cfg, system.n)
     points = evaluation_points(cfg, system.n)
     policy = build_policy(cfg, system)
     return cfg, system, disturbance, problem, points, policy
@@ -155,10 +153,14 @@ def _cmd_generate(args):
 
 def _cmd_reach(args):
     cfg = _load_config(args)
+    if cfg.mode == "fixed" and cfg.control_grid:
+        raise InputError(
+            "control_grid is set but mode is fixed; the grid is searched "
+            "only with mode=max"
+        )
     sample = read_transitions_csv(args.sample_file)
     n = sample.state_dim
-    safe, target = build_sets(cfg, n)
-    problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
+    problem = build_problem(cfg, n)
     points = evaluation_points(cfg, n)
     t0 = time.perf_counter()
     emb = _fit(cfg, sample)
@@ -175,8 +177,7 @@ def _cmd_reach(args):
     if args.out:
         write_values_csv(args.out, field, _embedding_metadata(cfg, sample))
     print(
-        f"fit_seconds={fit_seconds:.3f} recursion_seconds={recursion_seconds:.3f} "
-        f"backend={_backend.active_backend()}"
+        f"fit_seconds={fit_seconds:.3f} recursion_seconds={recursion_seconds:.3f}"
     )
     if args.summary:
         _print_summary("v0", field.values[0])
@@ -200,7 +201,7 @@ def _cmd_oracle_dp(args):
             "horizon": str(cfg.horizon),
         }
         write_values_csv(args.out, field, metadata)
-    print(f"seconds={seconds:.3f} backend={_backend.active_backend()}")
+    print(f"seconds={seconds:.3f}")
     if args.summary:
         _print_summary("v0", field.values[0])
     return 0
@@ -276,8 +277,7 @@ def _cmd_bench_dims(args):
         system = build_system(cfg_n)
         policy = build_policy(cfg_n, system)
         sample = _draw_sample(cfg_n, system, policy)
-        safe, target = build_sets(cfg_n, n)
-        problem = ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
+        problem = build_problem(cfg_n, n)
         x0 = np.zeros((1, n))
         times = []
         value = None
@@ -291,7 +291,7 @@ def _cmd_bench_dims(args):
         rows.append((float(n), med, value))
         print(
             f"n={n} seconds={med:.3f} value={value:.6f} "
-            f"(median of {args.repeats}, backend={_backend.active_backend()})"
+            f"(median of {args.repeats})"
         )
     if args.out:
         write_table(args.out, ["n", "seconds", "value"], rows, int_columns=(0,))

@@ -13,16 +13,14 @@ import numpy as np
 
 from .errors import InputError
 from .io import read_points
-from .reach import BoxSet
+from .reach import BoxSet, ConstantPolicy, ReachProblem, ZeroPolicy
 from .systems import (
     BetaDisturbance,
     BoxSampler,
-    ConstantPolicy,
     CWHSystem,
     GaussianDisturbance,
     IntegratorChain,
     ZeroDisturbance,
-    ZeroPolicy,
     cwh_lqr_policy,
     cwh_sets,
 )
@@ -34,7 +32,7 @@ __all__ = [
     "build_system",
     "build_disturbance",
     "build_policy",
-    "build_sets",
+    "build_problem",
     "build_sampler",
     "evaluation_points",
     "parse_box",
@@ -196,11 +194,12 @@ def validate(cfg):
 
 
 def build_system(cfg):
+    """The configured system; an unset ``sampling_time`` keeps its default."""
+    t = cfg.sampling_time
+    kwargs = {} if t is None else {"sampling_time": t}
     if cfg.system == "integrator":
-        sampling_time = 0.25 if cfg.sampling_time is None else cfg.sampling_time
-        return IntegratorChain(cfg.dim, sampling_time=sampling_time)
-    sampling_time = 20.0 if cfg.sampling_time is None else cfg.sampling_time
-    return CWHSystem(sampling_time=sampling_time)
+        return IntegratorChain(cfg.dim, **kwargs)
+    return CWHSystem(**kwargs)
 
 
 def build_disturbance(cfg, system):
@@ -213,9 +212,7 @@ def build_disturbance(cfg, system):
         )
     if cfg.noise_sd is not None:
         return GaussianDisturbance(np.full(n, cfg.noise_sd))
-    if isinstance(system, CWHSystem):
-        return system.default_disturbance()
-    return GaussianDisturbance(np.full(n, 0.1))
+    return system.default_disturbance()
 
 
 def build_policy(cfg, system, control_dim=None):
@@ -297,14 +294,14 @@ def parse_control_grid(text, control_dim):
     return np.asarray(rows, dtype=np.float64)
 
 
-def build_sets(cfg, dim):
-    """Return ``(safe, target)`` sets for the configured system."""
+def build_problem(cfg, dim):
+    """The configured safe set, target set and horizon as a ReachProblem."""
     if cfg.system == "cwh":
         target, safe = cwh_sets()
-        return safe, target
-    safe = parse_box(cfg.safe_box, dim, "safe_box")
-    target = parse_box(cfg.target_box, dim, "target_box")
-    return safe, target
+    else:
+        safe = parse_box(cfg.safe_box, dim, "safe_box")
+        target = parse_box(cfg.target_box, dim, "target_box")
+    return ReachProblem(safe=safe, target=target, horizon=cfg.horizon)
 
 
 def build_sampler(cfg, dim):

@@ -127,6 +127,21 @@ def _numbered_block(names, prefix, start):
     return count
 
 
+def _x_table(path):
+    """Names, rows, metadata and ``x1..xn`` width of a table.
+
+    The one check of the readers that raise :class:`FileFormatError`:
+    the header starts with ``x1`` and the table has data rows.
+    """
+    names, data, metadata = _parse_table(path)
+    n = _numbered_block(names, "x", 0)
+    if n == 0:
+        raise FileFormatError(f"{path}: header must start with x1")
+    if data.shape[0] == 0:
+        raise FileFormatError(f"{path}: no data rows")
+    return names, data, metadata, n
+
+
 def write_table(path, names, rows, metadata=None, int_columns=()):
     """Write a generic numeric table with the package CSV conventions."""
     atomic_write_text(path, _render(names, rows, metadata, int_columns))
@@ -147,10 +162,7 @@ def write_transitions_csv(path, sample):
 
 def read_transitions_csv(path):
     """Read a transition sample written by :func:`write_transitions_csv`."""
-    names, data, metadata = _parse_table(path)
-    n = _numbered_block(names, "x", 0)
-    if n == 0:
-        raise FileFormatError(f"{path}: header must start with x1")
+    names, data, metadata, n = _x_table(path)
     m = _numbered_block(names, "u", n)
     n_y = _numbered_block(names, "y", n + m)
     if n_y != n or n + m + n_y != len(names):
@@ -158,8 +170,6 @@ def read_transitions_csv(path):
             f"{path}: header must be x1..x{n},u1..u{m},y1..y{n}, got "
             + ",".join(names)
         )
-    if data.shape[0] == 0:
-        raise FileFormatError(f"{path}: no data rows")
     try:
         return TransitionSample(
             states=data[:, :n],
@@ -190,10 +200,7 @@ def write_values_csv(path, field, metadata=None):
 
 def read_values_csv(path):
     """Read a value table; returns ``(ValueField, metadata)``."""
-    names, data, metadata = _parse_table(path)
-    n = _numbered_block(names, "x", 0)
-    if n == 0:
-        raise FileFormatError(f"{path}: header must start with x1")
+    names, data, metadata, n = _x_table(path)
     k = 0
     while n + k < len(names) and names[n + k] == f"v{k}":
         k += 1
@@ -206,8 +213,6 @@ def read_values_csv(path):
         if rest != expected:
             raise FileFormatError(f"{path}: unexpected trailing columns {rest}")
         choices = data[:, n + k :].astype(np.int64).T
-    if data.shape[0] == 0:
-        raise FileFormatError(f"{path}: no data rows")
     field = ValueField(
         points=data[:, :n], values=data[:, n : n + k].T, policy_choices=choices
     )
@@ -230,18 +235,13 @@ def read_value_table(path):
     is the ``v0`` column when present, else the ``value`` column. A NaN
     or infinite cell anywhere in the table is a format error.
     """
-    names, data, metadata = _parse_table(path)
-    n = _numbered_block(names, "x", 0)
-    if n == 0:
-        raise FileFormatError(f"{path}: header must start with x1")
+    names, data, metadata, n = _x_table(path)
     if "v0" in names:
         col = names.index("v0")
     elif "value" in names:
         col = names.index("value")
     else:
         raise FileFormatError(f"{path}: no v0 or value column")
-    if data.shape[0] == 0:
-        raise FileFormatError(f"{path}: no data rows")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, c = bad[0]

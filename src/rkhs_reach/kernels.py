@@ -178,10 +178,3 @@ class RBFKernel:
         np.maximum(g, 0.0, out=g)
         g *= -self.gamma
         return np.exp(g, out=g)
-
-    def vector(self, points, query):
-        """Kernel column: component i is ``K(points[i], query)``."""
-        query = np.atleast_1d(np.asarray(query, dtype=np.float64))
-        if query.ndim != 1:
-            raise InputError("query must be a single vector")
-        return self.cross(points, query[None, :])[:, 0]

@@ -95,7 +95,6 @@ def dp_reach(
     eval_points = checked_points(eval_points, 2)
     a = system.dense_a()
     b = system.dense_b()
-    m = b.shape[1]
     sd = disturbance.sd
     ax1, ax2 = (np.linspace(lower[d], upper[d], shape[d]) for d in range(2))
     g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
@@ -107,10 +106,7 @@ def dp_reach(
     glx, glw = np.polynomial.legendre.leggauss(quad_nodes)
 
     def means_at(pts, k):
-        mu = pts @ a.T
-        if m > 0 and policy is not None:
-            mu = mu + np.atleast_2d(policy(k, pts)) @ b.T
-        return mu
+        return pts @ a.T + np.atleast_2d(policy(k, pts)) @ b.T
 
     mask_grid = safe.contains(grid_pts).astype(np.float64)
     mask_eval = safe.contains(eval_points).astype(np.float64)
@@ -170,7 +166,6 @@ def mc_reach(
         raise InputError(f"seed must be non-negative, got {seed}")
     x0s = checked_points(x0s, system.n)
     n_steps = problem.horizon
-    m = getattr(system, "m", 0)
     streams = np.random.SeedSequence(seed).spawn(x0s.shape[0])
     values = np.empty(x0s.shape[0])
     halfwidths = np.empty(x0s.shape[0])
@@ -184,7 +179,7 @@ def mc_reach(
             alive = np.ones(count, dtype=bool)
             for k in range(n_steps):
                 alive &= problem.safe.contains(states)
-                controls = policy(k, states) if (m > 0 and policy is not None) else None
+                controls = policy(k, states)
                 draws = disturbance.draw(rng, count)
                 states = system.step(states, controls, draws)
             hits += int(np.count_nonzero(alive & problem.target.contains(states)))

@@ -14,7 +14,8 @@ expectation replaced by a fitted :class:`~rkhs_reach.embedding.Embedding`
 estimate: at each step the previous value estimates at the sampled
 successor states act as the function being averaged. Estimates are
 clamped to [0, 1] before the safe-set indicator is applied, so every
-returned value is a valid probability.
+returned value is a valid probability. The policies the recursion
+queries, ``policy(k, states) -> controls``, are defined here too.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,9 @@ from .embedding import Embedding
 from .errors import InputError
 
 __all__ = [
+    "ConstantPolicy",
+    "ZeroPolicy",
+    "AffinePolicy",
     "BoxSet",
     "PredicateSet",
     "ReachProblem",
@@ -33,6 +37,14 @@ __all__ = [
     "value_recursion_max",
     "checked_points",
 ]
+
+
+def _state_rows(points, dim):
+    """``points`` as float rows of length ``dim``, the argument of ``contains``."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[1] != dim:
+        raise InputError(f"points have dimension {points.shape[1]}, set has {dim}")
+    return points
 
 
 class BoxSet:
@@ -55,11 +67,7 @@ class BoxSet:
         return self.lower.shape[0]
 
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.dim:
-            raise InputError(
-                f"points have dimension {points.shape[1]}, box has {self.dim}"
-            )
+        points = _state_rows(points, self.dim)
         return np.all((points >= self.lower) & (points <= self.upper), axis=1)
 
 
@@ -71,11 +79,7 @@ class PredicateSet:
         self.dim = dim
 
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if points.shape[1] != self.dim:
-            raise InputError(
-                f"points have dimension {points.shape[1]}, set expects {self.dim}"
-            )
+        points = _state_rows(points, self.dim)
         out = np.asarray(self.fn(points))
         if out.shape != (points.shape[0],):
             raise InputError("set predicate must return one boolean per row")
@@ -118,6 +122,53 @@ class ValueField:
     @property
     def horizon(self):
         return self.values.shape[0] - 1
+
+
+class ConstantPolicy:
+    """The same control vector at every state and step."""
+
+    def __init__(self, control):
+        self.control = np.atleast_1d(np.asarray(control, dtype=np.float64))
+        self.description = "constant:" + ",".join(
+            format(v, ".17g") for v in self.control
+        )
+
+    def __call__(self, k, states):
+        count = np.atleast_2d(states).shape[0]
+        return np.tile(self.control, (count, 1))
+
+
+class ZeroPolicy(ConstantPolicy):
+    """Zero control at every state and step."""
+
+    def __init__(self, control_dim):
+        super().__init__(np.zeros(int(control_dim)))
+        self.description = "zero"
+
+
+class AffinePolicy:
+    """Saturated linear state feedback ``u = clip(offset - gain @ x)``."""
+
+    def __init__(self, gain, offset=None, lower=None, upper=None):
+        self.gain = np.atleast_2d(np.asarray(gain, dtype=np.float64))
+        m = self.gain.shape[0]
+        self.offset = (
+            np.zeros(m)
+            if offset is None
+            else np.atleast_1d(np.asarray(offset, dtype=np.float64))
+        )
+        if self.offset.shape != (m,):
+            raise InputError("offset length must match gain rows")
+        self.lower = lower
+        self.upper = upper
+        self.description = f"affine-feedback({m}x{self.gain.shape[1]})"
+
+    def __call__(self, k, states):
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        u = self.offset - states @ self.gain.T
+        if self.lower is not None or self.upper is not None:
+            np.clip(u, self.lower, self.upper, out=u)
+        return u
 
 
 def checked_points(points, dim):
@@ -270,8 +321,6 @@ def value_recursion_max(emb, problem, points, control_grid):
             f"control grid entries have dimension {control_grid.shape[1]}, "
             f"sample controls have {m}"
         )
-    from .systems import ConstantPolicy  # systems imports this module
-
     policies = [ConstantPolicy(u) for u in control_grid]
     points, values, choices = _recursion(emb, problem, points, policies)
     return ValueField(points=points, values=values, policy_choices=choices)

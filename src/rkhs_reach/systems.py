@@ -1,4 +1,4 @@
-"""Benchmark dynamics, disturbance samplers, policies, and sample generation.
+"""Benchmark dynamics, disturbance samplers, CWH feedback, and sample generation.
 
 Two discrete-time linear systems ``x' = A x + B u + w`` ship with the
 package, and share one ``step``: a chain of integrators of arbitrary
@@ -18,7 +18,7 @@ from scipy.special import gammaln
 from . import _backend
 from .embedding import TransitionSample
 from .errors import InputError
-from .reach import BoxSet, PredicateSet
+from .reach import AffinePolicy, BoxSet, PredicateSet
 
 __all__ = [
     "IntegratorChain",
@@ -27,9 +27,6 @@ __all__ = [
     "BetaDisturbance",
     "ZeroDisturbance",
     "BoxSampler",
-    "ZeroPolicy",
-    "ConstantPolicy",
-    "AffinePolicy",
     "cwh_lqr_policy",
     "cwh_sets",
     "generate_transitions",
@@ -151,6 +148,10 @@ class IntegratorChain(_LinearSystem):
         """Row-wise product with the state matrix, via the banded form."""
         return _backend.chain_apply(self._coeffs, states)
 
+    def default_disturbance(self):
+        """Gaussian noise of standard deviation 0.1 on every component."""
+        return GaussianDisturbance(np.full(self.n, 0.1))
+
 
 class CWHSystem(_LinearSystem):
     """In-plane spacecraft relative motion, exactly discretized.
@@ -223,9 +224,7 @@ class CWHSystem(_LinearSystem):
 
     def default_disturbance(self):
         """Diagonal Gaussian acting on the discrete state update."""
-        return GaussianDisturbance.from_covariance_diagonal(
-            [1e-4, 1e-4, 5e-8, 5e-8]
-        )
+        return GaussianDisturbance(np.sqrt([1e-4, 1e-4, 5e-8, 5e-8]))
 
 
 class GaussianDisturbance:
@@ -238,13 +237,6 @@ class GaussianDisturbance:
         if sd.ndim != 1 or np.any(sd <= 0.0) or not np.all(np.isfinite(sd)):
             raise InputError("standard deviations must be positive and finite")
         self.sd = sd
-
-    @classmethod
-    def from_covariance_diagonal(cls, diag):
-        diag = np.atleast_1d(np.asarray(diag, dtype=np.float64))
-        if np.any(diag <= 0.0):
-            raise InputError("covariance diagonal must be positive")
-        return cls(np.sqrt(diag))
 
     @property
     def dim(self):
@@ -300,53 +292,6 @@ class BoxSampler(BoxSet):
 
     def draw(self, rng, count):
         return rng.uniform(self.lower, self.upper, size=(count, self.dim))
-
-
-class ConstantPolicy:
-    """The same control vector at every state and step."""
-
-    def __init__(self, control):
-        self.control = np.atleast_1d(np.asarray(control, dtype=np.float64))
-        self.description = "constant:" + ",".join(
-            format(v, ".17g") for v in self.control
-        )
-
-    def __call__(self, k, states):
-        count = np.atleast_2d(states).shape[0]
-        return np.tile(self.control, (count, 1))
-
-
-class ZeroPolicy(ConstantPolicy):
-    """Zero control at every state and step."""
-
-    def __init__(self, control_dim):
-        super().__init__(np.zeros(int(control_dim)))
-        self.description = "zero"
-
-
-class AffinePolicy:
-    """Saturated linear state feedback ``u = clip(offset - gain @ x)``."""
-
-    def __init__(self, gain, offset=None, lower=None, upper=None):
-        self.gain = np.atleast_2d(np.asarray(gain, dtype=np.float64))
-        m = self.gain.shape[0]
-        self.offset = (
-            np.zeros(m)
-            if offset is None
-            else np.atleast_1d(np.asarray(offset, dtype=np.float64))
-        )
-        if self.offset.shape != (m,):
-            raise InputError("offset length must match gain rows")
-        self.lower = lower
-        self.upper = upper
-        self.description = f"affine-feedback({m}x{self.gain.shape[1]})"
-
-    def __call__(self, k, states):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        u = self.offset - states @ self.gain.T
-        if self.lower is not None or self.upper is not None:
-            np.clip(u, self.lower, self.upper, out=u)
-        return u
 
 
 def cwh_lqr_policy(system):

@@ -77,9 +77,10 @@ def test_reach_fixed_policy_flow(tmp_path, capsys, sample_file):
         "--summary",
     )
     assert rc == 0
-    assert "fit_seconds=" in out and "backend=" in out
+    assert "fit_seconds=" in out and "backend=" not in out
     assert "v0 min=" in out
     field, metadata = read_values_csv(out_csv)
+    assert "backend" not in metadata
     assert field.values.shape == (4, 25)  # default horizon 3, 5x5 grid
     assert np.all(field.values >= 0.0) and np.all(field.values <= 1.0)
     assert metadata["samples"] == "128"
@@ -133,6 +134,22 @@ def test_reach_max_mode_writes_choices(tmp_path, capsys, sample_file):
     assert "control_grid" in err
 
 
+def test_reach_rejects_control_grid_in_fixed_mode(tmp_path, capsys, sample_file):
+    # the grid is searched only in max mode; fixed mode must not drop it
+    out_csv = tmp_path / "values.csv"
+    rc, out, err = run(
+        capsys,
+        "reach",
+        "--sample-file", sample_file,
+        "--point", "0,0",
+        "--control-grid=-0.5;0;0.5",
+        "--out", str(out_csv),
+    )
+    assert rc == 2 and out == ""
+    assert "control_grid" in err and "mode=max" in err
+    assert not out_csv.exists()
+
+
 def test_reach_raw_weight_mode_runs(capsys, sample_file):
     rc, out, _ = run(
         capsys,
@@ -162,7 +179,7 @@ def test_oracle_dp_reach_compare_pipeline(tmp_path, capsys, sample_file):
         "--dp-grid", "101x101", "--dp-quad", "15", "--out", str(ref),
         "--summary",
     )
-    assert rc == 0 and "seconds=" in out
+    assert rc == 0 and "seconds=" in out and "backend=" not in out
     rc, out, _ = run(
         capsys, "compare", str(est), str(ref), "--out", str(errs)
     )
@@ -245,7 +262,7 @@ def test_bench_dims_flow(tmp_path, capsys):
         "--out", str(out_csv),
     )
     assert rc == 0
-    assert "n=2 " in out and "n=3 " in out
+    assert "n=2 " in out and "n=3 " in out and "backend=" not in out
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "n,seconds,value"
     assert lines[1].startswith("2,") and lines[2].startswith("3,")

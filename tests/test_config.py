@@ -23,8 +23,8 @@ from rkhs_reach.config import (
     apply_overrides,
     build_disturbance,
     build_policy,
+    build_problem,
     build_sampler,
-    build_sets,
     build_system,
     coerce_value,
     evaluation_points,
@@ -164,6 +164,17 @@ def test_build_system():
     assert system.sampling_time == 20.0
 
 
+def test_each_system_owns_its_default_disturbance():
+    np.testing.assert_array_equal(
+        IntegratorChain(3).default_disturbance().sd, [0.1, 0.1, 0.1]
+    )
+    for system in (IntegratorChain(3), CWHSystem()):
+        np.testing.assert_array_equal(
+            build_disturbance(RunConfig(), system).sd,
+            system.default_disturbance().sd,
+        )
+
+
 def test_build_disturbance():
     integrator = build_system(RunConfig(dim=3))
     dist = build_disturbance(RunConfig(dim=3), integrator)
@@ -230,13 +241,17 @@ def test_parse_point_and_control_grid():
         parse_control_grid("   ", 1)
 
 
-def test_build_sets_by_system():
-    cfg = RunConfig(safe_box="-2,2", target_box="-0.5,0.5")
-    safe, target = build_sets(cfg, 2)
+def test_build_problem_by_system():
+    cfg = RunConfig(safe_box="-2,2", target_box="-0.5,0.5", horizon=5)
+    problem = build_problem(cfg, 2)
+    safe, target = problem.safe, problem.target
     assert isinstance(safe, BoxSet) and isinstance(target, BoxSet)
     np.testing.assert_array_equal(safe.upper, [2.0, 2.0])
     np.testing.assert_array_equal(target.upper, [0.5, 0.5])
-    safe, target = build_sets(RunConfig(system="cwh"), 4)
+    assert problem.horizon == 5
+    problem = build_problem(RunConfig(system="cwh"), 4)
+    safe, target = problem.safe, problem.target
+    assert problem.horizon == RunConfig().horizon
     probe = np.array([[0.0, -0.05, 0.0, 0.0]])
     assert safe.contains(probe)[0] and target.contains(probe)[0]
     assert not target.contains(np.array([[0.0, -0.5, 0.0, 0.0]]))[0]

@@ -1,4 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Import hygiene of the package.
+
+Every name a module imports is used in that module, every import sits at
+module level, and the modules' relative imports form no cycle.
+"""
 
 import ast
 import pathlib
@@ -8,8 +12,9 @@ import pytest
 import rkhs_reach
 
 PACKAGE = pathlib.Path(rkhs_reach.__file__).parent
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 # __init__.py imports to re-export
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def imported_names(tree):
@@ -57,3 +62,83 @@ def test_unused_import_is_reported():
     )
     names = imported_names(tree)
     assert set(names) - used_names(tree) == {"b"}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def nested_imports(tree):
+    """Lines of the import statements that are not at module level."""
+    top = {id(node) for node in tree.body}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    )
+
+
+def relative_imports(tree, modules):
+    """Package modules that ``from . ...`` statements anywhere in ``tree`` load.
+
+    ``from . import name`` loads module ``name`` when the package has it,
+    else the package's ``__init__``.
+    """
+    targets = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        if node.module:
+            targets.add(node.module.split(".")[0])
+        else:
+            targets.update(
+                a.name if a.name in modules else "__init__" for a in node.names
+            )
+    return targets
+
+
+def find_cycle(graph):
+    """One cycle of ``{node: successors}`` as a closed path, or None."""
+    state = {}  # 1 while on the current path, 2 once finished
+
+    def visit(node, path):
+        state[node] = 1
+        for succ in sorted(graph.get(node, ())):
+            if state.get(succ) == 1:
+                return path[path.index(succ) :] + [succ]
+            if succ not in state:
+                cycle = visit(succ, path + [succ])
+                if cycle:
+                    return cycle
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            cycle = visit(node, [node])
+            if cycle:
+                return cycle
+    return None
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    lines = nested_imports(parse(path))
+    assert not lines, f"{path.name} imports inside a block at lines {lines}"
+
+
+def test_relative_imports_form_no_cycle():
+    modules = {p.stem for p in ALL_MODULES}
+    graph = {p.stem: relative_imports(parse(p), modules) for p in ALL_MODULES}
+    cycle = find_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_nested_import_and_cycle_are_reported():
+    tree = ast.parse("import os\ndef f():\n    from . import b\n")
+    assert nested_imports(tree) == [3]
+    assert relative_imports(tree, {"a", "b"}) == {"b"}
+    assert relative_imports(ast.parse("from . import x"), {"a"}) == {"__init__"}
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b"}, "b": {"b"}}) == ["b", "b"]

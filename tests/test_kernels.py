@@ -209,14 +209,6 @@ def test_query_at_sample_point_is_one():
     assert np.all(col <= 1.0 + 1e-12)
 
 
-def test_vector_matches_cross_column():
-    rng = np.random.default_rng(6)
-    pts = rng.normal(size=(7, 3))
-    q = rng.normal(size=3)
-    k = RBFKernel(0.4)
-    np.testing.assert_array_equal(k.vector(pts, q), k.cross(pts, q[None, :])[:, 0])
-
-
 def test_far_query_is_negligible():
     # distance 10 at sigma 1 -> exp(-50)
     k = RBFKernel(1.0)

@@ -311,13 +311,10 @@ def test_gaussian_disturbance_moments():
     assert abs(corr) < 0.01
 
 
-def test_gaussian_from_covariance_diagonal():
-    dist = GaussianDisturbance.from_covariance_diagonal([0.01, 0.04])
-    np.testing.assert_allclose(dist.sd, [0.1, 0.2])
-    with pytest.raises(InputError):
-        GaussianDisturbance.from_covariance_diagonal([0.01, -1.0])
-    with pytest.raises(InputError):
-        GaussianDisturbance([0.1, 0.0])
+def test_gaussian_rejects_nonpositive_sd():
+    for sd in ([0.1, 0.0], [0.1, -1.0], [0.1, np.inf]):
+        with pytest.raises(InputError):
+            GaussianDisturbance(sd)
     with pytest.raises(InputError):
         GaussianDisturbance([np.inf])
 
