@@ -124,6 +124,16 @@ def _draw_sample(cfg, system, policy):
 def _oracle_inputs(args):
     """Config, system, disturbance, problem, points and policy of an oracle."""
     cfg = _load_config(args)
+    if cfg.mode == "max":
+        raise InputError(
+            f"mode is max but {args.command} evaluates the configured policy; "
+            "only reach searches a control_grid"
+        )
+    if cfg.control_grid:
+        raise InputError(
+            f"control_grid is set but {args.command} evaluates the configured "
+            "policy; the grid is searched only by reach with mode=max"
+        )
     system = build_system(cfg)
     disturbance = build_disturbance(cfg, system)
     problem = build_problem(cfg, system.n)
@@ -157,6 +167,11 @@ def _cmd_reach(args):
         raise InputError(
             "control_grid is set but mode is fixed; the grid is searched "
             "only with mode=max"
+        )
+    if cfg.mode == "max" and cfg.policy != "zero":
+        raise InputError(
+            f"policy is set to {cfg.policy!r} but mode is max; max mode "
+            "searches control_grid and queries no policy"
         )
     sample = read_transitions_csv(args.sample_file)
     n = sample.state_dim

@@ -151,7 +151,9 @@ def mc_reach(
     deterministic random stream derived from ``seed`` and its row index,
     so appending more start states leaves earlier estimates unchanged.
     The rollouts run in chunks of ``_MC_CHUNK``, drawn in order from the
-    start state's stream.
+    start state's stream. A start outside the safe set is answered 0,
+    with half-width 0, without rollouts: each of them would fail at
+    step 0.
 
     Returns
     -------
@@ -167,15 +169,15 @@ def mc_reach(
     x0s = checked_points(x0s, system.n)
     n_steps = problem.horizon
     streams = np.random.SeedSequence(seed).spawn(x0s.shape[0])
-    values = np.empty(x0s.shape[0])
-    halfwidths = np.empty(x0s.shape[0])
-    for p, x0 in enumerate(x0s):
+    values = np.zeros(x0s.shape[0])
+    halfwidths = np.zeros(x0s.shape[0])
+    for p in np.flatnonzero(problem.safe.contains(x0s)):
         rng = np.random.default_rng(streams[p])
         hits = 0
         done = 0
         while done < rollouts:
             count = min(_MC_CHUNK, rollouts - done)
-            states = np.repeat(x0[None, :], count, axis=0)
+            states = np.repeat(x0s[p : p + 1], count, axis=0)
             alive = np.ones(count, dtype=bool)
             for k in range(n_steps):
                 alive &= problem.safe.contains(states)

@@ -47,6 +47,12 @@ def _state_rows(points, dim):
     return points
 
 
+# widest row that BoxSet.contains tests column-major; at 65 536 rows the
+# column-major test is 8x faster at 2 columns and 2x slower at 16
+# (numpy 2.4, 2-vCPU x86 VM)
+_NARROW_ROW = 8
+
+
 class BoxSet:
     """Axis-aligned box with inclusive faces: lower <= x <= upper."""
 
@@ -68,7 +74,12 @@ class BoxSet:
 
     def contains(self, points):
         points = _state_rows(points, self.dim)
-        return np.all((points >= self.lower) & (points <= self.upper), axis=1)
+        # the per-row AND runs along memory: column-major for narrow rows,
+        # where reducing a few bytes per row costs more than the compares
+        order = "F" if self.dim <= _NARROW_ROW else "C"
+        inside = np.greater_equal(points, self.lower, order=order)
+        inside &= np.less_equal(points, self.upper, order=order)
+        return np.logical_and.reduce(inside, axis=1)
 
 
 class PredicateSet:

@@ -243,7 +243,17 @@ class GaussianDisturbance:
         return self.sd.shape[0]
 
     def draw(self, rng, count):
-        return rng.normal(0.0, self.sd, size=(count, self.dim))
+        """``count`` rows of noise, the same stream as ``rng.normal(0, sd)``.
+
+        ``Generator.normal(loc, scale)`` returns ``loc + scale * z`` from
+        the standard normal stream, so scaling ``standard_normal`` in
+        place gives the same bits (but for the sign of an exact zero,
+        which ``0.0 +`` clears) without the broadcast over a vector of
+        scales.
+        """
+        draws = rng.standard_normal((count, self.dim))
+        draws *= self.sd
+        return draws
 
 
 class BetaDisturbance:

@@ -150,6 +150,24 @@ def test_reach_rejects_control_grid_in_fixed_mode(tmp_path, capsys, sample_file)
     assert not out_csv.exists()
 
 
+def test_reach_rejects_policy_in_max_mode(tmp_path, capsys, sample_file):
+    # max mode searches the control grid; a named policy must not be dropped
+    out_csv = tmp_path / "values.csv"
+    rc, out, err = run(
+        capsys,
+        "reach",
+        "--sample-file", sample_file,
+        "--point", "0,0",
+        "--mode", "max",
+        "--control-grid=-0.5;0;0.5",
+        "--policy", "constant:0.3",
+        "--out", str(out_csv),
+    )
+    assert rc == 2 and out == ""
+    assert "policy" in err and "max mode searches control_grid" in err
+    assert not out_csv.exists()
+
+
 def test_reach_raw_weight_mode_runs(capsys, sample_file):
     rc, out, _ = run(
         capsys,
@@ -303,6 +321,21 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
             capsys, "oracle-dp", "--dp-grid", shape, "--point", "0,0"
         )
         assert rc == 2 and "dp_grid" in err
+
+    # the oracles evaluate the configured policy; a max-mode request or a
+    # control grid exits 2 naming the key instead of being dropped
+    for oracle in (("oracle-dp",), ("oracle-mc", "--rollouts", "10")):
+        rc, out, err = run(capsys, *oracle, "--point", "0,0", "--mode", "max")
+        assert rc == 2 and out == "" and "mode is max" in err, oracle
+        rc, out, err = run(
+            capsys, *oracle, "--point", "0,0", "--control-grid=-0.5;0;0.5"
+        )
+        assert rc == 2 and out == "" and "control_grid" in err, oracle
+        rc, out, err = run(
+            capsys, *oracle, "--point", "0,0", "--mode", "max",
+            "--control-grid=-0.5;0;0.5",
+        )
+        assert rc == 2 and out == "" and "mode is max" in err, oracle
 
     # a points file is a configuration input: a table without x columns
     # exits 2, an unreadable or malformed one exits 4

@@ -8,6 +8,7 @@ from rkhs_reach import _backend, oracle
 from rkhs_reach import (
     BetaDisturbance,
     BoxSet,
+    CWHSystem,
     GaussianDisturbance,
     InputError,
     IntegratorChain,
@@ -15,6 +16,8 @@ from rkhs_reach import (
     ReachProblem,
     ZeroDisturbance,
     ZeroPolicy,
+    cwh_lqr_policy,
+    cwh_sets,
     dp_reach,
     mc_reach,
 )
@@ -27,6 +30,18 @@ def setup():
     box = BoxSet([-1.0, -1.0], [1.0, 1.0])
     problem = ReachProblem(safe=box, target=box, horizon=3)
     return system, disturbance, problem, ZeroPolicy(1)
+
+
+class RecordingDisturbance(GaussianDisturbance):
+    """Gaussian noise that lists the row count of every draw."""
+
+    def __init__(self, sd):
+        super().__init__(sd)
+        self.draws = []
+
+    def draw(self, rng, count):
+        self.draws.append(count)
+        return super().draw(rng, count)
 
 
 class StepPolicy:
@@ -301,20 +316,123 @@ def test_mc_chunking_only_regroups_rollouts(setup, monkeypatch):
     system, disturbance, problem, policy = setup
     pts = [[0.6, 0.6]]
     v1, h1 = mc_reach(system, disturbance, problem, policy, pts, 20000, 4)
-    draws = []
-
-    class Recording(GaussianDisturbance):
-        def draw(self, rng, count):
-            draws.append(count)
-            return super().draw(rng, count)
-
+    recording = RecordingDisturbance(disturbance.sd)
     monkeypatch.setattr(oracle, "_MC_CHUNK", 777)
-    v2, h2 = mc_reach(
-        system, Recording(disturbance.sd), problem, policy, pts, 20000, 4
-    )
+    v2, h2 = mc_reach(system, recording, problem, policy, pts, 20000, 4)
     # 25 full chunks and a 575-rollout remainder, one draw per step each
-    assert draws == [777] * 3 * 25 + [575] * 3
+    assert recording.draws == [777] * 3 * 25 + [575] * 3
     assert abs(v1[0] - v2[0]) <= 2.0 * (h1[0] + h2[0])
+
+
+def frozen_mc_reach(system, disturbance, problem, policy, x0s, rollouts, seed):
+    """The rollout loop before its fast paths, kept as a bitwise reference.
+
+    Gaussian noise comes from ``rng.normal(0, sd)``, a box is tested with
+    a row-wise ``np.all``, and a start outside the safe set is rolled out
+    like any other.
+    """
+
+    def inside(box, states):
+        if isinstance(box, BoxSet):
+            return np.all((states >= box.lower) & (states <= box.upper), axis=1)
+        return box.contains(states)
+
+    def draw(rng, count):
+        if isinstance(disturbance, GaussianDisturbance):
+            return rng.normal(0.0, disturbance.sd, size=(count, disturbance.dim))
+        return disturbance.draw(rng, count)
+
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=np.float64))
+    streams = np.random.SeedSequence(seed).spawn(x0s.shape[0])
+    values = np.empty(x0s.shape[0])
+    halfwidths = np.empty(x0s.shape[0])
+    for p, x0 in enumerate(x0s):
+        rng = np.random.default_rng(streams[p])
+        hits = 0
+        done = 0
+        while done < rollouts:
+            count = min(oracle._MC_CHUNK, rollouts - done)
+            states = np.repeat(x0[None, :], count, axis=0)
+            alive = np.ones(count, dtype=bool)
+            for k in range(problem.horizon):
+                alive &= inside(problem.safe, states)
+                controls = policy(k, states)
+                states = system.step(states, controls, draw(rng, count))
+            hits += int(np.count_nonzero(alive & inside(problem.target, states)))
+            done += count
+        frac = hits / rollouts
+        values[p] = frac
+        halfwidths[p] = 1.96 * np.sqrt(frac * (1.0 - frac) / rollouts)
+    return values, halfwidths
+
+
+def integrator_case(disturbance, policy):
+    problem = ReachProblem(
+        safe=BoxSet([-1.0, -1.0], [1.0, 1.0]),
+        target=BoxSet([-0.5, -0.5], [0.5, 0.5]),
+        horizon=3,
+    )
+    x0s = [[0.0, 0.0], [0.6, -0.3], [-0.9, 0.8]]
+    return IntegratorChain(2, sampling_time=0.25), disturbance, problem, policy, x0s
+
+
+def faces_case():
+    # inside, on each face (inclusive), a corner, and just or far outside
+    system, disturbance, problem, policy, _ = integrator_case(
+        GaussianDisturbance([0.1, 0.2]), ZeroPolicy(1)
+    )
+    x0s = [
+        [0.2, 0.1], [-1.0, 0.0], [1.0, 0.3], [0.4, -1.0], [0.0, 1.0],
+        [1.0, 1.0], [np.nextafter(1.0, 2.0), 0.0], [0.0, -1.5], [3.0, 3.0],
+    ]
+    return system, disturbance, problem, policy, x0s
+
+
+def cwh_case():
+    system = CWHSystem()
+    target, safe = cwh_sets()
+    problem = ReachProblem(safe=safe, target=target, horizon=5)
+    # two starts that dock with probability in (0, 1), one outside the cone
+    x0s = [[0.0, -0.3, 0.0, 0.003], [0.01, -0.15, 0.0, 0.002], [0.6, -0.5, 0.0, 0.0]]
+    return system, system.default_disturbance(), problem, cwh_lqr_policy(system), x0s
+
+
+MC_CASES = {
+    "integrator-zero": lambda: integrator_case(
+        GaussianDisturbance([0.1, 0.2]), ZeroPolicy(1)
+    ),
+    "integrator-step": lambda: integrator_case(
+        GaussianDisturbance([0.15, 0.1]), StepPolicy()
+    ),
+    "integrator-beta": lambda: integrator_case(
+        BetaDisturbance(2.0, 3.0, 2, centered=True), ZeroPolicy(1)
+    ),
+    "cwh-lqr": cwh_case,
+    "box-faces": faces_case,
+}
+
+
+@pytest.mark.parametrize("chunk", [oracle._MC_CHUNK, 777])
+@pytest.mark.parametrize("case", MC_CASES)
+def test_mc_matches_the_frozen_loop_bitwise(case, chunk, monkeypatch):
+    system, disturbance, problem, policy, x0s = MC_CASES[case]()
+    monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
+    got = mc_reach(system, disturbance, problem, policy, x0s, 2000, 3)
+    want = frozen_mc_reach(system, disturbance, problem, policy, x0s, 2000, 3)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert 0.0 < got[0].max() < 1.0  # the rollouts are genuinely random
+
+
+def test_mc_unsafe_start_draws_nothing(setup, monkeypatch):
+    system, disturbance, problem, policy = setup
+    recording = RecordingDisturbance(disturbance.sd)
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 777)
+    values, hw = mc_reach(system, recording, problem, policy, [[1.5, 0.0]], 1000, 4)
+    assert recording.draws == [] and values[0] == 0.0 and hw[0] == 0.0
+    # only the safe start draws: one full chunk and a 223 remainder, 3 steps
+    mc_reach(system, recording, problem, policy, [[1.5, 0.0], [0.6, 0.6]], 1000, 4)
+    assert recording.draws == [777] * 3 + [223] * 3
 
 
 def test_mc_validates_inputs(setup):

@@ -411,6 +411,32 @@ def test_control_free_sample_rejects_maximization(monkeypatch):
     assert solves == [20, 1]
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (65536, 2), (3, 4), (64, reach_module._NARROW_ROW),
+     (64, reach_module._NARROW_ROW + 1), (256, 10000), (1, 10000), (0, 3)],
+)
+def test_box_contains_matches_the_row_wise_all(shape):
+    rows, dim = shape
+    rng = np.random.default_rng(dim)
+    lower = rng.uniform(-1.0, 0.0, dim)
+    upper = lower + rng.uniform(0.0, 2.0, dim)
+    upper[0] = lower[0]  # a flat axis: only its face is inside
+    box = BoxSet(lower, upper)
+    pts = rng.uniform(-1.2, 2.2, shape)
+    pts[::5] = np.clip(pts[::5], lower, upper)  # rows inside
+    pts[1::7, :] = lower  # on the lower faces
+    pts[2::7, :] = upper  # on the upper faces
+    pts[3::11, dim // 2] = np.nextafter(upper[dim // 2], np.inf)
+    pts[4::13, -1] = np.nan
+    got = box.contains(pts)
+    want = np.all((pts >= lower) & (pts <= upper), axis=1)
+    assert got.dtype == bool and got.shape == (rows,)
+    np.testing.assert_array_equal(got, want)
+    if rows > 4:
+        assert got[1] and not got[4]  # a face row is inside, a NaN row not
+
+
 def test_value_field_validation():
     with pytest.raises(InputError):
         ValueField(points=np.zeros((4, 2)), values=np.zeros((2, 3)))

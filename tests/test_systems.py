@@ -311,6 +311,21 @@ def test_gaussian_disturbance_moments():
     assert abs(corr) < 0.01
 
 
+# (dim, count) pairs; 10 000 x 65 537 would need 5 GB per array, so the
+# wide case draws 1 and 65 rows
+@pytest.mark.parametrize(
+    "dim, count",
+    [(1, 1), (1, 65537), (2, 1), (2, 65537), (4, 1), (4, 65537),
+     (10000, 1), (10000, 65)],
+)
+def test_gaussian_draw_is_the_normal_stream_bitwise(dim, count):
+    sd = np.random.default_rng(dim).uniform(0.01, 3.0, dim)
+    got = GaussianDisturbance(sd).draw(np.random.default_rng(11), count)
+    want = np.random.default_rng(11).normal(0.0, sd, size=(count, dim))
+    assert got.shape == (count, dim)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gaussian_rejects_nonpositive_sd():
     for sd in ([0.1, 0.0], [0.1, -1.0], [0.1, np.inf]):
         with pytest.raises(InputError):
