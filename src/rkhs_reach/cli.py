@@ -184,6 +184,12 @@ def _cmd_reach(args):
     if cfg.mode == "max":
         control_grid = parse_control_grid(cfg.control_grid, sample.control_dim)
         field = value_recursion_max(emb, problem, points, control_grid)
+        if not emb.reads_controls:
+            print(
+                "warning: the sample's controls are all equal, so it cannot "
+                "tell the candidate controls apart; every choice is index 0",
+                file=sys.stderr,
+            )
     else:
         system = build_system(cfg)
         policy = build_policy(cfg, system, control_dim=sample.control_dim)

@@ -23,6 +23,14 @@ estimator monotone: raising ``f`` pointwise can never lower an estimate.
 Monotonicity is what lets a larger candidate-control set only improve the
 estimated safety values. Raw mode keeps the signed solve output.
 
+The Gaussian kernel factors as ``k_x(x, x') * k_u(u, u')``. If every
+sampled control is ``u0``, the kernel column at ``(x, u)`` is the one at
+``(x, u0)`` times ``k_u(u0, u)``, which normalization divides out. So
+normalized mode on such a sample evaluates every query at ``u0``: its
+weights are bitwise independent of the query control (also where
+``k_u(u0, u)`` underflows and the joint column would be all zero), and
+:attr:`Embedding.reads_controls` is false.
+
 The fit factors ``G + lam*M*I`` once (Cholesky) and forms its inverse
 from the factor, so a batch of queries costs one kernel matrix and one
 matrix product with the inverse, not two triangular solves per query.
@@ -161,6 +169,10 @@ class Embedding:
         self.lam = lam
         self.eta = eta
         self.normalize_weights = bool(normalize_weights)
+        controls = sample.controls
+        # the one control every query is evaluated at (module docstring)
+        same = self.normalize_weights and np.all(controls == controls[:1])
+        self._fixed_control = controls[0] if same and controls.size else None
         joint = sample.joint()
         ridge = kernel.gram(joint)
         # the sample side of every query cross, lifted once per fit
@@ -185,6 +197,15 @@ class Embedding:
     def count(self):
         return self.sample.count
 
+    @property
+    def reads_controls(self):
+        """Whether the weights depend on the query controls.
+
+        False without control columns, and on a normalized fit of a
+        sample whose controls are all equal (module docstring).
+        """
+        return self.sample.control_dim > 0 and self._fixed_control is None
+
     def _joint_queries(self, states, controls):
         states = _as_matrix("query states", np.atleast_2d(states))
         if states.shape[1] != self.sample.state_dim:
@@ -205,7 +226,10 @@ class Embedding:
                 f"controls must have shape {(states.shape[0], m)}, "
                 f"got {controls.shape}"
             )
-        return np.hstack([states, controls])
+        joint = np.hstack([states, controls])
+        if self._fixed_control is not None:
+            joint[:, -m:] = self._fixed_control
+        return joint
 
     def weights(self, states, controls=None):
         """Weight vectors for a batch of queries, as an (M, P) matrix.

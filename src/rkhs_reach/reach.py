@@ -242,10 +242,14 @@ def _recursion(emb, problem, points, policies):
     matrix of at most ``_POINT_BLOCK`` columns is alive at once. Each
     candidate is queried once per step (and block), and its weights are
     reused while its controls repeat (see :func:`_update_weights`). A
-    strict ``>`` keeps the lowest index on ties.
+    strict ``>`` keeps the lowest index on ties, so when the weights do
+    not read the controls (:attr:`Embedding.reads_controls`) only the
+    first candidate is run.
     """
     if not isinstance(emb, Embedding):
         raise InputError("emb must be a fitted Embedding")
+    if not emb.reads_controls:
+        policies = policies[:1]
     points = checked_points(points, emb.sample.state_dim)
     successors = emb.sample.successors
     n_steps = problem.horizon
@@ -314,7 +318,10 @@ def value_recursion_max(emb, problem, points, control_grid):
     at every step, and one point-weight matrix (M x 2048 at most) is
     alive at a time, whatever the number of points. The successor pass
     before it keeps one M x M weight matrix per control alive, so that
-    memory grows with the grid size.
+    memory grows with the grid size. A normalized fit of a sample whose
+    controls are all equal gives every control the same weights
+    (:attr:`Embedding.reads_controls`), so only the first is evaluated,
+    with one M x M matrix, and every choice is 0.
 
     Returns
     -------

@@ -134,6 +134,29 @@ def test_reach_max_mode_writes_choices(tmp_path, capsys, sample_file):
     assert "control_grid" in err
 
 
+def test_reach_max_mode_says_a_constant_sample_cannot_choose(
+    tmp_path, capsys, sample_file
+):
+    # the fixture is drawn under the zero policy, so every sampled control
+    # is 0 and normalized weights are the same for every candidate
+    out_csv = tmp_path / "values.csv"
+    argv = [
+        "reach", "--sample-file", sample_file, "--mode", "max",
+        "--control-grid=0.5;0;-0.5", "--grid", "5x5:-1.1,1.1,-1.1,1.1",
+    ]
+    rc, _, err = run(capsys, *argv, "--out", str(out_csv))
+    assert rc == 0
+    assert err.count("\n") == 1
+    assert "cannot tell the candidate controls apart" in err
+    assert "every choice is index 0" in err
+    field, _ = read_values_csv(out_csv)
+    assert field.policy_choices.shape == (3, 25)
+    assert not np.any(field.policy_choices)
+    # raw weights do tell the controls apart: no line
+    rc, _, err = run(capsys, *argv, "--normalize-weights", "false")
+    assert rc == 0 and err == ""
+
+
 def test_reach_rejects_control_grid_in_fixed_mode(tmp_path, capsys, sample_file):
     # the grid is searched only in max mode; fixed mode must not drop it
     out_csv = tmp_path / "values.csv"

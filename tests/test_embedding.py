@@ -122,27 +122,63 @@ def test_inverse_weights_match_cholesky_solve(lam, normalize):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_weights_match_cross_on_raw_rows(normalize):
-    # the fit lifts the sample rows once; that must give the same bits as
-    # a cross kernel on the raw joint rows
-    sample = make_bench_sample(256, 1)
-    emb = Embedding(
-        sample, RBFKernel(BENCH_SIGMA), 0.5, eta=1.3, normalize_weights=normalize
-    )
-    rng = np.random.default_rng(10)
-    states = rng.uniform(-1.1, 1.1, size=(50, 2))
-    controls = rng.uniform(-0.15, 0.15, size=(50, 1))
-    k = emb.kernel.cross(sample.joint(), np.hstack([states, controls]))
+def _cross_on_raw_rows(emb, states, controls):
+    # the weights by the joint-kernel formula, from the raw joint rows
+    k = emb.kernel.cross(emb.sample.joint(), np.hstack([states, controls]))
     want = emb._inv @ k
-    if normalize:
+    if emb.normalize_weights:
         want = np.maximum(want, 0.0)
         s = want.sum(axis=0)
         s[s == 0.0] = 1.0
         want /= s
     else:
-        want *= 1.3
-    np.testing.assert_array_equal(emb.weights(states, controls), want)
+        want *= emb.eta
+    return want
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_weights_match_cross_on_raw_rows(normalize):
+    # the fit lifts the sample rows once; that must give the same bits as
+    # a cross kernel on the raw joint rows wherever the weights read the
+    # query controls: in raw mode, and on a sample whose controls vary
+    constant = make_bench_sample(256, 1)
+    rng = np.random.default_rng(10)
+    varying = TransitionSample(
+        states=constant.states,
+        controls=rng.uniform(-0.5, 0.5, size=(constant.count, 1)),
+        successors=constant.successors,
+    )
+    samples = [varying] if normalize else [varying, constant]
+    states = rng.uniform(-1.1, 1.1, size=(50, 2))
+    controls = rng.uniform(-0.15, 0.15, size=(50, 1))
+    for sample in samples:
+        emb = Embedding(
+            sample, RBFKernel(BENCH_SIGMA), 0.5, eta=1.3,
+            normalize_weights=normalize,
+        )
+        assert emb.reads_controls
+        want = _cross_on_raw_rows(emb, states, controls)
+        np.testing.assert_array_equal(emb.weights(states, controls), want)
+
+
+def test_normalized_weights_on_a_constant_sample_ignore_query_controls():
+    # every sampled control is 0, so the control factor of the kernel is
+    # one scalar per query, which normalization divides out: the weights
+    # at any control are those at 0 to the bit, and the joint formula
+    # to round-off
+    sample = make_bench_sample(256, 1)
+    emb = Embedding(sample, RBFKernel(BENCH_SIGMA), 0.5)
+    assert not emb.reads_controls
+    rng = np.random.default_rng(10)
+    states = rng.uniform(-1.1, 1.1, size=(50, 2))
+    controls = rng.uniform(-0.15, 0.15, size=(50, 1))
+    got = emb.weights(states, controls)
+    np.testing.assert_array_equal(got, emb.weights(states, np.zeros((50, 1))))
+    want = _cross_on_raw_rows(emb, states, controls)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    # the query controls are still validated
+    with pytest.raises(InputError):
+        emb.weights(states, np.full((50, 1), np.nan))
 
 
 @pytest.mark.parametrize("normalize", [False, True])

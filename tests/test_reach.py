@@ -27,6 +27,8 @@ from rkhs_reach import (
     value_recursion_max,
 )
 
+from bench_setup import BENCH_LAMBDA, BENCH_SIGMA, make_bench_sample
+
 
 @pytest.fixture(scope="module")
 def controlled():
@@ -317,6 +319,50 @@ def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
     value_recursion_max(emb, one, pts, grid)
     # a one-step recursion never reads successor values
     assert stats["succ_calls"] == 0 and stats["peak"] == 1
+
+
+@pytest.fixture(scope="module")
+def constant_sample():
+    """Benchmark sample drawn under the zero policy: every control is 0."""
+    return make_bench_sample(256, 0)
+
+
+def test_max_mode_on_a_constant_sample_runs_one_control(
+    controlled, constant_sample, monkeypatch
+):
+    # normalized weights cannot tell the controls apart, so max mode runs
+    # the first control only: one successor solve, one solve per block
+    _, problem, pts = controlled
+    emb = Embedding(constant_sample, RBFKernel(BENCH_SIGMA), BENCH_LAMBDA)
+    assert not emb.reads_controls
+    u0 = constant_sample.controls[0]
+    want = value_recursion(emb, problem, pts, ConstantPolicy(u0))
+    monkeypatch.setattr(reach_module, "_POINT_BLOCK", 16)
+    solves = _record_solves(monkeypatch, emb)
+    field = value_recursion_max(emb, problem, pts, [[-0.5], [0.0], [0.5]])
+    assert solves == [constant_sample.count, 16, 16, 8]
+    np.testing.assert_array_equal(field.values, want.values)
+    assert not np.any(field.policy_choices)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_raw_max_mode_on_a_constant_sample_keeps_every_control(
+    controlled, constant_sample, horizon
+):
+    # raw weights scale with each control's kernel factor, so every
+    # control is still evaluated, bit for bit as the reference loop
+    _, problem, pts = controlled
+    emb = Embedding(
+        constant_sample, RBFKernel(BENCH_SIGMA), BENCH_LAMBDA,
+        normalize_weights=False,
+    )
+    assert emb.reads_controls
+    problem = ReachProblem(problem.safe, problem.target, horizon)
+    grid = [[-0.5], [0.0], [0.5]]
+    field = value_recursion_max(emb, problem, pts, grid)
+    values, choices = _reference_max(emb, problem, pts, grid)
+    np.testing.assert_array_equal(field.values, values)
+    np.testing.assert_array_equal(field.policy_choices, choices)
 
 
 @pytest.mark.parametrize("normalize", [True, False])
