@@ -13,8 +13,9 @@ expectation. This module evaluates the recursion with the conditional
 expectation replaced by a fitted :class:`~rkhs_reach.embedding.Embedding`
 estimate: at each step the previous value estimates at the sampled
 successor states act as the function being averaged. Estimates are
-clamped to [0, 1] before the safe-set indicator is applied, so every
-returned value is a valid probability. The policies the recursion
+clamped to [0, 1], so every returned value is a valid probability, and
+only states inside the safe set are estimated: the indicator makes
+every other value 0 before the last step. The policies the recursion
 queries, ``policy(k, states) -> controls``, are defined here too.
 """
 
@@ -200,10 +201,9 @@ def checked_points(points, dim):
     return points
 
 
-def _clamped_step(weights, next_values, safe_mask):
+def _clamped_step(weights, next_values):
     est = next_values @ weights
     np.clip(est, 0.0, 1.0, out=est)
-    est *= safe_mask
     return est
 
 
@@ -211,17 +211,19 @@ def _update_weights(emb, policy, k, states, held):
     """Bring ``held = [controls, weights]`` to ``policy`` at step k.
 
     ``held`` is the candidate's pair from its last step (``[None, None]``
-    before the first). The policy is queried at every step, and weights
-    are solved again only when its controls differ from the held ones.
-    The controls are kept as an owned copy, so a policy that refills and
-    returns one buffer cannot look like a repeat. Without control
-    columns the policy is not queried and one solve serves every step.
+    before the first). The policy is queried at every step. Weights are
+    solved again only when the embedding reads the controls
+    (:attr:`Embedding.reads_controls`) and they differ from the held
+    ones; otherwise the first solve serves every step. The controls are
+    kept as an owned copy, so a policy that refills and returns one
+    buffer cannot look like a repeat. Without control columns the policy
+    is not queried.
     """
     controls = None
     if emb.sample.control_dim:
         controls = np.array(policy(k, states), dtype=np.float64)
     if held[1] is None or (
-        controls is not None and not np.array_equal(controls, held[0])
+        emb.reads_controls and not np.array_equal(controls, held[0])
     ):
         held[1] = None  # free the old matrix before solving the new one
         held[:] = controls, emb.weights(states, controls)
@@ -236,15 +238,21 @@ def _recursion(emb, problem, points, policies):
     """Backward recursion maximizing over candidate policies.
 
     Returns the points, the value rows and the winning candidate per step
-    and point. Successor values (row k is step k) come first; then the
-    points are swept in blocks of ``_POINT_BLOCK``, and within a block
-    one candidate at a time through all steps, so one point-weight
-    matrix of at most ``_POINT_BLOCK`` columns is alive at once. Each
-    candidate is queried once per step (and block), and its weights are
-    reused while its controls repeat (see :func:`_update_weights`). A
-    strict ``>`` keeps the lowest index on ties, so when the weights do
-    not read the controls (:attr:`Embedding.reads_controls`) only the
-    first candidate is run.
+    and point. Only safe states are weighed, since every value is 0
+    outside the safe set: an unsafe successor or evaluation point gets
+    no kernel column, no weight column and no policy query, its value is
+    +0.0 at every step k < N (row N stays the exact target indicator) and
+    its choice is 0. Successor values (row k is step k) come first, over
+    the safe successors, and only when some evaluation point is safe.
+    Then the safe points are swept in blocks of ``_POINT_BLOCK``, each
+    block's rows gathered on their own so the points are never copied
+    whole, and within a block one candidate at a time through all steps,
+    so one point-weight matrix of at most ``_POINT_BLOCK`` columns is
+    alive at once. Each candidate is queried once per step (and block),
+    and its weights are reused while its controls repeat (see
+    :func:`_update_weights`). A strict ``>`` keeps the lowest index on
+    ties, so when the weights do not read the controls
+    (:attr:`Embedding.reads_controls`) only the first candidate is run.
     """
     if not isinstance(emb, Embedding):
         raise InputError("emb must be a fitted Embedding")
@@ -253,31 +261,39 @@ def _recursion(emb, problem, points, policies):
     points = checked_points(points, emb.sample.state_dim)
     successors = emb.sample.successors
     n_steps = problem.horizon
-    mask_pts = problem.safe.contains(points).astype(np.float64)
-    mask_succ = problem.safe.contains(successors).astype(np.float64)
-    v_succ = np.full((n_steps + 1, successors.shape[0]), -np.inf)
+    safe_pts = np.flatnonzero(problem.safe.contains(points))
+    safe_succ = np.flatnonzero(problem.safe.contains(successors))
+    v_succ = np.zeros((n_steps + 1, successors.shape[0]))
     v_succ[n_steps] = problem.target.contains(successors)
-    held = [[None, None] for _ in policies]
-    for k in range(n_steps - 1, 0, -1):
-        for c, policy in enumerate(policies):
-            _update_weights(emb, policy, k, successors, held[c])
-            est = _clamped_step(held[c][1], v_succ[k + 1], mask_succ)
-            np.maximum(v_succ[k], est, out=v_succ[k])
-    del held  # M x M per candidate; the points pass reads only v_succ
-    values = np.full((n_steps + 1, points.shape[0]), -np.inf)
+    # successor values are read only at safe points
+    if safe_pts.size and safe_succ.size:
+        states = successors[safe_succ]
+        held = [[None, None] for _ in policies]
+        for k in range(n_steps - 1, 0, -1):
+            best = np.full(safe_succ.size, -np.inf)
+            for c, policy in enumerate(policies):
+                _update_weights(emb, policy, k, states, held[c])
+                np.maximum(best, _clamped_step(held[c][1], v_succ[k + 1]), out=best)
+            v_succ[k, safe_succ] = best
+        del held  # M x S per candidate; the points pass reads only v_succ
+    values = np.zeros((n_steps + 1, points.shape[0]))
     values[n_steps] = problem.target.contains(points)
     choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
-    for start in range(0, points.shape[0], _POINT_BLOCK):
-        block = slice(start, start + _POINT_BLOCK)
+    for start in range(0, safe_pts.size, _POINT_BLOCK):
+        rows = safe_pts[start : start + _POINT_BLOCK]
+        block = points[rows]
+        best = np.full((n_steps, rows.size), -np.inf)
+        pick = np.zeros((n_steps, rows.size), dtype=np.int64)
         for c, policy in enumerate(policies):
             last = [None, None]  # frees the previous candidate's matrix
             for k in range(n_steps - 1, -1, -1):
-                _update_weights(emb, policy, k, points[block], last)
-                est = _clamped_step(last[1], v_succ[k + 1], mask_pts[block])
-                best = values[k, block]  # views: writes land in the rows
-                better = est > best
-                best[better] = est[better]
-                choices[k, block][better] = c
+                _update_weights(emb, policy, k, block, last)
+                est = _clamped_step(last[1], v_succ[k + 1])
+                better = est > best[k]
+                best[k, better] = est[better]
+                pick[k, better] = c
+        values[:n_steps, rows] = best
+        choices[:, rows] = pick
     return points, values, choices
 
 
@@ -292,11 +308,13 @@ def value_recursion(emb, problem, points, policy):
         States at which values are reported.
     policy : callable
         ``policy(k, states) -> controls`` with one row per state. Ignored
-        when the sample has no control columns. It is queried once per
-        step for the successors and once per step and block of
-        evaluation points; its weights are solved again only when the
-        controls differ from the previous step's, so a policy whose
-        controls do not depend on k costs one solve per block.
+        when the sample has no control columns. It is queried at safe
+        states only: once per step for the safe sampled successors and
+        once per step and block of safe evaluation points. Its weights
+        are solved again only when the controls differ from the previous
+        step's and the weights read them, so a policy whose controls do
+        not depend on k costs one solve per block. Unsafe points read
+        +0.0 before the last step.
 
     Returns
     -------
@@ -313,15 +331,17 @@ def value_recursion_max(emb, problem, points, control_grid):
     computed for each control in the grid and the largest is kept; ties
     resolve to the lowest grid index. With a single-entry grid the result
     matches :func:`value_recursion` under the matching constant policy
-    exactly. The evaluation points are swept in blocks of at most 2048;
-    within a block each control's weights are computed once and reused
-    at every step, and one point-weight matrix (M x 2048 at most) is
-    alive at a time, whatever the number of points. The successor pass
-    before it keeps one M x M weight matrix per control alive, so that
-    memory grows with the grid size. A normalized fit of a sample whose
-    controls are all equal gives every control the same weights
-    (:attr:`Embedding.reads_controls`), so only the first is evaluated,
-    with one M x M matrix, and every choice is 0.
+    exactly. Only safe states are weighed; an unsafe evaluation point
+    reads +0.0 before the last step and choice 0. The safe evaluation
+    points are swept in blocks of at most 2048; within a block each
+    control's weights are computed once and reused at every step, and
+    one point-weight matrix (M x 2048 at most) is alive at a time,
+    whatever the number of points. The successor pass before it keeps
+    one M x S weight matrix per control alive, where S is the number of
+    safe successors, so that memory grows with the grid size. A
+    normalized fit of a sample whose controls are all equal gives every
+    control the same weights (:attr:`Embedding.reads_controls`), so only
+    the first is evaluated, with one M x S matrix, and every choice is 0.
 
     Returns
     -------

@@ -17,6 +17,7 @@ from rkhs_reach import (
     GaussianDisturbance,
     InputError,
     IntegratorChain,
+    PredicateSet,
     RBFKernel,
     ReachProblem,
     TransitionSample,
@@ -106,10 +107,11 @@ def test_one_step_recursion_unrolls_to_manual_weights(controlled):
     one = ReachProblem(problem.safe, problem.target, horizon=1)
     policy = ConstantPolicy([0.2])
     field = value_recursion(emb, one, pts, policy)
-    w = emb.weights(pts, policy(0, pts))
+    safe = one.safe.contains(pts)
+    w = emb.weights(pts[safe], policy(0, pts[safe]))
     term = one.target.contains(emb.sample.successors).astype(np.float64)
-    est = np.clip(term @ w, 0.0, 1.0)
-    want = one.safe.contains(pts).astype(np.float64) * est
+    want = np.zeros(pts.shape[0])
+    want[safe] = np.clip(term @ w, 0.0, 1.0)
     np.testing.assert_array_equal(field.values[0], want)
 
 
@@ -125,15 +127,18 @@ def test_recursion_is_deterministic(controlled):
 
 
 class RecordingPolicy:
-    """Time-varying policy that logs each ``(k, rows)`` query."""
+    """Time-varying policy that logs each ``(k, rows)`` query and keeps
+    a copy of the queried states."""
 
     def __init__(self, control_dim):
         self.control_dim = control_dim
         self.calls = []
+        self.states = []
 
     def __call__(self, k, states):
         states = np.atleast_2d(states)
         self.calls.append((k, states.shape[0]))
+        self.states.append(states.copy())
         return np.full((states.shape[0], self.control_dim), 0.3 * k - 0.4)
 
 
@@ -151,27 +156,37 @@ class BufferPolicy(RecordingPolicy):
         return buffer
 
 
-def _record_solves(monkeypatch, emb):
-    """Wrap ``emb.weights`` to log the row count of every solve."""
+def _record_solves(monkeypatch, emb, queried=None):
+    """Wrap ``emb.weights`` to log the row count of every solve, and
+    append a copy of its query states to ``queried`` when given."""
     solves = []
     original = emb.weights
 
     def weights(states, controls=None):
         solves.append(states.shape[0])
+        if queried is not None:
+            queried.append(np.array(states))
         return original(states, controls)
 
     monkeypatch.setattr(emb, "weights", weights)
     return solves
 
 
+def _safe_count(problem, states):
+    return int(np.count_nonzero(problem.safe.contains(states)))
+
+
 def test_weights_are_reused_while_controls_repeat(controlled, monkeypatch):
     emb, problem, pts = controlled
-    n_succ = emb.sample.successors.shape[0]
+    # only safe rows are weighed: 306 of the 400 successors, and the 27
+    # safe points of the 40 in blocks of 16
+    n_succ = _safe_count(problem, emb.sample.successors)
+    assert (n_succ, _safe_count(problem, pts)) == (306, 27)
     monkeypatch.setattr(reach_module, "_POINT_BLOCK", 16)
-    sizes = [16, 16, 8]  # blocks of the 40 points
+    sizes = [16, 11]
     solves = _record_solves(monkeypatch, emb)
 
-    # horizon 3: successors queried at k = 2, 1, then each block at
+    # horizon 3: safe successors queried at k = 2, 1, then each block at
     # k = 2, 1, 0; a time-varying policy is solved at every query
     every_step = [(k, n_succ) for k in (2, 1)]
     every_step += [(k, b) for b in sizes for k in (2, 1, 0)]
@@ -214,53 +229,67 @@ def test_weights_are_reused_while_controls_repeat(controlled, monkeypatch):
     assert solves == [n_succ] + [b for b in sizes for _ in range(2)]
 
 
-def _reference_step(weights, next_values, safe_mask):
-    return np.clip(next_values @ weights, 0.0, 1.0) * safe_mask
+def _reference_step(weigh, states, next_values, safe, full_columns):
+    """``1_safe * clip(next_values @ W)`` at ``states``, with ``W`` from
+    ``weigh(rows)``: the safe rows alone weighed and the unsafe ones
+    left at 0, or, with ``full_columns``, every row weighed and the
+    result multiplied by the safe mask."""
+    if full_columns:
+        return np.clip(next_values @ weigh(states), 0.0, 1.0) * safe
+    out = np.zeros(states.shape[0])
+    out[safe] = np.clip(next_values @ weigh(states[safe]), 0.0, 1.0)
+    return out
 
 
-def _reference_fixed(emb, problem, pts, policy):
+def _reference_fixed(emb, problem, pts, policy, full_columns=False):
     """Reference fixed-policy recursion: step-outer, points and
     successors advanced together, weights solved at every step."""
     succ = emb.sample.successors
     m = emb.sample.control_dim
 
-    def weights(k, states):
-        return emb.weights(states, None if m == 0 else policy(k, states))
+    def weigh(k):
+        return lambda s: emb.weights(s, None if m == 0 else policy(k, s))
 
-    mask_pts = problem.safe.contains(pts).astype(np.float64)
-    mask_succ = problem.safe.contains(succ).astype(np.float64)
+    safe_pts = problem.safe.contains(pts)
+    safe_succ = problem.safe.contains(succ)
     n = problem.horizon
     values = np.empty((n + 1, pts.shape[0]))
     values[n] = problem.target.contains(pts)
     v_succ = problem.target.contains(succ).astype(np.float64)
     for k in range(n - 1, -1, -1):
-        values[k] = _reference_step(weights(k, pts), v_succ, mask_pts)
+        values[k] = _reference_step(weigh(k), pts, v_succ, safe_pts, full_columns)
         if k > 0:
-            v_succ = _reference_step(weights(k, succ), v_succ, mask_succ)
+            v_succ = _reference_step(
+                weigh(k), succ, v_succ, safe_succ, full_columns
+            )
     return values
 
 
-def _reference_max(emb, problem, pts, control_grid):
-    """Reference max-mode recursion: step-outer, every control's weights
-    alive at once, candidates stacked and reduced with max/argmax."""
+def _reference_max(emb, problem, pts, control_grid, full_columns=False):
+    """Reference max-mode recursion: step-outer, candidates stacked and
+    reduced with max/argmax."""
     succ = emb.sample.successors
     grid = np.atleast_2d(np.asarray(control_grid, dtype=np.float64))
-    w_pts = [emb.weights(pts, np.tile(u, (len(pts), 1))) for u in grid]
-    w_succ = [emb.weights(succ, np.tile(u, (len(succ), 1))) for u in grid]
-    mask_pts = problem.safe.contains(pts).astype(np.float64)
-    mask_succ = problem.safe.contains(succ).astype(np.float64)
+    weighs = [lambda s, u=u: emb.weights(s, np.tile(u, (len(s), 1))) for u in grid]
+    safe_pts = problem.safe.contains(pts)
+    safe_succ = problem.safe.contains(succ)
     n = problem.horizon
     values = np.empty((n + 1, pts.shape[0]))
     values[n] = problem.target.contains(pts)
     choices = np.empty((n, pts.shape[0]), dtype=np.int64)
     v_succ = problem.target.contains(succ).astype(np.float64)
     for k in range(n - 1, -1, -1):
-        cand = np.stack([_reference_step(w, v_succ, mask_pts) for w in w_pts])
+        cand = np.stack(
+            [_reference_step(w, pts, v_succ, safe_pts, full_columns) for w in weighs]
+        )
         values[k] = cand.max(axis=0)
         choices[k] = cand.argmax(axis=0)
         if k > 0:
             v_succ = np.stack(
-                [_reference_step(w, v_succ, mask_succ) for w in w_succ]
+                [
+                    _reference_step(w, succ, v_succ, safe_succ, full_columns)
+                    for w in weighs
+                ]
             ).max(axis=0)
     return values, choices
 
@@ -290,8 +319,8 @@ def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
     # wrap ``weights`` on the instance and release each point-weight
     # matrix in a ``weakref.finalize`` callback, as the benchmark tracer does
     emb, problem, pts = controlled
-    n_pts = pts.shape[0]
-    assert n_pts != emb.count
+    n_pts = _safe_count(problem, pts)
+    assert n_pts != _safe_count(problem, emb.sample.successors)
     stats = {"live": 0, "peak": 0, "succ_calls": 0}
     original = emb.weights
 
@@ -331,7 +360,8 @@ def test_max_mode_on_a_constant_sample_runs_one_control(
     controlled, constant_sample, monkeypatch
 ):
     # normalized weights cannot tell the controls apart, so max mode runs
-    # the first control only: one successor solve, one solve per block
+    # the first control only: one solve for the 201 safe successors of
+    # the 256, one per block of the 27 safe points
     _, problem, pts = controlled
     emb = Embedding(constant_sample, RBFKernel(BENCH_SIGMA), BENCH_LAMBDA)
     assert not emb.reads_controls
@@ -340,7 +370,7 @@ def test_max_mode_on_a_constant_sample_runs_one_control(
     monkeypatch.setattr(reach_module, "_POINT_BLOCK", 16)
     solves = _record_solves(monkeypatch, emb)
     field = value_recursion_max(emb, problem, pts, [[-0.5], [0.0], [0.5]])
-    assert solves == [constant_sample.count, 16, 16, 8]
+    assert solves == [_safe_count(problem, constant_sample.successors), 16, 11]
     np.testing.assert_array_equal(field.values, want.values)
     assert not np.any(field.policy_choices)
 
@@ -371,8 +401,9 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
     if not normalize:
         emb = Embedding(emb.sample, emb.kernel, emb.lam, normalize_weights=False)
     grid = [[-0.5], [0.0], [0.5]]
-    n_pts, block = pts.shape[0], 16
+    n_pts, block = _safe_count(problem, pts), 16
     assert n_pts < reach_module._POINT_BLOCK and n_pts % block != 0
+    n_succ = _safe_count(problem, emb.sample.successors)
     whole = [
         value_recursion(emb, problem, pts, ZeroPolicy(1)),
         value_recursion(emb, problem, pts, RecordingPolicy(1)),
@@ -388,7 +419,7 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
 
     def weights(states, controls=None):
         w = original(states, controls)
-        if w.shape[1] != emb.count:
+        if w.shape[1] != n_succ:
             stats["live"] += 1
             stats["peak"] = max(stats["peak"], stats["live"])
             stats["widths"].append(w.shape[1])
@@ -408,15 +439,116 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
     np.testing.assert_array_equal(
         blocked[2].policy_choices, whole[2].policy_choices
     )
-    sizes = [16, 16, 8]
+    sizes = [16, 11]  # the 27 safe points
     assert stats["peak"] == 1 and stats["live"] == 0
     # zero policy: once per block; varying: per block and step (horizon
     # 3); max: per block and control (3)
     thrice = [b for b in sizes for _ in range(3)]
     assert stats["widths"] == sizes + thrice + thrice
-    n_succ = emb.sample.successors.shape[0]
     want_calls = [(k, b) for k in (2, 1, 0) for b in sizes]
     assert sorted(varying.calls) == sorted(want_calls + [(2, n_succ), (1, n_succ)])
+
+
+def _assert_positive_zeros(values):
+    assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+
+def test_unsafe_rows_are_never_weighed_or_queried(controlled, monkeypatch):
+    emb, problem, pts = controlled
+    rows = np.vstack([pts, emb.sample.successors])
+    safe_rows = rows[problem.safe.contains(rows)]
+    assert safe_rows.shape[0] < rows.shape[0]
+    queried = []
+    _record_solves(monkeypatch, emb, queried)
+    policy = RecordingPolicy(1)
+    fixed = value_recursion(emb, problem, pts, policy)
+    maxed = value_recursion_max(emb, problem, pts, [[-0.5], [0.0], [0.5]])
+    # every safe row is weighed, and no unsafe row is weighed or queried
+    np.testing.assert_array_equal(
+        np.unique(np.vstack(queried), axis=0), np.unique(safe_rows, axis=0)
+    )
+    for states in policy.states:
+        assert problem.safe.contains(states).all()
+    unsafe = ~problem.safe.contains(pts)
+    for field in (fixed, maxed):
+        _assert_positive_zeros(field.values[:-1, unsafe])
+    assert not maxed.policy_choices[:, unsafe].any()
+    assert maxed.policy_choices[:, ~unsafe].any()
+
+
+def test_no_safe_point_makes_no_call(controlled, monkeypatch):
+    emb, problem, pts = controlled
+    outside = pts[~problem.safe.contains(pts)]
+    solves = _record_solves(monkeypatch, emb)
+    policy = RecordingPolicy(1)
+    fixed = value_recursion(emb, problem, outside, policy)
+    maxed = value_recursion_max(emb, problem, outside, [[-0.5], [0.5]])
+    assert solves == [] and policy.calls == []
+    for field in (fixed, maxed):
+        _assert_positive_zeros(field.values)  # the target is the safe box
+    assert not maxed.policy_choices.any()
+
+
+def test_no_safe_successor_makes_no_successor_call(controlled, monkeypatch):
+    # a safe set of the evaluation points alone holds no successor, so
+    # the successor pass makes no call and its values are +0.0
+    emb, problem, pts = controlled
+
+    def at_points(states):
+        return (states[:, None, :] == pts).all(axis=2).any(axis=1)
+
+    only_pts = ReachProblem(PredicateSet(at_points, 2), problem.target, 3)
+    assert not only_pts.safe.contains(emb.sample.successors).any()
+    solves = _record_solves(monkeypatch, emb)
+    policy = RecordingPolicy(1)
+    fixed = value_recursion(emb, only_pts, pts, policy)
+    maxed = value_recursion_max(emb, only_pts, pts, [[-0.5], [0.5]])
+    n_pts = pts.shape[0]
+    assert policy.calls == [(k, n_pts) for k in (2, 1, 0)]
+    assert solves == [n_pts] * 5  # 3 steps, then 2 controls
+    for field in (fixed, maxed):
+        # steps k < N - 1 read only the successor values
+        _assert_positive_zeros(field.values[:-2])
+        assert field.values[-2].any()  # step N - 1 reads the target
+    assert not maxed.policy_choices[:-1].any()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_safe_rows_agree_with_full_columns(controlled, normalize):
+    # weighing the safe rows alone changes only the shape of each weight
+    # product, so every value stays within round-off of the full-column
+    # formula ``clip(v @ W) * mask``
+    emb, problem, pts = controlled
+    if not normalize:
+        emb = Embedding(emb.sample, emb.kernel, emb.lam, normalize_weights=False)
+    for policy in (ZeroPolicy(1), RecordingPolicy(1)):
+        field = value_recursion(emb, problem, pts, policy)
+        want = _reference_fixed(emb, problem, pts, policy, full_columns=True)
+        np.testing.assert_allclose(field.values, want, rtol=0, atol=1e-14)
+    grid = [[-0.5], [0.0], [0.5]]
+    field = value_recursion_max(emb, problem, pts, grid)
+    values, choices = _reference_max(emb, problem, pts, grid, full_columns=True)
+    np.testing.assert_allclose(field.values, values, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(field.policy_choices, choices)
+
+
+def test_weights_that_ignore_controls_are_solved_once_per_pass(
+    controlled, monkeypatch
+):
+    # a normalized fit of a zero-policy sample does not read the controls,
+    # so changing controls cost no second solve: one for the successors
+    # and one for the points, with the bits of the zero policy
+    _, problem, _ = controlled
+    emb = Embedding(make_bench_sample(128, 0), RBFKernel(BENCH_SIGMA), BENCH_LAMBDA)
+    assert not emb.reads_controls
+    pts = np.linspace(-0.8, 0.8, 10).reshape(5, 2)
+    want = value_recursion(emb, problem, pts, ZeroPolicy(1))
+    solves = _record_solves(monkeypatch, emb)
+    got = value_recursion(
+        emb, problem, pts, lambda k, x: np.full((len(x), 1), 0.1 * k)
+    )
+    assert solves == [_safe_count(problem, emb.sample.successors), 5]
+    np.testing.assert_array_equal(got.values, want.values)
 
 
 def test_recursion_input_validation(controlled):
