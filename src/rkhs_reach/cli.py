@@ -104,10 +104,7 @@ def _embedding_metadata(cfg, sample):
 def _fit(cfg, sample):
     """The estimator that ``cfg`` configures, fitted on ``sample``."""
     return Embedding(
-        sample,
-        RBFKernel(cfg.sigma),
-        cfg.lam,
-        eta=cfg.eta,
+        sample, RBFKernel(cfg.sigma), cfg.lam,
         normalize_weights=cfg.normalize_weights,
     )
 

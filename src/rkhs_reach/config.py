@@ -59,7 +59,6 @@ class RunConfig:
     beta_centered: bool = False
     sigma: float = 0.1
     lam: float = 1.0
-    eta: float = 1.0
     normalize_weights: bool = True
     horizon: int = 3
     samples: int = 1024
@@ -107,7 +106,8 @@ def coerce_value(name, raw):
     try:
         return name, _NUMBER_TYPES[kind](raw)
     except ValueError:
-        raise InputError(f"{name} expects a number, got {raw!r}")
+        expected = "an integer" if kind is int else "a number"
+        raise InputError(f"{name} expects {expected}, got {raw!r}")
 
 
 def parse_config_file(path):
@@ -172,8 +172,6 @@ def validate(cfg):
         raise InputError(f"sigma must be positive, got {cfg.sigma}")
     if cfg.lam <= 0:
         raise InputError(f"lambda must be positive, got {cfg.lam}")
-    if cfg.eta <= 0:
-        raise InputError(f"eta must be positive, got {cfg.eta}")
     if cfg.horizon < 1:
         raise InputError(f"horizon must be at least 1, got {cfg.horizon}")
     if cfg.samples < 1:
@@ -240,7 +238,9 @@ def build_policy(cfg, system, control_dim=None):
 
 
 def _parse_floats(text, what):
-    parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
+    parts = text.replace(";", ",").split(",")
+    if not all(p.strip() for p in parts):
+        raise InputError(f"{what}: empty field in {text!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError:

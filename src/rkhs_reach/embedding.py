@@ -10,8 +10,8 @@ approximated by a weighted sum of its sampled values:
 The weight vector is ``w(x, u) = scale * (G + lam*M*I)^{-1} k(x, u)``,
 where ``G`` is the Gram matrix over the joint sample points, ``k`` the
 kernel column at the query, and ``M`` the sample count. ``scale`` is
-either the constant ``eta`` (raw mode) or chosen per query so the weights
-sum to one (normalized mode, the default). Raw weights shrink toward zero
+either 1 (raw mode) or chosen per query so the weights sum to one
+(normalized mode, the default). Raw weights shrink toward zero
 as the ridge grows, which biases expectation estimates toward zero;
 normalization removes that systematic shrinkage and is what makes the
 estimates usable as probabilities.
@@ -145,15 +145,12 @@ class Embedding:
     lam : float
         Ridge parameter; the regularizer added to the Gram matrix is
         ``lam * M * I``.
-    eta : float
-        Constant weight scale used in raw mode. Ignored when
-        ``normalize_weights`` is true.
     normalize_weights : bool
         When true (default), negative weights are clipped to zero and each
         weight vector is rescaled to sum to 1 (a convex combination).
     """
 
-    def __init__(self, sample, kernel, lam, eta=1.0, normalize_weights=True):
+    def __init__(self, sample, kernel, lam, normalize_weights=True):
         if not isinstance(sample, TransitionSample):
             raise InputError("sample must be a TransitionSample")
         if not isinstance(kernel, RBFKernel):
@@ -161,13 +158,9 @@ class Embedding:
         lam = float(lam)
         if not np.isfinite(lam) or lam <= 0.0:
             raise InputError(f"ridge parameter must be positive, got {lam}")
-        eta = float(eta)
-        if not np.isfinite(eta) or eta <= 0.0:
-            raise InputError(f"weight scale eta must be positive, got {eta}")
         self.sample = sample
         self.kernel = kernel
         self.lam = lam
-        self.eta = eta
         self.normalize_weights = bool(normalize_weights)
         controls = sample.controls
         # the one control every query is evaluated at (module docstring)
@@ -192,10 +185,6 @@ class Embedding:
         # well conditioned (module docstring), so the inverse replaces
         # two triangular solves per query with one matrix product
         self._inv = cho_solve(factor, np.eye(m, order="F"), overwrite_b=True)
-
-    @property
-    def count(self):
-        return self.sample.count
 
     @property
     def reads_controls(self):
@@ -249,25 +238,9 @@ class Embedding:
             colsum[colsum == 0.0] = 1.0  # an all-zero column stays zero
             w /= colsum
             return w
-        if self.eta != 1.0:
-            w *= self.eta
         if not np.all(np.isfinite(w)):
             raise NumericalError("weight computation produced non-finite values")
         return w
-
-    def expectation(self, f_at_successors, states, controls=None):
-        """Estimated ``E[f(y) | x, u]`` for each query row.
-
-        ``f_at_successors[i]`` must be ``f`` evaluated at the i-th sampled
-        successor. Normalized-mode estimates stay inside the range of
-        ``f``; raw-mode estimates are unclamped weighted sums.
-        """
-        f = np.asarray(f_at_successors, dtype=np.float64)
-        if f.shape != (self.count,):
-            raise InputError(
-                f"function values must have shape ({self.count},), got {f.shape}"
-            )
-        return f @ self.weights(states, controls)
 
     def solve_residual(self, v):
         """Relative residual ``|(G + lam*M*I) x - v| / |v|`` of ``x = inverse @ v``.
@@ -277,5 +250,5 @@ class Embedding:
         v = np.asarray(v, dtype=np.float64)
         x = self._inv @ v
         gram = self.kernel.gram(self.sample.joint())
-        r = gram @ x + (self.lam * self.count) * x - v
+        r = gram @ x + (self.lam * self.sample.count) * x - v
         return float(np.linalg.norm(r) / np.linalg.norm(v))

@@ -8,10 +8,12 @@ columns are written with ``%d``. Each table builds one ``%`` template
 from its column kinds and formats a row per call, after checking once
 that the rows are as wide as the header. Writes go through a
 temporary file in the destination directory followed by an atomic
-rename.
+rename. The file keeps the mode of the one it replaces; a new file gets
+``0o666`` less the umask, as ``open`` would give it.
 """
 
 import os
+import stat
 import tempfile
 
 import numpy as np
@@ -33,10 +35,23 @@ __all__ = [
 ]
 
 
+def _target_mode(path):
+    """Mode for a file written to ``path`` (module docstring)."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def atomic_write_text(path, text):
     directory = os.path.dirname(os.path.abspath(path))
+    mode = _target_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".csv")
     try:
+        # mkstemp creates the file 0600
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -209,10 +224,23 @@ def read_values_csv(path):
     choices = None
     rest = names[n + k :]
     if rest:
-        expected = [f"choice{i}" for i in range(len(rest))]
-        if rest != expected:
-            raise FileFormatError(f"{path}: unexpected trailing columns {rest}")
-        choices = data[:, n + k :].astype(np.int64).T
+        if rest != [f"choice{i}" for i in range(k - 1)]:
+            raise FileFormatError(
+                f"{path}: unexpected trailing columns {rest}; {k} v columns "
+                f"take {k - 1} choice columns, choice0 first"
+            )
+        cells = data[:, n + k :]
+        # a float below 2**63 converts to int64 exactly; NaN fails every test
+        bad = np.argwhere(
+            ~((cells >= 0.0) & (cells == np.floor(cells)) & (cells < 2.0**63))
+        )
+        if bad.size:
+            row, c = bad[0]
+            raise FileFormatError(
+                f"{path}: data row {row + 1}, column {rest[c]} is "
+                f"{cells[row, c]}; every choice must be a non-negative integer"
+            )
+        choices = cells.astype(np.int64).T
     field = ValueField(
         points=data[:, :n], values=data[:, n : n + k].T, policy_choices=choices
     )

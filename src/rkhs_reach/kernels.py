@@ -110,18 +110,6 @@ class RBFKernel:
         """Exponent scale ``1 / (2 sigma^2)``."""
         return 1.0 / (2.0 * self.sigma * self.sigma)
 
-    def __call__(self, a, b):
-        """Kernel value for a single pair of equal-length vectors."""
-        a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-        if a.shape != b.shape or a.ndim != 1:
-            raise InputError(
-                f"kernel arguments must be equal-length vectors, got shapes "
-                f"{a.shape} and {b.shape}"
-            )
-        d = a - b
-        return float(np.exp(-self.gamma * (d @ d)))
-
     def lift(self, points):
         """The rows of ``points`` lifted for use as ``a`` in :meth:`cross`."""
         points = _point_set(points)

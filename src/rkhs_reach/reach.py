@@ -159,25 +159,20 @@ class ZeroPolicy(ConstantPolicy):
 
 
 class AffinePolicy:
-    """Saturated linear state feedback ``u = clip(offset - gain @ x)``."""
+    """Saturated linear state feedback ``u = clip(-gain @ x)``."""
 
-    def __init__(self, gain, offset=None, lower=None, upper=None):
+    def __init__(self, gain, lower=None, upper=None):
         self.gain = np.atleast_2d(np.asarray(gain, dtype=np.float64))
-        m = self.gain.shape[0]
-        self.offset = (
-            np.zeros(m)
-            if offset is None
-            else np.atleast_1d(np.asarray(offset, dtype=np.float64))
-        )
-        if self.offset.shape != (m,):
-            raise InputError("offset length must match gain rows")
         self.lower = lower
         self.upper = upper
-        self.description = f"affine-feedback({m}x{self.gain.shape[1]})"
+        self.description = (
+            f"affine-feedback({self.gain.shape[0]}x{self.gain.shape[1]})"
+        )
 
     def __call__(self, k, states):
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        u = self.offset - states @ self.gain.T
+        # 0.0 - p, not -p: a zero control stays +0.0
+        u = 0.0 - states @ self.gain.T
         if self.lower is not None or self.upper is not None:
             np.clip(u, self.lower, self.upper, out=u)
         return u

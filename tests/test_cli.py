@@ -197,7 +197,6 @@ def test_reach_raw_weight_mode_runs(capsys, sample_file):
         "reach",
         "--sample-file", sample_file,
         "--normalize-weights", "false",
-        "--eta", "2.0",
         "--point", "0,0",
         "--summary",
     )
@@ -324,6 +323,33 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
         capsys, "generate", "--sigma", "0", "--out", str(tmp_path / "x.csv")
     )
     assert rc == 2 and err.startswith("error:")
+    rc, _, err = run(capsys, "oracle-dp", "--horizon", "2.0", "--point", "0,0")
+    assert rc == 2 and "horizon expects an integer, got '2.0'" in err
+
+    # an empty field in a list of numbers exits 2 naming the key; it is
+    # not skipped
+    for args, key in (
+        (("--point", "0,,0"), "point"),
+        (("--safe-box=-1,,1", "--point", "0,0"), "safe_box"),
+        (("--target-box=-1,1,", "--point", "0,0"), "target_box"),
+    ):
+        rc, out, err = run(capsys, "reach", "--sample-file", sample_file, *args)
+        assert rc == 2 and out == "", args
+        assert err.startswith(f"error: {key}: empty field"), args
+
+    # eta is no longer a key, as a flag or in a config file
+    rc, _, _ = run(
+        capsys, "reach", "--sample-file", sample_file, "--eta", "2",
+        "--point", "0,0",
+    )
+    assert rc == 2
+    cfg_file = tmp_path / "eta.cfg"
+    cfg_file.write_text("eta = 2\n")
+    rc, _, err = run(
+        capsys, "reach", "--sample-file", sample_file, "--config",
+        str(cfg_file), "--point", "0,0",
+    )
+    assert rc == 2 and "unknown configuration key: eta" in err
 
     # unreadable and malformed input files exit 4
     rc, _, err = run(
@@ -404,7 +430,7 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
         f.name for f in dataclasses.fields(RunConfig)
         if f.type in (float, float | None)
     ]
-    assert len(floats) == 7
+    assert len(floats) == 6
     point = ("oracle-mc", "--rollouts", "10", "--point", "0,0")
     for name in floats:
         flag = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
@@ -468,7 +494,6 @@ def test_every_config_field_has_a_flag(tmp_path):
         "beta_centered": "true",
         "sigma": "0.3",
         "lam": "0.5",
-        "eta": "2.0",
         "normalize_weights": "false",
         "horizon": "5",
         "samples": "77",

@@ -41,7 +41,7 @@ from rkhs_reach.config import (
 def test_defaults_are_the_documented_baseline():
     cfg = RunConfig()
     assert cfg.system == "integrator" and cfg.dim == 2
-    assert cfg.sigma == 0.1 and cfg.lam == 1.0 and cfg.eta == 1.0
+    assert cfg.sigma == 0.1 and cfg.lam == 1.0
     assert cfg.normalize_weights is True
     assert cfg.horizon == 3 and cfg.samples == 1024 and cfg.seed == 0
     assert cfg.grid == "101x101:-1.1,1.1,-1.1,1.1"
@@ -63,8 +63,12 @@ def test_coercion_rules():
         coerce_value("bogus", "1")
     with pytest.raises(InputError, match="true or false"):
         coerce_value("normalize_weights", "maybe")
-    with pytest.raises(InputError, match="expects a number"):
+    with pytest.raises(InputError, match="samples expects an integer"):
         coerce_value("samples", "many")
+    with pytest.raises(InputError, match="horizon expects an integer, got '2.0'"):
+        coerce_value("horizon", "2.0")
+    with pytest.raises(InputError, match="sigma expects a number"):
+        coerce_value("sigma", "fast")
 
 
 def test_parse_config_file(tmp_path):
@@ -123,7 +127,6 @@ FLOAT_FIELDS = [
         ("dim", 0),
         ("sigma", 0.0),
         ("lam", -1.0),
-        ("eta", 0.0),
         ("horizon", 0),
         ("samples", 0),
         ("seed", -1),

@@ -25,31 +25,23 @@ from rkhs_reach import (
 from bench_setup import BENCH_LAMBDA, BENCH_NOISE_SD, BENCH_SIGMA, make_bench_sample
 
 
-def single_sample(lam, eta=1.0, normalize=False):
+def single_sample(lam, normalize=False):
     sample = TransitionSample(
         states=np.array([[0.5, -0.5]]),
         controls=np.array([[0.0]]),
         successors=np.array([[0.4, -0.4]]),
     )
-    emb = Embedding(
-        sample, RBFKernel(1.0), lam, eta=eta, normalize_weights=normalize
-    )
+    emb = Embedding(sample, RBFKernel(1.0), lam, normalize_weights=normalize)
     return sample, emb
 
 
 def test_single_point_raw_weight_closed_form():
-    # M=1: w = eta * k / (1 + lam); at the sample point k = 1
+    # M=1: w = k / (1 + lam); at the sample point k = 1
     for lam in (0.1, 1.0, 7.5):
         _, emb = single_sample(lam)
         w = emb.weights(np.array([[0.5, -0.5]]), np.array([[0.0]]))
         assert w.shape == (1, 1)
         assert w[0, 0] == pytest.approx(1.0 / (1.0 + lam), rel=1e-12)
-
-
-def test_single_point_raw_eta_scaling():
-    _, emb = single_sample(2.0, eta=3.0)
-    w = emb.weights(np.array([[0.5, -0.5]]), np.array([[0.0]]))
-    assert w[0, 0] == pytest.approx(3.0 / 3.0, rel=1e-12)
 
 
 def test_single_point_normalized_weight_is_one():
@@ -61,7 +53,7 @@ def test_single_point_normalized_weight_is_one():
 
 def test_constant_function_single_point():
     _, emb = single_sample(3.0)
-    est = emb.expectation(np.ones(1), np.array([[0.5, -0.5]]), np.array([[0.0]]))
+    est = np.ones(1) @ emb.weights(np.array([[0.5, -0.5]]), np.array([[0.0]]))
     assert est[0] == pytest.approx(1.0 / 4.0, rel=1e-12)
 
 
@@ -74,15 +66,13 @@ def dense_weights(emb, states, controls, solve=np.linalg.solve):
     joint = np.hstack([states, controls]) if controls.shape[1] else states
     sample_joint = emb.sample.joint()
     g = emb.kernel.gram(sample_joint)
-    m = emb.count
+    m = emb.sample.count
     k = emb.kernel.cross(sample_joint, joint)
     w = solve(g + emb.lam * m * np.eye(m), k)
     if emb.normalize_weights:
         w = np.maximum(w, 0.0)
         s = w.sum(axis=0)
         w[:, s != 0] /= s[s != 0]
-    else:
-        w *= emb.eta
     return w
 
 
@@ -95,9 +85,7 @@ def test_weights_match_dense_solve(m_count, normalize):
         controls=rng.normal(size=(m_count, 1)),
         successors=rng.normal(size=(m_count, 2)),
     )
-    emb = Embedding(
-        sample, RBFKernel(0.8), 0.5, eta=1.3, normalize_weights=normalize
-    )
+    emb = Embedding(sample, RBFKernel(0.8), 0.5, normalize_weights=normalize)
     states = rng.normal(size=(7, 2))
     controls = rng.normal(size=(7, 1))
     got = emb.weights(states, controls)
@@ -131,8 +119,6 @@ def _cross_on_raw_rows(emb, states, controls):
         s = want.sum(axis=0)
         s[s == 0.0] = 1.0
         want /= s
-    else:
-        want *= emb.eta
     return want
 
 
@@ -153,8 +139,7 @@ def test_weights_match_cross_on_raw_rows(normalize):
     controls = rng.uniform(-0.15, 0.15, size=(50, 1))
     for sample in samples:
         emb = Embedding(
-            sample, RBFKernel(BENCH_SIGMA), 0.5, eta=1.3,
-            normalize_weights=normalize,
+            sample, RBFKernel(BENCH_SIGMA), 0.5, normalize_weights=normalize
         )
         assert emb.reads_controls
         want = _cross_on_raw_rows(emb, states, controls)
@@ -259,7 +244,8 @@ def test_far_query_raw_weights_negligible():
     # joint distance >= 10 from every sample point -> kernel column <= e^-50
     far = emb.weights(np.array([[20.0, 20.0]]), np.array([[20.0]]))
     gram = emb.kernel.gram(emb.sample.joint())
-    reg = gram + emb.lam * emb.count * np.eye(emb.count)
+    m = emb.sample.count
+    reg = gram + emb.lam * m * np.eye(m)
     bound = np.exp(-50.0) * np.abs(np.linalg.inv(reg)).sum(axis=1).max()
     assert np.abs(far).max() <= bound
 
@@ -276,10 +262,9 @@ def test_expectation_linear_in_function():
     controls = rng.normal(size=(4, 1))
     f = rng.normal(size=20)
     g = rng.normal(size=20)
-    lhs = emb.expectation(2.0 * f - 3.0 * g, states, controls)
-    rhs = 2.0 * emb.expectation(f, states, controls) - 3.0 * emb.expectation(
-        g, states, controls
-    )
+    w = emb.weights(states, controls)
+    lhs = (2.0 * f - 3.0 * g) @ w
+    rhs = 2.0 * (f @ w) - 3.0 * (g @ w)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -291,8 +276,8 @@ def test_zero_function_gives_zero():
         successors=rng.normal(size=(10, 2)),
     )
     emb = Embedding(sample, RBFKernel(0.6), 0.7)
-    est = emb.expectation(
-        np.zeros(10), rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
+    est = np.zeros(10) @ emb.weights(
+        rng.normal(size=(3, 2)), rng.normal(size=(3, 1))
     )
     np.testing.assert_array_equal(est, 0.0)
 
@@ -319,7 +304,7 @@ def test_single_step_tracks_monte_carlo():
     )
     labels = box.contains(sample.successors).astype(np.float64)
     est = np.clip(
-        emb.expectation(labels, probes, np.zeros((5, 1))), 0.0, 1.0
+        labels @ emb.weights(probes, np.zeros((5, 1))), 0.0, 1.0
     )
     mc, _ = mc_reach(
         system, disturbance, problem, policy, probes, 50000, seed=21
@@ -350,7 +335,7 @@ def test_more_samples_reduce_error():
             )
             labels = box.contains(sample.successors).astype(np.float64)
             est = np.clip(
-                emb.expectation(labels, probes, np.zeros((3, 1))), 0.0, 1.0
+                labels @ emb.weights(probes, np.zeros((3, 1))), 0.0, 1.0
             )
             errs.append(np.abs(est - mc).max())
         gaps[m_count] = float(np.median(errs))
@@ -390,8 +375,6 @@ def test_validation_errors():
         Embedding(sample, kernel, 0.0)
     with pytest.raises(InputError):
         Embedding(sample, kernel, -2.0)
-    with pytest.raises(InputError):
-        Embedding(sample, kernel, 1.0, eta=0.0)
     emb = Embedding(sample, kernel, 1.0)
     with pytest.raises(InputError):
         emb.weights(np.zeros((2, 3)), np.zeros((2, 1)))  # state dim
@@ -403,8 +386,6 @@ def test_validation_errors():
         emb.weights([[np.nan, 0.0]], [[0.0]])  # not scipy's ValueError
     with pytest.raises(InputError, match="non-finite"):
         emb.weights([[0.0, 0.0]], [[np.inf]])
-    with pytest.raises(InputError):
-        emb.expectation(np.zeros(4), np.zeros((2, 2)), np.zeros((2, 1)))
 
 
 def test_transition_sample_validation():

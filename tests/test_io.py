@@ -207,6 +207,47 @@ def test_writes_leave_no_temporary_residue(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["out.csv", "t.csv"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_file_mode_follows_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.csv", "x1\n0.0\n")
+        assert os.umask(umask) == umask  # the write restored it
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "out.csv").st_mode & 0o7777 == 0o666 & ~umask
+
+
+def test_overwrite_keeps_the_existing_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    for mode in (0o640, 0o604):
+        os.chmod(path, mode)
+        write_table(path, ["a"], [[1.0]])
+        assert os.stat(path).st_mode & 0o7777 == mode
+        assert path.read_text() == "a\n1\n"
+
+
+def test_values_choice_columns_are_one_integer_per_step(tmp_path):
+    path = tmp_path / "values.csv"
+    for table, message in (
+        # three choice columns for one step
+        ("x1,v0,v1,choice0,choice1,choice2\n0.0,0.5,1,1,0,0\n", "trailing"),
+        ("x1,v0,v1,v2,choice0\n0.0,0.5,0.5,1,1\n", "trailing"),
+        ("x1,v0,v1,choice1\n0.0,0.5,1,0\n", "trailing"),
+        ("x1,v0,v1,choice0\n0.0,0.5,1,1.5\n", "row 1, column choice0 is 1.5"),
+        ("x1,v0,v1,choice0\n0.0,0.5,1,0\n0.1,0.5,1,-2\n", "row 2"),
+        ("x1,v0,v1,v2,choice0,choice1\n0.0,0.5,1,1,0,nan\n", "choice1 is nan"),
+        ("x1,v0,v1,choice0\n0.0,0.5,1,1e300\n", "non-negative integer"),
+    ):
+        path.write_text(table)
+        with pytest.raises(FileFormatError, match=message):
+            read_values_csv(path)
+    path.write_text("x1,v0,v1,v2,choice0,choice1\n0.0,0.5,1,1,2,0\n")
+    field, _ = read_values_csv(path)
+    np.testing.assert_array_equal(field.policy_choices, [[2], [0]])
+
+
 def test_write_table_int_columns_render_without_decimals(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ["value", "count"], [[0.5, 3.0]], int_columns=(1,))

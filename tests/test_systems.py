@@ -389,12 +389,12 @@ def test_policies_shapes_and_values():
     np.testing.assert_array_equal(
         ConstantPolicy([0.5, -1.0])(4, states), np.tile([0.5, -1.0], (3, 1))
     )
-    policy = AffinePolicy([[1.0, 0.0]], offset=[2.0])
-    np.testing.assert_allclose(policy(0, states), [[2.0], [0.0], [-2.0]])
-    clipped = AffinePolicy([[1.0, 0.0]], offset=[2.0], lower=-1.0, upper=1.0)
-    np.testing.assert_allclose(clipped(0, states), [[1.0], [0.0], [-1.0]])
-    with pytest.raises(InputError):
-        AffinePolicy([[1.0, 0.0]], offset=[1.0, 2.0])
+    policy = AffinePolicy([[1.0, 0.0]])
+    u = policy(0, states)
+    np.testing.assert_array_equal(u, [[0.0], [-2.0], [-4.0]])
+    assert not np.signbit(u[0, 0])  # a zero control is +0.0
+    clipped = AffinePolicy([[1.0, 0.0]], lower=-1.0, upper=1.0)
+    np.testing.assert_array_equal(clipped(0, states), [[0.0], [-1.0], [-1.0]])
 
 
 # ------------------------------------------------------- sample generation
