@@ -281,11 +281,14 @@ def _cmd_bench_dims(args):
     cfg = _load_config(args)
     if cfg.system != "integrator":
         raise InputError("bench-dims supports only the integrator system")
+    parts = args.dims.split(",")
+    if not all(p.strip() for p in parts):
+        raise InputError(f"--dims: empty field in {args.dims!r}")
     try:
-        dims = [int(d) for d in args.dims.split(",") if d.strip()]
+        dims = [int(d) for d in parts]
     except ValueError:
         raise InputError(f"--dims expects comma-separated integers, got {args.dims!r}")
-    if not dims or any(d < 1 for d in dims):
+    if any(d < 1 for d in dims):
         raise InputError(f"--dims entries must be positive, got {args.dims!r}")
     if args.repeats < 1:
         raise InputError("--repeats must be at least 1")

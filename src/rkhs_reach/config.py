@@ -281,7 +281,7 @@ def parse_control_grid(text, control_dim):
     rows = []
     for chunk in text.split(";"):
         if not chunk.strip():
-            continue
+            raise InputError(f"control_grid: empty field in {text!r}")
         values = _parse_floats(chunk, "control_grid")
         if len(values) != control_dim:
             raise InputError(
@@ -289,8 +289,6 @@ def parse_control_grid(text, control_dim):
                 f"control dimension is {control_dim}"
             )
         rows.append(values)
-    if not rows:
-        raise InputError("control_grid is empty")
     return np.asarray(rows, dtype=np.float64)
 
 

@@ -31,29 +31,63 @@ weights are bitwise independent of the query control (also where
 ``k_u(u0, u)`` underflows and the joint column would be all zero), and
 :attr:`Embedding.reads_controls` is false.
 
-The fit factors ``G + lam*M*I`` once (Cholesky) and forms its inverse
-from the factor, so a batch of queries costs one kernel matrix and one
-matrix product with the inverse, not two triangular solves per query.
-The fit also lifts the joint sample rows for the kernel once
+The fit inverts ``G + lam*M*I`` once, so a batch of queries costs one
+kernel matrix and one matrix product with the inverse, not a solve per
+query. The fit also lifts the joint sample rows for the kernel once
 (:meth:`RBFKernel.lift`), so each batch lifts only its query rows.
-It adds the ridge onto the Gram matrix, factors that in place and
-solves the factor into an identity in place, so a fit keeps one M x M
-matrix (the inverse; 8 MB at M = 1024) and holds about two at its peak.
-The ridge keeps every eigenvalue at or above ``lam*M``, so the condition
-number is at most ``1 + |G|_2 / (lam*M)``: 1.016 on the 1024-sample
-benchmark at ``lam = 1``, and weights from the inverse agree with a
-Cholesky solve to 2e-14 relative down to ``lam = 1e-4``.
+It adds the ridge onto the Gram matrix in place and inverts it with
+``np.linalg.inv``, so the Gram product, the inverse, the cross kernels
+and the weight products all run on numpy's BLAS and its one thread
+pool; scipy's LAPACK would bring a second OpenBLAS with a pool of its
+own. A fit keeps one M x M matrix (the inverse; 8 MB at M = 1024). At
+its peak it holds about four: the ridge, LAPACK's copy of it, the
+identity LAPACK solves into and the inverse (the resident set rises by
+3.9 to 4.1 matrices during a fit at M = 2048). The ridge keeps every eigenvalue at or
+above ``lam*M``, so the condition number is at most
+``1 + |G|_2 / (lam*M)``: 1.016 on the 1024-sample benchmark at
+``lam = 1``. Weights from the inverse agree with a Cholesky solve per
+column to 1.2e-15 relative at ``lam = 1``, 1.8e-14 at ``lam = 1e-4``
+and 1.6e-12 at ``lam = 1e-6``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InputError, NumericalError
 from .kernels import RBFKernel
 
 __all__ = ["TransitionSample", "Embedding"]
+
+
+def _check_finite(ridge):
+    """Raise :class:`NumericalError` unless every entry of ``ridge`` is finite.
+
+    ``np.linalg.inv`` returns NaN for a non-finite matrix without raising,
+    so the fit checks first. The Gram matrix is not finite once squared
+    distances overflow, for coordinates about 1e154 from the sample mean.
+    """
+    if not np.isfinite(ridge).all():
+        raise NumericalError("kernel matrix is not finite")
+
+
+def _invert(ridge):
+    """The inverse of the symmetric matrix ``ridge``, in Fortran order.
+
+    ``ridge`` is symmetric to the bit, so the transpose of its computed
+    inverse is as good an inverse, and a free view in Fortran order. In
+    that order a weight column has the same bits whatever the width of
+    the point block it is computed in; in C order some moved by an ulp.
+    """
+    try:
+        return np.linalg.inv(ridge).T
+    except np.linalg.LinAlgError as exc:  # cannot happen for lam*M > 0
+        raise NumericalError(f"ridge system inversion failed: {exc}")
+
+
+# perfbench/tracing.py times the fit's two steps under these names; the
+# line goes once the tracer binds by the callers' names
+cho_factor, cho_solve = _check_finite, _invert
 
 
 def _as_matrix(name, arr, rows=None):
@@ -168,23 +202,15 @@ class Embedding:
         self._fixed_control = controls[0] if same and controls.size else None
         joint = sample.joint()
         ridge = kernel.gram(joint)
-        # the sample side of every query cross, lifted once per fit
-        self._lifted = kernel.lift(joint)
         m = sample.count
         ridge.flat[:: m + 1] += lam * m
-        try:
-            # the matrix is symmetric to the bit, so its transpose is the
-            # same matrix in Fortran order and LAPACK factors it in place
-            factor = cho_factor(ridge.T, lower=True, overwrite_a=True)
-        except np.linalg.LinAlgError as exc:  # cannot happen for lam*M > 0
-            raise NumericalError(f"ridge system factorization failed: {exc}")
-        except ValueError as exc:
-            # a non-finite Gram matrix: squared distances overflow once
-            # coordinates pass ~1e154 from the sample mean
-            raise NumericalError(f"kernel matrix is not finite: {exc}")
+        _check_finite(ridge)
         # well conditioned (module docstring), so the inverse replaces
         # two triangular solves per query with one matrix product
-        self._inv = cho_solve(factor, np.eye(m, order="F"), overwrite_b=True)
+        self._inv = _invert(ridge)
+        del ridge
+        # the sample side of every query cross, lifted once per fit
+        self._lifted = kernel.lift(joint)
 
     @property
     def reads_controls(self):

@@ -328,14 +328,24 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
 
     # an empty field in a list of numbers exits 2 naming the key; it is
     # not skipped
+    max_mode = ("--mode", "max", "--point", "0,0")
     for args, key in (
         (("--point", "0,,0"), "point"),
         (("--safe-box=-1,,1", "--point", "0,0"), "safe_box"),
         (("--target-box=-1,1,", "--point", "0,0"), "target_box"),
+        (("--control-grid=-0.5;;0.5", *max_mode), "control_grid"),
+        (("--control-grid=-0.5;0.5;", *max_mode), "control_grid"),
     ):
         rc, out, err = run(capsys, "reach", "--sample-file", sample_file, *args)
         assert rc == 2 and out == "", args
         assert err.startswith(f"error: {key}: empty field"), args
+    for dims in ("2,,3", "2,3,", ""):
+        rc, out, err = run(
+            capsys, "bench-dims", "--dims", dims, "--samples", "8",
+            "--repeats", "1",
+        )
+        assert rc == 2 and out == "", dims
+        assert err.startswith("error: --dims: empty field"), dims
 
     # eta is no longer a key, as a flag or in a config file
     rc, _, _ = run(

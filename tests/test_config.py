@@ -236,8 +236,12 @@ def test_parse_point_and_control_grid():
         parse_point("0,0", 3)
     grid = parse_control_grid("0;0.5;-0.5", 1)
     np.testing.assert_array_equal(grid, [[0.0], [0.5], [-0.5]])
-    grid = parse_control_grid("0,0;1,-1;", 2)
+    grid = parse_control_grid("0,0;1,-1", 2)
     np.testing.assert_array_equal(grid, [[0.0, 0.0], [1.0, -1.0]])
+    # an empty entry is rejected, not skipped, as in every list of numbers
+    for text in ("0,0;1,-1;", "0,0;;1,-1", ";0,0"):
+        with pytest.raises(InputError, match="control_grid: empty field"):
+            parse_control_grid(text, 2)
     with pytest.raises(InputError, match="control dimension is 2"):
         parse_control_grid("0;1", 2)
     with pytest.raises(InputError, match="control_grid"):

@@ -1,11 +1,15 @@
 """Embedding estimator tests against closed forms and a dense-solve oracle."""
 
-import tracemalloc
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+import rkhs_reach
 from rkhs_reach import (
     BoxSampler,
     BoxSet,
@@ -182,7 +186,7 @@ def test_non_finite_inverse_raises(normalize):
 
 def test_overflowing_sample_raises_numerical_error():
     # |x|^2 overflows, so the Gram matrix is not finite: exit code 3, not
-    # a scipy traceback
+    # the NaN inverse that np.linalg.inv returns without raising
     rng = np.random.default_rng(12)
     states = rng.uniform(-1.0, 1.0, size=(16, 2))
     states[5] = [1e200, 0.0]
@@ -195,8 +199,8 @@ def test_overflowing_sample_raises_numerical_error():
 
 
 def test_fit_keeps_one_matrix_with_the_bits_of_a_separate_solve():
-    # the ridge is factored and inverted in the Gram matrix's own buffer;
-    # the inverse must have the bits of a factor of a separate sum
+    # the ridge is formed in the Gram matrix's own buffer and dropped once
+    # inverted; the inverse must have the bits of inverting a separate sum
     m = 256
     sample = make_bench_sample(m, 4)
     emb = Embedding(sample, RBFKernel(BENCH_SIGMA), BENCH_LAMBDA)
@@ -206,31 +210,49 @@ def test_fit_keeps_one_matrix_with_the_bits_of_a_separate_solve():
         if isinstance(value, np.ndarray) and value.shape == (m, m)
     ]
     assert square == ["_inv"]
+    assert emb._inv.flags.f_contiguous
     gram = emb.kernel.gram(sample.joint())
-    factor = cho_factor(gram + emb.lam * m * np.eye(m), lower=True)
-    want = cho_solve(factor, np.eye(m))
+    want = np.linalg.inv(gram + emb.lam * m * np.eye(m)).T
     np.testing.assert_array_equal(emb._inv.view(np.uint64), want.view(np.uint64))
 
 
-def test_fit_peak_memory_is_about_two_matrices():
-    # the Gram matrix (factored in place) and the identity (solved in
-    # place) are the fit's only M x M arrays; a separate ridge sum, factor
-    # copy or C-ordered identity each add one more
-    m = 256
-    sample = make_bench_sample(m, 4)
-    kernel = RBFKernel(BENCH_SIGMA)
-    Embedding(sample, kernel, BENCH_LAMBDA)  # first-call allocations
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        Embedding(sample, kernel, BENCH_LAMBDA)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak <= 2.5 * m * m * 8
+# Runs in a fresh interpreter, so that the high-water mark of the resident
+# set measures this fit alone; prints the rise in bytes.
+_FIT_RSS_CHILD = """
+import resource, sys
+import numpy as np
+from rkhs_reach import Embedding, RBFKernel, TransitionSample
+
+def sample(m):
+    x = np.random.default_rng(4).uniform(-1.1, 1.1, size=(m, 2))
+    return TransitionSample(x, np.zeros((m, 1)), 0.9 * x)
+
+kernel = RBFKernel(0.1)
+Embedding(sample(256), kernel, 1.0)  # loads the libraries and their buffers
+big = sample(int(sys.argv[1]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+Embedding(big, kernel, 1.0)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_fit_peak_memory_is_about_four_matrices():
+    # the ridge, LAPACK's two work buffers (the matrix and the identity it
+    # solves into) and the inverse: a fit at M = 2048 raises the resident
+    # set by 3.9 to 4.1 M x M matrices. tracemalloc would not do here: it
+    # sees only the inverse, not the LAPACK buffers.
+    m = 2048
+    paths = [str(pathlib.Path(rkhs_reach.__file__).parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", _FIT_RSS_CHILD, str(m)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    rise = int(out.stdout)
+    assert rise <= 4.5 * m * m * 8, rise / (m * m * 8)
 
 
 def test_far_query_raw_weights_negligible():
@@ -383,7 +405,7 @@ def test_validation_errors():
     with pytest.raises(InputError):
         emb.weights(np.zeros((2, 2)), np.zeros((3, 1)))  # row mismatch
     with pytest.raises(InputError, match="non-finite"):
-        emb.weights([[np.nan, 0.0]], [[0.0]])  # not scipy's ValueError
+        emb.weights([[np.nan, 0.0]], [[0.0]])
     with pytest.raises(InputError, match="non-finite"):
         emb.weights([[0.0, 0.0]], [[np.inf]])
 

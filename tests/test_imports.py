@@ -142,3 +142,38 @@ def test_nested_import_and_cycle_are_reported():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": {"b"}}) == ["b", "b"]
+
+
+def scipy_imports(tree):
+    """Lines of the import statements that load ``scipy`` or a submodule."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+# The estimator path: the Gram matrix, the fit, the cross kernels and the
+# weight products. scipy loads its own OpenBLAS with its own thread pool,
+# and on a small machine the two pools stall each other at every handoff.
+ONE_POOL = ["embedding.py", "kernels.py", "reach.py"]
+
+
+@pytest.mark.parametrize("name", ONE_POOL)
+def test_estimator_path_runs_on_one_blas(name):
+    lines = scipy_imports(parse(PACKAGE / name))
+    assert not lines, f"{name} imports scipy at lines {lines}"
+
+
+def test_scipy_import_is_reported():
+    tree = ast.parse(
+        "import numpy\nimport scipy.linalg\nfrom scipy import special\n"
+        "from scipyx import y\nfrom . import scipy\n"
+    )
+    assert scipy_imports(tree) == [2, 3]
