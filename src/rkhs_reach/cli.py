@@ -171,6 +171,13 @@ def _cmd_reach(args):
             "searches control_grid and queries no policy"
         )
     sample = read_transitions_csv(args.sample_file)
+    # every configuration check runs before the fit
+    if cfg.mode == "max":
+        control_grid = parse_control_grid(cfg.control_grid, sample.control_dim)
+    else:
+        policy = build_policy(
+            cfg, build_system(cfg), control_dim=sample.control_dim
+        )
     n = sample.state_dim
     problem = build_problem(cfg, n)
     points = evaluation_points(cfg, n)
@@ -179,7 +186,6 @@ def _cmd_reach(args):
     fit_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     if cfg.mode == "max":
-        control_grid = parse_control_grid(cfg.control_grid, sample.control_dim)
         field = value_recursion_max(emb, problem, points, control_grid)
         if not emb.reads_controls:
             print(
@@ -188,8 +194,6 @@ def _cmd_reach(args):
                 file=sys.stderr,
             )
     else:
-        system = build_system(cfg)
-        policy = build_policy(cfg, system, control_dim=sample.control_dim)
         field = value_recursion(emb, problem, points, policy)
     recursion_seconds = time.perf_counter() - t0
     if args.out:

@@ -9,7 +9,6 @@ indicator multiplying every earlier step).
 """
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _backend
 from .errors import InputError
@@ -24,6 +23,8 @@ _MC_CHUNK = 65536
 
 def _box_hit_probability(means, box, sd):
     # closed-form E[1_box(mean + w)] for diagonal Gaussian w
+    from scipy.special import ndtr
+
     p = np.ones(means.shape[0])
     for d in range(2):
         p *= ndtr((box.upper[d] - means[:, d]) / sd[d]) - ndtr(

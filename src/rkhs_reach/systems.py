@@ -12,8 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import expm, solve_discrete_are
-from scipy.special import gammaln
 
 from . import _backend
 from .embedding import TransitionSample
@@ -83,6 +81,28 @@ class _LinearSystem:
         return out
 
 
+def _taylor_terms(n, t):
+    """``t^j / j!`` for ``j = 0..n``, each correctly rounded.
+
+    The term is the exact ratio of two integers (``t`` is a binary
+    fraction ``p / q``), and Python's integer true division rounds that
+    ratio once to the nearest float. Past the peak at ``j ~ t`` the terms
+    only fall, so the first one there that rounds to zero ends the loop.
+    A term beyond the float range raises ``OverflowError``.
+    """
+    terms = np.zeros(n + 1)
+    p, q = t.as_integer_ratio()
+    num = den = 1
+    for j in range(n + 1):
+        if j:
+            num *= p
+            den *= q * j
+        terms[j] = num / den
+        if j > t and not terms[j]:
+            break
+    return terms
+
+
 class IntegratorChain(_LinearSystem):
     """Discrete n-dimensional integrator chain with control on the last state.
 
@@ -90,7 +110,9 @@ class IntegratorChain(_LinearSystem):
     scalar control enters through the final component. The state matrix
     is upper-triangular Toeplitz with ``c_j = T^j / j!`` on the j-th
     superdiagonal and the input vector has ``c_(n-i)`` in row i
-    (0-indexed).
+    (0-indexed). Each ``c_j`` is correctly rounded: it is computed in
+    exact rational arithmetic and rounded once to float, so ``c_1`` is
+    ``T`` itself.
 
     The band keeps the diagonals ``0..J``, where J is the last index
     whose tail ``sum_{i >= J} c_i`` exceeds ``2^-53`` times the row sum
@@ -116,16 +138,19 @@ class IntegratorChain(_LinearSystem):
         self.n = n
         self.m = 1
         self.sampling_time = sampling_time
-        j = np.arange(n + 1)
-        with np.errstate(under="ignore", over="ignore"):
-            taylor = np.exp(j * math.log(sampling_time) - gammaln(j + 1.0))
+        overflow = InputError(
+            f"sampling time {sampling_time} overflows the state or input "
+            f"matrix of the {n}-dimensional integrator chain"
+        )
+        try:
+            taylor = _taylor_terms(n, sampling_time)
+        except OverflowError:
+            raise overflow from None
+        with np.errstate(over="ignore"):
             tail = np.cumsum(taylor[n - 1 :: -1])[::-1]  # sum of c_i, i >= j
-        # the row sum bounds every c_i of A; B adds only c_n
-        if not (np.isfinite(tail[0]) and np.isfinite(taylor[n])):
-            raise InputError(
-                f"sampling time {sampling_time} overflows the state or input "
-                f"matrix of the {n}-dimensional integrator chain"
-            )
+        # every term is finite, but their row sum can still overflow
+        if not np.isfinite(tail[0]):
+            raise overflow
         band = np.count_nonzero(tail > 2.0**-53 * tail[0])
         self._coeffs = taylor[:band]
         self._b = taylor[n:0:-1, None].copy()  # row i: c_(n-i)
@@ -218,6 +243,8 @@ class CWHSystem(_LinearSystem):
         block[2, 3] = 2.0 * w
         block[3, 2] = -2.0 * w
         block[2, 4] = block[3, 5] = 1.0 / mass
+        from scipy.linalg import expm
+
         phi = expm(block * sampling_time)
         self._a = phi[:4, :4].copy()
         self._b = phi[:4, 4:].copy()
@@ -313,6 +340,8 @@ def cwh_lqr_policy(system):
     """
     if not isinstance(system, CWHSystem):
         raise InputError("cwh_lqr_policy requires a CWHSystem")
+    from scipy.linalg import solve_discrete_are
+
     q = np.diag([1.0, 1.0, 1e3, 1e3])
     r = np.eye(2) * 1e4
     a, b = system.dense_a(), system.dense_b()

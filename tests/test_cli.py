@@ -1,11 +1,18 @@
-"""End-to-end command-line flows, run in process through main()."""
+"""End-to-end command-line flows, run through main(): in process, and in
+a fresh interpreter where the test is about what the commands import."""
 
 import dataclasses
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rkhs_reach import ConstantPolicy, ZeroPolicy, __version__
+import rkhs_reach
+from rkhs_reach import ConstantPolicy, ZeroPolicy, __version__, cli
 from rkhs_reach.cli import _build_parser, _load_config, main
 from rkhs_reach.config import RunConfig
 from rkhs_reach.io import (
@@ -189,6 +196,29 @@ def test_reach_rejects_policy_in_max_mode(tmp_path, capsys, sample_file):
     assert rc == 2 and out == ""
     assert "policy" in err and "max mode searches control_grid" in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mode", "max", "--control-grid=-0.5;;0.5"], "empty field"),
+        (["--mode", "max", "--control-grid=0.1,0.2"], "control dimension is 1"),
+        (["--policy", "constant:abc"], "comma-separated numbers"),
+        (["--policy", "constant:0.1,0.2"], "control dimension is 1"),
+        (["--policy", "lqr"], "only defined for the cwh system"),
+    ],
+)
+def test_reach_checks_grid_and_policy_before_the_fit(
+    monkeypatch, capsys, sample_file, flags, message
+):
+    fits = []
+    monkeypatch.setattr(cli, "Embedding", lambda *a, **k: fits.append(a))
+    rc, out, err = run(
+        capsys, "reach", "--sample-file", sample_file, "--point", "0,0", *flags
+    )
+    assert rc == 2 and out == ""
+    assert message in err
+    assert fits == []
 
 
 def test_reach_raw_weight_mode_runs(capsys, sample_file):
@@ -566,3 +596,50 @@ def test_cwh_end_to_end_smoke(tmp_path, capsys):
     # the grid oracle cannot handle the rendezvous cone sets
     rc, _, err = run(capsys, "oracle-dp", "--system", "cwh", "--point", "0,-0.5,0,0")
     assert rc == 2 and "grid oracle" in err
+
+
+# Runs the commands in a fresh interpreter and prints, as its last line,
+# their exit codes and which scipy submodules each group left loaded.
+_SCIPY_ON_USE_CHILD = """
+import json, sys
+from rkhs_reach.cli import main
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+
+sample = sys.argv[1] + "/sample.csv"
+integrator = [
+    ["generate", "--samples", "16", "--out", sample],
+    ["reach", "--sample-file", sample, "--point", "0,0"],
+    ["reach", "--sample-file", sample, "--point", "0,0", "--mode", "max",
+     "--control-grid=0;0.5"],
+    ["bench-dims", "--dims", "2,3", "--samples", "16", "--repeats", "1"],
+]
+scipy_users = [
+    ["oracle-dp", "--dp-grid", "11x11", "--dp-quad", "3", "--point", "0,0"],
+    ["generate", "--system", "cwh", "--policy", "lqr", "--samples", "4",
+     "--out", sys.argv[1] + "/cwh.csv"],
+]
+result = {"integrator": [main(argv) for argv in integrator]}
+result["integrator_loaded"] = loaded()
+result["scipy_users"] = [main(argv) for argv in scipy_users]
+result["scipy_users_loaded"] = loaded()
+print(json.dumps(result))
+"""
+
+
+def test_integrator_commands_do_not_load_scipy(tmp_path):
+    # scipy serves only expm, the LQR gain and ndtr, imported on first use
+    paths = [str(pathlib.Path(rkhs_reach.__file__).parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_ON_USE_CHILD, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["integrator"] == [0, 0, 0, 0]
+    assert result["integrator_loaded"] == []
+    assert result["scipy_users"] == [0, 0]
+    assert result["scipy_users_loaded"] == ["scipy.linalg", "scipy.special"]

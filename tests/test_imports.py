@@ -1,7 +1,8 @@
 """Import hygiene of the package.
 
-Every name a module imports is used in that module, every import sits at
-module level, and the modules' relative imports form no cycle.
+Every name a module imports is used in that module, every import but
+three listed scipy calls sits at module level, and the modules' relative
+imports form no cycle.
 """
 
 import ast
@@ -69,12 +70,13 @@ def parse(path):
 
 
 def nested_imports(tree):
-    """Lines of the import statements that are not at module level."""
+    """``(line, name)`` of each name imported below module level."""
     top = {id(node) for node in tree.body}
     return sorted(
-        node.lineno
+        (node.lineno, alias.name)
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        for alias in node.names
     )
 
 
@@ -121,10 +123,34 @@ def find_cycle(graph):
     return None
 
 
+# The only imports inside functions: the three scipy calls, loaded on
+# first use. scipy.linalg and scipy.special (with scipy's own OpenBLAS)
+# double the import time and resident set of the package, and the
+# integrator commands call none of them. Every other import, relative
+# ones included, stays at module level, where the cycle check sees it.
+IN_FUNCTION = {
+    ("oracle.py", "ndtr"),
+    ("systems.py", "expm"),
+    ("systems.py", "solve_discrete_are"),
+}
+
+
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_every_import_is_at_module_level(path):
-    lines = nested_imports(parse(path))
-    assert not lines, f"{path.name} imports inside a block at lines {lines}"
+    nested = [
+        (line, name) for line, name in nested_imports(parse(path))
+        if (path.name, name) not in IN_FUNCTION
+    ]
+    assert not nested, f"{path.name} imports inside a block: {nested}"
+
+
+def test_in_function_imports_are_the_listed_ones():
+    found = {
+        (path.name, name)
+        for path in ALL_MODULES
+        for _, name in nested_imports(parse(path))
+    }
+    assert found == IN_FUNCTION
 
 
 def test_relative_imports_form_no_cycle():
@@ -136,7 +162,7 @@ def test_relative_imports_form_no_cycle():
 
 def test_nested_import_and_cycle_are_reported():
     tree = ast.parse("import os\ndef f():\n    from . import b\n")
-    assert nested_imports(tree) == [3]
+    assert nested_imports(tree) == [(3, "b")]
     assert relative_imports(tree, {"a", "b"}) == {"b"}
     assert relative_imports(ast.parse("from . import x"), {"a"}) == {"__init__"}
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None

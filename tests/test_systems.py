@@ -1,11 +1,11 @@
 """Dynamics, disturbances, policies, and transition generation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaln
 
 from rkhs_reach import _backend
 from rkhs_reach import (
@@ -78,11 +78,19 @@ def test_integrator_high_dimension_is_banded_and_cheap():
 
 
 def _taylor(n, t):
-    # T^j / j! for j < n, every term down to underflow: the band as it
-    # was built before the round-off cut
-    j = np.arange(n)
-    with np.errstate(under="ignore"):
-        return np.exp(j * math.log(t) - gammaln(j + 1.0))
+    # T^j / j! for j < n, each the exact rational rounded once to float,
+    # every term down to underflow: the band before the round-off cut
+    return np.array(
+        [float(Fraction(t) ** j / math.factorial(j)) for j in range(n)]
+    )
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 0.25, 2.0, 5.0])
+def test_integrator_first_coefficient_is_the_sampling_time(t):
+    # c_1 = T / 1! is exact, and so is its rounding
+    system = IntegratorChain(3, sampling_time=t)
+    assert system.dense_a()[0, 1] == t
+    assert system.dense_b()[2, 0] == t
 
 
 # sampling time -> band of the round-off cut at large n
