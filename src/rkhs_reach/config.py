@@ -315,9 +315,14 @@ def build_sampler(cfg, dim):
     if cfg.system == "cwh":
         return BoxSampler(CWH_SAMPLE_BOX[0::2], CWH_SAMPLE_BOX[1::2])
     safe = parse_box(cfg.safe_box, dim, "safe_box")
-    center = (safe.lower + safe.upper) / 2.0
-    half = (safe.upper - safe.lower) / 2.0
-    return BoxSampler(center - 1.1 * half, center + 1.1 * half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = (safe.lower + safe.upper) / 2.0
+        half = (safe.upper - safe.lower) / 2.0
+        lower, upper = center - 1.1 * half, center + 1.1 * half
+        fits = np.all(np.isfinite(upper - lower))
+    if not fits:
+        raise InputError("safe_box is too wide to sample: inflated by 10% it overflows")
+    return BoxSampler(lower, upper)
 
 
 def parse_shape(text, what="grid"):

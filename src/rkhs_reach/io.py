@@ -5,11 +5,13 @@ All files are UTF-8 with LF line endings. Optional metadata rides in
 17 significant digits (``%.17g``), which round-trips IEEE double
 exactly, so a write/read cycle reproduces arrays bit for bit; integer
 columns are written with ``%d``. Each table builds one ``%`` template
-from its column kinds and formats a row per call, after checking once
-that the rows are as wide as the header. Writes go through a
-temporary file in the destination directory followed by an atomic
-rename. The file keeps the mode of the one it replaces; a new file gets
-``0o666`` less the umask, as ``open`` would give it.
+from its column kinds, after checking once that the rows are as wide
+as the header, and formats and writes blocks of ``_BLOCK_ROWS`` rows
+with one ``%`` each, so the text of the whole table is never held at
+once. Writes go through a temporary file in the destination directory
+followed by an atomic rename. The file keeps the mode of the one it
+replaces; a new file gets ``0o666`` less the umask, as ``open`` would
+give it.
 """
 
 import os
@@ -34,6 +36,9 @@ __all__ = [
     "atomic_write_text",
 ]
 
+# rows formatted and written per ``%``: about 24 bytes of text a cell
+_BLOCK_ROWS = 1024
+
 
 def _target_mode(path):
     """Mode for a file written to ``path`` (module docstring)."""
@@ -46,6 +51,9 @@ def _target_mode(path):
 
 
 def atomic_write_text(path, text):
+    """Write ``text``, a string or an iterable of strings written in turn."""
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     mode = _target_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".csv")
@@ -53,7 +61,7 @@ def atomic_write_text(path, text):
         # mkstemp creates the file 0600
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,6 +70,11 @@ def atomic_write_text(path, text):
 
 
 def _render(names, rows, metadata=None, int_columns=()):
+    """The table's text as an iterator: the header, then blocks of rows.
+
+    Everything is checked before the iterator is returned, so a bad
+    table raises before its file is opened.
+    """
     lines = []
     for key in metadata or {}:
         value = str(metadata[key])
@@ -80,13 +93,17 @@ def _render(names, rows, metadata=None, int_columns=()):
             f"table has {len(names)} columns, rows have shape {rows.shape}"
         )
     int_set = set(int_columns)
-    template = ",".join(
+    line = ",".join(
         "%d" if i in int_set else "%.17g" for i in range(len(names))
-    )
-    # one row at a time: a whole-table tolist() would hold every cell as
-    # a Python float at once
-    lines.extend(template % tuple(row.tolist()) for row in rows)
-    return "\n".join(lines) + "\n"
+    ) + "\n"
+
+    def pieces():
+        yield "\n".join(lines) + "\n"
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            yield (line * block.shape[0]) % tuple(block.ravel().tolist())
+
+    return pieces()
 
 
 def _parse_table(path):

@@ -8,6 +8,9 @@ package can simulate. Both implement the exact recursion semantics from
 indicator multiplying every earlier step).
 """
 
+import os
+import threading
+
 import numpy as np
 
 from . import _backend
@@ -135,6 +138,14 @@ def dp_reach(
     return ValueField(points=eval_points, values=rows)
 
 
+def _core_count():
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is Linux only
+        return os.cpu_count() or 1
+
+
 def mc_reach(
     system,
     disturbance,
@@ -156,6 +167,20 @@ def mc_reach(
     with half-width 0, without rollouts: each of them would fail at
     step 0.
 
+    The safe starts are shared out over the calling thread and one more
+    thread per further usable core, at most one thread per safe start:
+    with k threads, the i-th safe start goes to thread i mod k. Each
+    start keeps its stream, its chunks and its arithmetic, so the
+    results are bitwise the same at any thread count, while numpy runs
+    the draws, box tests and steps outside the interpreter lock. The
+    policy, the set predicates, ``system.step`` and ``disturbance.draw``
+    may thus run on several threads at once, and must not share
+    unlocked mutable state (the built-in ones do not). A single start
+    runs on one thread and gains nothing. Each extra thread holds one
+    chunk's working set, about ``_MC_CHUNK * n * 8`` bytes five times
+    over (5 MB at n = 2). When a thread raises, the others stop at their
+    next chunk, and the first error is re-raised once all have ended.
+
     Returns
     -------
     (values, halfwidths)
@@ -172,22 +197,56 @@ def mc_reach(
     streams = np.random.SeedSequence(seed).spawn(x0s.shape[0])
     values = np.zeros(x0s.shape[0])
     halfwidths = np.zeros(x0s.shape[0])
-    for p in np.flatnonzero(problem.safe.contains(x0s)):
-        rng = np.random.default_rng(streams[p])
-        hits = 0
-        done = 0
-        while done < rollouts:
-            count = min(_MC_CHUNK, rollouts - done)
-            states = np.repeat(x0s[p : p + 1], count, axis=0)
-            alive = np.ones(count, dtype=bool)
-            for k in range(n_steps):
-                alive &= problem.safe.contains(states)
-                controls = policy(k, states)
-                draws = disturbance.draw(rng, count)
-                states = system.step(states, controls, draws)
-            hits += int(np.count_nonzero(alive & problem.target.contains(states)))
-            done += count
-        frac = hits / rollouts
-        values[p] = frac
-        halfwidths[p] = 1.96 * np.sqrt(frac * (1.0 - frac) / rollouts)
+    safe = np.flatnonzero(problem.safe.contains(x0s))
+    stop = threading.Event()
+    errors = []
+
+    def run(starts):
+        try:
+            for p in starts:
+                rng = np.random.default_rng(streams[p])
+                hits = 0
+                done = 0
+                while done < rollouts:
+                    if stop.is_set():
+                        return
+                    count = min(_MC_CHUNK, rollouts - done)
+                    states = np.repeat(x0s[p : p + 1], count, axis=0)
+                    alive = np.ones(count, dtype=bool)
+                    for k in range(n_steps):
+                        alive &= problem.safe.contains(states)
+                        controls = policy(k, states)
+                        draws = disturbance.draw(rng, count)
+                        states = system.step(states, controls, draws)
+                    hits += int(
+                        np.count_nonzero(alive & problem.target.contains(states))
+                    )
+                    done += count
+                frac = hits / rollouts
+                values[p] = frac
+                halfwidths[p] = 1.96 * np.sqrt(frac * (1.0 - frac) / rollouts)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = max(1, min(_core_count(), len(safe)))
+    workers = [
+        threading.Thread(target=run, args=(safe[i::threads],))
+        for i in range(1, threads)
+    ]
+    try:
+        for worker in workers:
+            worker.start()
+        run(safe[::threads])
+        for worker in workers:
+            worker.join()
+    finally:
+        # a no-op once all have ended; after a failed start or an
+        # interrupt it ends the others before they are joined
+        stop.set()
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
+    if errors:
+        raise errors[0]
     return values, halfwidths

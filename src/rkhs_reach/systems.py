@@ -325,10 +325,26 @@ class ZeroDisturbance:
 
 
 class BoxSampler(BoxSet):
-    """Uniform sampler over an axis-aligned box with finite bounds."""
+    """Uniform sampler over an axis-aligned box with finite bounds and widths."""
+
+    def __init__(self, lower, upper):
+        super().__init__(lower, upper)
+        with np.errstate(over="ignore"):
+            self.width = self.upper - self.lower
+        if not np.all(np.isfinite(self.width)):
+            raise InputError("box is too wide to sample: its width overflows")
 
     def draw(self, rng, count):
-        return rng.uniform(self.lower, self.upper, size=(count, self.dim))
+        """``count`` rows, the same stream and bits as ``rng.uniform``.
+
+        ``Generator.uniform(low, high)`` returns ``low + (high - low) * u``
+        from the ``random`` stream, which the in-place scale and shift
+        repeat without the broadcast over the bound vectors.
+        """
+        draws = rng.random((count, self.dim))
+        draws *= self.width
+        draws += self.lower
+        return draws
 
 
 def cwh_lqr_policy(system):

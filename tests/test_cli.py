@@ -7,12 +7,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import rkhs_reach
-from rkhs_reach import ConstantPolicy, ZeroPolicy, __version__, cli
+from rkhs_reach import ConstantPolicy, InputError, ZeroPolicy, __version__, cli, oracle
 from rkhs_reach.cli import _build_parser, _load_config, main
 from rkhs_reach.config import RunConfig
 from rkhs_reach.io import (
@@ -302,6 +304,39 @@ def test_oracle_mc_accepts_points_file(tmp_path, capsys):
     assert rc == 0
     pts, _, _ = read_value_table(tmp_path / "mc.csv")
     assert pts.shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "flag", ["--sample-box=-1e308,1e308", "--safe-box=-1e308,1e308"]
+)
+def test_generate_rejects_a_box_too_wide_to_sample(tmp_path, capsys, flag):
+    out_csv = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        rc, out, err = run(
+            capsys, "generate", "--samples", "4", flag, "--out", str(out_csv)
+        )
+    assert rc == 2 and out == "" and not out_csv.exists()
+    assert err.startswith("error:") and "too wide to sample" in err
+
+
+def test_oracle_mc_worker_error_exits_2(tmp_path, capsys, monkeypatch):
+    def policy(k, states):
+        if threading.current_thread() is not threading.main_thread():
+            raise InputError("policy failed on a worker thread")
+        return np.zeros((states.shape[0], 1))
+
+    monkeypatch.setattr(cli, "build_policy", lambda cfg, system: policy)
+    monkeypatch.setattr(oracle, "_core_count", lambda: 2)
+    pfile = tmp_path / "pts.csv"
+    pfile.write_text("x1,x2\n0.0,0.0\n0.5,0.5\n")
+    out_csv = tmp_path / "mc.csv"
+    rc, out, err = run(
+        capsys, "oracle-mc", "--points-file", str(pfile), "--rollouts", "200",
+        "--out", str(out_csv),
+    )
+    assert rc == 2 and out == "" and not out_csv.exists()
+    assert err == "error: policy failed on a worker thread\n"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

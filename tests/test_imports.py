@@ -1,12 +1,17 @@
 """Import hygiene of the package.
 
 Every name a module imports is used in that module, every import but
-three listed scipy calls sits at module level, and the modules' relative
-imports form no cycle.
+three listed scipy calls sits at module level, the modules' relative
+imports form no cycle, and importing the CLI loads neither scipy nor
+an executor module.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -151,6 +156,29 @@ def test_in_function_imports_are_the_listed_ones():
         for _, name in nested_imports(parse(path))
     }
     assert found == IN_FUNCTION
+
+
+# What ``import rkhs_reach.cli`` must leave unloaded: scipy loads on the
+# first call that needs it, and the Monte Carlo oracle runs its threads
+# on ``threading`` alone.
+UNLOADED_BY_CLI = ["scipy", "scipy.linalg", "scipy.special", "concurrent.futures"]
+
+
+def test_cli_import_loads_no_scipy_and_no_executor():
+    paths = [str(PACKAGE.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    child = (
+        "import json, sys\n"
+        "import rkhs_reach.cli\n"
+        f"print(json.dumps([m for m in {UNLOADED_BY_CLI!r} if m in sys.modules]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 def test_relative_imports_form_no_cycle():

@@ -326,6 +326,39 @@ def test_value_and_sample_bytes_match_per_cell_formatting(tmp_path):
     )
 
 
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 10_201])
+def test_row_blocks_match_per_cell_formatting(tmp_path, count):
+    # counts around the writers' block of 1024 rows, and the 101x101 grid
+    rng = np.random.default_rng(count)
+    points = rng.standard_normal((count, 2))
+    values = rng.uniform(size=(3, count))
+    flat = values.ravel()
+    specials = EDGE_FLOATS[: flat.size]
+    flat[: len(specials)] = specials
+    choices = rng.integers(0, 10_000, size=(2, count))
+    field = ValueField(points=points, values=values, policy_choices=choices)
+    path = tmp_path / "v.csv"
+    write_values_csv(path, field, metadata={"mode": "max", "seed": "3"})
+    names = ["x1", "x2", "v0", "v1", "v2", "choice0", "choice1"]
+    rows = np.hstack([points, values.T, choices.T])
+    assert path.read_text() == per_cell_render(
+        names, rows, {"mode": "max", "seed": "3"}, int_columns=(5, 6)
+    )
+    write_table(path, ["n", "value"], rows[:, [5, 2]], {"k": "v"}, int_columns=(0,))
+    assert path.read_text() == per_cell_render(
+        ["n", "value"], rows[:, [5, 2]], {"k": "v"}, int_columns=(0,)
+    )
+
+
+def test_a_row_that_fails_to_format_leaves_no_file(tmp_path):
+    # the failing row sits in the third block, after two were written
+    rows = np.zeros((3000, 2))
+    rows[2500, 1] = np.nan
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", ["a", "n"], rows, int_columns=(1,))
+    assert os.listdir(tmp_path) == []
+
+
 def test_write_table_rejects_rows_of_another_width(tmp_path):
     path = tmp_path / "t.csv"
     with pytest.raises(InputError, match="2 columns"):

@@ -1,5 +1,9 @@
 """Grid-recursion and Monte Carlo reference oracles."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -412,16 +416,88 @@ MC_CASES = {
 }
 
 
+def use_cores(monkeypatch, count):
+    monkeypatch.setattr(oracle, "_core_count", lambda: count)
+
+
 @pytest.mark.parametrize("chunk", [oracle._MC_CHUNK, 777])
 @pytest.mark.parametrize("case", MC_CASES)
 def test_mc_matches_the_frozen_loop_bitwise(case, chunk, monkeypatch):
     system, disturbance, problem, policy, x0s = MC_CASES[case]()
     monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
-    got = mc_reach(system, disturbance, problem, policy, x0s, 2000, 3)
     want = frozen_mc_reach(system, disturbance, problem, policy, x0s, 2000, 3)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
+    # one thread, two, and more threads than safe starts, switching as
+    # often as the interpreter allows so that the threads interleave
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cores in (1, 2, 16):
+            use_cores(monkeypatch, cores)
+            got = mc_reach(system, disturbance, problem, policy, x0s, 2000, 3)
+            np.testing.assert_array_equal(got[0], want[0], err_msg=f"{cores}")
+            np.testing.assert_array_equal(got[1], want[1], err_msg=f"{cores}")
+    finally:
+        sys.setswitchinterval(interval)
     assert 0.0 < got[0].max() < 1.0  # the rollouts are genuinely random
+
+
+class ThreadPolicy:
+    """Zero control that records the threads calling it."""
+
+    def __init__(self):
+        self.threads = set()
+        self.lock = threading.Lock()
+
+    def __call__(self, k, states):
+        with self.lock:
+            self.threads.add(threading.get_ident())
+        return np.zeros((np.atleast_2d(states).shape[0], 1))
+
+
+class WorkerFailurePolicy:
+    """Raises on worker threads; on the main thread, waits for them to end.
+
+    The main thread's first call returns only once every other thread
+    has ended, so it may finish that chunk and must then stop.
+    """
+
+    def __init__(self, threads_before):
+        self.threads_before = threads_before
+        self.main_calls = 0
+
+    def __call__(self, k, states):
+        if threading.current_thread() is not threading.main_thread():
+            raise InputError("policy failed on a worker thread")
+        self.main_calls += 1
+        deadline = time.monotonic() + 30.0
+        while threading.active_count() > self.threads_before:
+            assert time.monotonic() < deadline, "a worker thread did not end"
+            time.sleep(0.001)
+        return np.zeros((np.atleast_2d(states).shape[0], 1))
+
+
+def test_mc_runs_the_policy_on_several_threads(setup, monkeypatch):
+    # the documented contract: a policy may be called from several threads
+    system, disturbance, problem, _ = setup
+    use_cores(monkeypatch, 2)
+    policy = ThreadPolicy()
+    mc_reach(system, disturbance, problem, policy, [[0.1, 0.2], [0.3, 0.4]], 100, 0)
+    assert len(policy.threads) == 2
+
+
+@pytest.mark.parametrize("cores", [2, 4])
+def test_mc_worker_error_stops_every_thread(setup, monkeypatch, cores):
+    system, disturbance, problem, _ = setup
+    use_cores(monkeypatch, cores)
+    monkeypatch.setattr(oracle, "_MC_CHUNK", 50)
+    before = threading.active_count()
+    policy = WorkerFailurePolicy(before)
+    starts = [[0.1 * i, 0.0] for i in range(6)]
+    with pytest.raises(InputError, match="worker thread"):
+        mc_reach(system, disturbance, problem, policy, starts, 1000, 0)
+    assert threading.active_count() == before
+    # the main thread ran at most one chunk, not every chunk of its starts
+    assert policy.main_calls in (0, problem.horizon)
 
 
 def test_mc_unsafe_start_draws_nothing(setup, monkeypatch):

@@ -1,6 +1,7 @@
 """Dynamics, disturbances, policies, and transition generation."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -386,6 +387,27 @@ def test_box_sampler_uniform_in_box():
         BoxSampler([0.0, 0.0], [1.0, np.inf])
     with pytest.raises(InputError):
         BoxSampler([np.nan, 0.0], [1.0, 1.0])
+
+
+def test_box_sampler_draws_the_bits_of_rng_uniform():
+    lower = [-1.1, 2.0, -0.0, -1e300, 0.0, 5e-324]
+    upper = [1.1, 3.0, 0.0, 1e300, 0.1, 1.0]
+    sampler = BoxSampler(lower, upper)
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for count in (0, 1, 1000):
+        got = sampler.draw(got_rng, count)
+        want = want_rng.uniform(lower, upper, size=(count, len(lower)))
+        assert got.tobytes() == want.tobytes()
+    # and leaves the stream where rng.uniform leaves it
+    assert got_rng.random() == want_rng.random()
+
+
+def test_box_sampler_rejects_a_width_that_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="too wide"):
+            BoxSampler([-1e308, 0.0], [1e308, 1.0])
+        BoxSampler([-8e307, 0.0], [8e307, 1.0])  # a width of 1.6e308 is fine
 
 
 # ------------------------------------------------------------------ policies
