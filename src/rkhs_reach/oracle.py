@@ -22,6 +22,11 @@ __all__ = ["dp_reach", "mc_reach"]
 
 # rollouts stepped at once per start state (1 MB of 2-D states)
 _MC_CHUNK = 65536
+# a chunk's working set per state component of a rollout: the states,
+# the draws, the stepped states and temporaries, 8 bytes each
+_MC_ROW_BYTES = 5 * 8
+# bound on the working sets of all of mc_reach's threads together
+_MC_POOL_BYTES = 128 * 2**20
 
 
 def _box_hit_probability(means, box, sd):
@@ -146,6 +151,20 @@ def _core_count():
         return os.cpu_count() or 1
 
 
+def _mc_threads(system, starts, rows):
+    """Threads for ``starts`` safe starts stepped ``rows`` rollouts at a time.
+
+    One for a system that does not declare ``threaded_rollouts``.
+    Otherwise one per usable core and at most one per start, while the
+    chunks of all threads fit in ``_MC_POOL_BYTES`` together; one thread
+    if not even one chunk fits.
+    """
+    if not getattr(system, "threaded_rollouts", False):
+        return 1
+    per_thread = rows * system.n * _MC_ROW_BYTES
+    return max(1, min(_core_count(), starts, _MC_POOL_BYTES // per_thread))
+
+
 def mc_reach(
     system,
     disturbance,
@@ -176,10 +195,20 @@ def mc_reach(
     policy, the set predicates, ``system.step`` and ``disturbance.draw``
     may thus run on several threads at once, and must not share
     unlocked mutable state (the built-in ones do not). A single start
-    runs on one thread and gains nothing. Each extra thread holds one
-    chunk's working set, about ``_MC_CHUNK * n * 8`` bytes five times
-    over (5 MB at n = 2). When a thread raises, the others stop at their
-    next chunk, and the first error is re-raised once all have ended.
+    runs on one thread and gains nothing. Each thread holds one chunk's
+    working set, about ``_MC_CHUNK * n * 8`` bytes five times over (5 MB
+    at n = 2), and the threads stop at as many as fit in
+    ``_MC_POOL_BYTES`` (128 MB) together; a chunk larger than that runs
+    on one thread. Only a system whose ``threaded_rollouts`` is true
+    gets more than one thread: a system that steps through BLAS
+    products, such as :class:`~rkhs_reach.systems.CWHSystem`, runs
+    slower on several, because each product waits for OpenBLAS's own
+    thread pool.
+
+    When a start raises, the starts after it stop at their next chunk
+    and those before it run on; once every thread has ended, the error
+    of the first start that raised is re-raised, the one a single thread
+    would meet. An interrupt or a ``SystemExit`` stops every start.
 
     Returns
     -------
@@ -198,17 +227,23 @@ def mc_reach(
     values = np.zeros(x0s.shape[0])
     halfwidths = np.zeros(x0s.shape[0])
     safe = np.flatnonzero(problem.safe.contains(x0s))
-    stop = threading.Event()
-    errors = []
+    failed = {}  # start index -> what it raised
+    # starts after this index stop at their next chunk
+    cutoff = [x0s.shape[0]]
+    lock = threading.Lock()
+
+    def stop_after(p):
+        with lock:
+            cutoff[0] = min(cutoff[0], p)
 
     def run(starts):
-        try:
-            for p in starts:
+        for p in starts:
+            try:
                 rng = np.random.default_rng(streams[p])
                 hits = 0
                 done = 0
                 while done < rollouts:
-                    if stop.is_set():
+                    if p > cutoff[0]:
                         return
                     count = min(_MC_CHUNK, rollouts - done)
                     states = np.repeat(x0s[p : p + 1], count, axis=0)
@@ -225,11 +260,12 @@ def mc_reach(
                 frac = hits / rollouts
                 values[p] = frac
                 halfwidths[p] = 1.96 * np.sqrt(frac * (1.0 - frac) / rollouts)
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
+            except BaseException as exc:
+                failed[p] = exc
+                stop_after(p if isinstance(exc, Exception) else -1)
+                return
 
-    threads = max(1, min(_core_count(), len(safe)))
+    threads = _mc_threads(system, len(safe), min(_MC_CHUNK, rollouts))
     workers = [
         threading.Thread(target=run, args=(safe[i::threads],))
         for i in range(1, threads)
@@ -243,10 +279,10 @@ def mc_reach(
     finally:
         # a no-op once all have ended; after a failed start or an
         # interrupt it ends the others before they are joined
-        stop.set()
+        stop_after(-1)
         for worker in workers:
             if worker.is_alive():
                 worker.join()
-    if errors:
-        raise errors[0]
+    if failed:
+        raise failed[min(failed)]
     return values, halfwidths

@@ -44,6 +44,10 @@ class _LinearSystem:
     """
 
     control_bound = None
+    # whether oracle.mc_reach may step rollouts on several threads: no
+    # for ``states @ A.T``, whose OpenBLAS product serves one caller at
+    # a time with its own thread pool, so threads make it slower
+    threaded_rollouts = False
 
     def dense_a(self):
         return self._a.copy()
@@ -127,6 +131,8 @@ class IntegratorChain(_LinearSystem):
     """
 
     name = "integrator"
+    # the band is applied in numpy's elementwise loops, not in BLAS
+    threaded_rollouts = True
 
     def __init__(self, n, sampling_time=0.25):
         n = int(n)

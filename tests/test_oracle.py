@@ -426,6 +426,8 @@ def test_mc_matches_the_frozen_loop_bitwise(case, chunk, monkeypatch):
     system, disturbance, problem, policy, x0s = MC_CASES[case]()
     monkeypatch.setattr(oracle, "_MC_CHUNK", chunk)
     want = frozen_mc_reach(system, disturbance, problem, policy, x0s, 2000, 3)
+    # the CWH system threads its rollouts only when asked to
+    monkeypatch.setattr(system, "threaded_rollouts", True, raising=False)
     # one thread, two, and more threads than safe starts, switching as
     # often as the interpreter allows so that the threads interleave
     interval = sys.getswitchinterval()
@@ -444,36 +446,50 @@ def test_mc_matches_the_frozen_loop_bitwise(case, chunk, monkeypatch):
 class ThreadPolicy:
     """Zero control that records the threads calling it."""
 
-    def __init__(self):
+    def __init__(self, controls=1):
+        self.controls = controls
         self.threads = set()
         self.lock = threading.Lock()
 
     def __call__(self, k, states):
         with self.lock:
             self.threads.add(threading.get_ident())
-        return np.zeros((np.atleast_2d(states).shape[0], 1))
+        return np.zeros((np.atleast_2d(states).shape[0], self.controls))
 
 
-class WorkerFailurePolicy:
-    """Raises on worker threads; on the main thread, waits for them to end.
+class FailingPolicy:
+    """Raises for the listed starts, found by their first coordinate.
 
-    The main thread's first call returns only once every other thread
-    has ended, so it may finish that chunk and must then stop.
+    Start i is ``[0.1 * i, 0]``. A failing start waits ``delays[i]``
+    seconds before it raises, so that later starts may fail first. With
+    ``threads_before``, the main thread's first call returns only once
+    the thread count is back to it, that is, every worker has ended. The
+    main thread records how many chunks of each start it stepped.
     """
 
-    def __init__(self, threads_before):
+    def __init__(self, failing, delays=None, threads_before=None):
+        self.failing = failing
+        self.delays = delays or {}
         self.threads_before = threads_before
-        self.main_calls = 0
+        self.main_chunks = {}
 
     def __call__(self, k, states):
-        if threading.current_thread() is not threading.main_thread():
-            raise InputError("policy failed on a worker thread")
-        self.main_calls += 1
-        deadline = time.monotonic() + 30.0
-        while threading.active_count() > self.threads_before:
-            assert time.monotonic() < deadline, "a worker thread did not end"
-            time.sleep(0.001)
+        start = int(round(states[0, 0] / 0.1)) if k == 0 else None
+        if start in self.failing:
+            time.sleep(self.delays.get(start, 0.0))
+            raise InputError(f"policy failed at start {start}")
+        on_main = threading.current_thread() is threading.main_thread()
+        if start is not None and on_main:
+            if self.threads_before is not None and not self.main_chunks:
+                deadline = time.monotonic() + 30.0
+                while threading.active_count() > self.threads_before:
+                    assert time.monotonic() < deadline, "a worker did not end"
+                    time.sleep(0.001)
+            self.main_chunks[start] = self.main_chunks.get(start, 0) + 1
         return np.zeros((np.atleast_2d(states).shape[0], 1))
+
+
+STARTS = [[0.1 * i, 0.0] for i in range(6)]
 
 
 def test_mc_runs_the_policy_on_several_threads(setup, monkeypatch):
@@ -491,13 +507,66 @@ def test_mc_worker_error_stops_every_thread(setup, monkeypatch, cores):
     use_cores(monkeypatch, cores)
     monkeypatch.setattr(oracle, "_MC_CHUNK", 50)
     before = threading.active_count()
-    policy = WorkerFailurePolicy(before)
-    starts = [[0.1 * i, 0.0] for i in range(6)]
-    with pytest.raises(InputError, match="worker thread"):
-        mc_reach(system, disturbance, problem, policy, starts, 1000, 0)
+    # start 1 runs on a worker; the main thread's start 0 comes before it
+    # and runs all its chunks, its later starts none
+    policy = FailingPolicy({1}, threads_before=before)
+    with pytest.raises(InputError, match="at start 1$"):
+        mc_reach(system, disturbance, problem, policy, STARTS, 1000, 0)
     assert threading.active_count() == before
-    # the main thread ran at most one chunk, not every chunk of its starts
-    assert policy.main_calls in (0, problem.horizon)
+    assert policy.main_chunks == {0: 1000 // 50}
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 6])
+def test_mc_raises_the_first_failing_start_whatever_the_timing(
+    setup, monkeypatch, cores
+):
+    # the later starts fail at once, start 2 only after they have; a
+    # single thread meets start 2 first, and so must every thread count
+    system, disturbance, problem, _ = setup
+    use_cores(monkeypatch, cores)
+    policy = FailingPolicy({2, 3, 4, 5}, delays={2: 0.2})
+    with pytest.raises(InputError, match="at start 2$"):
+        mc_reach(system, disturbance, problem, policy, STARTS, 100, 0)
+
+
+def test_mc_thread_count_keeps_the_pool_within_its_bytes(monkeypatch):
+    use_cores(monkeypatch, 64)
+    chunk = oracle._MC_CHUNK
+    # one 2-D chunk is 5 MB: 25 of them fit in 128 MB, more than 20 starts
+    assert oracle._mc_threads(IntegratorChain(2), 20, chunk) == 20
+    assert oracle._mc_threads(IntegratorChain(2), 100, chunk) == 25
+    assert oracle._mc_threads(IntegratorChain(10), 100, chunk) == 5
+    # a chunk at n = 100 is 262 MB, beyond the bound: one thread, as
+    # with no pool
+    assert oracle._mc_threads(IntegratorChain(100), 100, chunk) == 1
+    # 100 rollouts per start need little: one thread per core
+    assert oracle._mc_threads(IntegratorChain(100), 100, 100) == 64
+    for n in (2, 10, 100, 1000):
+        for starts in (1, 20, 1000):
+            for rows in (1, 100, chunk):
+                threads = oracle._mc_threads(IntegratorChain(n), starts, rows)
+                assert 1 <= threads <= min(64, starts)
+                if threads > 1:
+                    assert threads * rows * n * 40 <= oracle._MC_POOL_BYTES
+
+
+def test_mc_steps_a_blas_system_on_one_thread(monkeypatch):
+    use_cores(monkeypatch, 4)
+    system, disturbance, problem, _, x0s = cwh_case()
+    assert not system.threaded_rollouts
+    assert oracle._mc_threads(system, 20, 100) == 1
+    policy = ThreadPolicy(controls=2)
+    mc_reach(system, disturbance, problem, policy, x0s[:2], 100, 0)
+    assert policy.threads == {threading.get_ident()}
+
+
+def test_mc_pool_bound_caps_the_threads(setup, monkeypatch):
+    system, disturbance, problem, _ = setup
+    use_cores(monkeypatch, 4)
+    monkeypatch.setattr(oracle, "_MC_POOL_BYTES", 2 * 100 * 2 * 40)
+    policy = ThreadPolicy()
+    mc_reach(system, disturbance, problem, policy, STARTS, 100, 0)
+    assert len(policy.threads) == 2
 
 
 def test_mc_unsafe_start_draws_nothing(setup, monkeypatch):
