@@ -19,8 +19,8 @@ Subcommands:
 
 Every subcommand that runs numerics accepts ``--config FILE`` plus
 per-key override flags; see :mod:`rkhs_reach.config`. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numerical failures, 4 for
-file-format and IO problems.
+success, 2 for configuration problems, 3 for numerical failures and for
+running out of memory, 4 for file-format and IO problems.
 """
 
 import argparse
@@ -403,6 +403,11 @@ def main(argv=None):
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy's subclass says how much it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"out of memory{detail}", file=sys.stderr)
         return 3
     except FileFormatError as exc:
         print(f"file error: {exc}", file=sys.stderr)

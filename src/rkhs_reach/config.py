@@ -168,6 +168,12 @@ def validate(cfg):
         # dim is ignored for the rendezvous system (state is 4-D), but a
         # value other than the default or 4 signals a misconfiguration.
         raise InputError("dim cannot be overridden for the cwh system")
+    for name in ("safe_box", "target_box"):
+        if cfg.system == "cwh" and getattr(cfg, name) != getattr(RunConfig, name):
+            raise InputError(
+                f"{name} is set but the cwh system uses its fixed line-of-sight "
+                "cone and docking box"
+            )
     if cfg.sigma <= 0:
         raise InputError(f"sigma must be positive, got {cfg.sigma}")
     if cfg.lam <= 0:

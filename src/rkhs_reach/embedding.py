@@ -21,7 +21,9 @@ rescaling, so each weight vector is a convex combination of the sampled
 values. That keeps every estimate inside the range of ``f`` and makes the
 estimator monotone: raising ``f`` pointwise can never lower an estimate.
 Monotonicity is what lets a larger candidate-control set only improve the
-estimated safety values. Raw mode keeps the signed solve output.
+estimated safety values, up to the round-off of products computed in
+blocks of another width (:func:`_invert`). Raw mode keeps the signed
+solve output.
 
 The Gaussian kernel factors as ``k_x(x, x') * k_u(u, u')``. If every
 sampled control is ``u0``, the kernel column at ``(x, u)`` is the one at
@@ -75,9 +77,13 @@ def _invert(ridge):
     """The inverse of the symmetric matrix ``ridge``, in Fortran order.
 
     ``ridge`` is symmetric to the bit, so the transpose of its computed
-    inverse is as good an inverse, and a free view in Fortran order. In
-    that order a weight column has the same bits whatever the width of
-    the point block it is computed in; in C order some moved by an ulp.
+    inverse is as good an inverse, and a free view in Fortran order.
+    Neither order makes a weight column's bits independent of the width
+    of the point block it is computed in, since BLAS splits the product
+    by its width: at M = 1024 with 2048 query columns, blocks of 682,
+    1500 and 2047 left 6 to 8 columns off a 2048-wide block's by up to
+    4e-15 in either order, and one-column blocks every column (OpenBLAS,
+    2-vCPU x86 VM; which widths differ depends on the CPU's kernel).
     """
     try:
         return np.linalg.inv(ridge).T

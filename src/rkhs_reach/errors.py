@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes: input/config problems exit 2,
-numerical failures exit 3, file and IO problems exit 4.
+numerical failures exit 3 (as does a ``MemoryError``), file and IO
+problems exit 4.
 """
 
 

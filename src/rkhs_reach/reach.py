@@ -196,36 +196,44 @@ def checked_points(points, dim):
     return points
 
 
-def _clamped_step(weights, next_values):
-    est = next_values @ weights
-    np.clip(est, 0.0, 1.0, out=est)
-    return est
+def _sweep(emb, policies, states, steps, v_succ, out, cols, choices=None):
+    """Backward steps ``steps`` at ``states``, maximized over ``policies``.
 
-
-def _update_weights(emb, policy, k, states, held):
-    """Bring ``held = [controls, weights]`` to ``policy`` at step k.
-
-    ``held`` is the candidate's pair from its last step (``[None, None]``
-    before the first). The policy is queried at every step. Weights are
-    solved again only when the embedding reads the controls
-    (:attr:`Embedding.reads_controls`) and they differ from the held
-    ones; otherwise the first solve serves every step. The controls are
-    kept as an owned copy, so a policy that refills and returns one
-    buffer cannot look like a repeat. Without control columns the policy
-    is not queried.
+    At step k each candidate estimates ``clip(v_succ[k + 1] @ W, 0, 1)``
+    with its weights ``W``; the largest goes to ``out[k, cols]`` and its
+    index, when ``choices`` is given, to ``choices[k, cols]``, ties to
+    the lowest index. A candidate is queried at every step and holds its
+    controls (an owned copy, so a refilled buffer is no repeat) and its
+    weights, solved again, the old matrix freed first, only when the
+    weights read the controls (:attr:`Embedding.reads_controls`) and
+    these changed. Without control columns no policy is queried.
     """
-    controls = None
-    if emb.sample.control_dim:
-        controls = np.array(policy(k, states), dtype=np.float64)
-    if held[1] is None or (
-        emb.reads_controls and not np.array_equal(controls, held[0])
-    ):
-        held[1] = None  # free the old matrix before solving the new one
-        held[:] = controls, emb.weights(states, controls)
+    held = [[None, None] for _ in policies]
+    for k in steps:
+        best = np.full(states.shape[0], -np.inf)
+        pick = np.zeros(states.shape[0], dtype=np.int64)
+        for c, (policy, pair) in enumerate(zip(policies, held)):
+            controls = None
+            if emb.sample.control_dim:
+                controls = np.array(policy(k, states), dtype=np.float64)
+            if pair[1] is None or (
+                emb.reads_controls and not np.array_equal(controls, pair[0])
+            ):
+                pair[1] = None  # free the old matrix before solving the new one
+                pair[:] = controls, emb.weights(states, controls)
+            est = v_succ[k + 1] @ pair[1]
+            np.clip(est, 0.0, 1.0, out=est)
+            better = est > best
+            best[better] = est[better]
+            pick[better] = c
+        out[k, cols] = best
+        if choices is not None:
+            choices[k, cols] = pick
 
 
-# evaluation points per block of the points pass; bounds the one live
-# point-weight matrix to M x _POINT_BLOCK (16 MB at M = 1024)
+# evaluation points per block of the points pass, shared by the
+# candidates; bounds their point weights to M x _POINT_BLOCK together
+# (16 MB at M = 1024)
 _POINT_BLOCK = 2048
 
 
@@ -237,17 +245,16 @@ def _recursion(emb, problem, points, policies):
     outside the safe set: an unsafe successor or evaluation point gets
     no kernel column, no weight column and no policy query, its value is
     +0.0 at every step k < N (row N stays the exact target indicator) and
-    its choice is 0. Successor values (row k is step k) come first, over
-    the safe successors, and only when some evaluation point is safe.
-    Then the safe points are swept in blocks of ``_POINT_BLOCK``, each
-    block's rows gathered on their own so the points are never copied
-    whole, and within a block one candidate at a time through all steps,
-    so one point-weight matrix of at most ``_POINT_BLOCK`` columns is
-    alive at once. Each candidate is queried once per step (and block),
-    and its weights are reused while its controls repeat (see
-    :func:`_update_weights`). A strict ``>`` keeps the lowest index on
-    ties, so when the weights do not read the controls
-    (:attr:`Embedding.reads_controls`) only the first candidate is run.
+    its choice is 0. Both passes run through :func:`_sweep`: first the
+    successor values (row k is step k) over the safe successors, only
+    when some evaluation point is safe, each candidate holding an M x S
+    weight matrix (S safe successors); then the safe points in blocks
+    of ``_POINT_BLOCK // len(policies)`` (at least one), each gathered
+    on its own, so the candidates together hold at most
+    ``_POINT_BLOCK`` point-weight columns, whatever the number of
+    points. When the weights do not read the controls
+    (:attr:`Embedding.reads_controls`) only the first candidate is run,
+    since ties keep the lowest index.
     """
     if not isinstance(emb, Embedding):
         raise InputError("emb must be a fitted Embedding")
@@ -262,33 +269,20 @@ def _recursion(emb, problem, points, policies):
     v_succ[n_steps] = problem.target.contains(successors)
     # successor values are read only at safe points
     if safe_pts.size and safe_succ.size:
-        states = successors[safe_succ]
-        held = [[None, None] for _ in policies]
-        for k in range(n_steps - 1, 0, -1):
-            best = np.full(safe_succ.size, -np.inf)
-            for c, policy in enumerate(policies):
-                _update_weights(emb, policy, k, states, held[c])
-                np.maximum(best, _clamped_step(held[c][1], v_succ[k + 1]), out=best)
-            v_succ[k, safe_succ] = best
-        del held  # M x S per candidate; the points pass reads only v_succ
+        _sweep(
+            emb, policies, successors[safe_succ], range(n_steps - 1, 0, -1),
+            v_succ, v_succ, safe_succ,
+        )
     values = np.zeros((n_steps + 1, points.shape[0]))
     values[n_steps] = problem.target.contains(points)
     choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
-    for start in range(0, safe_pts.size, _POINT_BLOCK):
-        rows = safe_pts[start : start + _POINT_BLOCK]
-        block = points[rows]
-        best = np.full((n_steps, rows.size), -np.inf)
-        pick = np.zeros((n_steps, rows.size), dtype=np.int64)
-        for c, policy in enumerate(policies):
-            last = [None, None]  # frees the previous candidate's matrix
-            for k in range(n_steps - 1, -1, -1):
-                _update_weights(emb, policy, k, block, last)
-                est = _clamped_step(last[1], v_succ[k + 1])
-                better = est > best[k]
-                best[k, better] = est[better]
-                pick[k, better] = c
-        values[:n_steps, rows] = best
-        choices[:, rows] = pick
+    block = max(1, _POINT_BLOCK // len(policies))
+    for start in range(0, safe_pts.size, block):
+        rows = safe_pts[start : start + block]
+        _sweep(
+            emb, policies, points[rows], range(n_steps - 1, -1, -1),
+            v_succ, values, rows, choices,
+        )
     return points, values, choices
 
 
@@ -327,16 +321,21 @@ def value_recursion_max(emb, problem, points, control_grid):
     resolve to the lowest grid index. With a single-entry grid the result
     matches :func:`value_recursion` under the matching constant policy
     exactly. Only safe states are weighed; an unsafe evaluation point
-    reads +0.0 before the last step and choice 0. The safe evaluation
-    points are swept in blocks of at most 2048; within a block each
-    control's weights are computed once and reused at every step, and
-    one point-weight matrix (M x 2048 at most) is alive at a time,
-    whatever the number of points. The successor pass before it keeps
-    one M x S weight matrix per control alive, where S is the number of
-    safe successors, so that memory grows with the grid size. A
-    normalized fit of a sample whose controls are all equal gives every
-    control the same weights (:attr:`Embedding.reads_controls`), so only
-    the first is evaluated, with one M x S matrix, and every choice is 0.
+    reads +0.0 before the last step and choice 0. Each step runs every
+    control in turn. The safe evaluation points are swept in blocks
+    shared by the controls, 2048 // C points each for C controls, so
+    together they hold at most M x 2048 point weights, whatever the
+    number of points; within a block each control's weights are
+    computed once and reused at every step. A weight column's bits can
+    depend on its block's width (README, "Numerics"), so with several
+    controls a value can differ from that control's
+    :func:`value_recursion` by round-off. The successor pass before it
+    keeps one M x S weight matrix per control alive, where S is the
+    number of safe successors, so that memory grows with the grid size.
+    A normalized fit of a sample whose controls are all equal gives
+    every control the same weights (:attr:`Embedding.reads_controls`),
+    so only the first is evaluated, with one M x S matrix, and every
+    choice is 0.
 
     Returns
     -------

@@ -430,7 +430,10 @@ def generate_transitions(system, policy, state_sampler, disturbance, count, seed
     states = state_sampler.draw(rng, count)
     controls = policy(0, states)
     draws = disturbance.draw(rng, count)
-    successors = system.step(states, controls, draws)
+    # a step that overflows leaves non-finite successors, which the
+    # TransitionSample check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        successors = system.step(states, controls, draws)
     meta = {
         "system": system.name,
         "dim": str(system.n),

@@ -10,7 +10,8 @@ drawn under the zero policy, and a library sample whose controls are
 drawn uniformly from a seeded stream, the one input on which normalized
 max mode really runs all three controls. Then ``reach`` runs on an 11x11
 grid at horizon 3, fixed and max over ``-0.5;0;0.5``, in normalized and
-in raw mode, with one more max run on the uniform-control sample.
+in raw mode, with two more max runs on the uniform-control sample, the
+second with a duplicated control so that ties decide choices.
 ``tests/test_golden.py`` reruns every case and compares.
 """
 
@@ -37,6 +38,11 @@ REACH_CASES = {
     "reach_raw_fixed.csv": (ZERO_SAMPLE, _RAW),
     "reach_raw_max.csv": (ZERO_SAMPLE, _MAX + _RAW),
     "reach_max_uniform_controls.csv": (UNIFORM_SAMPLE, _MAX),
+    # candidates 1 and 3 tie at every point, so every choice of either
+    # is the lower index
+    "reach_max_duplicate_control.csv": (
+        UNIFORM_SAMPLE, ["--mode", "max", "--control-grid=-0.5;0;0.5;0"]
+    ),
 }
 
 

@@ -312,6 +312,11 @@ def test_oracle_mc_accepts_points_file(tmp_path, capsys):
         ("--sample-box=-1e308,1e308", "error: box is too wide to sample"),
         # its width, and so the sampling box around it, is infinite
         ("--safe-box=-1e308,1e308", "error: box bounds must be finite"),
+        # finite, but stepping its states overflows
+        (
+            "--sample-box=1e308,1.7e308",
+            "error: successors contains non-finite entries",
+        ),
     ],
 )
 def test_generate_rejects_a_box_too_wide_to_sample(tmp_path, capsys, flag, message):
@@ -342,6 +347,71 @@ def test_oracle_mc_worker_error_exits_2(tmp_path, capsys, monkeypatch):
     )
     assert rc == 2 and out == "" and not out_csv.exists()
     assert err == "error: policy failed on a worker thread\n"
+
+
+@pytest.mark.parametrize("sd", ["1e-17", "1e-200"])
+def test_oracle_dp_refuses_noise_too_small_to_integrate(capsys, sd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        rc, out, err = run(
+            capsys, "oracle-dp", "--point", "0.5,0.3", "--noise-sd", sd
+        )
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: noise sd {float(sd):.3g} on axis 1 is below")
+    assert "Monte Carlo oracle" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--system", "cwh", "--policy", "lqr", "--samples", "4"),
+        ("reach", "--system", "cwh", "--point", "0,-0.5,0,0"),
+        (
+            "oracle-mc", "--system", "cwh", "--policy", "lqr",
+            "--point", "0,-0.11,0,0", "--rollouts", "20",
+        ),
+    ],
+)
+@pytest.mark.parametrize("flag", ["--safe-box=-5,5", "--target-box=-0.1,0.1"])
+def test_cwh_refuses_the_boxes_it_ignores(tmp_path, capsys, argv, flag):
+    out_csv = tmp_path / "out.csv"
+    cwh_sample = tmp_path / "cwh.csv"
+    argv = list(argv) + ["--out", str(out_csv)]
+    if argv[0] == "reach":
+        argv += ["--sample-file", str(cwh_sample)]
+    rc, out, err = run(capsys, *argv, flag)
+    assert rc == 2 and out == "" and not out_csv.exists()
+    name = flag[2:].split("=")[0].replace("-", "_")
+    assert err == (
+        f"error: {name} is set but the cwh system uses its fixed "
+        "line-of-sight cone and docking box\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (
+            MemoryError("Unable to allocate 477. GiB for an array"),
+            "out of memory: Unable to allocate 477. GiB for an array\n",
+        ),
+        (MemoryError(), "out of memory\n"),
+    ],
+)
+def test_running_out_of_memory_exits_3(
+    tmp_path, capsys, monkeypatch, sample_file, exc, line
+):
+    # as ``--horizon 1000000000`` does, without allocating anything
+    def recursion(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "value_recursion", recursion)
+    out_csv = tmp_path / "v.csv"
+    rc, out, err = run(
+        capsys, "reach", "--sample-file", sample_file, "--point", "0,0",
+        "--out", str(out_csv),
+    )
+    assert (rc, out, err) == (3, "", line) and not out_csv.exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -562,7 +632,9 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
 
 
 def test_every_config_field_has_a_flag(tmp_path):
-    # one non-default value per RunConfig field, valid together
+    # one non-default value per RunConfig field; valid together but for
+    # the two boxes, which the cwh system refuses, so they are loaded in
+    # a second, integrator configuration
     texts = {
         "system": "cwh",
         "dim": "4",
@@ -594,20 +666,28 @@ def test_every_config_field_has_a_flag(tmp_path):
     fields = [f.name for f in dataclasses.fields(RunConfig)]
     assert list(texts) == fields
     keys = {name: "lambda" if name == "lam" else name for name in fields}
-    argv = ["generate", "--out", "x.csv"]
-    for name, text in texts.items():
-        argv.append("--" + keys[name].replace("_", "-") + "=" + text)
-    from_flags = _load_config(_build_parser().parse_args(argv))
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(
-        "".join(f"{keys[name]} = {text}\n" for name, text in texts.items())
-    )
-    argv = ["generate", "--out", "x.csv", "--config", str(cfg_file)]
-    from_file = _load_config(_build_parser().parse_args(argv))
-    assert from_flags == from_file
+
+    def load(names):
+        argv = ["generate", "--out", "x.csv"]
+        for name in names:
+            argv.append("--" + keys[name].replace("_", "-") + "=" + texts[name])
+        from_flags = _load_config(_build_parser().parse_args(argv))
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "".join(f"{keys[name]} = {texts[name]}\n" for name in names)
+        )
+        argv = ["generate", "--out", "x.csv", "--config", str(cfg_file)]
+        from_file = _load_config(_build_parser().parse_args(argv))
+        assert from_flags == from_file
+        return from_flags
+
+    boxes = ["safe_box", "target_box"]
+    cwh = load([name for name in fields if name not in boxes])
+    integrator = load(boxes)
     default = RunConfig()
     for name in fields:
-        assert getattr(from_flags, name) != getattr(default, name), name
+        cfg = integrator if name in boxes else cwh
+        assert getattr(cfg, name) != getattr(default, name), name
 
 
 def test_cwh_end_to_end_smoke(tmp_path, capsys):

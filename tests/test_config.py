@@ -156,6 +156,17 @@ def test_validate_rejects_dim_override_for_cwh():
     validate(dataclasses.replace(RunConfig(), system="cwh", dim=4))
 
 
+def test_validate_rejects_boxes_for_cwh():
+    # the rendezvous system's sets and sampler are fixed, so a box other
+    # than the default would be dropped without a word
+    for name in ("safe_box", "target_box"):
+        cfg = dataclasses.replace(RunConfig(), system="cwh", **{name: "-5,5"})
+        with pytest.raises(InputError, match=f"{name} is set but the cwh"):
+            validate(cfg)
+        validate(dataclasses.replace(cfg, system="integrator"))
+    validate(dataclasses.replace(RunConfig(), system="cwh", safe_box="-1,1"))
+
+
 def test_build_system():
     system = build_system(RunConfig(dim=5))
     assert isinstance(system, IntegratorChain)

@@ -4,14 +4,16 @@ Every case of ``tests/data/golden/regenerate.py`` is rerun into a
 temporary directory and compared with its committed file. Metadata,
 headers and choice columns must match exactly. The other cells must
 match within ``ATOL``: the BLAS kernel, and so a weight product's last
-bit, depends on the CPU. A mismatch reports the sha256 of both files, so
-a byte change shows on the machine that made it. After an intended
-change, rerun the script and commit the diff.
+bit, depends on the CPU. A failure reports the sha256 of both files,
+and a byte change within the tolerance is reported as a warning, so it
+shows on the machine that made it. After an intended change, rerun the
+script and commit the diff.
 """
 
 import hashlib
 import importlib.util
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +60,10 @@ def _assert_matches(got, want):
     )
     gap = np.abs(g_rows[:, ~exact] - w_rows[:, ~exact]).max(initial=0.0)
     assert gap <= ATOL, f"{want.name}: values differ by {gap:.3g}; {shas}"
+    if got.read_bytes() != want.read_bytes():
+        # within tolerance, but shown: one ulp of the kernel's gamma moves
+        # values by about 3e-15
+        warnings.warn(f"{want.name}: bytes differ by up to {gap:.3g}; {shas}")
 
 
 def test_generate_inputs_match(tmp_path):

@@ -194,6 +194,29 @@ def test_dp_zero_variance_limit_recovers_indicators():
     np.testing.assert_allclose(field.values[0], [1.0, 1.0, 0.0, 0.0], atol=1e-9)
 
 
+def test_dp_refuses_noise_too_small_to_integrate():
+    # below the bound the quadrature window is lost to rounding (every
+    # value was 0 at sd 1e-17 on [-1, 1]); just above it the grid oracle
+    # gives the noise-free answer, and one step needs no quadrature
+    system = IntegratorChain(2, sampling_time=0.25)
+    box = BoxSet([-1.0, -1.0], [1.0, 1.0])
+    pts = np.array([[0.5, 0.3], [-0.7, 0.2], [0.1, -0.9]])
+    bound = oracle._MIN_SD_SHARE * 2.0  # the grid spans 2 on each axis
+    problem = ReachProblem(safe=box, target=box, horizon=3)
+    with pytest.raises(InputError, match="axis 2 .* Monte Carlo oracle"):
+        dp_reach(
+            system, GaussianDisturbance([0.1, 0.99 * bound]), problem, pts,
+            ZeroPolicy(1),
+        )
+    above = GaussianDisturbance([1.01 * bound, 1.01 * bound])
+    field = dp_reach(system, above, problem, pts, ZeroPolicy(1))
+    np.testing.assert_allclose(field.values[0], 1.0, rtol=0, atol=1e-7)
+    one = ReachProblem(safe=box, target=box, horizon=1)
+    tiny = GaussianDisturbance([1e-17, 1e-17])
+    field = dp_reach(system, tiny, one, pts, ZeroPolicy(1))
+    np.testing.assert_array_equal(field.values[0], 1.0)
+
+
 def test_dp_monotone_in_target(setup):
     system, disturbance, problem, policy = setup
     rng = np.random.default_rng(11)

@@ -88,7 +88,8 @@ def test_max_recursion_dominates_every_fixed_control(controlled):
 
 
 def test_enlarging_the_control_grid_never_hurts(controlled):
-    # weight columns per control are bitwise identical across calls and
+    # the 27 safe points fit one block at either grid size, so weight
+    # columns per control are bitwise identical across calls, and
     # normalized weights are nonnegative, so this inequality is exact
     emb, problem, pts = controlled
     small = value_recursion_max(emb, problem, pts, [[0.0]])
@@ -317,37 +318,40 @@ def test_merged_recursion_matches_reference_loops_bitwise(
 
 def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
     # wrap ``weights`` on the instance and release each point-weight
-    # matrix in a ``weakref.finalize`` callback, as the benchmark tracer does
+    # matrix in a ``weakref.finalize`` callback, as the benchmark tracer
+    # does; the controls share one block of 16 columns, 16 // 3 = 5
+    # points each, so together they hold no more than one matrix would
     emb, problem, pts = controlled
-    n_pts = _safe_count(problem, pts)
-    assert n_pts != _safe_count(problem, emb.sample.successors)
+    n_succ = _safe_count(problem, emb.sample.successors)
+    assert _safe_count(problem, pts) > 16
+    monkeypatch.setattr(reach_module, "_POINT_BLOCK", 16)
     stats = {"live": 0, "peak": 0, "succ_calls": 0}
     original = emb.weights
 
-    def release():
-        stats["live"] -= 1
+    def release(cols):
+        stats["live"] -= cols
 
     def weights(states, controls=None):
         w = original(states, controls)
-        if w.shape[1] == n_pts:
-            stats["live"] += 1
-            stats["peak"] = max(stats["peak"], stats["live"])
-            weakref.finalize(w, release)
-        else:
+        if w.shape[1] == n_succ:
             stats["succ_calls"] += 1
+            return w
+        stats["live"] += w.shape[1]
+        stats["peak"] = max(stats["peak"], stats["live"])
+        weakref.finalize(w, release, w.shape[1])
         return w
 
     monkeypatch.setattr(emb, "weights", weights)
     grid = [[-0.5], [0.0], [0.5]]
     value_recursion_max(emb, problem, pts, grid)  # horizon 3
-    assert stats["peak"] == 1 and stats["live"] == 0
+    assert 0 < stats["peak"] <= 16 and stats["live"] == 0
     assert stats["succ_calls"] == len(grid)
 
     one = ReachProblem(problem.safe, problem.target, horizon=1)
     stats.update(peak=0, succ_calls=0)
     value_recursion_max(emb, one, pts, grid)
     # a one-step recursion never reads successor values
-    assert stats["succ_calls"] == 0 and stats["peak"] == 1
+    assert stats["succ_calls"] == 0 and 0 < stats["peak"] <= 16
 
 
 @pytest.fixture(scope="module")
@@ -414,16 +418,16 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
     stats = {"live": 0, "peak": 0, "widths": []}
     original = emb.weights
 
-    def release():
-        stats["live"] -= 1
+    def release(cols):
+        stats["live"] -= cols
 
     def weights(states, controls=None):
         w = original(states, controls)
         if w.shape[1] != n_succ:
-            stats["live"] += 1
+            stats["live"] += w.shape[1]
             stats["peak"] = max(stats["peak"], stats["live"])
             stats["widths"].append(w.shape[1])
-            weakref.finalize(w, release)
+            weakref.finalize(w, release, w.shape[1])
         return w
 
     monkeypatch.setattr(emb, "weights", weights)
@@ -440,11 +444,13 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
         blocked[2].policy_choices, whole[2].policy_choices
     )
     sizes = [16, 11]  # the 27 safe points
-    assert stats["peak"] == 1 and stats["live"] == 0
+    shared = [5, 5, 5, 5, 5, 2]  # the same in blocks of 16 // 3 per control
+    # live point-weight columns never exceed one block
+    assert stats["peak"] == block and stats["live"] == 0
     # zero policy: once per block; varying: per block and step (horizon
     # 3); max: per block and control (3)
     thrice = [b for b in sizes for _ in range(3)]
-    assert stats["widths"] == sizes + thrice + thrice
+    assert stats["widths"] == sizes + thrice + [b for b in shared for _ in range(3)]
     want_calls = [(k, b) for k in (2, 1, 0) for b in sizes]
     assert sorted(varying.calls) == sorted(want_calls + [(2, n_succ), (1, n_succ)])
 
