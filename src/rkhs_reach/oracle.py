@@ -27,11 +27,13 @@ _MC_CHUNK = 65536
 _MC_ROW_BYTES = 5 * 8
 # bound on the working sets of all of mc_reach's threads together
 _MC_POOL_BYTES = 128 * 2**20
-# smallest noise sd the grid oracle integrates, as a share of the grid's
-# extent on its axis: below it the quadrature window drifts by the
-# rounding of its centre (every value 0 at sd 1e-17 on [-1, 1]); at
-# 1 to 5 times this share values were within 6e-8 of the noise-free
-# answer on five grids from [-0.01, 0.01] to [-1000, 1000]
+# smallest noise sd the grid oracle integrates, as a share of the largest
+# |coordinate| of the grid on its axis: the quadrature window is placed
+# with the rounding of its centre, about that magnitude's float spacing,
+# and below the share it drifts (every value 0 at sd 1e-17 on [-1, 1]);
+# at 1 to 5 times the share values were within 3e-8 of the noise-free
+# answer on nine grids, from [-0.01, 0.01] to [-1000, 1000] and offset
+# ones up to [1e6 - 10, 1e6 + 10]
 _MIN_SD_SHARE = 1e-9
 
 
@@ -65,9 +67,9 @@ def dp_reach(
     per axis: the excluded region contributes exactly zero and the
     quadrature never integrates across the jump, keeping its fast
     convergence. With two or more steps, a noise sd below
-    ``_MIN_SD_SHARE`` (1e-9) of the grid's extent on its axis raises
-    :class:`InputError`: so narrow a window is lost to the rounding of
-    its position.
+    ``_MIN_SD_SHARE`` (1e-9) of the grid's largest |coordinate| on its
+    axis raises :class:`InputError`: so narrow a window is lost to the
+    rounding of its position.
 
     Parameters
     ----------
@@ -111,13 +113,14 @@ def dp_reach(
         raise InputError("the safe and target boxes span a degenerate grid box")
     sd = disturbance.sd
     # only the steps after the first integrate by quadrature
-    narrow = np.flatnonzero(sd < _MIN_SD_SHARE * (upper - lower))
+    magnitude = np.maximum(np.abs(lower), np.abs(upper))
+    narrow = np.flatnonzero(sd < _MIN_SD_SHARE * magnitude)
     if problem.horizon >= 2 and narrow.size:
         d = narrow[0]
         raise InputError(
             f"noise sd {sd[d]:.3g} on axis {d + 1} is below {_MIN_SD_SHARE:g} "
-            f"of the grid's extent {upper[d] - lower[d]:.3g}, too small for "
-            "the grid oracle to integrate; use the Monte Carlo oracle "
+            f"of the grid's largest |coordinate| {magnitude[d]:.3g}, too small "
+            "for the grid oracle to integrate; use the Monte Carlo oracle "
             "(oracle-mc, mc_reach)"
         )
 

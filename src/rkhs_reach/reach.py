@@ -233,7 +233,7 @@ def _sweep(emb, policies, states, steps, v_succ, out, cols, choices=None):
 
 # evaluation points per block of the points pass, shared by the
 # candidates; bounds their point weights to M x _POINT_BLOCK together
-# (16 MB at M = 1024)
+# (16 MB at M = 1024), or to what the successor pass held if more
 _POINT_BLOCK = 2048
 
 
@@ -249,10 +249,11 @@ def _recursion(emb, problem, points, policies):
     successor values (row k is step k) over the safe successors, only
     when some evaluation point is safe, each candidate holding an M x S
     weight matrix (S safe successors); then the safe points in blocks
-    of ``_POINT_BLOCK // len(policies)`` (at least one), each gathered
-    on its own, so the candidates together hold at most
-    ``_POINT_BLOCK`` point-weight columns, whatever the number of
-    points. When the weights do not read the controls
+    of ``_POINT_BLOCK // C`` for C candidates, but at least
+    ``min(S, _POINT_BLOCK)``, each gathered on its own, so the
+    candidates together hold at most ``max(_POINT_BLOCK, C * S)``
+    point-weight columns, no more than the successor pass, whatever the
+    number of points. When the weights do not read the controls
     (:attr:`Embedding.reads_controls`) only the first candidate is run,
     since ties keep the lowest index.
     """
@@ -276,7 +277,13 @@ def _recursion(emb, problem, points, policies):
     values = np.zeros((n_steps + 1, points.shape[0]))
     values[n_steps] = problem.target.contains(points)
     choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
-    block = max(1, _POINT_BLOCK // len(policies))
+    # a candidate's block is at least as wide as its successor matrix (up
+    # to one block), so the points pass holds no more than the successor
+    # pass did, and no product re-reads the M x M inverse for only a few
+    # columns (at M = 1024, 68-column products took 1.8x the time of
+    # 2048-column ones; OpenBLAS, 2-vCPU x86 VM)
+    floor = min(safe_succ.size, _POINT_BLOCK)
+    block = max(1, _POINT_BLOCK // len(policies), floor)
     for start in range(0, safe_pts.size, block):
         rows = safe_pts[start : start + block]
         _sweep(
@@ -322,17 +329,21 @@ def value_recursion_max(emb, problem, points, control_grid):
     matches :func:`value_recursion` under the matching constant policy
     exactly. Only safe states are weighed; an unsafe evaluation point
     reads +0.0 before the last step and choice 0. Each step runs every
-    control in turn. The safe evaluation points are swept in blocks
-    shared by the controls, 2048 // C points each for C controls, so
-    together they hold at most M x 2048 point weights, whatever the
-    number of points; within a block each control's weights are
-    computed once and reused at every step. A weight column's bits can
-    depend on its block's width (README, "Numerics"), so with several
-    controls a value can differ from that control's
-    :func:`value_recursion` by round-off. The successor pass before it
-    keeps one M x S weight matrix per control alive, where S is the
-    number of safe successors, so that memory grows with the grid size.
-    A normalized fit of a sample whose controls are all equal gives
+    control in turn. The successor pass keeps one M x S weight matrix
+    per control alive, where S is the number of safe successors, so
+    that memory grows with the grid size. The safe evaluation points
+    are then swept in blocks shared by the controls, 2048 // C points
+    each for C controls but at least min(S, 2048), so together they
+    hold at most M x max(2048, C S) point weights, no more than the
+    successor pass, whatever the number of points; within a block each
+    control's weights are computed once and reused at every step. A
+    weight column's bits can depend on its block's width (README,
+    "Numerics"), so with several controls a normalized value can fall
+    below that control's :func:`value_recursion` by round-off (at most
+    1e-15, at up to 12 of 30 603 cells per control, on the 101 x 101
+    benchmark grid with a 1024-sample uniform-control sample); raw
+    weights can be negative, so raw mode has no such bound. A
+    normalized fit of a sample whose controls are all equal gives
     every control the same weights (:attr:`Embedding.reads_controls`),
     so only the first is evaluated, with one M x S matrix, and every
     choice is 0.

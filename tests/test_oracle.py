@@ -194,21 +194,31 @@ def test_dp_zero_variance_limit_recovers_indicators():
     np.testing.assert_allclose(field.values[0], [1.0, 1.0, 0.0, 0.0], atol=1e-9)
 
 
-def test_dp_refuses_noise_too_small_to_integrate():
+@pytest.mark.parametrize("centre", [0.0, 1e6])
+def test_dp_refuses_noise_too_small_to_integrate(centre):
     # below the bound the quadrature window is lost to rounding (every
     # value was 0 at sd 1e-17 on [-1, 1]); just above it the grid oracle
-    # gives the noise-free answer, and one step needs no quadrature
+    # gives the noise-free answer, and one step needs no quadrature. The
+    # rounding grows with the coordinates, not with the grid's extent:
+    # on [1e6 - 1, 1e6 + 1] 1e-9 of the extent is 17 float spacings
+    # there, against 4.5e6 at the bound
     system = IntegratorChain(2, sampling_time=0.25)
-    box = BoxSet([-1.0, -1.0], [1.0, 1.0])
-    pts = np.array([[0.5, 0.3], [-0.7, 0.2], [0.1, -0.9]])
-    bound = oracle._MIN_SD_SHARE * 2.0  # the grid spans 2 on each axis
+    box = BoxSet([centre - 1.0, -1.0], [centre + 1.0, 1.0])
+    pts = np.array([[0.5, 0.3], [-0.7, 0.2], [0.1, -0.9]]) + [centre, 0.0]
+    # the grid's largest |coordinate| on each axis
+    bound = oracle._MIN_SD_SHARE * np.array([abs(centre) + 1.0, 1.0])
     problem = ReachProblem(safe=box, target=box, horizon=3)
-    with pytest.raises(InputError, match="axis 2 .* Monte Carlo oracle"):
+    with pytest.raises(InputError, match="axis 1 .* Monte Carlo oracle"):
         dp_reach(
-            system, GaussianDisturbance([0.1, 0.99 * bound]), problem, pts,
+            system, GaussianDisturbance([0.99 * bound[0], 0.1]), problem, pts,
             ZeroPolicy(1),
         )
-    above = GaussianDisturbance([1.01 * bound, 1.01 * bound])
+    with pytest.raises(InputError, match="axis 2 .* Monte Carlo oracle"):
+        dp_reach(
+            system, GaussianDisturbance([0.1, 0.99 * bound[1]]), problem, pts,
+            ZeroPolicy(1),
+        )
+    above = GaussianDisturbance(1.01 * bound)
     field = dp_reach(system, above, problem, pts, ZeroPolicy(1))
     np.testing.assert_allclose(field.values[0], 1.0, rtol=0, atol=1e-7)
     one = ReachProblem(safe=box, target=box, horizon=1)

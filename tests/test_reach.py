@@ -97,6 +97,44 @@ def test_enlarging_the_control_grid_never_hurts(controlled):
     assert np.all(big.values >= small.values)
 
 
+class _UniformControls:
+    """Controls drawn from a seeded U[-0.6, 0.6] stream."""
+
+    description = "uniform"
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def __call__(self, k, states):
+        return self.rng.uniform(-0.6, 0.6, size=(len(states), 1))
+
+
+def test_max_mode_dominates_up_to_round_off_across_blocks():
+    # the 1078 safe points run in blocks of 682 per control for three
+    # controls and of 2048 for one; a weight column's bits can depend on
+    # its block's width, so max mode can read below a fixed control or a
+    # smaller grid, by round-off only (up to 8.9e-16 at one to three
+    # cells with OpenBLAS on an x86 VM); normalized weights are
+    # nonnegative, so nothing but round-off can lower a value
+    system = IntegratorChain(2, sampling_time=0.25)
+    sample = generate_transitions(
+        system, _UniformControls(0), BoxSampler([-1.1, -1.1], [1.1, 1.1]),
+        GaussianDisturbance([0.1, 0.1]), 1024, 0,
+    )
+    emb = Embedding(sample, RBFKernel(0.1), lam=1.0)
+    box = BoxSet([-1.0, -1.0], [1.0, 1.0])
+    problem = ReachProblem(safe=box, target=box, horizon=3)
+    pts = np.random.default_rng(1).uniform(-1.1, 1.1, size=(1300, 2))
+    assert 682 < _safe_count(problem, pts) < 2048
+    grid = [[-0.5], [0.0], [0.5]]
+    maxed = value_recursion_max(emb, problem, pts, grid)
+    for u in grid:
+        fixed = value_recursion(emb, problem, pts, ConstantPolicy(u))
+        assert np.all(maxed.values >= fixed.values - 1e-14)
+    small = value_recursion_max(emb, problem, pts, [[0.0]])
+    assert np.all(maxed.values >= small.values - 1e-14)
+
+
 def test_duplicate_controls_tie_to_the_lowest_index(controlled):
     emb, problem, pts = controlled
     maxed = value_recursion_max(emb, problem, pts, [[0.3], [0.3]])
@@ -316,16 +354,16 @@ def test_merged_recursion_matches_reference_loops_bitwise(
         np.testing.assert_array_equal(field.policy_choices, choices)
 
 
-def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
-    # wrap ``weights`` on the instance and release each point-weight
-    # matrix in a ``weakref.finalize`` callback, as the benchmark tracer
-    # does; the controls share one block of 16 columns, 16 // 3 = 5
-    # points each, so together they hold no more than one matrix would
-    emb, problem, pts = controlled
-    n_succ = _safe_count(problem, emb.sample.successors)
-    assert _safe_count(problem, pts) > 16
-    monkeypatch.setattr(reach_module, "_POINT_BLOCK", 16)
-    stats = {"live": 0, "peak": 0, "succ_calls": 0}
+def _dense_points():
+    """1500 points on [-1.2, 1.2]^2, 1016 of them in the safe box."""
+    return np.random.default_rng(5).uniform(-1.2, 1.2, size=(1500, 2))
+
+
+def _track_point_weights(monkeypatch, emb, problem, stats):
+    """Wrap ``emb.weights`` to count successor calls in ``stats`` and to
+    track the live point-weight columns, released in a
+    ``weakref.finalize`` callback as the benchmark tracer does."""
+    succ = emb.sample.successors[problem.safe.contains(emb.sample.successors)]
     original = emb.weights
 
     def release(cols):
@@ -333,25 +371,43 @@ def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
 
     def weights(states, controls=None):
         w = original(states, controls)
-        if w.shape[1] == n_succ:
+        if states.shape == succ.shape and np.array_equal(states, succ):
             stats["succ_calls"] += 1
             return w
         stats["live"] += w.shape[1]
         stats["peak"] = max(stats["peak"], stats["live"])
+        stats["widths"].append(w.shape[1])
         weakref.finalize(w, release, w.shape[1])
         return w
 
     monkeypatch.setattr(emb, "weights", weights)
-    grid = [[-0.5], [0.0], [0.5]]
-    value_recursion_max(emb, problem, pts, grid)  # horizon 3
-    assert 0 < stats["peak"] <= 16 and stats["live"] == 0
-    assert stats["succ_calls"] == len(grid)
+
+
+def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
+    # the controls share one block of 1000 points, 1000 // 3 = 333 each,
+    # so together they hold no more than one matrix would; ten controls
+    # get the 306 safe successors' width each, no more than the
+    # successor pass held
+    emb, problem, _ = controlled
+    pts = _dense_points()
+    n_succ = _safe_count(problem, emb.sample.successors)
+    assert n_succ == 306 and _safe_count(problem, pts) > 1000
+    monkeypatch.setattr(reach_module, "_POINT_BLOCK", 1000)
+    stats = {"live": 0, "peak": 0, "succ_calls": 0, "widths": []}
+    _track_point_weights(monkeypatch, emb, problem, stats)
+    three = [[-0.5], [0.0], [0.5]]
+    ten = np.linspace(-0.6, 0.6, 10)[:, None]
+    for grid, bound in [(three, 1000), (ten, 10 * n_succ)]:
+        stats.update(peak=0, succ_calls=0)
+        value_recursion_max(emb, problem, pts, grid)  # horizon 3
+        assert 0 < stats["peak"] <= bound and stats["live"] == 0
+        assert stats["succ_calls"] == len(grid)
 
     one = ReachProblem(problem.safe, problem.target, horizon=1)
     stats.update(peak=0, succ_calls=0)
-    value_recursion_max(emb, one, pts, grid)
+    value_recursion_max(emb, one, pts, three)
     # a one-step recursion never reads successor values
-    assert stats["succ_calls"] == 0 and 0 < stats["peak"] <= 16
+    assert stats["succ_calls"] == 0 and 0 < stats["peak"] <= 1000
 
 
 @pytest.fixture(scope="module")
@@ -401,56 +457,53 @@ def test_raw_max_mode_on_a_constant_sample_keeps_every_control(
 
 @pytest.mark.parametrize("normalize", [True, False])
 def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
-    emb, problem, pts = controlled
+    emb, problem, _ = controlled
     if not normalize:
         emb = Embedding(emb.sample, emb.kernel, emb.lam, normalize_weights=False)
-    grid = [[-0.5], [0.0], [0.5]]
-    n_pts, block = _safe_count(problem, pts), 16
+    pts = _dense_points()
+    three = [[-0.5], [0.0], [0.5]]
+    ten = np.linspace(-0.6, 0.6, 10)[:, None]
+    n_pts, block = _safe_count(problem, pts), 1000
     assert n_pts < reach_module._POINT_BLOCK and n_pts % block != 0
     n_succ = _safe_count(problem, emb.sample.successors)
     whole = [
         value_recursion(emb, problem, pts, ZeroPolicy(1)),
         value_recursion(emb, problem, pts, RecordingPolicy(1)),
-        value_recursion_max(emb, problem, pts, grid),
+        value_recursion_max(emb, problem, pts, three),
+        value_recursion_max(emb, problem, pts, ten),
     ]
 
     monkeypatch.setattr(reach_module, "_POINT_BLOCK", block)
-    stats = {"live": 0, "peak": 0, "widths": []}
-    original = emb.weights
-
-    def release(cols):
-        stats["live"] -= cols
-
-    def weights(states, controls=None):
-        w = original(states, controls)
-        if w.shape[1] != n_succ:
-            stats["live"] += w.shape[1]
-            stats["peak"] = max(stats["peak"], stats["live"])
-            stats["widths"].append(w.shape[1])
-            weakref.finalize(w, release, w.shape[1])
-        return w
-
-    monkeypatch.setattr(emb, "weights", weights)
+    stats = {"live": 0, "peak": 0, "succ_calls": 0, "widths": []}
+    _track_point_weights(monkeypatch, emb, problem, stats)
     varying = RecordingPolicy(1)
     blocked = [
         value_recursion(emb, problem, pts, ZeroPolicy(1)),
         value_recursion(emb, problem, pts, varying),
-        value_recursion_max(emb, problem, pts, grid),
+        value_recursion_max(emb, problem, pts, three),
+        value_recursion_max(emb, problem, pts, ten),
     ]
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-14)
     # the controlled sample's controls are distinct, so no choice is a tie
-    np.testing.assert_array_equal(
-        blocked[2].policy_choices, whole[2].policy_choices
-    )
-    sizes = [16, 11]  # the 27 safe points
-    shared = [5, 5, 5, 5, 5, 2]  # the same in blocks of 16 // 3 per control
-    # live point-weight columns never exceed one block
-    assert stats["peak"] == block and stats["live"] == 0
+    for got, want in zip(blocked[2:], whole[2:]):
+        np.testing.assert_array_equal(got.policy_choices, want.policy_choices)
+    sizes = [1000, 16]  # the 1016 safe points
+    # the same in blocks of 1000 // 3 per control, and, for ten controls,
+    # of the 306 safe successors rather than 1000 // 10
+    shared = [333, 333, 333, 17]
+    widest = [306, 306, 306, 98]
+    # live point-weight columns never exceed one block, or the ten
+    # controls' successor matrices
+    assert stats["peak"] == 10 * n_succ and stats["live"] == 0
     # zero policy: once per block; varying: per block and step (horizon
-    # 3); max: per block and control (3)
+    # 3); max: per block and control
     thrice = [b for b in sizes for _ in range(3)]
-    assert stats["widths"] == sizes + thrice + [b for b in shared for _ in range(3)]
+    assert stats["widths"] == (
+        sizes + thrice
+        + [b for b in shared for _ in range(3)]
+        + [b for b in widest for _ in range(10)]
+    )
     want_calls = [(k, b) for k in (2, 1, 0) for b in sizes]
     assert sorted(varying.calls) == sorted(want_calls + [(2, n_succ), (1, n_succ)])
 
