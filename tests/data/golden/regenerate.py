@@ -12,6 +12,13 @@ max mode really runs all three controls. Then ``reach`` runs on an 11x11
 grid at horizon 3, fixed and max over ``-0.5;0;0.5``, in normalized and
 in raw mode, with two more max runs on the uniform-control sample, the
 second with a duplicated control so that ties decide choices.
+
+The remaining subcommands follow, each on a small input: a CWH
+``generate`` under the LQR policy, ``oracle-dp`` on the same 11x11 grid,
+``oracle-mc`` at the four points of the committed ``points_4.csv``,
+``compare`` of ``reach_fixed.csv`` against that ``oracle-dp`` file (its
+table and its stdout line), and ``bench-dims`` at n = 2, 10 and 100,
+whose ``seconds`` column is wall time and is not compared.
 ``tests/test_golden.py`` reruns every case and compares.
 """
 
@@ -26,6 +33,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 ZERO_SAMPLE = "integrator_128.csv"
 UNIFORM_SAMPLE = "uniform_controls_128.csv"
+POINTS = "points_4.csv"
+COMPARE_STDOUT = "compare_fixed_dp.txt"
 
 _COMMON = ["--grid", "11x11:-1.1,1.1,-1.1,1.1", "--horizon", "3"]
 _MAX = ["--mode", "max", "--control-grid=-0.5;0;0.5"]
@@ -58,12 +67,40 @@ class UniformControls:
         return self.rng.uniform(-0.6, 0.6, size=(len(states), 1))
 
 
-def _quiet(argv):
-    """Run the CLI on ``argv`` with its stdout dropped; return the exit code."""
+def cli_cases(inputs):
+    """Output file -> CLI arguments before ``--out``, reading from ``inputs``."""
+    return {
+        "cwh_lqr_64.csv": [
+            "generate", "--system", "cwh", "--policy", "lqr", "--samples", "64"
+        ],
+        "oracle_dp.csv": [
+            "oracle-dp", *_COMMON, "--dp-grid", "41x41", "--dp-quad", "9"
+        ],
+        "oracle_mc.csv": [
+            "oracle-mc", "--points-file", os.path.join(inputs, POINTS),
+            "--rollouts", "4000",
+        ],
+        "compare_fixed_dp.csv": [
+            "compare", os.path.join(inputs, "reach_fixed.csv"),
+            os.path.join(inputs, "oracle_dp.csv"),
+        ],
+        "bench_dims.csv": [
+            "bench-dims", "--dims", "2,10,100", "--samples", "64",
+            "--repeats", "1",
+        ],
+    }
+
+
+def _run(argv):
+    """Run the CLI on ``argv``; return its stdout, raising on a nonzero exit."""
     from rkhs_reach.cli import main
 
-    with contextlib.redirect_stdout(io.StringIO()):
-        return main(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code:
+        raise RuntimeError(f"{argv[0]} exited {code}")
+    return out.getvalue()
 
 
 def write_inputs(directory):
@@ -76,12 +113,10 @@ def write_inputs(directory):
     )
     from rkhs_reach.io import write_transitions_csv
 
-    code = _quiet(
+    _run(
         ["generate", "--samples", "128", "--seed", "0",
          "--out", os.path.join(directory, ZERO_SAMPLE)]
     )
-    if code:
-        raise RuntimeError(f"generate exited {code}")
     sample = generate_transitions(
         IntegratorChain(2, sampling_time=0.25),
         UniformControls(7),
@@ -96,19 +131,33 @@ def write_inputs(directory):
 def write_reach(name, sample_dir, out_dir):
     """Run reach case ``name`` on the input in ``sample_dir``; write to ``out_dir``."""
     sample, flags = REACH_CASES[name]
-    code = _quiet(
+    _run(
         ["reach", "--sample-file", os.path.join(sample_dir, sample),
          *_COMMON, *flags, "--out", os.path.join(out_dir, name)]
     )
-    if code:
-        raise RuntimeError(f"reach case {name} exited {code}")
+
+
+def write_cli(name, input_dir, out_dir):
+    """Run CLI case ``name`` on the inputs in ``input_dir``; write to ``out_dir``.
+
+    The ``compare`` case also writes its stdout line to ``COMPARE_STDOUT``.
+    """
+    argv = cli_cases(input_dir)[name]
+    out = _run([*argv, "--out", os.path.join(out_dir, name)])
+    if argv[0] == "compare":
+        with open(os.path.join(out_dir, COMPARE_STDOUT), "w", encoding="utf-8") as f:
+            f.write(out)
 
 
 def main():
     write_inputs(HERE)
     for name in REACH_CASES:
         write_reach(name, HERE, HERE)
-    print(f"wrote {2 + len(REACH_CASES)} files to {HERE}")
+    # in order: compare reads oracle_dp.csv
+    for name in cli_cases(HERE):
+        write_cli(name, HERE, HERE)
+    count = 3 + len(REACH_CASES) + len(cli_cases(HERE))
+    print(f"wrote {count} files to {HERE}")
     return 0
 
 
