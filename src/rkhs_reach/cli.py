@@ -45,6 +45,7 @@ from .config import (
     parse_box,
     parse_config_file,
     parse_control_grid,
+    parse_ints,
     parse_shape,
     validate,
 )
@@ -285,15 +286,7 @@ def _cmd_bench_dims(args):
     cfg = _load_config(args)
     if cfg.system != "integrator":
         raise InputError("bench-dims supports only the integrator system")
-    parts = args.dims.split(",")
-    if not all(p.strip() for p in parts):
-        raise InputError(f"--dims: empty field in {args.dims!r}")
-    try:
-        dims = [int(d) for d in parts]
-    except ValueError:
-        raise InputError(f"--dims expects comma-separated integers, got {args.dims!r}")
-    if any(d < 1 for d in dims):
-        raise InputError(f"--dims entries must be positive, got {args.dims!r}")
+    dims = parse_ints(args.dims, "--dims", 1)
     if args.repeats < 1:
         raise InputError("--repeats must be at least 1")
     rows = []

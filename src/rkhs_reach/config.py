@@ -38,6 +38,7 @@ __all__ = [
     "parse_box",
     "parse_point",
     "parse_control_grid",
+    "parse_ints",
     "parse_shape",
     "CWH_SAMPLE_BOX",
 ]
@@ -162,8 +163,8 @@ def validate(cfg):
         )
     if cfg.mode not in ("fixed", "max"):
         raise InputError(f"mode must be fixed or max, got {cfg.mode!r}")
-    if cfg.dim < 1:
-        raise InputError(f"dim must be positive, got {cfg.dim}")
+    for key, least in (("dim", 1), ("horizon", 1), ("samples", 1), ("dp_quad", 2)):
+        _check_count(getattr(cfg, key), key, least)
     if cfg.system == "cwh" and cfg.dim not in (2, 4):
         # dim is ignored for the rendezvous system (state is 4-D), but a
         # value other than the default or 4 signals a misconfiguration.
@@ -178,16 +179,10 @@ def validate(cfg):
         raise InputError(f"sigma must be positive, got {cfg.sigma}")
     if cfg.lam <= 0:
         raise InputError(f"lambda must be positive, got {cfg.lam}")
-    if cfg.horizon < 1:
-        raise InputError(f"horizon must be at least 1, got {cfg.horizon}")
-    if cfg.samples < 1:
-        raise InputError(f"samples must be at least 1, got {cfg.samples}")
     if cfg.seed < 0:
         raise InputError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.rollouts < 1:
         raise InputError(f"rollouts must be at least 1, got {cfg.rollouts}")
-    if cfg.dp_quad < 2:
-        raise InputError(f"dp_quad must be at least 2, got {cfg.dp_quad}")
     if cfg.sampling_time is not None and cfg.sampling_time <= 0:
         raise InputError("sampling_time must be positive")
     if cfg.noise_sd is not None and cfg.noise_sd <= 0:
@@ -328,20 +323,36 @@ def build_sampler(cfg, dim):
     return BoxSampler(lower, upper)
 
 
+def _check_count(value, key, least):
+    """Refuse a count below ``least`` or too large for a numpy index."""
+    if value < least:
+        raise InputError(f"{key} must be at least {least}, got {value}")
+    if value > np.iinfo(np.intp).max:
+        raise InputError(
+            f"{key} must be at most {np.iinfo(np.intp).max}, got {value}"
+        )
+
+
+def parse_ints(text, what, least, sep=","):
+    """Parse ``sep``-separated integers, each a count of at least ``least``."""
+    parts = text.split(sep)
+    if not all(p.strip() for p in parts):
+        raise InputError(f"{what}: empty field in {text!r}")
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise InputError(f"{what}: expected {sep!r}-separated integers, got {text!r}")
+    for value in values:
+        _check_count(value, what, least)
+    return values
+
+
 def parse_shape(text, what="grid"):
     """Parse ``n1xn2`` into a pair of axis sizes, each at least 2."""
-    parts = text.lower().split("x")
-    if len(parts) != 2:
+    shape = parse_ints(text.lower(), what, 2, sep="x")
+    if len(shape) != 2:
         raise InputError(f"{what} shape must be n1xn2, got {text!r}")
-    try:
-        shape = (int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise InputError(f"{what} shape must be n1xn2, got {text!r}")
-    if shape[0] < 2 or shape[1] < 2:
-        raise InputError(
-            f"{what} must have at least 2 points per axis, got {text!r}"
-        )
-    return shape
+    return tuple(shape)
 
 
 def parse_grid(text):

@@ -121,7 +121,8 @@ class TransitionSample:
         Where each transition started.
     controls : (M, m) array
         Control applied at each start state; m may be 0 for uncontrolled
-        sampling.
+        sampling. A vector of length M is one control column, and an
+        empty array gives m = 0.
     successors : (M, n) array
         Observed next states.
     metadata : dict
@@ -140,8 +141,6 @@ class TransitionSample:
             raise InputError("sample set must contain at least one transition")
         m_rows = states.shape[0]
         controls = np.asarray(self.controls, dtype=np.float64)
-        if controls.ndim == 1:
-            controls = controls[:, None]
         if controls.size == 0:
             controls = controls.reshape(m_rows, 0)
         controls = _as_matrix("controls", controls, rows=m_rows)

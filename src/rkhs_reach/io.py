@@ -51,9 +51,11 @@ def _target_mode(path):
 
 
 def atomic_write_text(path, text):
-    """Write ``text``, a string or an iterable of strings written in turn."""
-    if isinstance(text, str):
-        text = (text,)
+    """Write ``text``, a string or an iterable of strings written in turn.
+
+    A string is an iterable of its characters, which ``writelines``
+    writes as the same bytes as the whole string.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     mode = _target_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".csv")

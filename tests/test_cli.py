@@ -521,6 +521,28 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
         )
         assert rc == 2 and "dp_grid" in err
 
+    # an integer too large for a numpy index exits 2 naming the key; it
+    # is tested at 2**63 only, since smaller ones from about 2**40 on
+    # reach numpy's allocator
+    big = str(2**63)
+    out_csv = str(tmp_path / "big.csv")
+    for args, key in (
+        (("generate", "--dim", big, "--out", out_csv), "dim"),
+        (("generate", "--samples", big, "--out", out_csv), "samples"),
+        (("reach", "--sample-file", sample_file, "--horizon", big), "horizon"),
+        (
+            ("reach", "--sample-file", sample_file, "--grid", big + "x2:-1,1,-1,1"),
+            "grid",
+        ),
+        (("oracle-dp", "--point", "0,0", "--dp-quad", big), "dp_quad"),
+        (("oracle-dp", "--point", "0,0", "--dp-grid", big + "x2"), "dp_grid"),
+        (("bench-dims", "--dims", big, "--samples", "8"), "--dims"),
+    ):
+        rc, out, err = run(capsys, *args)
+        assert rc == 2 and out == "", args
+        assert err.startswith(f"error: {key} must be at most"), args
+        assert "Traceback" not in err
+
     # the oracles evaluate the configured policy; a max-mode request or a
     # control grid exits 2 naming the key instead of being dropped
     for oracle in (("oracle-dp",), ("oracle-mc", "--rollouts", "10")):

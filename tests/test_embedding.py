@@ -417,6 +417,13 @@ def test_transition_sample_validation():
         successors=np.zeros((3, 2)),
     )
     TransitionSample(**good)
+    # a vector of M controls is one column, in order
+    sample = TransitionSample(np.zeros((3, 2)), [1.0, 2.0, 3.0], np.zeros((3, 2)))
+    np.testing.assert_array_equal(sample.controls, [[1.0], [2.0], [3.0]])
+    # empty controls are zero columns
+    for empty in (np.zeros(0), []):
+        sample = TransitionSample(np.zeros((3, 2)), empty, np.zeros((3, 2)))
+        assert sample.controls.shape == (3, 0)
     with pytest.raises(InputError):
         TransitionSample(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 2)))
     with pytest.raises(InputError):
