@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .config import (
     _KEY_ALIASES,
+    _check_count,
     RunConfig,
     apply_overrides,
     build_disturbance,
@@ -287,8 +288,7 @@ def _cmd_bench_dims(args):
     if cfg.system != "integrator":
         raise InputError("bench-dims supports only the integrator system")
     dims = parse_ints(args.dims, "--dims", 1)
-    if args.repeats < 1:
-        raise InputError("--repeats must be at least 1")
+    _check_count(args.repeats, "--repeats", 1)
     rows = []
     for n in dims:
         cfg_n = apply_overrides(cfg, {"dim": n})
@@ -397,8 +397,14 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
-        # numpy's subclass says how much it could not allocate
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array whose byte count overflows with this
+        # ValueError before it allocates; any other ValueError propagates
+        if isinstance(exc, ValueError) and not str(exc).startswith(
+            "array is too big"
+        ):
+            raise
+        # numpy's MemoryError subclass says how much it could not allocate
         detail = f": {exc}" if str(exc) else ""
         print(f"out of memory{detail}", file=sys.stderr)
         return 3

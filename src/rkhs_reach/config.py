@@ -163,7 +163,9 @@ def validate(cfg):
         )
     if cfg.mode not in ("fixed", "max"):
         raise InputError(f"mode must be fixed or max, got {cfg.mode!r}")
-    for key, least in (("dim", 1), ("horizon", 1), ("samples", 1), ("dp_quad", 2)):
+    for key, least in (
+        ("dim", 1), ("horizon", 1), ("samples", 1), ("dp_quad", 2), ("rollouts", 1)
+    ):
         _check_count(getattr(cfg, key), key, least)
     if cfg.system == "cwh" and cfg.dim not in (2, 4):
         # dim is ignored for the rendezvous system (state is 4-D), but a
@@ -181,8 +183,6 @@ def validate(cfg):
         raise InputError(f"lambda must be positive, got {cfg.lam}")
     if cfg.seed < 0:
         raise InputError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.rollouts < 1:
-        raise InputError(f"rollouts must be at least 1, got {cfg.rollouts}")
     if cfg.sampling_time is not None and cfg.sampling_time <= 0:
         raise InputError("sampling_time must be positive")
     if cfg.noise_sd is not None and cfg.noise_sd <= 0:

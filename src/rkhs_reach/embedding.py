@@ -40,8 +40,7 @@ query. The fit also lifts the joint sample rows for the kernel once
 It adds the ridge onto the Gram matrix in place and inverts it with
 ``np.linalg.inv``, so the Gram product, the inverse, the cross kernels
 and the weight products all run on numpy's BLAS and its one thread
-pool; scipy's LAPACK would bring a second OpenBLAS with a pool of its
-own. A fit keeps one M x M matrix (the inverse; 8 MB at M = 1024). At
+pool. A fit keeps one M x M matrix (the inverse; 8 MB at M = 1024). At
 its peak it holds about four: the ridge, LAPACK's copy of it, the
 identity LAPACK solves into and the inverse (the resident set rises by
 3.9 to 4.1 matrices during a fit at M = 2048). The ridge keeps every eigenvalue at or

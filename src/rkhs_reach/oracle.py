@@ -8,6 +8,7 @@ package can simulate. Both implement the exact recursion semantics from
 indicator multiplying every earlier step).
 """
 
+import math
 import os
 import threading
 
@@ -37,13 +38,19 @@ _MC_POOL_BYTES = 128 * 2**20
 _MIN_SD_SHARE = 1e-9
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(z):
+    """The standard normal CDF, ``erfc(-z / sqrt(2)) / 2`` per element."""
+    return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(np.float64)
+
+
 def _box_hit_probability(means, box, sd):
     # closed-form E[1_box(mean + w)] for diagonal Gaussian w
-    from scipy.special import ndtr
-
     p = np.ones(means.shape[0])
     for d in range(2):
-        p *= ndtr((box.upper[d] - means[:, d]) / sd[d]) - ndtr(
+        p *= _normal_cdf((box.upper[d] - means[:, d]) / sd[d]) - _normal_cdf(
             (box.lower[d] - means[:, d]) / sd[d]
         )
     return p

@@ -414,6 +414,30 @@ def test_running_out_of_memory_exits_3(
     assert (rc, out, err) == (3, "", line) and not out_csv.exists()
 
 
+def test_a_size_numpy_refuses_exits_3(tmp_path, capsys, sample_file):
+    # numpy refuses an array whose byte count overflows before it
+    # allocates anything, so both fail at once
+    huge = str(10**18)
+    out_csv = tmp_path / "v.csv"
+    for args in (
+        ("generate", "--samples", huge, "--out", str(out_csv)),
+        ("reach", "--sample-file", sample_file, "--horizon", huge, "--point", "0,0"),
+    ):
+        rc, out, err = run(capsys, *args)
+        assert rc == 3 and out == "", args
+        assert err.startswith("out of memory: array is too big"), args
+    assert not out_csv.exists()
+
+
+def test_other_value_errors_propagate(monkeypatch, sample_file):
+    def recursion(*args):
+        raise ValueError("not a size")
+
+    monkeypatch.setattr(cli, "value_recursion", recursion)
+    with pytest.raises(ValueError, match="not a size"):
+        main(["reach", "--sample-file", sample_file, "--point", "0,0"])
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples = 64\nseed = 5\n")
@@ -537,6 +561,11 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
         (("oracle-dp", "--point", "0,0", "--dp-quad", big), "dp_quad"),
         (("oracle-dp", "--point", "0,0", "--dp-grid", big + "x2"), "dp_grid"),
         (("bench-dims", "--dims", big, "--samples", "8"), "--dims"),
+        (("oracle-mc", "--point", "0,0", "--rollouts", big), "rollouts"),
+        (
+            ("bench-dims", "--dims", "2", "--samples", "8", "--repeats", big),
+            "--repeats",
+        ),
     ):
         rc, out, err = run(capsys, *args)
         assert rc == 2 and out == "", args
@@ -740,48 +769,44 @@ def test_cwh_end_to_end_smoke(tmp_path, capsys):
     assert rc == 2 and "grid oracle" in err
 
 
-# Runs the commands in a fresh interpreter and prints, as its last line,
-# their exit codes and which scipy submodules each group left loaded.
-_SCIPY_ON_USE_CHILD = """
+# Runs every subcommand in a fresh interpreter and prints, as its last
+# line, their exit codes and the scipy submodules they left loaded.
+_NO_SCIPY_CHILD = """
 import json, sys
 from rkhs_reach.cli import main
 
-def loaded():
-    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
-
-sample = sys.argv[1] + "/sample.csv"
-integrator = [
+out = sys.argv[1]
+sample, cwh = out + "/sample.csv", out + "/cwh.csv"
+commands = [
     ["generate", "--samples", "16", "--out", sample],
-    ["reach", "--sample-file", sample, "--point", "0,0"],
+    ["reach", "--sample-file", sample, "--point", "0,0", "--out", out + "/v.csv"],
     ["reach", "--sample-file", sample, "--point", "0,0", "--mode", "max",
      "--control-grid=0;0.5"],
     ["bench-dims", "--dims", "2,3", "--samples", "16", "--repeats", "1"],
-]
-scipy_users = [
-    ["oracle-dp", "--dp-grid", "11x11", "--dp-quad", "3", "--point", "0,0"],
+    ["oracle-dp", "--dp-grid", "11x11", "--dp-quad", "3", "--point", "0,0",
+     "--out", out + "/dp.csv"],
+    ["compare", out + "/v.csv", out + "/dp.csv"],
     ["generate", "--system", "cwh", "--policy", "lqr", "--samples", "4",
-     "--out", sys.argv[1] + "/cwh.csv"],
+     "--out", cwh],
+    ["reach", "--system", "cwh", "--sample-file", cwh, "--point", "0,-0.5,0,0"],
+    ["oracle-mc", "--system", "cwh", "--policy", "lqr", "--rollouts", "100",
+     "--point", "0,-0.5,0,0"],
 ]
-result = {"integrator": [main(argv) for argv in integrator]}
-result["integrator_loaded"] = loaded()
-result["scipy_users"] = [main(argv) for argv in scipy_users]
-result["scipy_users_loaded"] = loaded()
-print(json.dumps(result))
+codes = [main(argv) for argv in commands]
+loaded = [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_integrator_commands_do_not_load_scipy(tmp_path):
-    # scipy serves only expm, the LQR gain and ndtr, imported on first use
+def test_no_command_loads_scipy(tmp_path):
+    # the package runs on numpy alone; scipy is a test-only reference
     paths = [str(pathlib.Path(rkhs_reach.__file__).parent.parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run(
-        [sys.executable, "-c", _SCIPY_ON_USE_CHILD, str(tmp_path)],
+        [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     result = json.loads(out.stdout.splitlines()[-1])
-    assert result["integrator"] == [0, 0, 0, 0]
-    assert result["integrator_loaded"] == []
-    assert result["scipy_users"] == [0, 0]
-    assert result["scipy_users_loaded"] == ["scipy.linalg", "scipy.special"]
+    assert result == {"codes": [0] * 9, "loaded": []}

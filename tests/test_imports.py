@@ -1,9 +1,9 @@
 """Import hygiene of the package.
 
-Every name a module imports is used in that module, every import but
-three listed scipy calls sits at module level, the modules' relative
-imports form no cycle, and importing the CLI loads neither scipy nor
-an executor module.
+Every name a module imports is used in that module, every import sits
+at module level, the modules' relative imports form no cycle, no module
+imports scipy, and importing the CLI loads neither scipy nor an
+executor module.
 """
 
 import ast
@@ -128,39 +128,17 @@ def find_cycle(graph):
     return None
 
 
-# The only imports inside functions: the three scipy calls, loaded on
-# first use. scipy.linalg and scipy.special (with scipy's own OpenBLAS)
-# double the import time and resident set of the package, and the
-# integrator commands call none of them. Every other import, relative
-# ones included, stays at module level, where the cycle check sees it.
-IN_FUNCTION = {
-    ("oracle.py", "ndtr"),
-    ("systems.py", "expm"),
-    ("systems.py", "solve_discrete_are"),
-}
-
-
+# Every import, relative ones included, stays at module level, where
+# the cycle check sees it.
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_every_import_is_at_module_level(path):
-    nested = [
-        (line, name) for line, name in nested_imports(parse(path))
-        if (path.name, name) not in IN_FUNCTION
-    ]
+    nested = nested_imports(parse(path))
     assert not nested, f"{path.name} imports inside a block: {nested}"
 
 
-def test_in_function_imports_are_the_listed_ones():
-    found = {
-        (path.name, name)
-        for path in ALL_MODULES
-        for _, name in nested_imports(parse(path))
-    }
-    assert found == IN_FUNCTION
-
-
-# What ``import rkhs_reach.cli`` must leave unloaded: scipy loads on the
-# first call that needs it, and the Monte Carlo oracle runs its threads
-# on ``threading`` alone.
+# What ``import rkhs_reach.cli`` must leave unloaded: the package runs
+# on numpy alone, and the Monte Carlo oracle runs its threads on
+# ``threading`` alone.
 UNLOADED_BY_CLI = ["scipy", "scipy.linalg", "scipy.special", "concurrent.futures"]
 
 
@@ -213,16 +191,14 @@ def scipy_imports(tree):
     return sorted(lines)
 
 
-# The estimator path: the Gram matrix, the fit, the cross kernels and the
-# weight products. scipy loads its own OpenBLAS with its own thread pool,
-# and on a small machine the two pools stall each other at every handoff.
-ONE_POOL = ["embedding.py", "kernels.py", "reach.py"]
-
-
-@pytest.mark.parametrize("name", ONE_POOL)
-def test_estimator_path_runs_on_one_blas(name):
-    lines = scipy_imports(parse(PACKAGE / name))
-    assert not lines, f"{name} imports scipy at lines {lines}"
+# Every module, the estimator path's (Gram matrix, fit, cross kernels,
+# weight products) among them, runs on numpy's BLAS and its one thread
+# pool. scipy loads its own OpenBLAS with its own pool, and on a small
+# machine the two pools stall each other at every handoff.
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_estimator_path_runs_on_one_blas(path):
+    lines = scipy_imports(parse(path))
+    assert not lines, f"{path.name} imports scipy at lines {lines}"
 
 
 def test_scipy_import_is_reported():

@@ -1,5 +1,6 @@
 """Grid-recursion and Monte Carlo reference oracles."""
 
+import math
 import sys
 import threading
 import time
@@ -141,13 +142,25 @@ def test_dp_first_backup_is_the_normal_cdf_closed_form(setup):
     mu = pts @ system.dense_a().T
     sd = disturbance.sd
     box = problem.target
+
+    def cdf(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2))
+
     want = np.ones(len(pts))
     for d in range(2):
-        want *= ndtr((box.upper[d] - mu[:, d]) / sd[d]) - ndtr(
-            (box.lower[d] - mu[:, d]) / sd[d]
-        )
+        want *= [
+            cdf((box.upper[d] - m) / sd[d]) - cdf((box.lower[d] - m) / sd[d])
+            for m in mu[:, d]
+        ]
     want *= problem.safe.contains(pts)
     np.testing.assert_array_equal(field.values[0], want)
+
+
+def test_normal_cdf_agrees_with_scipy_ndtr():
+    # scipy serves the tests only, as an independent normal CDF
+    z = np.linspace(-40.0, 40.0, 800001)
+    got = oracle._normal_cdf(z)
+    assert np.abs(got - ndtr(z)).max() <= np.finfo(np.float64).eps
 
 
 def test_dp_terminal_row_and_shape(setup):

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
-from rkhs_reach import _backend
+from rkhs_reach import _backend, systems
 from rkhs_reach import (
     AffinePolicy,
     BetaDisturbance,
@@ -18,6 +18,7 @@ from rkhs_reach import (
     GaussianDisturbance,
     InputError,
     IntegratorChain,
+    NumericalError,
     ZeroDisturbance,
     ZeroPolicy,
     cwh_lqr_policy,
@@ -220,6 +221,23 @@ def test_cwh_discretization_matches_matrix_exponential():
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
 
 
+@pytest.mark.parametrize("t", [1.0, 20.0, 300.0])
+def test_cwh_discretization_agrees_with_scipy_expm(t):
+    # scipy serves the tests only, as an independent exponential of the
+    # same Van Loan block
+    system = CWHSystem(sampling_time=t)
+    w, mass = system.orbital_rate, system.mass
+    block = np.zeros((6, 6))
+    block[0, 2] = block[1, 3] = 1.0
+    block[2, 0] = 3.0 * w * w
+    block[2, 3] = 2.0 * w
+    block[3, 2] = -2.0 * w
+    block[2, 4] = block[3, 5] = 1.0 / mass
+    want = linalg.expm(block * t)[:4]
+    got = np.hstack([system.dense_a(), system.dense_b()])
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_cwh_zero_control_zero_noise_drifts():
     system = CWHSystem()
     start = np.array([[0.0, -0.8, 0.0, 0.0]])
@@ -297,6 +315,46 @@ def test_cwh_lqr_policy_stabilizes():
     assert np.all(np.abs(u) <= system.control_bound + 1e-15)
     with pytest.raises(InputError):
         cwh_lqr_policy(IntegratorChain(2))
+
+
+def _lqr_weights():
+    return np.diag([1.0, 1.0, 1e3, 1e3]), np.eye(2) * 1e4
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0, 300.0])
+def test_cwh_lqr_gain_solves_the_riccati_equation(t):
+    system = CWHSystem(sampling_time=t)
+    a, b = system.dense_a(), system.dense_b()
+    q, r = _lqr_weights()
+    gain = cwh_lqr_policy(system).gain
+    # the gain's own Riccati solution, recovered from the doubling
+    p = systems._dare(a, b, q, r)
+    np.testing.assert_array_equal(
+        gain, np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+    )
+    residual = a.T @ p @ a - p - a.T @ p @ b @ gain + q
+    assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(p)
+    assert np.abs(np.linalg.eigvals(a - b @ gain)).max() < 1.0
+
+
+@pytest.mark.parametrize("t", [20.0, 300.0])
+def test_cwh_lqr_gain_agrees_with_scipy_riccati(t):
+    # at T = 1 s scipy's own residual is 3e-14 relative and the gains
+    # differ by 2e-12; from 20 s on both solutions are tight
+    system = CWHSystem(sampling_time=t)
+    a, b = system.dense_a(), system.dense_b()
+    q, r = _lqr_weights()
+    p = linalg.solve_discrete_are(a, b, q, r)
+    want = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+    got = cwh_lqr_policy(system).gain
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_cwh_lqr_gain_without_a_solution_is_a_numerical_error():
+    # at a sampling time of 1e-300 s the input matrix is about 1e-303,
+    # so the Riccati iteration grows without settling
+    with pytest.raises(NumericalError, match="did not converge"):
+        cwh_lqr_policy(CWHSystem(sampling_time=1e-300))
 
 
 # -------------------------------------------------------------- disturbances
