@@ -37,18 +37,24 @@ The fit inverts ``G + lam*M*I`` once, so a batch of queries costs one
 kernel matrix and one matrix product with the inverse, not a solve per
 query. The fit also lifts the joint sample rows for the kernel once
 (:meth:`RBFKernel.lift`), so each batch lifts only its query rows.
-It adds the ridge onto the Gram matrix in place and inverts it with
-``np.linalg.inv``, so the Gram product, the inverse, the cross kernels
-and the weight products all run on numpy's BLAS and its one thread
-pool. A fit keeps one M x M matrix (the inverse; 8 MB at M = 1024). At
-its peak it holds about four: the ridge, LAPACK's copy of it, the
-identity LAPACK solves into and the inverse (the resident set rises by
-3.9 to 4.1 matrices during a fit at M = 2048). The ridge keeps every eigenvalue at or
-above ``lam*M``, so the condition number is at most
-``1 + |G|_2 / (lam*M)``: 1.016 on the 1024-sample benchmark at
-``lam = 1``. Weights from the inverse agree with a Cholesky solve per
-column to 1.2e-15 relative at ``lam = 1``, 1.8e-14 at ``lam = 1e-4``
-and 1.6e-12 at ``lam = 1e-6``.
+It adds the ridge onto the Gram matrix in place and inverts it through
+the inverse of its Cholesky factor, formed by halves from matrix
+products (:func:`_invert`), so the Gram product, the inverse, the cross
+kernels and the weight products all run on numpy's BLAS and its one
+thread pool. A fit keeps one M x M matrix (the inverse; 8 MB at
+M = 1024). At its peak it holds about three: the ridge, the factor's
+inverse and the inverse, besides the recursion's quarter-size blocks
+(the resident set rises by 2.4 to 3.2 matrices during a fit at
+M = 2048, and by 3.4 to 4.1 with ``np.linalg.inv``). The ridge keeps
+every eigenvalue at or above ``lam*M``, so the condition number is at
+most ``1 + |G|_2 / (lam*M)``: 1.016 on the 1024-sample benchmark at
+``lam = 1``. A ridge that round-off leaves not positive definite, as a
+repeated sample point under ``lam*M`` near zero can, stops the fit with
+:class:`NumericalError`. On that benchmark's sample at 2048 query
+points, raw weights from the inverse agree with a Cholesky solve per
+column to 1.6e-15 of the largest weight at ``lam = 1``, 2.9e-14 at
+``lam = 1e-4`` and 1.0e-12 at ``lam = 1e-6``, where ``np.linalg.inv``
+gave 1.5e-15, 3.2e-14 and 1.8e-11.
 """
 
 from dataclasses import dataclass, field
@@ -64,30 +70,89 @@ __all__ = ["TransitionSample", "Embedding"]
 def _check_finite(ridge):
     """Raise :class:`NumericalError` unless every entry of ``ridge`` is finite.
 
-    ``np.linalg.inv`` returns NaN for a non-finite matrix without raising,
-    so the fit checks first. The Gram matrix is not finite once squared
+    A Cholesky factor is NaN for a matrix with a NaN entry, and inverts
+    an infinite diagonal entry to 0, without raising, so the fit checks
+    first. The Gram matrix is not finite once squared
     distances overflow, for coordinates about 1e154 from the sample mean.
     """
     if not np.isfinite(ridge).all():
         raise NumericalError("kernel matrix is not finite")
 
 
-def _invert(ridge):
-    """The inverse of the symmetric matrix ``ridge``, in Fortran order.
+# the largest block the recursion hands to LAPACK: 32 to 128 rows timed
+# alike at M = 256 to 2048, 256 rows 5 % (M = 2048) to 130 % (M = 256)
+# slower
+_BASE_ROWS = 64
 
-    ``ridge`` is symmetric to the bit, so the transpose of its computed
-    inverse is as good an inverse, and a free view in Fortran order.
-    Neither order makes a weight column's bits independent of the width
-    of the point block it is computed in, since BLAS splits the product
-    by its width: at M = 1024 with 2048 query columns, blocks of 682,
-    1500 and 2047 left 6 to 8 columns off a 2048-wide block's by up to
-    4e-15 in either order, and one-column blocks every column (OpenBLAS,
-    2-vCPU x86 VM; which widths differ depends on the CPU's kernel).
+
+def _lower_inverse(a):
+    """``X = L^-1`` for the lower Cholesky factor ``L`` of ``a``, by halves.
+
+    With ``a = [[A11, A21'], [A21, A22]]`` and ``X11`` from the leading
+    block, ``L21 = A21 X11'``, ``X22`` comes from the Schur complement
+    ``A22 - L21 L21'`` and ``X21 = -X22 L21 X11`` (Gustavson, "Recursion
+    leads to automatic variable blocking for dense linear-algebra
+    algorithms", IBM J. Res. Dev. 1997). Every step but the base case is
+    a matrix product, so the work runs at the BLAS product's rate. The
+    base case of at most ``_BASE_ROWS`` rows is LAPACK's Cholesky and an
+    inverse of its factor; a Schur complement that is not numerically
+    positive definite raises ``LinAlgError`` there. The upper right
+    quadrant of ``X`` is never written.
+    """
+    m = a.shape[0]
+    if m <= _BASE_ROWS:
+        return np.linalg.inv(np.linalg.cholesky(a))
+    h = m // 2
+    x11 = _lower_inverse(a[:h, :h])
+    l21 = a[h:, :h] @ x11.T
+    x22 = _lower_inverse(a[h:, h:] - l21 @ l21.T)
+    x = np.zeros((m, m))
+    x[:h, :h] = x11
+    x[h:, h:] = x22
+    x21 = x[h:, :h]
+    np.matmul(x22, l21 @ x11, out=x21)
+    np.negative(x21, out=x21)
+    return x
+
+
+def _invert(ridge):
+    """The inverse of the symmetric positive definite ``ridge``, in Fortran order.
+
+    The inverse is ``X' X`` for ``X`` the inverse of the Cholesky factor
+    (:func:`_lower_inverse`): about 2.2 M^3 flops, nearly all in matrix
+    products, where ``np.linalg.inv`` spent 2.7 M^3 on an LU
+    factorization and triangular solves; on 2 vCPUs (OpenBLAS) the
+    inverse went 113 -> 58 ms at M = 1024 and 3.2 -> 2.0 s at M = 4096. Besides ``ridge`` it holds about two
+    M x M matrices at its peak: ``X``, the result and the recursion's
+    quarter-size blocks. Against a Cholesky solve of the identity, the
+    largest entry error relative to the largest entry is 1.0e-15 at
+    ``lam = 1``, 1.3e-14 at ``lam = 1e-4`` and 1.8e-12 at ``lam = 1e-6``
+    on benchmark samples of 1 to 1024 points, no more than
+    ``np.linalg.inv``'s on the same matrices once rounded up in the
+    second digit (its stability: Du Croz & Higham, "Stability of methods
+    for matrix inversion", IMA J. Numer. Anal. 1992).
+
+    numpy runs ``X' X`` as a symmetric rank-k product, so the result is
+    symmetric to the bit, and its transpose is a free view in Fortran
+    order. That order is kept because the bits of a weight column
+    depend on the inverse's layout: neither order makes them independent
+    of the width of the point block they are computed in, since BLAS
+    splits the product by its width (at M = 1024 with 2048 query
+    columns, blocks of 682, 1500 and 2047 left 6 to 8 columns off a
+    2048-wide block's by up to 4e-15, and one-column blocks every
+    column; OpenBLAS, 2-vCPU x86 VM; which widths differ depends on the
+    CPU's kernel), but the C-ordered product moved max-mode values on a
+    constant sample by an ulp against a single candidate's.
+
+    A ridge that is not numerically positive definite, as a Gram matrix
+    with a repeated point under a ridge near zero can be, raises
+    :class:`NumericalError` rather than give a wrong inverse.
     """
     try:
-        return np.linalg.inv(ridge).T
-    except np.linalg.LinAlgError as exc:  # cannot happen for lam*M > 0
+        x = _lower_inverse(ridge)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ridge system inversion failed: {exc}")
+    return (x.T @ x).T
 
 
 # perfbench/tracing.py times the fit's two steps under these names; the

@@ -225,8 +225,9 @@ class CWHSystem(_LinearSystem):
     300 s.
     The closed form in ``sin wT`` and ``cos wT`` differs from it at this
     orbit by up to 6e-13 relative in an entry at T = 20 s (3.2e-13
-    absolute in B). Controls beyond the bound draw a warning in
-    ``step``; they are not clipped.
+    absolute in B). A sampling time whose squared-back exponential
+    overflows (from about 1e19 s) is rejected. Controls beyond the bound
+    draw a warning in ``step``; they are not clipped.
     """
 
     name = "cwh"
@@ -250,7 +251,14 @@ class CWHSystem(_LinearSystem):
         block[2, 3] = 2.0 * w
         block[3, 2] = -2.0 * w
         block[2, 4] = block[3, 5] = 1.0 / self.mass
-        phi = _expm(block * sampling_time)
+        # the squaring overflows long before the exponential itself would
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = _expm(block * sampling_time)
+        if not np.isfinite(phi).all():
+            raise InputError(
+                f"sampling time {sampling_time} overflows the state or input "
+                f"matrix of the CWH system"
+            )
         self._a = phi[:4, :4].copy()
         self._b = phi[:4, 4:].copy()
 

@@ -14,13 +14,22 @@ import numpy as np
 import pytest
 
 import rkhs_reach
-from rkhs_reach import ConstantPolicy, InputError, ZeroPolicy, __version__, cli, oracle
+from rkhs_reach import (
+    ConstantPolicy,
+    InputError,
+    TransitionSample,
+    ZeroPolicy,
+    __version__,
+    cli,
+    oracle,
+)
 from rkhs_reach.cli import _build_parser, _load_config, main
 from rkhs_reach.config import RunConfig
 from rkhs_reach.io import (
     read_transitions_csv,
     read_value_table,
     read_values_csv,
+    write_transitions_csv,
 )
 from rkhs_reach.reach import _POINT_BLOCK
 
@@ -429,6 +438,31 @@ def test_a_size_numpy_refuses_exits_3(tmp_path, capsys, sample_file):
     assert not out_csv.exists()
 
 
+def test_a_ridge_that_is_not_positive_definite_exits_3(tmp_path, capsys):
+    # a repeated sample point makes the Gram matrix singular, and a ridge
+    # of 256 * 1e-16 does not lift it clear of round-off at sigma = 0.5:
+    # the fit stops instead of returning an inverse whose relative solve
+    # residual is 0.03 on a constant right-hand side
+    path = tmp_path / "s.csv"
+    rc, _, _ = run(capsys, "generate", "--samples", "256", "--out", str(path))
+    assert rc == 0
+    sample = read_transitions_csv(path)
+    rows = [np.vstack([a[:-1], a[:1]]) for a in (
+        sample.states, sample.controls, sample.successors
+    )]
+    write_transitions_csv(path, TransitionSample(*rows))
+    out_csv = tmp_path / "v.csv"
+    rc, out, err = run(
+        capsys, "reach", "--sample-file", str(path), "--sigma", "0.5",
+        "--lambda", "1e-16", "--point", "0,0", "--out", str(out_csv),
+    )
+    assert (rc, out) == (3, "") and not out_csv.exists()
+    assert err == (
+        "numerical error: ridge system inversion failed: "
+        "Matrix is not positive definite\n"
+    )
+
+
 def test_other_value_errors_propagate(monkeypatch, sample_file):
     def recursion(*args):
         raise ValueError("not a size")
@@ -739,6 +773,27 @@ def test_every_config_field_has_a_flag(tmp_path):
     for name in fields:
         cfg = integrator if name in boxes else cwh
         assert getattr(cfg, name) != getattr(default, name), name
+
+
+@pytest.mark.parametrize("policy", ["zero", "lqr"])
+@pytest.mark.parametrize("sampling_time", ["1e20", "1e300"])
+def test_cwh_rejects_a_sampling_time_that_overflows(
+    tmp_path, capsys, policy, sampling_time
+):
+    # the exponential's squaring overflows; the sampling time is named up
+    # front, as for the integrator chain, and numpy does not warn
+    out_csv = tmp_path / "cwh.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(
+            capsys, "generate", "--system", "cwh", "--policy", policy,
+            "--sampling-time", sampling_time, "--out", str(out_csv),
+        )
+    assert (rc, out, caught) == (2, "", []) and not out_csv.exists()
+    assert err == (
+        f"error: sampling time {float(sampling_time)} overflows the state "
+        f"or input matrix of the CWH system\n"
+    )
 
 
 def test_cwh_end_to_end_smoke(tmp_path, capsys):

@@ -25,6 +25,7 @@ from rkhs_reach import (
     mc_reach,
     ReachProblem,
 )
+from rkhs_reach.embedding import _BASE_ROWS, _invert
 
 from bench_setup import BENCH_LAMBDA, BENCH_NOISE_SD, BENCH_SIGMA, make_bench_sample
 
@@ -112,6 +113,31 @@ def test_inverse_weights_match_cholesky_solve(lam, normalize):
     got = emb.weights(states, controls)
     want = dense_weights(emb, states, controls, solve=cholesky_solve)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+# the largest entry error that np.linalg.inv reaches over the sizes below,
+# relative to the largest entry of the inverse, rounded up in the second
+# digit: 1.0e-15 at lam = 1 (M = 1024), 1.68e-14 at 1e-4 (M = 300) and
+# 1.77e-12 at 1e-6 (M = 1024, condition number 1.6e4)
+_INVERSE_BOUNDS = {1.0: 1.1e-15, 1e-4: 1.7e-14, 1e-6: 1.8e-12}
+
+
+@pytest.mark.parametrize("lam", sorted(_INVERSE_BOUNDS))
+@pytest.mark.parametrize(
+    "m", [1, _BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1, 300, 1024]
+)
+def test_invert_matches_a_cholesky_inverse(m, lam):
+    # sizes on either side of the recursion's base case, and two that
+    # split into uneven halves (300) and into base cases only (1024)
+    sample = make_bench_sample(m, 0)
+    ridge = RBFKernel(BENCH_SIGMA).gram(sample.joint())
+    ridge.flat[:: m + 1] += lam * m
+    want = cho_solve(cho_factor(ridge, lower=True), np.eye(m))
+    got = _invert(ridge)
+    assert got.flags.f_contiguous
+    np.testing.assert_array_equal(got, got.T)
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= _INVERSE_BOUNDS[lam], err
 
 
 def _cross_on_raw_rows(emb, states, controls):
@@ -212,7 +238,7 @@ def test_fit_keeps_one_matrix_with_the_bits_of_a_separate_solve():
     assert square == ["_inv"]
     assert emb._inv.flags.f_contiguous
     gram = emb.kernel.gram(sample.joint())
-    want = np.linalg.inv(gram + emb.lam * m * np.eye(m)).T
+    want = _invert(gram + emb.lam * m * np.eye(m))
     np.testing.assert_array_equal(emb._inv.view(np.uint64), want.view(np.uint64))
 
 
@@ -237,11 +263,14 @@ print((after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
 
-def test_fit_peak_memory_is_about_four_matrices():
-    # the ridge, LAPACK's two work buffers (the matrix and the identity it
-    # solves into) and the inverse: a fit at M = 2048 raises the resident
-    # set by 3.9 to 4.1 M x M matrices. tracemalloc would not do here: it
-    # sees only the inverse, not the LAPACK buffers.
+def test_fit_peak_memory_is_about_three_matrices():
+    # the ridge, the inverse Cholesky factor X (its upper right quadrant
+    # is never written), the product X'X and the quarter-size blocks of
+    # the recursion: a fit at M = 2048 raises the resident set by 2.4 to
+    # 3.2 M x M matrices, against 3.4 to 4.1 for np.linalg.inv and its
+    # LAPACK work buffers (how much of the freed heap stays resident
+    # varies between runs). tracemalloc would not do here: it counts all
+    # of X and none of the freed heap that stays resident.
     m = 2048
     paths = [str(pathlib.Path(rkhs_reach.__file__).parent.parent)]
     if os.environ.get("PYTHONPATH"):
@@ -252,7 +281,7 @@ def test_fit_peak_memory_is_about_four_matrices():
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     rise = int(out.stdout)
-    assert rise <= 4.5 * m * m * 8, rise / (m * m * 8)
+    assert rise <= 3.5 * m * m * 8, rise / (m * m * 8)
 
 
 def test_far_query_raw_weights_negligible():
