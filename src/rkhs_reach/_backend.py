@@ -1,12 +1,14 @@
 """Numerical kernels of the hot paths, in numpy and the platform BLAS.
 
-Two hot paths live here. The first is the apply of the integrator-chain
-state matrix, upper-triangular Toeplitz with a band that
+Two hot paths live here. The first is the integrator chain's step: the
+apply of its state matrix, upper-triangular Toeplitz with a band that
 ``IntegratorChain`` cuts where the rest of the Taylor row sums to less
-than half an ulp of the whole row (about a dozen diagonals at T = 0.25);
-it sweeps the states in row blocks that fit a core's L2 cache, one
-diagonal at a time. The second is the quadrature-plus-interpolation
-sweep of the grid oracle, a blocked matrix contraction. The Gaussian
+than half an ulp of the whole row (about a dozen diagonals at T = 0.25),
+plus the control product and the disturbance. It sweeps the states in
+row blocks that fit a core's L2 cache, one diagonal at a time, and adds
+the other two terms to each block while it is there. The second is the
+quadrature-plus-interpolation sweep of the grid oracle, a blocked matrix
+contraction. The Gaussian
 cross-kernel matrix is computed in ``RBFKernel.cross``. Threading is
 left to the BLAS library, and both are deterministic: the same inputs
 give the same bits.
@@ -20,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "active_backend",
+    "block_rows",
     "chain_apply",
     "dp_backup",
 ]
@@ -43,28 +46,47 @@ def _as2d(arr):
 _CHAIN_BLOCK_BYTES = 256 * 1024
 
 
-def chain_apply(coeffs, x):
-    """Apply the banded upper-triangular Toeplitz matrix given by ``coeffs``.
+def block_rows(n):
+    """Rows of ``n`` components that make one ``chain_apply`` block (at least 1)."""
+    return max(1, _CHAIN_BLOCK_BYTES // (8 * max(n, 1)))
 
-    ``out[r, i] = sum_j coeffs[j] * x[r, i + j]`` for ``i + j`` in range.
-    Rows of ``x`` are independent state vectors. They are swept in blocks
-    of about ``_CHAIN_BLOCK_BYTES`` (at least one row), and one scratch
-    buffer holds each diagonal's products. Every entry sums its products
-    in diagonal order starting from 0.0, whatever the block size, so the
-    result does not depend on it.
+
+def chain_apply(coeffs, x, u=None, bt=None, w=None):
+    """``x A' + u bt + w``, for ``A`` the banded upper-triangular Toeplitz ``coeffs``.
+
+    ``(x A')[r, i] = sum_j coeffs[j] * x[r, i + j]`` for ``i + j`` in range.
+    Rows of ``x`` are independent state vectors. The controls ``u``
+    (rows x m) with the transposed input matrix ``bt`` (m x n), and the
+    disturbance ``w`` (broadcast to the shape of ``x``), are optional.
+    The rows are swept in blocks of :func:`block_rows` (about
+    ``_CHAIN_BLOCK_BYTES``), and one scratch buffer holds each diagonal's
+    products and then the block's control product, one BLAS matrix
+    product. Every entry sums its products in diagonal order starting
+    from 0.0, then adds its control product and then its disturbance,
+    the order of three passes over the whole array, so the result does
+    not depend on the block size. The output is the only array of the
+    size of ``x`` that the call allocates.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     x = _as2d(x)
     rows, n = x.shape
+    if w is not None:
+        w = np.broadcast_to(w, x.shape)
     out = np.zeros_like(x)
-    block = max(1, _CHAIN_BLOCK_BYTES // (x.itemsize * max(n, 1)))
+    block = block_rows(n)
     scratch = np.empty((min(block, rows), n))
     for s in range(0, rows, block):
         xb, ob = x[s : s + block], out[s : s + block]
+        k = xb.shape[0]
         for j in range(min(len(coeffs), n)):
-            prod = scratch[: xb.shape[0], : n - j]
+            prod = scratch[:k, : n - j]
             np.multiply(xb[:, j:], coeffs[j], out=prod)
             ob[:, : n - j] += prod
+        if u is not None:
+            np.matmul(u[s : s + block], bt, out=scratch[:k])
+            ob += scratch[:k]
+        if w is not None:
+            ob += w[s : s + block]
     return out
 
 

@@ -35,8 +35,10 @@ weights are bitwise independent of the query control (also where
 
 The fit inverts ``G + lam*M*I`` once, so a batch of queries costs one
 kernel matrix and one matrix product with the inverse, not a solve per
-query. The fit also lifts the joint sample rows for the kernel once
-(:meth:`RBFKernel.lift`), so each batch lifts only its query rows.
+query. The fit also lifts the joint sample rows for the kernel once,
+in the buffer where they were centered for the Gram matrix
+(:meth:`RBFKernel.gram`), so each batch lifts only its query rows and
+the fit never joins states and controls into one more array.
 It adds the ridge onto the Gram matrix in place and inverts it through
 the inverse of its Cholesky factor, formed by halves from matrix
 products (:func:`_invert`), so the Gram product, the inverse, the cross
@@ -269,17 +271,15 @@ class Embedding:
         # the one control every query is evaluated at (module docstring)
         same = self.normalize_weights and np.all(controls == controls[:1])
         self._fixed_control = controls[0] if same and controls.size else None
-        joint = sample.joint()
-        ridge = kernel.gram(joint)
+        # the sample side of every query cross, lifted once per fit from
+        # the centered rows the Gram matrix is taken from
+        ridge, self._lifted = kernel.gram(sample.states, sample.controls, lift=True)
         m = sample.count
         ridge.flat[:: m + 1] += lam * m
         _check_finite(ridge)
         # well conditioned (module docstring), so the inverse replaces
         # two triangular solves per query with one matrix product
         self._inv = _invert(ridge)
-        del ridge
-        # the sample side of every query cross, lifted once per fit
-        self._lifted = kernel.lift(joint)
 
     @property
     def reads_controls(self):
@@ -344,6 +344,6 @@ class Embedding:
         """
         v = np.asarray(v, dtype=np.float64)
         x = self._inv @ v
-        gram = self.kernel.gram(self.sample.joint())
+        gram = self.kernel.gram(self.sample.states, self.sample.controls)
         r = gram @ x + (self.lam * self.sample.count) * x - v
         return float(np.linalg.norm(r) / np.linalg.norm(v))

@@ -10,7 +10,9 @@ small positive exponent for near-coincident points) and exponentiating
 in place makes one matrix-sized array in two elementwise passes. A side
 used in many crosses, such as a fitted sample, is lifted once with
 :meth:`RBFKernel.lift`. A Gram matrix takes the half-cost symmetric
-product of the centered points with themselves instead.
+product of the centered points with themselves instead, and a fit takes
+both from one buffer of centered rows (:meth:`RBFKernel.gram` with
+``lift``).
 
 A bandwidth that is tiny against the points' distance from their mean
 is an open limit of the cross matrix: the lifted product rounds
@@ -41,24 +43,42 @@ def _point_set(a):
     return a
 
 
-def _lifted(a, center, gamma, left):
-    """``[2 gamma a', -gamma |a'|^2, 1]`` (left) or ``[a', 1, -gamma |a'|^2]``.
+def _centered(parts):
+    """The rows of ``parts`` side by side, ``a``, centered on their mean.
 
-    ``a' = a - center``: the kernel is translation-invariant, and
-    centering both sides on one point keeps ``|a'|^2`` small, so an
-    offset far from the origin does not cancel away the distance.
+    They are written as ``a' = a - c`` into the first columns of a buffer
+    with two more, which :func:`_lift_in_place` fills; returns the buffer
+    and ``c``. The kernel is translation-invariant, and centering both
+    sides of a cross on one point keeps ``|a'|^2`` small, so an offset
+    far from the origin does not cancel away the distance.
     """
-    m, d = a.shape
+    parts = [_point_set(p) for p in parts]
+    m = parts[0].shape[0]
+    if any(p.shape[0] != m for p in parts):
+        raise InputError("point sets side by side must have equal row counts")
+    d = sum(p.shape[1] for p in parts)
     out = np.empty((m, d + 2))
     rows = out[:, :d]
-    np.subtract(a, center, out=rows)
+    np.concatenate(parts, axis=1, out=rows)
+    center = rows.mean(axis=0)
+    rows -= center
+    return out, center
+
+
+def _lift_in_place(out, gamma, left):
+    """Lift the centered rows ``a'`` of a :func:`_centered` buffer in place.
+
+    Left rows become ``[2 gamma a', -gamma |a'|^2, 1]``, right rows
+    ``[a', 1, -gamma |a'|^2]``.
+    """
+    d = out.shape[1] - 2
+    rows = out[:, :d]
     norm, one = (d, d + 1) if left else (d + 1, d)
     np.einsum("ij,ij->i", rows, rows, out=out[:, norm])
     out[:, norm] *= -gamma
     out[:, one] = 1.0
     if left:
         rows *= 2.0 * gamma
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +132,9 @@ class RBFKernel:
 
     def lift(self, points):
         """The rows of ``points`` lifted for use as ``a`` in :meth:`cross`."""
-        points = _point_set(points)
-        center = points.mean(axis=0)
-        return LiftedRows(
-            _lifted(points, center, self.gamma, left=True), center, self.gamma
-        )
+        out, center = _centered([points])
+        _lift_in_place(out, self.gamma, left=True)
+        return LiftedRows(out, center, self.gamma)
 
     def cross(self, a, b):
         """Matrix of kernel values between the rows of ``a`` and of ``b``.
@@ -133,21 +151,32 @@ class RBFKernel:
                 f"point sets have mixed dimensions {a.center.shape[0]} and "
                 f"{b.shape[1]}"
             )
-        e = a.rows @ _lifted(b, a.center, self.gamma, left=False).T
+        right = np.empty((b.shape[0], b.shape[1] + 2))
+        np.subtract(b, a.center, out=right[:, : b.shape[1]])
+        _lift_in_place(right, self.gamma, left=False)
+        e = a.rows @ right.T
         np.minimum(e, 0.0, out=e)
         return np.exp(e, out=e)
 
-    def gram(self, points):
-        """Symmetric PSD matrix of pairwise kernel values over ``points``.
+    def gram(self, points, *more, lift=False):
+        """Symmetric PSD matrix of pairwise kernel values over the points.
 
-        The rows are centered on their mean, ``a' = a - c``, and
-        ``g = a' a'^T`` is one symmetric product (a rank-k update in
-        BLAS). With ``|a'_i|^2 = g_ii`` from its diagonal, the distance
-        ``(g_ii + g_jj) - 2 g_ij`` is symmetric to the bit and exactly 0
-        on the diagonal, so the matrix is too, with a unit diagonal.
+        The points are the rows of ``points`` and of the point sets in
+        ``more`` side by side, such as a sample's states and controls,
+        which are never joined into a separate array. The rows are centered on their mean,
+        ``a' = a - c``, and ``g = a' a'^T`` is one symmetric product (a
+        rank-k update in BLAS). With ``|a'_i|^2 = g_ii`` from its
+        diagonal, the distance ``(g_ii + g_jj) - 2 g_ij`` is symmetric to
+        the bit and exactly 0 on the diagonal, so the matrix is too, with
+        a unit diagonal.
+
+        With ``lift``, returns ``(matrix, lifted)``, where ``lifted`` has
+        the bits of :meth:`lift` of the same points: the centered rows
+        are lifted in place once the product has read them, so a fit
+        holds one copy of its sample's points, the lifted rows.
         """
-        a = _point_set(points)
-        a = a - a.mean(axis=0)
+        out, center = _centered((points, *more))
+        a = out[:, : center.shape[0]]
         g = a @ a.T
         sq = g.diagonal().copy()
         g *= -2.0
@@ -165,4 +194,8 @@ class RBFKernel:
         # cancellation can leave a small negative distance
         np.maximum(g, 0.0, out=g)
         g *= -self.gamma
-        return np.exp(g, out=g)
+        np.exp(g, out=g)
+        if not lift:
+            return g
+        _lift_in_place(out, self.gamma, left=True)
+        return g, LiftedRows(out, center, self.gamma)

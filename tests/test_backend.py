@@ -26,12 +26,17 @@ def test_chain_apply_short_vector():
     np.testing.assert_allclose(got, [[2.0 - 0.5, -1.0]])
 
 
-def _one_pass_chain_apply(coeffs, x):
-    # all rows in one pass, one diagonal at a time
+def _one_pass_chain_apply(coeffs, x, u=None, bt=None, w=None):
+    # all rows in one pass, one diagonal at a time, then the control
+    # product and the disturbance over the whole array
     out = np.zeros_like(x)
     n = x.shape[1]
     for j in range(min(len(coeffs), n)):
         out[:, : n - j] += coeffs[j] * x[:, j:]
+    if u is not None:
+        out += u @ bt
+    if w is not None:
+        out += w
     return out
 
 
@@ -51,6 +56,14 @@ def test_chain_apply_row_blocks_match_one_pass_bitwise():
         x = rng.normal(size=shape)
         got = _backend.chain_apply(coeffs, x)
         assert got.tobytes() == _one_pass_chain_apply(coeffs, x).tobytes(), name
+        # with the control product and the disturbance fused in
+        u = rng.normal(size=(shape[0], 1))
+        bt = rng.uniform(0.0, 1.0, size=(1, shape[1]))
+        w = rng.normal(size=shape)
+        for fused in ((u, bt, w), (u, bt, None), (None, None, w)):
+            got = _backend.chain_apply(coeffs, x, *fused)
+            want = _one_pass_chain_apply(coeffs, x, *fused)
+            assert got.tobytes() == want.tobytes(), name
 
 
 def _rule(n):

@@ -796,6 +796,28 @@ def test_cwh_rejects_a_sampling_time_that_overflows(
     )
 
 
+@pytest.mark.parametrize("policy", ["zero", "lqr"])
+@pytest.mark.parametrize("sampling_time", ["1e13", "1e17", "1e18"])
+def test_cwh_rejects_a_sampling_time_whose_matrix_is_wrong(
+    tmp_path, capsys, policy, sampling_time
+):
+    # the squared-back exponential is finite but its determinant is not 1
+    # (at 1e17 s, -2.7e240): the zero policy wrote a sample from it and
+    # the LQR solve died on a singular matrix
+    out_csv = tmp_path / "cwh.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(
+            capsys, "generate", "--system", "cwh", "--policy", policy,
+            "--sampling-time", sampling_time, "--out", str(out_csv),
+        )
+    assert (rc, out, caught) == (2, "", []) and not out_csv.exists()
+    assert err.startswith(
+        f"error: sampling time {float(sampling_time)} is too long for an "
+        f"accurate CWH state matrix: its determinant is off 1 by "
+    )
+
+
 def test_cwh_end_to_end_smoke(tmp_path, capsys):
     path = tmp_path / "cwh.csv"
     rc, _, _ = run(

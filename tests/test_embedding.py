@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,32 @@ def test_fit_keeps_one_matrix_with_the_bits_of_a_separate_solve():
     gram = emb.kernel.gram(sample.joint())
     want = _invert(gram + emb.lam * m * np.eye(m))
     np.testing.assert_array_equal(emb._inv.view(np.uint64), want.view(np.uint64))
+
+
+def test_fit_of_a_wide_sample_holds_one_copy_of_its_points():
+    # 64 samples of a 40 000-dimensional state: 20 MB per M x n array.
+    # The fit may add the lifted rows and O(M^2) (the Gram matrix, the
+    # inverse and their blocks, all under 1 MB here); joining states and
+    # controls and centering a copy for the Gram matrix added two arrays
+    m, n = 64, 40_000
+    rng = np.random.default_rng(8)
+    states = rng.uniform(-1.0, 1.0, size=(m, n))
+    sample = TransitionSample(states, rng.uniform(-1.0, 1.0, (m, 1)), 0.9 * states)
+    kernel = RBFKernel(0.1 * np.sqrt(n / 2))
+    Embedding(make_bench_sample(64, 1), RBFKernel(BENCH_SIGMA), BENCH_LAMBDA)
+    tracemalloc.start()
+    try:
+        emb = Embedding(sample, kernel, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lifted = m * (n + 1 + 2) * 8
+    assert emb._lifted.rows.nbytes == lifted
+    assert peak <= lifted + 2**20, (peak - lifted) / 2**20
+    # the rows have the bits of lifting the joined points
+    want = kernel.lift(sample.joint())
+    assert emb._lifted.rows.tobytes() == want.rows.tobytes()
+    assert emb._lifted.center.tobytes() == want.center.tobytes()
 
 
 # Runs in a fresh interpreter, so that the high-water mark of the resident

@@ -239,6 +239,9 @@ def test_dimension_mismatch_rejected():
     k = RBFKernel(1.0)
     with pytest.raises(InputError):
         k.cross(np.zeros((2, 3)), np.zeros((2, 4)))
+    # point sets side by side need one row per point in each
+    with pytest.raises(InputError, match="equal row counts"):
+        k.gram(np.zeros((3, 2)), np.zeros((2, 1)))
 
 
 finite_points = arrays(

@@ -1,6 +1,7 @@
 """Dynamics, disturbances, policies, and transition generation."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -350,6 +351,25 @@ def test_cwh_lqr_gain_agrees_with_scipy_riccati(t):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_cwh_state_matrix_has_determinant_one_where_accepted():
+    # trace(Ac) = 0, so det A = 1 exactly; the squaring drifts it by about
+    # 2^s ulps, to 6e-6 at 1e10 s and past the 1e-4 tolerance from about
+    # 1e12 s
+    for t in (1.0, 20.0, 300.0, 5000.0, 1e6, 1e10):
+        det = np.linalg.det(CWHSystem(sampling_time=t).dense_a())
+        assert abs(det - 1.0) <= systems._CWH_DET_TOL, t
+    for t in (1e13, 1e16, 1e17, 1e18):
+        with pytest.raises(InputError, match="too long for an accurate"):
+            CWHSystem(sampling_time=t)
+
+
+def test_riccati_solve_that_meets_a_singular_system_is_a_numerical_error():
+    # I + G H = 1 + 1 * (-1) = 0 on the first pass
+    one = np.eye(1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        systems._dare(one, one, -one, one)
+
+
 def test_cwh_lqr_gain_without_a_solution_is_a_numerical_error():
     # at a sampling time of 1e-300 s the input matrix is about 1e-303,
     # so the Riccati iteration grows without settling
@@ -533,6 +553,78 @@ def test_generate_transitions_successors_follow_dynamics():
     )
     want = system.step(sample.states, sample.controls, None)
     np.testing.assert_array_equal(sample.successors, want)
+
+
+def _generate_in_one_pass(system, policy, sampler, disturbance, count, seed):
+    # every disturbance drawn at once, then one step of three whole-array
+    # passes: the apply of A, the control product, the disturbance
+    rng = np.random.default_rng(seed)
+    states = sampler.draw(rng, count)
+    controls = policy(0, states)
+    draws = disturbance.draw(rng, count)
+    successors = system.apply_a(states)
+    successors += controls @ system.dense_b().T
+    successors += draws
+    return states, controls, successors
+
+
+def _streamed_cases():
+    # (system, policy, disturbance, count): one block, several blocks with
+    # a remainder, and several rows per block against one block of many
+    chain2, chain12, chain5000 = (IntegratorChain(n) for n in (2, 12, 5000))
+    cases = []
+    for chain, count in ((chain2, 1000), (chain12, 6000), (chain5000, 40)):
+        n = chain.n
+        for disturbance in (
+            GaussianDisturbance(np.full(n, 0.1)),
+            BetaDisturbance(0.5, 0.5, n, centered=True),
+            ZeroDisturbance(n),
+        ):
+            cases.append((chain, ConstantPolicy([0.3]), disturbance, count))
+    cwh = CWHSystem()
+    for policy in (ZeroPolicy(2), cwh_lqr_policy(cwh)):
+        cases.append((cwh, policy, cwh.default_disturbance(), 8192 + 100))
+    return cases
+
+
+@pytest.mark.parametrize("case", _streamed_cases())
+def test_streamed_generate_has_the_bits_of_one_pass(case):
+    system, policy, disturbance, count = case
+    # the last block, or the only one, is short
+    assert count % _backend.block_rows(system.n)
+    sampler = BoxSampler(np.full(system.n, -0.5), np.full(system.n, 0.5))
+    sample = generate_transitions(system, policy, sampler, disturbance, count, 17)
+    want = _generate_in_one_pass(system, policy, sampler, disturbance, count, 17)
+    for got, ref in zip((sample.states, sample.controls, sample.successors), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_generate_holds_the_states_and_successors_and_a_block():
+    # 64 samples of a 40 000-dimensional chain: 20 MB per M x n array,
+    # one row per block. Besides the states and successors the peak may
+    # hold the sample check's finiteness mask (one byte per entry) and
+    # one block's noise, step output and scratch; drawing the noise whole
+    # and adding an n-wide control product held four arrays
+    m, n = 64, 40_000
+    chain = IntegratorChain(n)
+    args = (
+        chain,
+        ZeroPolicy(1),
+        BoxSampler(np.full(n, -1.0), np.full(n, 1.0)),
+        chain.default_disturbance(),
+        m,
+        0,
+    )
+    size = m * n * 8
+    block = _backend.block_rows(n) * n * 8
+    generate_transitions(*args[:4], 2, 0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        generate_transitions(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * size + size // 8 + 3 * block, peak / size
 
 
 def test_generate_transitions_validates_dimensions():
