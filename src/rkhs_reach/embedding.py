@@ -35,28 +35,27 @@ weights are bitwise independent of the query control (also where
 
 The fit inverts ``G + lam*M*I`` once, so a batch of queries costs one
 kernel matrix and one matrix product with the inverse, not a solve per
-query. The fit also lifts the joint sample rows for the kernel once,
-in the buffer where they were centered for the Gram matrix
-(:meth:`RBFKernel.gram`), so each batch lifts only its query rows and
-the fit never joins states and controls into one more array.
-It adds the ridge onto the Gram matrix in place and inverts it through
-the inverse of its Cholesky factor, formed by halves from matrix
-products (:func:`_invert`), so the Gram product, the inverse, the cross
-kernels and the weight products all run on numpy's BLAS and its one
-thread pool. A fit keeps one M x M matrix (the inverse; 8 MB at
-M = 1024). At its peak it holds about three: the ridge, the factor's
-inverse and the inverse, besides the recursion's quarter-size blocks
-(the resident set rises by 2.4 to 3.2 matrices during a fit at
-M = 2048, and by 3.4 to 4.1 with ``np.linalg.inv``). The ridge keeps
-every eigenvalue at or above ``lam*M``, so the condition number is at
-most ``1 + |G|_2 / (lam*M)``: 1.016 on the 1024-sample benchmark at
-``lam = 1``. A ridge that round-off leaves not positive definite, as a
-repeated sample point under ``lam*M`` near zero can, stops the fit with
-:class:`NumericalError`. On that benchmark's sample at 2048 query
-points, raw weights from the inverse agree with a Cholesky solve per
-column to 1.6e-15 of the largest weight at ``lam = 1``, 2.9e-14 at
-``lam = 1e-4`` and 1.0e-12 at ``lam = 1e-6``, where ``np.linalg.inv``
-gave 1.5e-15, 3.2e-14 and 1.8e-11.
+query. The kernel takes states and controls as separate column parts
+on both sides and is the one module that lays them side by side
+(:mod:`rkhs_reach.kernels`): the fit lifts the sample's parts once, in
+the buffer where the Gram matrix centered them (:meth:`RBFKernel.gram`),
+and each batch lifts only its query parts (:meth:`RBFKernel.cross`).
+The fit adds the ridge onto the Gram matrix in place and inverts it
+through the inverse of its Cholesky factor, formed by halves from
+matrix products (:func:`_invert`), so the Gram product, the inverse,
+the cross kernels and the weight products all run on numpy's BLAS and
+its one thread pool. A fit keeps one M x M matrix (the inverse; 8 MB
+at M = 1024). At its peak it holds about three: the ridge, the
+factor's inverse and the inverse, besides the recursion's quarter-size
+blocks (the resident set rises by 2.4 to 3.2 matrices during a fit at
+M = 2048). The ridge keeps every eigenvalue at or above ``lam*M``, so
+the condition number is at most ``1 + |G|_2 / (lam*M)``: 1.016 on the
+1024-sample benchmark at ``lam = 1``. A ridge that round-off leaves not
+positive definite, as a repeated sample point under ``lam*M`` near zero
+can, stops the fit with :class:`NumericalError`. On that benchmark's
+sample at 2048 query points, raw weights from the inverse agree with a
+Cholesky solve per column to 1.6e-15 of the largest weight at
+``lam = 1``, 2.9e-14 at ``lam = 1e-4`` and 1.0e-12 at ``lam = 1e-6``.
 """
 
 from dataclasses import dataclass, field
@@ -122,17 +121,14 @@ def _invert(ridge):
 
     The inverse is ``X' X`` for ``X`` the inverse of the Cholesky factor
     (:func:`_lower_inverse`): about 2.2 M^3 flops, nearly all in matrix
-    products, where ``np.linalg.inv`` spent 2.7 M^3 on an LU
-    factorization and triangular solves; on 2 vCPUs (OpenBLAS) the
-    inverse went 113 -> 58 ms at M = 1024 and 3.2 -> 2.0 s at M = 4096. Besides ``ridge`` it holds about two
-    M x M matrices at its peak: ``X``, the result and the recursion's
-    quarter-size blocks. Against a Cholesky solve of the identity, the
-    largest entry error relative to the largest entry is 1.0e-15 at
-    ``lam = 1``, 1.3e-14 at ``lam = 1e-4`` and 1.8e-12 at ``lam = 1e-6``
-    on benchmark samples of 1 to 1024 points, no more than
-    ``np.linalg.inv``'s on the same matrices once rounded up in the
-    second digit (its stability: Du Croz & Higham, "Stability of methods
-    for matrix inversion", IMA J. Numer. Anal. 1992).
+    products, so it runs at the BLAS product's rate. Besides ``ridge`` it
+    holds about two M x M matrices at its peak: ``X``, the result and the
+    recursion's quarter-size blocks. Against a Cholesky solve of the
+    identity, the largest entry error relative to the largest entry is
+    1.0e-15 at ``lam = 1``, 1.3e-14 at ``lam = 1e-4`` and 1.8e-12 at
+    ``lam = 1e-6`` on benchmark samples of 1 to 1024 points (its
+    stability: Du Croz & Higham, "Stability of methods for matrix
+    inversion", IMA J. Numer. Anal. 1992).
 
     numpy runs ``X' X`` as a symmetric rank-k product, so the result is
     symmetric to the bit, and its transpose is a free view in Fortran
@@ -172,7 +168,8 @@ def _as_matrix(name, arr, rows=None):
         raise InputError(
             f"{name} has {a.shape[0]} rows, expected {rows} to match states"
         )
-    if not np.all(np.isfinite(a)):
+    # NaN propagates through min and max, and no mask is allocated
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise InputError(f"{name} contains non-finite entries")
     return a
 
@@ -232,12 +229,6 @@ class TransitionSample:
     def control_dim(self):
         return self.controls.shape[1]
 
-    def joint(self):
-        """Sample points in the joint state-control space."""
-        if self.control_dim == 0:
-            return self.states
-        return np.hstack([self.states, self.controls])
-
 
 class Embedding:
     """Fitted conditional-expectation estimator over a transition sample.
@@ -290,7 +281,8 @@ class Embedding:
         """
         return self.sample.control_dim > 0 and self._fixed_control is None
 
-    def _joint_queries(self, states, controls):
+    def _query_parts(self, states, controls):
+        """The checked query parts: ``(states,)`` or ``(states, controls)``."""
         states = _as_matrix("query states", np.atleast_2d(states))
         if states.shape[1] != self.sample.state_dim:
             raise InputError(
@@ -301,7 +293,7 @@ class Embedding:
         if m == 0:
             if controls is not None and np.size(controls) != 0:
                 raise InputError("sample has no control columns, got controls")
-            return states
+            return (states,)
         if controls is None:
             raise InputError(f"sample has {m} control columns, controls required")
         controls = _as_matrix("query controls", np.atleast_2d(controls))
@@ -310,10 +302,9 @@ class Embedding:
                 f"controls must have shape {(states.shape[0], m)}, "
                 f"got {controls.shape}"
             )
-        joint = np.hstack([states, controls])
         if self._fixed_control is not None:
-            joint[:, -m:] = self._fixed_control
-        return joint
+            controls = np.broadcast_to(self._fixed_control, controls.shape)
+        return (states, controls)
 
     def weights(self, states, controls=None):
         """Weight vectors for a batch of queries, as an (M, P) matrix.
@@ -322,19 +313,17 @@ class Embedding:
         is the dot product of a column with the function's values at the
         sampled successors.
         """
-        queries = self._joint_queries(states, controls)
-        w = self._inv @ self.kernel.cross(self._lifted, queries)
+        parts = self._query_parts(states, controls)
+        w = self._inv @ self.kernel.cross(self._lifted, *parts)
         if self.normalize_weights:
             np.maximum(w, 0.0, out=w)
-            colsum = w.sum(axis=0)
-            # a NaN or +inf survives the clip and reaches its column's sum
-            if not np.all(np.isfinite(colsum)):
-                raise NumericalError("weight computation produced non-finite values")
+        colsum = w.sum(axis=0)
+        # a NaN or an infinity reaches its column's sum, clipped or not
+        if not np.all(np.isfinite(colsum)):
+            raise NumericalError("weight computation produced non-finite values")
+        if self.normalize_weights:
             colsum[colsum == 0.0] = 1.0  # an all-zero column stays zero
             w /= colsum
-            return w
-        if not np.all(np.isfinite(w)):
-            raise NumericalError("weight computation produced non-finite values")
         return w
 
     def solve_residual(self, v):

@@ -1,5 +1,10 @@
 """Positive-definite kernels over state and state-control vectors.
 
+A point set comes in column parts side by side, such as a sample's
+states and its controls. No other module joins them: the parts become
+one row only in the buffer where they are centered and lifted, on the
+sample side of a fit and on the query side of each cross alike.
+
 A cross matrix is one BLAS product. Both point sets are first shifted
 by the mean ``c`` of the ``a`` rows, which leaves the kernel unchanged
 and keeps points far from the origin from cancelling away their
@@ -35,7 +40,7 @@ _GRAM_BLOCK = 32768
 
 
 def _point_set(a):
-    a = np.ascontiguousarray(np.atleast_2d(np.asarray(a, dtype=np.float64)))
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if a.ndim != 2:
         raise InputError("point sets must be 2-D arrays, one point per row")
     if a.shape[0] == 0:
@@ -43,24 +48,30 @@ def _point_set(a):
     return a
 
 
-def _centered(parts):
-    """The rows of ``parts`` side by side, ``a``, centered on their mean.
+def _centered(parts, center=None):
+    """The rows of ``parts`` side by side, ``a``, centered on ``center``.
 
     They are written as ``a' = a - c`` into the first columns of a buffer
     with two more, which :func:`_lift_in_place` fills; returns the buffer
-    and ``c``. The kernel is translation-invariant, and centering both
-    sides of a cross on one point keeps ``|a'|^2`` small, so an offset
-    far from the origin does not cancel away the distance.
+    and ``c``, by default the rows' mean. The kernel is
+    translation-invariant, and centering both sides of a cross on one
+    point keeps ``|a'|^2`` small, so an offset far from the origin does
+    not cancel away the distance.
     """
     parts = [_point_set(p) for p in parts]
     m = parts[0].shape[0]
     if any(p.shape[0] != m for p in parts):
         raise InputError("point sets side by side must have equal row counts")
     d = sum(p.shape[1] for p in parts)
+    if center is not None and center.shape[0] != d:
+        raise InputError(
+            f"point sets have mixed dimensions {center.shape[0]} and {d}"
+        )
     out = np.empty((m, d + 2))
     rows = out[:, :d]
     np.concatenate(parts, axis=1, out=rows)
-    center = rows.mean(axis=0)
+    if center is None:
+        center = rows.mean(axis=0)
     rows -= center
     return out, center
 
@@ -130,29 +141,28 @@ class RBFKernel:
         """Exponent scale ``1 / (2 sigma^2)``."""
         return 1.0 / (2.0 * self.sigma * self.sigma)
 
-    def lift(self, points):
-        """The rows of ``points`` lifted for use as ``a`` in :meth:`cross`."""
-        out, center = _centered([points])
+    def lift(self, points, *more):
+        """The rows of ``points`` lifted for use as ``a`` in :meth:`cross`.
+
+        The rows of the point sets in ``more`` go beside them, as in
+        :meth:`gram`.
+        """
+        out, center = _centered((points, *more))
         _lift_in_place(out, self.gamma, left=True)
         return LiftedRows(out, center, self.gamma)
 
-    def cross(self, a, b):
+    def cross(self, a, b, *more):
         """Matrix of kernel values between the rows of ``a`` and of ``b``.
 
         ``a`` is a point set or its :meth:`lift`; both give the same bits.
+        The rows of the point sets in ``more`` go beside those of ``b``,
+        as in :meth:`gram`, and are centered and lifted with them.
         """
         if not isinstance(a, LiftedRows):
             a = self.lift(a)
         elif a.gamma != self.gamma:
             raise InputError("lifted rows belong to a kernel of another bandwidth")
-        b = _point_set(b)
-        if a.center.shape[0] != b.shape[1]:
-            raise InputError(
-                f"point sets have mixed dimensions {a.center.shape[0]} and "
-                f"{b.shape[1]}"
-            )
-        right = np.empty((b.shape[0], b.shape[1] + 2))
-        np.subtract(b, a.center, out=right[:, : b.shape[1]])
+        right, _ = _centered((b, *more), a.center)
         _lift_in_place(right, self.gamma, left=False)
         e = a.rows @ right.T
         np.minimum(e, 0.0, out=e)
@@ -163,12 +173,12 @@ class RBFKernel:
 
         The points are the rows of ``points`` and of the point sets in
         ``more`` side by side, such as a sample's states and controls,
-        which are never joined into a separate array. The rows are centered on their mean,
-        ``a' = a - c``, and ``g = a' a'^T`` is one symmetric product (a
-        rank-k update in BLAS). With ``|a'_i|^2 = g_ii`` from its
-        diagonal, the distance ``(g_ii + g_jj) - 2 g_ij`` is symmetric to
-        the bit and exactly 0 on the diagonal, so the matrix is too, with
-        a unit diagonal.
+        which are never joined into a separate array. The rows are
+        centered on their mean, ``a' = a - c``, and ``g = a' a'^T`` is
+        one symmetric product (a rank-k update in BLAS). With
+        ``|a'_i|^2 = g_ii`` from its diagonal, the distance
+        ``(g_ii + g_jj) - 2 g_ij`` is symmetric to the bit and exactly 0
+        on the diagonal, so the matrix is too, with a unit diagonal.
 
         With ``lift``, returns ``(matrix, lifted)``, where ``lifted`` has
         the bits of :meth:`lift` of the same points: the centered rows

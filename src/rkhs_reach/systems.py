@@ -55,10 +55,6 @@ class _LinearSystem:
     def dense_b(self):
         return self._b.copy()
 
-    def apply_a(self, states):
-        """Row-wise product with the state matrix."""
-        return self._update(states, None, None)
-
     def _update(self, states, controls, disturbances):
         # x A' + u B' + w row-wise, the terms added in that order;
         # controls and disturbances may be None

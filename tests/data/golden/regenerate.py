@@ -5,10 +5,11 @@ recursion's output, and commit the diff with it:
 
     PYTHONPATH=src python tests/data/golden/regenerate.py
 
-Two 128-sample inputs are written first: an integrator ``generate`` file
-drawn under the zero policy, and a library sample whose controls are
+Three 128-sample inputs are written first: an integrator ``generate``
+file drawn under the zero policy, a library sample whose controls are
 drawn uniformly from a seeded stream, the one input on which normalized
-max mode really runs all three controls. Then ``reach`` runs on an 11x11
+max mode really runs all three controls, and the first with its last
+transition replaced by its first. Then ``reach`` runs on an 11x11
 grid at horizon 3, fixed and max over ``-0.5;0;0.5``, in normalized and
 in raw mode, with two more max runs on the uniform-control sample, the
 second with a duplicated control so that ties decide choices.
@@ -19,6 +20,12 @@ The remaining subcommands follow, each on a small input: a CWH
 ``compare`` of ``reach_fixed.csv`` against that ``oracle-dp`` file (its
 table and its stdout line), and ``bench-dims`` at n = 2, 10 and 100,
 whose ``seconds`` column is wall time and is not compared.
+
+Last, one failing command per documented exit code: a configuration
+error (2), a ridge that the repeated point leaves not positive definite
+at a tiny lambda (3) and a file of the wrong format (4). Each ``.txt``
+file holds ``exit <code>`` and the command's stderr, with the input
+directory left out of the paths it names.
 ``tests/test_golden.py`` reruns every case and compares.
 """
 
@@ -33,6 +40,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 ZERO_SAMPLE = "integrator_128.csv"
 UNIFORM_SAMPLE = "uniform_controls_128.csv"
+REPEATED_SAMPLE = "repeated_point_128.csv"
 POINTS = "points_4.csv"
 COMPARE_STDOUT = "compare_fixed_dp.txt"
 
@@ -91,6 +99,25 @@ def cli_cases(inputs):
     }
 
 
+def error_cases(inputs):
+    """Output file -> CLI arguments of a failing command, reading from ``inputs``."""
+    return {
+        "exit_2_configuration.txt": [
+            "reach", "--sample-file", os.path.join(inputs, ZERO_SAMPLE),
+            "--sigma", "0", "--point", "0,0",
+        ],
+        # exactly singular Gram matrix under a ridge of 128 * 1e-16
+        "exit_3_numerical.txt": [
+            "reach", "--sample-file", os.path.join(inputs, REPEATED_SAMPLE),
+            "--sigma", "2", "--lambda", "1e-16", "--point", "0,0",
+        ],
+        "exit_4_file_format.txt": [
+            "compare", os.path.join(inputs, "reach_fixed.csv"),
+            os.path.join(inputs, POINTS),
+        ],
+    }
+
+
 def _run(argv):
     """Run the CLI on ``argv``; return its stdout, raising on a nonzero exit."""
     from rkhs_reach.cli import main
@@ -109,13 +136,21 @@ def write_inputs(directory):
         BoxSampler,
         GaussianDisturbance,
         IntegratorChain,
+        TransitionSample,
         generate_transitions,
     )
-    from rkhs_reach.io import write_transitions_csv
+    from rkhs_reach.io import read_transitions_csv, write_transitions_csv
 
     _run(
         ["generate", "--samples", "128", "--seed", "0",
          "--out", os.path.join(directory, ZERO_SAMPLE)]
+    )
+    zero = read_transitions_csv(os.path.join(directory, ZERO_SAMPLE))
+    rows = [np.vstack([a[:-1], a[:1]])
+            for a in (zero.states, zero.controls, zero.successors)]
+    write_transitions_csv(
+        os.path.join(directory, REPEATED_SAMPLE),
+        TransitionSample(*rows, zero.metadata),
     )
     sample = generate_transitions(
         IntegratorChain(2, sampling_time=0.25),
@@ -149,6 +184,20 @@ def write_cli(name, input_dir, out_dir):
             f.write(out)
 
 
+def write_error(name, input_dir, out_dir):
+    """Run failing case ``name`` on the inputs in ``input_dir``; write to ``out_dir``."""
+    from rkhs_reach.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(error_cases(input_dir)[name])
+    if code == 0 or out.getvalue():
+        raise RuntimeError(f"{name}: exit {code}, stdout {out.getvalue()!r}")
+    text = err.getvalue().replace(os.path.join(input_dir, ""), "")
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+        f.write(f"exit {code}\n{text}")
+
+
 def main():
     write_inputs(HERE)
     for name in REACH_CASES:
@@ -156,7 +205,9 @@ def main():
     # in order: compare reads oracle_dp.csv
     for name in cli_cases(HERE):
         write_cli(name, HERE, HERE)
-    count = 3 + len(REACH_CASES) + len(cli_cases(HERE))
+    for name in error_cases(HERE):
+        write_error(name, HERE, HERE)
+    count = 4 + len(REACH_CASES) + len(cli_cases(HERE)) + len(error_cases(HERE))
     print(f"wrote {count} files to {HERE}")
     return 0
 

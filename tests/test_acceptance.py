@@ -228,7 +228,7 @@ def test_criterion_5_structural_invariants(acceptance):
     if residual > 1e-8:
         failures.append(f"solve residual {residual:.2e} above 1e-8")
 
-    gram = emb.kernel.gram(emb.sample.joint())
+    gram = emb.kernel.gram(emb.sample.states, emb.sample.controls)
     if not np.array_equal(gram, gram.T):
         failures.append("gram matrix not symmetric")
     eigs = np.linalg.eigvalsh(gram)

@@ -69,8 +69,8 @@ def cholesky_solve(a, b):
 
 def dense_weights(emb, states, controls, solve=np.linalg.solve):
     # independent reimplementation with a per-column solve
-    joint = np.hstack([states, controls]) if controls.shape[1] else states
-    sample_joint = emb.sample.joint()
+    joint = np.hstack([states, controls])
+    sample_joint = np.hstack([emb.sample.states, emb.sample.controls])
     g = emb.kernel.gram(sample_joint)
     m = emb.sample.count
     k = emb.kernel.cross(sample_joint, joint)
@@ -91,6 +91,7 @@ def test_weights_match_dense_solve(m_count, normalize):
         controls=rng.normal(size=(m_count, 1)),
         successors=rng.normal(size=(m_count, 2)),
     )
+    assert (sample.count, sample.state_dim, sample.control_dim) == (m_count, 2, 1)
     emb = Embedding(sample, RBFKernel(0.8), 0.5, normalize_weights=normalize)
     states = rng.normal(size=(7, 2))
     controls = rng.normal(size=(7, 1))
@@ -131,7 +132,7 @@ def test_invert_matches_a_cholesky_inverse(m, lam):
     # sizes on either side of the recursion's base case, and two that
     # split into uneven halves (300) and into base cases only (1024)
     sample = make_bench_sample(m, 0)
-    ridge = RBFKernel(BENCH_SIGMA).gram(sample.joint())
+    ridge = RBFKernel(BENCH_SIGMA).gram(sample.states, sample.controls)
     ridge.flat[:: m + 1] += lam * m
     want = cho_solve(cho_factor(ridge, lower=True), np.eye(m))
     got = _invert(ridge)
@@ -143,7 +144,10 @@ def test_invert_matches_a_cholesky_inverse(m, lam):
 
 def _cross_on_raw_rows(emb, states, controls):
     # the weights by the joint-kernel formula, from the raw joint rows
-    k = emb.kernel.cross(emb.sample.joint(), np.hstack([states, controls]))
+    sample = emb.sample
+    k = emb.kernel.cross(
+        np.hstack([sample.states, sample.controls]), np.hstack([states, controls])
+    )
     want = emb._inv @ k
     if emb.normalize_weights:
         want = np.maximum(want, 0.0)
@@ -238,7 +242,7 @@ def test_fit_keeps_one_matrix_with_the_bits_of_a_separate_solve():
     ]
     assert square == ["_inv"]
     assert emb._inv.flags.f_contiguous
-    gram = emb.kernel.gram(sample.joint())
+    gram = emb.kernel.gram(sample.states, sample.controls)
     want = _invert(gram + emb.lam * m * np.eye(m))
     np.testing.assert_array_equal(emb._inv.view(np.uint64), want.view(np.uint64))
 
@@ -263,8 +267,8 @@ def test_fit_of_a_wide_sample_holds_one_copy_of_its_points():
     lifted = m * (n + 1 + 2) * 8
     assert emb._lifted.rows.nbytes == lifted
     assert peak <= lifted + 2**20, (peak - lifted) / 2**20
-    # the rows have the bits of lifting the joined points
-    want = kernel.lift(sample.joint())
+    # the rows have the bits of lifting the same parts
+    want = kernel.lift(sample.states, sample.controls)
     assert emb._lifted.rows.tobytes() == want.rows.tobytes()
     assert emb._lifted.center.tobytes() == want.center.tobytes()
 
@@ -321,7 +325,7 @@ def test_far_query_raw_weights_negligible():
     emb = Embedding(sample, RBFKernel(1.0), 1.0, normalize_weights=False)
     # joint distance >= 10 from every sample point -> kernel column <= e^-50
     far = emb.weights(np.array([[20.0, 20.0]]), np.array([[20.0]]))
-    gram = emb.kernel.gram(emb.sample.joint())
+    gram = emb.kernel.gram(emb.sample.states, emb.sample.controls)
     m = emb.sample.count
     reg = gram + emb.lam * m * np.eye(m)
     bound = np.exp(-50.0) * np.abs(np.linalg.inv(reg)).sum(axis=1).max()
@@ -494,15 +498,3 @@ def test_transition_sample_validation():
     bad[1, 1] = np.nan
     with pytest.raises(InputError):
         TransitionSample(bad, np.zeros((3, 1)), np.zeros((3, 2)))
-
-
-def test_joint_concatenates_states_and_controls():
-    sample = TransitionSample(
-        states=np.array([[1.0, 2.0]]),
-        controls=np.array([[3.0]]),
-        successors=np.array([[0.0, 0.0]]),
-    )
-    np.testing.assert_array_equal(sample.joint(), [[1.0, 2.0, 3.0]])
-    assert sample.count == 1
-    assert sample.state_dim == 2
-    assert sample.control_dim == 1

@@ -1,5 +1,6 @@
 """Golden outputs of every subcommand: ``generate``, ``reach`` in each
-mode, both oracles, ``compare`` and ``bench-dims``.
+mode, both oracles, ``compare`` and ``bench-dims``, and the exit code
+and stderr of one failing command per documented exit code.
 
 Every case of ``tests/data/golden/regenerate.py`` is rerun into a
 temporary directory and compared with its committed file. Metadata,
@@ -8,7 +9,8 @@ match within ``ATOL``: the BLAS kernel, and so a weight product's last
 bit, depends on the CPU. Columns of wall time are skipped. A failure
 reports the sha256 of both files, and a byte change within the
 tolerance is reported as a warning, so it shows on the machine that
-made it. After an intended change, rerun the script and commit the diff.
+made it. The exit codes and stderr lines must match exactly. After an
+intended change, rerun the script and commit the diff.
 """
 
 import hashlib
@@ -74,7 +76,8 @@ def _assert_matches(got, want):
 
 def test_generate_inputs_match(tmp_path):
     regenerate.write_inputs(tmp_path)
-    for name in (regenerate.ZERO_SAMPLE, regenerate.UNIFORM_SAMPLE):
+    for name in (regenerate.ZERO_SAMPLE, regenerate.UNIFORM_SAMPLE,
+                 regenerate.REPEATED_SAMPLE):
         _assert_matches(tmp_path / name, GOLDEN / name)
 
 
@@ -91,3 +94,16 @@ def test_cli_matches(tmp_path, name):
     if name == "compare_fixed_dp.csv":
         stdout = regenerate.COMPARE_STDOUT
         assert (tmp_path / stdout).read_text() == (GOLDEN / stdout).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(regenerate.error_cases(GOLDEN)))
+def test_exit_code_and_stderr_match(tmp_path, name):
+    regenerate.write_error(name, GOLDEN, tmp_path)
+    assert (tmp_path / name).read_text() == (GOLDEN / name).read_text()
+
+
+def test_every_documented_exit_code_is_pinned():
+    # errors.py and the README document exit codes 2, 3 and 4
+    names = regenerate.error_cases(GOLDEN)
+    codes = {(GOLDEN / name).read_text().split("\n")[0] for name in names}
+    assert codes == {"exit 2", "exit 3", "exit 4"}

@@ -125,6 +125,19 @@ def test_lifted_rows_give_the_same_bits():
         RBFKernel(0.7).cross(lifted, b)
     with pytest.raises(InputError, match="mixed dimensions"):
         k.cross(lifted, b[:, :3])
+    # column parts side by side give the bits of the joined points, on
+    # both sides; a part may be a broadcast view
+    parts = k.lift(a[:, :3], a[:, 3:])
+    assert parts.rows.tobytes() == lifted.rows.tobytes()
+    assert parts.center.tobytes() == lifted.center.tobytes()
+    np.testing.assert_array_equal(k.cross(parts, b[:, :1], b[:, 1:]), k.cross(a, b))
+    column = np.broadcast_to(b[:1, 3:], (17, 1))
+    np.testing.assert_array_equal(
+        k.cross(lifted, b[:, :3], column),
+        k.cross(a, np.hstack([b[:, :3], column])),
+    )
+    with pytest.raises(InputError, match="mixed dimensions"):
+        k.cross(lifted, b, b[:, :1])
 
 
 def test_same_point_is_one():

@@ -2,15 +2,18 @@
 
 The first Python block under "Library use" runs as written, and every
 ``rkhs-reach`` command of the walkthrough parses (nothing is run), so a
-removed name or flag left in the docs fails here.
+removed name or flag left in the docs fails here. Every dotted name the
+README lists as removed from the library is gone from the package.
 """
 
+import importlib
 import pathlib
 import re
 import shlex
 
 import pytest
 
+import rkhs_reach
 from rkhs_reach.cli import _build_parser
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -57,3 +60,48 @@ def test_walkthrough_command_parses(command):
         _build_parser().parse_args(shlex.split(command)[1:])
     except SystemExit as exc:
         pytest.fail(f"README command does not parse (exit {exc.code}): {command}")
+
+
+def removed_names():
+    """Dotted names the README lists as removed from the library.
+
+    Each bullet under "Removed from the library" names what went, then
+    after a ``:`` or ``;`` outside backticks, what replaces it; only the
+    names before that mark are returned.
+    """
+    text = section("Library use")
+    start = text.index("Removed from the library")
+    # the heading line, a blank line, then the list
+    listing = text[start:].split("\n\n")[1]
+    bullets = re.split(r"^- ", listing, flags=re.M)[1:]
+    names = []
+    for bullet in bullets:
+        quoted = False
+        for end, char in enumerate(bullet):
+            if char == "`":
+                quoted = not quoted
+            elif char in ":;" and not quoted:
+                break
+        names += re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", bullet[:end])
+    return names
+
+
+def test_readme_lists_the_latest_removals():
+    names = removed_names()
+    for name in ("RBFKernel.vector", "Embedding.expectation",
+                 "TransitionSample.joint", "IntegratorChain.apply_a"):
+        assert name in names
+
+
+@pytest.mark.parametrize("name", removed_names())
+def test_removed_name_is_gone(name):
+    head, *middle, last = name.split(".")
+    if hasattr(rkhs_reach, head):
+        owner = getattr(rkhs_reach, head)
+    else:
+        owner = importlib.import_module(f"rkhs_reach.{head}")
+    for part in middle:
+        owner = getattr(owner, part)
+    # dir() of a class leaves out its metaclass, whose __call__ every
+    # class has
+    assert last not in dir(owner), f"the package still has {name}"
