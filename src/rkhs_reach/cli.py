@@ -18,9 +18,8 @@ Subcommands:
     End-to-end timing of fit plus recursion across state dimensions.
 
 Every subcommand that runs numerics accepts ``--config FILE`` plus
-per-key override flags; see :mod:`rkhs_reach.config`. Exit codes: 0 on
-success, 2 for configuration problems, 3 for numerical failures and for
-running out of memory, 4 for file-format and IO problems.
+per-key override flags; see :mod:`rkhs_reach.config`. Exit codes are
+listed in :mod:`rkhs_reach.errors`.
 """
 
 import argparse
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    _KEY_ALIASES,
+    _FIELD_KEYS,
     _check_count,
     RunConfig,
     apply_overrides,
@@ -51,7 +50,7 @@ from .config import (
     validate,
 )
 from .embedding import Embedding
-from .errors import FileFormatError, InputError, NumericalError
+from .errors import InputError, RKHSReachError
 from .io import (
     read_transitions_csv,
     read_value_table,
@@ -67,20 +66,17 @@ from .systems import generate_transitions
 
 __all__ = ["main"]
 
-# Flag spellings that differ from the field name, taken from the
-# config-file aliases: ``--lambda`` sets ``lam``.
-_FLAG_KEYS = {field: key for key, field in _KEY_ALIASES.items()}
-
 
 def _add_config_args(parser):
     parser.add_argument(
         "--config", metavar="FILE", help="key = value configuration file"
     )
-    # one flag per RunConfig field, in declaration order; every value is
-    # passed as text and coerced by the same rules as config-file entries
+    # one flag per RunConfig field, in declaration order and spelled as
+    # its config key (``--lambda`` sets ``lam``); every value is passed as
+    # text and coerced by the same rules as config-file entries
     group = parser.add_argument_group("configuration overrides")
     for field in dataclasses.fields(RunConfig):
-        flag = "--" + _FLAG_KEYS.get(field.name, field.name).replace("_", "-")
+        flag = "--" + _FIELD_KEYS.get(field.name, field.name).replace("_", "-")
         group.add_argument(flag, dest=field.name, metavar="V", default=None)
 
 
@@ -391,12 +387,9 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+    except RKHSReachError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (MemoryError, ValueError) as exc:
         # numpy refuses an array whose byte count overflows with this
         # ValueError before it allocates; any other ValueError propagates
@@ -408,9 +401,6 @@ def main(argv=None):
         detail = f": {exc}" if str(exc) else ""
         print(f"out of memory{detail}", file=sys.stderr)
         return 3
-    except FileFormatError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4

@@ -8,6 +8,7 @@ same coercion rules apply to both sources, so ``--horizon 5`` and
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 
@@ -78,14 +79,26 @@ class RunConfig:
     dp_quad: int = 25
 
 
-# Config-file spellings that differ from the field name.
+# Config-file spellings that differ from the field name, and the
+# inverse, by which messages and flags name a field.
 _KEY_ALIASES = {"lambda": "lam"}
+_FIELD_KEYS = {field: key for key, field in _KEY_ALIASES.items()}
 
 _FIELD_TYPES = {field.name: field.type for field in dataclasses.fields(RunConfig)}
 
 # Text-to-number conversion by declared type; ``None`` is a default only
 # and has no spelling, so optional floats parse as plain floats.
 _NUMBER_TYPES = {int: int, float: float, float | None: float}
+
+# The allowed values of each setting that names a choice, and the least
+# value of each count that may not be 1; every int setting but ``seed``
+# is a count.
+_CHOICES = {
+    "system": ("integrator", "cwh"),
+    "disturbance": ("gaussian", "beta", "none"),
+    "mode": ("fixed", "max"),
+}
+_LEAST = {"dp_quad": 2}
 
 
 def coerce_value(name, raw):
@@ -149,24 +162,26 @@ def apply_overrides(cfg, overrides):
 
 
 def validate(cfg):
+    """Check ``cfg`` field by field in declaration order, then across fields.
+
+    Float settings must be finite and positive (an unset optional one
+    passes), counts at least 1 (``dp_quad`` at least 2) and within a
+    numpy index, ``seed`` non-negative, and choices one of ``_CHOICES``.
+    """
     for name, kind in _FIELD_TYPES.items():
-        value = getattr(cfg, name)
+        value, key = getattr(cfg, name), _FIELD_KEYS.get(name, name)
+        if name in _CHOICES and value not in _CHOICES[name]:
+            allowed = ", ".join(_CHOICES[name])
+            raise InputError(f"{key} must be one of {allowed}, got {value!r}")
         if kind in (float, float | None) and value is not None:
             if not np.isfinite(value):
-                key = "lambda" if name == "lam" else name
                 raise InputError(f"{key} must be finite, got {value}")
-    if cfg.system not in ("integrator", "cwh"):
-        raise InputError(f"system must be integrator or cwh, got {cfg.system!r}")
-    if cfg.disturbance not in ("gaussian", "beta", "none"):
-        raise InputError(
-            f"disturbance must be gaussian, beta, or none, got {cfg.disturbance!r}"
-        )
-    if cfg.mode not in ("fixed", "max"):
-        raise InputError(f"mode must be fixed or max, got {cfg.mode!r}")
-    for key, least in (
-        ("dim", 1), ("horizon", 1), ("samples", 1), ("dp_quad", 2), ("rollouts", 1)
-    ):
-        _check_count(getattr(cfg, key), key, least)
+            if value <= 0:
+                raise InputError(f"{key} must be positive, got {value}")
+        if name == "seed" and value < 0:
+            raise InputError(f"seed must be non-negative, got {value}")
+        if kind is int and name != "seed":
+            _check_count(value, key, _LEAST.get(name, 1))
     if cfg.system == "cwh" and cfg.dim not in (2, 4):
         # dim is ignored for the rendezvous system (state is 4-D), but a
         # value other than the default or 4 signals a misconfiguration.
@@ -177,18 +192,6 @@ def validate(cfg):
                 f"{name} is set but the cwh system uses its fixed line-of-sight "
                 "cone and docking box"
             )
-    if cfg.sigma <= 0:
-        raise InputError(f"sigma must be positive, got {cfg.sigma}")
-    if cfg.lam <= 0:
-        raise InputError(f"lambda must be positive, got {cfg.lam}")
-    if cfg.seed < 0:
-        raise InputError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.sampling_time is not None and cfg.sampling_time <= 0:
-        raise InputError("sampling_time must be positive")
-    if cfg.noise_sd is not None and cfg.noise_sd <= 0:
-        raise InputError("noise_sd must be positive")
-    if cfg.beta_alpha <= 0 or cfg.beta_beta <= 0:
-        raise InputError("beta shape parameters must be positive")
     return cfg
 
 
@@ -238,12 +241,17 @@ def build_policy(cfg, system, control_dim=None):
     raise InputError(f"unknown policy: {name!r}")
 
 
-def _parse_floats(text, what):
-    parts = text.replace(";", ",").split(",")
+def _split(text, what, seps):
+    """The fields of ``text`` between any of the characters ``seps``, none empty."""
+    parts = re.split(f"[{seps}]", text)
     if not all(p.strip() for p in parts):
         raise InputError(f"{what}: empty field in {text!r}")
+    return parts
+
+
+def _parse_floats(text, what):
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in _split(text, what, ",;")]
     except ValueError:
         raise InputError(f"{what}: expected comma-separated numbers, got {text!r}")
     if not np.all(np.isfinite(values)):
@@ -280,9 +288,7 @@ def parse_control_grid(text, control_dim):
     if not text.strip():
         raise InputError("mode=max requires a control_grid")
     rows = []
-    for chunk in text.split(";"):
-        if not chunk.strip():
-            raise InputError(f"control_grid: empty field in {text!r}")
+    for chunk in _split(text, "control_grid", ";"):
         values = _parse_floats(chunk, "control_grid")
         if len(values) != control_dim:
             raise InputError(
@@ -335,11 +341,8 @@ def _check_count(value, key, least):
 
 def parse_ints(text, what, least, sep=","):
     """Parse ``sep``-separated integers, each a count of at least ``least``."""
-    parts = text.split(sep)
-    if not all(p.strip() for p in parts):
-        raise InputError(f"{what}: empty field in {text!r}")
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in _split(text, what, sep)]
     except ValueError:
         raise InputError(f"{what}: expected {sep!r}-separated integers, got {text!r}")
     for value in values:

@@ -263,8 +263,10 @@ class Embedding:
         same = self.normalize_weights and np.all(controls == controls[:1])
         self._fixed_control = controls[0] if same and controls.size else None
         # the sample side of every query cross, lifted once per fit from
-        # the centered rows the Gram matrix is taken from
-        ridge, self._lifted = kernel.gram(sample.states, sample.controls, lift=True)
+        # the centered rows the Gram matrix is taken from; an overflow is
+        # reported by _check_finite, not by numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            ridge, self._lifted = kernel.gram(sample.states, sample.controls, lift=True)
         m = sample.count
         ridge.flat[:: m + 1] += lam * m
         _check_finite(ridge)

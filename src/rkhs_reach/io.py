@@ -200,8 +200,9 @@ def read_transitions_csv(path):
     m = _numbered_block(names, "u", n)
     n_y = _numbered_block(names, "y", n + m)
     if n_y != n or n + m + n_y != len(names):
+        controls = f"u1..u{m}," if m else ""
         raise FileFormatError(
-            f"{path}: header must be x1..x{n},u1..u{m},y1..y{n}, got "
+            f"{path}: header must be x1..x{n},{controls}y1..y{n}, got "
             + ",".join(names)
         )
     try:

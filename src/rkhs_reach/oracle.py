@@ -86,6 +86,8 @@ def dp_reach(
     eval_points : (P, 2) array
         Where values are reported (independent of the computation grid).
     policy : callable as in :func:`rkhs_reach.reach.value_recursion`
+        Controls of another shape than ``(P, m)`` raise
+        :class:`InputError`, as in :func:`mc_reach`.
     shape : (int, int)
         Grid nodes per axis, at least 2 each.
     quad_nodes : int
@@ -144,7 +146,13 @@ def dp_reach(
     glx, glw = np.polynomial.legendre.leggauss(quad_nodes)
 
     def means_at(pts, k):
-        return pts @ a.T + np.atleast_2d(policy(k, pts)) @ b.T
+        controls = np.atleast_2d(policy(k, pts))
+        if controls.shape != (len(pts), b.shape[1]):
+            raise InputError(
+                f"controls must have shape {(len(pts), b.shape[1])}, "
+                f"got {controls.shape}"
+            )
+        return pts @ a.T + controls @ b.T
 
     mask_grid = safe.contains(grid_pts).astype(np.float64)
     mask_eval = safe.contains(eval_points).astype(np.float64)

@@ -5,11 +5,12 @@ recursion's output, and commit the diff with it:
 
     PYTHONPATH=src python tests/data/golden/regenerate.py
 
-Three 128-sample inputs are written first: an integrator ``generate``
+Four 128-sample inputs are written first: an integrator ``generate``
 file drawn under the zero policy, a library sample whose controls are
 drawn uniformly from a seeded stream, the one input on which normalized
-max mode really runs all three controls, and the first with its last
-transition replaced by its first. Then ``reach`` runs on an 11x11
+max mode really runs all three controls, the first with its last
+transition replaced by its first, and the first with its first state
+moved to (1e200, 0). Then ``reach`` runs on an 11x11
 grid at horizon 3, fixed and max over ``-0.5;0;0.5``, in normalized and
 in raw mode, with two more max runs on the uniform-control sample, the
 second with a duplicated control so that ties decide choices.
@@ -21,9 +22,11 @@ The remaining subcommands follow, each on a small input: a CWH
 table and its stdout line), and ``bench-dims`` at n = 2, 10 and 100,
 whose ``seconds`` column is wall time and is not compared.
 
-Last, one failing command per documented exit code: a configuration
-error (2), a ridge that the repeated point leaves not positive definite
-at a tiny lambda (3) and a file of the wrong format (4). Each ``.txt``
+Last, one failing command per documented exit code, two for exit 3: a
+configuration error (2), a ridge that the repeated point leaves not
+positive definite at a tiny lambda (3), a Gram matrix that the far point
+overflows (3, whatever the BLAS's round-off) and a file of the wrong
+format (4). Each ``.txt``
 file holds ``exit <code>`` and the command's stderr, with the input
 directory left out of the paths it names.
 ``tests/test_golden.py`` reruns every case and compares.
@@ -41,6 +44,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ZERO_SAMPLE = "integrator_128.csv"
 UNIFORM_SAMPLE = "uniform_controls_128.csv"
 REPEATED_SAMPLE = "repeated_point_128.csv"
+OVERFLOW_SAMPLE = "overflow_point_128.csv"
 POINTS = "points_4.csv"
 COMPARE_STDOUT = "compare_fixed_dp.txt"
 
@@ -111,6 +115,11 @@ def error_cases(inputs):
             "reach", "--sample-file", os.path.join(inputs, REPEATED_SAMPLE),
             "--sigma", "2", "--lambda", "1e-16", "--point", "0,0",
         ],
+        # squared distances to the point at 1e200 overflow
+        "exit_3_overflow.txt": [
+            "reach", "--sample-file", os.path.join(inputs, OVERFLOW_SAMPLE),
+            "--point", "0,0",
+        ],
         "exit_4_file_format.txt": [
             "compare", os.path.join(inputs, "reach_fixed.csv"),
             os.path.join(inputs, POINTS),
@@ -131,7 +140,7 @@ def _run(argv):
 
 
 def write_inputs(directory):
-    """Write both input samples into ``directory``."""
+    """Write the four input samples into ``directory``."""
     from rkhs_reach import (
         BoxSampler,
         GaussianDisturbance,
@@ -151,6 +160,12 @@ def write_inputs(directory):
     write_transitions_csv(
         os.path.join(directory, REPEATED_SAMPLE),
         TransitionSample(*rows, zero.metadata),
+    )
+    states = zero.states.copy()
+    states[0] = [1e200, 0.0]
+    write_transitions_csv(
+        os.path.join(directory, OVERFLOW_SAMPLE),
+        TransitionSample(states, zero.controls, zero.successors, zero.metadata),
     )
     sample = generate_transitions(
         IntegratorChain(2, sampling_time=0.25),
@@ -207,7 +222,7 @@ def main():
         write_cli(name, HERE, HERE)
     for name in error_cases(HERE):
         write_error(name, HERE, HERE)
-    count = 4 + len(REACH_CASES) + len(cli_cases(HERE)) + len(error_cases(HERE))
+    count = 5 + len(REACH_CASES) + len(cli_cases(HERE)) + len(error_cases(HERE))
     print(f"wrote {count} files to {HERE}")
     return 0
 

@@ -18,6 +18,7 @@ from rkhs_reach import (
     ZeroPolicy,
 )
 from rkhs_reach.config import (
+    _CHOICES,
     CWH_SAMPLE_BOX,
     RunConfig,
     apply_overrides,
@@ -111,42 +112,47 @@ def test_apply_overrides_skips_none_and_coerces():
     assert dataclasses.asdict(RunConfig()) == dataclasses.asdict(cfg)
 
 
-FLOAT_FIELDS = [
-    field.name
-    for field in dataclasses.fields(RunConfig)
-    if field.type in (float, float | None)
-]
-
-
-@pytest.mark.parametrize(
-    "field,value",
+FIELDS = dataclasses.fields(RunConfig)
+FLOAT_FIELDS = [field.name for field in FIELDS if field.type in (float, float | None)]
+# every int setting but seed is a count of at least 1, dp_quad of at least 2
+COUNT_LEAST = {
+    field.name: 2 if field.name == "dp_quad" else 1
+    for field in FIELDS
+    if field.type is int and field.name != "seed"
+}
+BAD_FIELDS = (
     [
-        ("system", "pendulum"),
-        ("disturbance", "cauchy"),
-        ("mode", "best"),
-        ("dim", 0),
-        ("sigma", 0.0),
-        ("lam", -1.0),
-        ("horizon", 0),
-        ("samples", 0),
-        ("seed", -1),
-        ("rollouts", 0),
-        ("dp_quad", 1),
-        ("sampling_time", 0.0),
-        ("noise_sd", -0.1),
-        ("beta_alpha", 0.0),
-        ("noise_sd", 0.0),
-    ]
-    + [
         (name, value)
         for name in FLOAT_FIELDS
-        for value in (float("nan"), float("inf"), float("-inf"))
-    ],
+        for value in (0.0, -1.0, float("nan"), float("inf"), float("-inf"))
+    ]
+    + [(name, least - 1) for name, least in COUNT_LEAST.items()]
+    + [(name, "pendulum") for name in _CHOICES]
+    + [("disturbance", "cauchy"), ("mode", "best"), ("noise_sd", -0.1), ("seed", -1)]
 )
+
+
+@pytest.mark.parametrize("field,value", BAD_FIELDS)
 def test_validate_rejects_bad_fields(field, value):
     cfg = dataclasses.replace(RunConfig(), **{field: value})
-    with pytest.raises(InputError):
+    key = "lambda" if field == "lam" else field
+    with pytest.raises(InputError, match=f"^{key} must be"):
         validate(cfg)
+
+
+def test_validate_reports_the_first_bad_field_in_declaration_order():
+    cases = [
+        ({"sigma": 0.0, "system": "pendulum"}, "system must be one of"),
+        ({"rollouts": 0, "seed": -1, "lam": 0.0}, "lambda must be positive"),
+        ({"rollouts": 0, "seed": -1}, "seed must be non-negative"),
+        ({"beta_beta": 0.0, "beta_alpha": float("nan")}, "beta_alpha must be finite"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(InputError, match=f"^{message}"):
+            validate(dataclasses.replace(RunConfig(), **fields))
+    with pytest.raises(InputError) as info:
+        validate(RunConfig(system="x"))
+    assert str(info.value) == "system must be one of integrator, cwh, got 'x'"
 
 
 def test_validate_rejects_dim_override_for_cwh():

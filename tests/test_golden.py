@@ -1,16 +1,19 @@
 """Golden outputs of every subcommand: ``generate``, ``reach`` in each
 mode, both oracles, ``compare`` and ``bench-dims``, and the exit code
-and stderr of one failing command per documented exit code.
+and stderr of failing commands, at least one per documented exit code.
 
 Every case of ``tests/data/golden/regenerate.py`` is rerun into a
 temporary directory and compared with its committed file. Metadata,
-headers and choice columns must match exactly. The other cells must
-match within ``ATOL``: the BLAS kernel, and so a weight product's last
-bit, depends on the CPU. Columns of wall time are skipped. A failure
-reports the sha256 of both files, and a byte change within the
-tolerance is reported as a warning, so it shows on the machine that
-made it. The exit codes and stderr lines must match exactly. After an
-intended change, rerun the script and commit the diff.
+headers and choice columns must match exactly. The other columns may
+differ in their last bits, since the BLAS kernel, and so a weight
+product's last bit, depends on the CPU: each must match within ``ATOL``
+times the smaller of 1 and its largest magnitude, so raw-mode values,
+which peak at 9.2e-6 in ``v0``, are held to their own scale. Columns
+of wall time are skipped. A failure reports the sha256 of both files,
+and a byte change within the tolerance is reported as a warning, so it
+shows on the machine that made it. The exit codes and stderr lines
+must match exactly. After an intended change, rerun the script and
+commit the diff.
 """
 
 import hashlib
@@ -20,6 +23,8 @@ import warnings
 
 import numpy as np
 import pytest
+
+from rkhs_reach import Embedding, FileFormatError, InputError, NumericalError
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 ATOL = 1e-14
@@ -66,18 +71,27 @@ def _assert_matches(got, want):
     assert np.array_equal(g_rows[:, exact], w_rows[:, exact]), (
         f"{want.name}: choice columns differ; {shas}"
     )
-    gap = np.abs(g_rows[:, ~exact] - w_rows[:, ~exact]).max(initial=0.0)
-    assert gap <= ATOL, f"{want.name}: values differ by {gap:.3g}; {shas}"
+    names = [name for name, keep in zip(w_names, ~exact) if keep]
+    g_vals, w_vals = g_rows[:, ~exact], w_rows[:, ~exact]
+    # each column within ATOL of its own scale, never looser than ATOL
+    bounds = ATOL * np.minimum(1.0, np.abs(w_vals).max(axis=0, initial=0.0))
+    gaps = np.abs(g_vals - w_vals).max(axis=0, initial=0.0)
+    for name, gap, bound in zip(names, gaps, bounds):
+        assert gap <= bound, (
+            f"{want.name}: column {name} differs by {gap:.3g}, "
+            f"bound {bound:.3g}; {shas}"
+        )
     if g_cells != w_cells:
         # within tolerance, but shown: one ulp of the kernel's gamma moves
-        # values by about 3e-15
+        # normalized values by about 3e-15
+        gap = gaps.max(initial=0.0)
         warnings.warn(f"{want.name}: bytes differ by up to {gap:.3g}; {shas}")
 
 
 def test_generate_inputs_match(tmp_path):
     regenerate.write_inputs(tmp_path)
     for name in (regenerate.ZERO_SAMPLE, regenerate.UNIFORM_SAMPLE,
-                 regenerate.REPEATED_SAMPLE):
+                 regenerate.REPEATED_SAMPLE, regenerate.OVERFLOW_SAMPLE):
         _assert_matches(tmp_path / name, GOLDEN / name)
 
 
@@ -85,6 +99,20 @@ def test_generate_inputs_match(tmp_path):
 def test_reach_matches(tmp_path, name):
     regenerate.write_reach(name, GOLDEN, tmp_path)
     _assert_matches(tmp_path / name, GOLDEN / name)
+
+
+@pytest.mark.parametrize("name", ["reach_raw_fixed.csv", "reach_raw_max.csv"])
+def test_raw_columns_are_held_to_their_own_scale(tmp_path, monkeypatch, name):
+    # raw values peak at 9.2e-6 (v0) to 0.027 (v2): weights 1e-13 too
+    # large move them by at most 2.7e-15, within an absolute 1e-14, but
+    # by 10 to 30 times their own columns' bounds
+    weights = Embedding.weights
+    monkeypatch.setattr(
+        Embedding, "weights", lambda *args: weights(*args) * (1.0 + 1e-13)
+    )
+    regenerate.write_reach(name, GOLDEN, tmp_path)
+    with pytest.raises(AssertionError, match="column v0 differs"):
+        _assert_matches(tmp_path / name, GOLDEN / name)
 
 
 @pytest.mark.parametrize("name", sorted(regenerate.cli_cases(GOLDEN)))
@@ -107,3 +135,14 @@ def test_every_documented_exit_code_is_pinned():
     names = regenerate.error_cases(GOLDEN)
     codes = {(GOLDEN / name).read_text().split("\n")[0] for name in names}
     assert codes == {"exit 2", "exit 3", "exit 4"}
+
+
+def test_error_classes_carry_the_pinned_exit_codes():
+    # the CLI exits with the code and prefixes stderr with the label of
+    # the error's class; each golden exit file pins one pair
+    classes = (InputError, NumericalError, FileFormatError)
+    assert [cls.exit_code for cls in classes] == [2, 3, 4]
+    labels = {f"exit {cls.exit_code}": cls.label for cls in classes}
+    for name in regenerate.error_cases(GOLDEN):
+        status, stderr = (GOLDEN / name).read_text().split("\n")[:2]
+        assert stderr.startswith(f"{labels[status]}: "), name

@@ -158,6 +158,15 @@ def test_transitions_header_contract(tmp_path):
     with pytest.raises(FileFormatError, match="header must be"):
         read_transitions_csv(path)
 
+    # the expected header names a control range only when there is one
+    path.write_text("x1,x2,u1,y1\n0.0,0.0,0.0,0.0\n")
+    with pytest.raises(FileFormatError, match=r"must be x1\.\.x2,u1\.\.u1,y1"):
+        read_transitions_csv(path)
+    path.write_text("x1,x2\n0.0,0.0\n")
+    with pytest.raises(FileFormatError) as info:
+        read_transitions_csv(path)
+    assert str(info.value).endswith(": header must be x1..x2,y1..y2, got x1,x2")
+
     # control-free samples are legitimate
     path.write_text("x1,y1\n0.5,0.25\n")
     sample = read_transitions_csv(path)

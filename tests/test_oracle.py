@@ -298,6 +298,21 @@ def test_dp_plain_function_matches_zero_policy_bitwise(setup):
     assert sorted(steps["class"]) == sorted(steps["function"]) == [0, 1, 1, 2, 2]
 
 
+def test_both_oracles_refuse_controls_of_another_width(setup):
+    # two control columns for the 1-control integrator
+    system, disturbance, problem, _ = setup
+
+    def wide(k, states):
+        return np.zeros((len(states), 2))
+
+    pts = np.array([[0.0, 0.0], [0.5, -0.4]])
+    message = r"controls must have shape \(\d+, 1\), got \(\d+, 2\)"
+    with pytest.raises(InputError, match=message):
+        dp_reach(system, disturbance, problem, pts, wide, shape=(11, 11))
+    with pytest.raises(InputError, match=message):
+        mc_reach(system, disturbance, problem, wide, pts, 100, 0)
+
+
 def test_dp_fixed_policy_agrees_with_monte_carlo(setup):
     system, disturbance, problem, policy = setup
     pts = np.array([[0.0, 0.0], [0.5, 0.5], [-0.8, 0.2], [0.9, -0.9]])
