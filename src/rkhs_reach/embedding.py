@@ -45,9 +45,9 @@ through the inverse of its Cholesky factor, formed by halves from
 matrix products (:func:`_invert`), so the Gram product, the inverse,
 the cross kernels and the weight products all run on numpy's BLAS and
 its one thread pool. A fit keeps one M x M matrix (the inverse; 8 MB
-at M = 1024). At its peak it holds about three: the ridge, the
-factor's inverse and the inverse, besides the recursion's quarter-size
-blocks (the resident set rises by 2.4 to 3.2 matrices during a fit at
+at M = 1024). At its peak it holds two: the ridge, overwritten by the
+factor's inverse, and the inverse (tracemalloc reads 2.01 matrices at
+M = 1024, and the resident set rises by 2.41 during a fit at
 M = 2048). The ridge keeps every eigenvalue at or above ``lam*M``, so
 the condition number is at most ``1 + |G|_2 / (lam*M)``: 1.016 on the
 1024-sample benchmark at ``lam = 1``. A ridge that round-off leaves not
@@ -87,33 +87,34 @@ _BASE_ROWS = 64
 
 
 def _lower_inverse(a):
-    """``X = L^-1`` for the lower Cholesky factor ``L`` of ``a``, by halves.
+    """Overwrite ``a`` with ``X = L^-1`` for its lower Cholesky factor ``L``.
 
-    With ``a = [[A11, A21'], [A21, A22]]`` and ``X11`` from the leading
-    block, ``L21 = A21 X11'``, ``X22`` comes from the Schur complement
-    ``A22 - L21 L21'`` and ``X21 = -X22 L21 X11`` (Gustavson, "Recursion
-    leads to automatic variable blocking for dense linear-algebra
-    algorithms", IBM J. Res. Dev. 1997). Every step but the base case is
-    a matrix product, so the work runs at the BLAS product's rate. The
-    base case of at most ``_BASE_ROWS`` rows is LAPACK's Cholesky and an
-    inverse of its factor; a Schur complement that is not numerically
-    positive definite raises ``LinAlgError`` there. The upper right
-    quadrant of ``X`` is never written.
+    With ``a = [[A11, A21'], [A21, A22]]``, ``X11`` goes over the
+    leading block, ``L21 = A21 X11'`` and then ``X21 = -X22 L21 X11``
+    over ``A21``, and the Schur complement ``A22 - L21 L21'`` and then
+    its ``X22`` over ``A22`` (Gustavson, "Recursion leads to automatic
+    variable blocking for dense linear-algebra algorithms", IBM J. Res.
+    Dev. 1997). Every step but the base case is a matrix product, so
+    the work runs at the BLAS product's rate, and none holds more than
+    one quarter-size temporary besides ``a``. The base case of at most
+    ``_BASE_ROWS`` rows is LAPACK's Cholesky and an inverse of its
+    factor; a Schur complement that is not numerically positive
+    definite raises ``LinAlgError`` there. The upper right quadrant of
+    each level is zeroed.
     """
     m = a.shape[0]
     if m <= _BASE_ROWS:
-        return np.linalg.inv(np.linalg.cholesky(a))
+        a[...] = np.linalg.inv(np.linalg.cholesky(a))
+        return
     h = m // 2
-    x11 = _lower_inverse(a[:h, :h])
-    l21 = a[h:, :h] @ x11.T
-    x22 = _lower_inverse(a[h:, h:] - l21 @ l21.T)
-    x = np.zeros((m, m))
-    x[:h, :h] = x11
-    x[h:, h:] = x22
-    x21 = x[h:, :h]
-    np.matmul(x22, l21 @ x11, out=x21)
-    np.negative(x21, out=x21)
-    return x
+    a11, a21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
+    _lower_inverse(a11)
+    a21[...] = a21 @ a11.T
+    a22 -= a21 @ a21.T
+    _lower_inverse(a22)
+    np.matmul(a22, a21 @ a11, out=a21)
+    np.negative(a21, out=a21)
+    a[:h, h:] = 0.0
 
 
 def _invert(ridge):
@@ -121,23 +122,23 @@ def _invert(ridge):
 
     The inverse is ``X' X`` for ``X`` the inverse of the Cholesky factor
     (:func:`_lower_inverse`): about 2.2 M^3 flops, nearly all in matrix
-    products, so it runs at the BLAS product's rate. Besides ``ridge`` it
-    holds about two M x M matrices at its peak: ``X``, the result and the
-    recursion's quarter-size blocks. Against a Cholesky solve of the
-    identity, the largest entry error relative to the largest entry is
-    1.0e-15 at ``lam = 1``, 1.3e-14 at ``lam = 1e-4`` and 1.8e-12 at
-    ``lam = 1e-6`` on benchmark samples of 1 to 1024 points (its
-    stability: Du Croz & Higham, "Stability of methods for matrix
-    inversion", IMA J. Numer. Anal. 1992).
+    products, so it runs at the BLAS product's rate. ``X`` overwrites
+    ``ridge``, so besides it the inversion holds the recursion's
+    quarter-size blocks and then the result, one M x M matrix. Against
+    a Cholesky solve of the identity, the largest entry error relative
+    to the largest entry is 1.0e-15 at ``lam = 1``, 1.3e-14 at
+    ``lam = 1e-4`` and 1.8e-12 at ``lam = 1e-6`` on benchmark samples
+    of 1 to 1024 points (its stability: Du Croz & Higham, "Stability of
+    methods for matrix inversion", IMA J. Numer. Anal. 1992).
 
     numpy runs ``X' X`` as a symmetric rank-k product, so the result is
     symmetric to the bit, and its transpose is a free view in Fortran
     order. That order is kept because the bits of a weight column
     depend on the inverse's layout: neither order makes them independent
     of the width of the point block they are computed in, since BLAS
-    splits the product by its width (at M = 1024 with 2048 query
-    columns, blocks of 682, 1500 and 2047 left 6 to 8 columns off a
-    2048-wide block's by up to 4e-15, and one-column blocks every
+    splits the product by its width (at M = 1024 with 1024 query
+    columns, blocks of 341, 682, 818 and 1023 left 8 to 16 columns off
+    a 1024-wide block's by up to 1.5e-15, and one-column blocks every
     column; OpenBLAS, 2-vCPU x86 VM; which widths differ depends on the
     CPU's kernel), but the C-ordered product moved max-mode values on a
     constant sample by an ulp against a single candidate's.
@@ -147,10 +148,10 @@ def _invert(ridge):
     :class:`NumericalError` rather than give a wrong inverse.
     """
     try:
-        x = _lower_inverse(ridge)
+        _lower_inverse(ridge)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ridge system inversion failed: {exc}")
-    return (x.T @ x).T
+    return (ridge.T @ ridge).T
 
 
 # perfbench/tracing.py times the fit's two steps under these names; the
@@ -308,15 +309,20 @@ class Embedding:
             controls = np.broadcast_to(self._fixed_control, controls.shape)
         return (states, controls)
 
-    def weights(self, states, controls=None):
+    def weights(self, states, controls=None, out=None):
         """Weight vectors for a batch of queries, as an (M, P) matrix.
 
         Column p holds the weights for query p; an expectation estimate
         is the dot product of a column with the function's values at the
-        sampled successors.
+        sampled successors. ``out``, when given, is a pair of (M, P)
+        float arrays: the weights are written to the first and returned,
+        with the same bits, and the second holds the kernel matrix on
+        the way, so a batch allocates no matrix of its own.
         """
         parts = self._query_parts(states, controls)
-        w = self._inv @ self.kernel.cross(self._lifted, *parts)
+        w, k = (None, None) if out is None else out
+        cross = self.kernel.cross(self._lifted, *parts, out=k)
+        w = np.matmul(self._inv, cross, out=w)
         if self.normalize_weights:
             np.maximum(w, 0.0, out=w)
         colsum = w.sum(axis=0)

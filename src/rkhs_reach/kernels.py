@@ -151,12 +151,14 @@ class RBFKernel:
         _lift_in_place(out, self.gamma, left=True)
         return LiftedRows(out, center, self.gamma)
 
-    def cross(self, a, b, *more):
+    def cross(self, a, b, *more, out=None):
         """Matrix of kernel values between the rows of ``a`` and of ``b``.
 
         ``a`` is a point set or its :meth:`lift`; both give the same bits.
         The rows of the point sets in ``more`` go beside those of ``b``,
-        as in :meth:`gram`, and are centered and lifted with them.
+        as in :meth:`gram`, and are centered and lifted with them. As
+        with numpy's ``out``, the matrix is written to ``out`` when
+        given, a float array of its shape, with the same bits.
         """
         if not isinstance(a, LiftedRows):
             a = self.lift(a)
@@ -164,7 +166,7 @@ class RBFKernel:
             raise InputError("lifted rows belong to a kernel of another bandwidth")
         right, _ = _centered((b, *more), a.center)
         _lift_in_place(right, self.gamma, left=False)
-        e = a.rows @ right.T
+        e = np.matmul(a.rows, right.T, out=out)
         np.minimum(e, 0.0, out=e)
         return np.exp(e, out=e)
 

@@ -196,7 +196,12 @@ def checked_points(points, dim):
     return points
 
 
-def _sweep(emb, policies, states, steps, v_succ, out, cols, choices=None):
+def _head(buffer, rows, cols):
+    """The first ``rows * cols`` entries of a flat ``buffer`` as a C-ordered matrix."""
+    return buffer[: rows * cols].reshape(rows, cols)
+
+
+def _sweep(emb, policies, states, steps, v_succ, out, cols, buffers, choices=None):
     """Backward steps ``steps`` at ``states``, maximized over ``policies``.
 
     At step k each candidate estimates ``clip(v_succ[k + 1] @ W, 0, 1)``
@@ -204,14 +209,19 @@ def _sweep(emb, policies, states, steps, v_succ, out, cols, choices=None):
     index, when ``choices`` is given, to ``choices[k, cols]``, ties to
     the lowest index. A candidate is queried at every step and holds its
     controls (an owned copy, so a refilled buffer is no repeat) and its
-    weights, solved again, the old matrix freed first, only when the
-    weights read the controls (:attr:`Embedding.reads_controls`) and
-    these changed. Without control columns no policy is queried.
+    weights, solved again only when the weights read the controls
+    (:attr:`Embedding.reads_controls`) and these changed. Without
+    control columns no policy is queried. ``buffers`` are flat float
+    arrays of at least M times the number of states entries: the kernel
+    matrix of every solve goes to the first, the weights of candidate c
+    to buffer ``c + 1``.
     """
+    m, p = emb.sample.count, states.shape[0]
+    cross = _head(buffers[0], m, p)
     held = [[None, None] for _ in policies]
     for k in steps:
-        best = np.full(states.shape[0], -np.inf)
-        pick = np.zeros(states.shape[0], dtype=np.int64)
+        best = np.full(p, -np.inf)
+        pick = np.zeros(p, dtype=np.int64)
         for c, (policy, pair) in enumerate(zip(policies, held)):
             controls = None
             if emb.sample.control_dim:
@@ -219,8 +229,8 @@ def _sweep(emb, policies, states, steps, v_succ, out, cols, choices=None):
             if pair[1] is None or (
                 emb.reads_controls and not np.array_equal(controls, pair[0])
             ):
-                pair[1] = None  # free the old matrix before solving the new one
-                pair[:] = controls, emb.weights(states, controls)
+                w = _head(buffers[c + 1], m, p)
+                pair[:] = controls, emb.weights(states, controls, out=(w, cross))
             est = v_succ[k + 1] @ pair[1]
             np.clip(est, 0.0, 1.0, out=est)
             better = est > best
@@ -232,28 +242,31 @@ def _sweep(emb, policies, states, steps, v_succ, out, cols, choices=None):
 
 
 # evaluation points per block of the points pass, shared by the
-# candidates; bounds their point weights to M x _POINT_BLOCK together
-# (16 MB at M = 1024), or to what the successor pass held if more
-_POINT_BLOCK = 2048
+# candidates, and at most M: the kernel matrix and each candidate's
+# weights go to buffers of M x min(_POINT_BLOCK, M) entries (8 MB at
+# M = 1024), or of what the successor pass held if more
+_POINT_BLOCK = 1024
 
 
-def _recursion(emb, problem, points, policies):
+def _recursion(emb, problem, points, policies, choose=False):
     """Backward recursion maximizing over candidate policies.
 
-    Returns the points, the value rows and the winning candidate per step
-    and point. Only safe states are weighed, since every value is 0
-    outside the safe set: an unsafe successor or evaluation point gets
-    no kernel column, no weight column and no policy query, its value is
-    +0.0 at every step k < N (row N stays the exact target indicator) and
-    its choice is 0. Both passes run through :func:`_sweep`: first the
-    successor values (row k is step k) over the safe successors, only
-    when some evaluation point is safe, each candidate holding an M x S
-    weight matrix (S safe successors); then the safe points in blocks
-    of ``_POINT_BLOCK // C`` for C candidates, but at least
-    ``min(S, _POINT_BLOCK)``, each gathered on its own, so the
-    candidates together hold at most ``max(_POINT_BLOCK, C * S)``
-    point-weight columns, no more than the successor pass, whatever the
-    number of points. When the weights do not read the controls
+    Returns the points, the value rows and, with ``choose``, the
+    winning candidate per step and point (else None). Only safe states
+    are weighed, since every value is 0 outside the safe set: an unsafe
+    successor or evaluation point gets no kernel column, no weight
+    column and no policy query, its value is +0.0 at every step k < N
+    (row N stays the exact target indicator) and its choice is 0. Both
+    passes run through :func:`_sweep`: first the successor values (row
+    k is step k) over the safe successors, only when some evaluation
+    point is safe, each candidate solving an M x S weight matrix (S
+    safe successors); then the safe points in blocks of ``B // C`` for
+    C candidates and ``B = min(_POINT_BLOCK, M)``, but at least
+    ``min(S, B)``, each gathered on its own. The kernel matrix and each
+    candidate's weights are written to C + 1 buffers allocated once per
+    call, each of M times the widest block, or S if more: at most two
+    M x M matrices for one candidate, whatever the number of points.
+    When the weights do not read the controls
     (:attr:`Embedding.reads_controls`) only the first candidate is run,
     since ties keep the lowest index.
     """
@@ -266,29 +279,35 @@ def _recursion(emb, problem, points, policies):
     n_steps = problem.horizon
     safe_pts = np.flatnonzero(problem.safe.contains(points))
     safe_succ = np.flatnonzero(problem.safe.contains(successors))
+    # successor values are read only at safe points
+    n_succ = safe_succ.size if safe_pts.size else 0
+    # a candidate's block is as wide as its successor matrix (up to one
+    # block), which its buffer holds anyway, so no product re-reads the
+    # M x M inverse for only a few columns (at M = 1024, 68-column
+    # products took 1.8x the time of 2048-column ones; OpenBLAS, 2-vCPU
+    # x86 VM)
+    m = emb.sample.count
+    widest = min(_POINT_BLOCK, m)
+    block = max(1, widest // len(policies), min(n_succ, widest))
+    width = max(min(block, safe_pts.size), n_succ)
     v_succ = np.zeros((n_steps + 1, successors.shape[0]))
     v_succ[n_steps] = problem.target.contains(successors)
-    # successor values are read only at safe points
-    if safe_pts.size and safe_succ.size:
-        _sweep(
-            emb, policies, successors[safe_succ], range(n_steps - 1, 0, -1),
-            v_succ, v_succ, safe_succ,
-        )
     values = np.zeros((n_steps + 1, points.shape[0]))
     values[n_steps] = problem.target.contains(points)
-    choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
-    # a candidate's block is at least as wide as its successor matrix (up
-    # to one block), so the points pass holds no more than the successor
-    # pass did, and no product re-reads the M x M inverse for only a few
-    # columns (at M = 1024, 68-column products took 1.8x the time of
-    # 2048-column ones; OpenBLAS, 2-vCPU x86 VM)
-    floor = min(safe_succ.size, _POINT_BLOCK)
-    block = max(1, _POINT_BLOCK // len(policies), floor)
+    choices = None
+    if choose:
+        choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
+    buffers = [np.empty(m * width) for _ in range(len(policies) + 1)]
+    if n_succ:
+        _sweep(
+            emb, policies, successors[safe_succ], range(n_steps - 1, 0, -1),
+            v_succ, v_succ, safe_succ, buffers,
+        )
     for start in range(0, safe_pts.size, block):
         rows = safe_pts[start : start + block]
         _sweep(
             emb, policies, points[rows], range(n_steps - 1, -1, -1),
-            v_succ, values, rows, choices,
+            v_succ, values, rows, buffers, choices,
         )
     return points, values, choices
 
@@ -329,19 +348,20 @@ def value_recursion_max(emb, problem, points, control_grid):
     matches :func:`value_recursion` under the matching constant policy
     exactly. Only safe states are weighed; an unsafe evaluation point
     reads +0.0 before the last step and choice 0. Each step runs every
-    control in turn. The successor pass keeps one M x S weight matrix
-    per control alive, where S is the number of safe successors, so
-    that memory grows with the grid size. The safe evaluation points
-    are then swept in blocks shared by the controls, 2048 // C points
-    each for C controls but at least min(S, 2048), so together they
-    hold at most M x max(2048, C S) point weights, no more than the
-    successor pass, whatever the number of points; within a block each
-    control's weights are computed once and reused at every step. A
-    weight column's bits can depend on its block's width (README,
-    "Numerics"), so with several controls a normalized value can fall
-    below that control's :func:`value_recursion` by round-off (at most
-    1e-15, at up to 12 of 30 603 cells per control, on the 101 x 101
-    benchmark grid with a 1024-sample uniform-control sample); raw
+    control in turn. Each control holds one weight buffer of M x S
+    entries or more, where S is the number of safe successors, so that
+    memory grows with the grid size. The safe evaluation points are
+    then swept in blocks shared by the controls, B // C points each for
+    C controls and B = min(1024, M), but at least min(S, B), so
+    together they hold at most M x max(B, C S) point weights, no more
+    than the successor pass, whatever the number of points; within a
+    block each control's weights are computed once and reused at every
+    step. A weight column's bits can depend on its block's width
+    (README, "Numerics"), so with several controls a normalized value
+    can fall below that control's :func:`value_recursion` by round-off
+    (at most 4.4e-15, at up to 24 of 30 603 cells per control, on the
+    101 x 101 benchmark grid with 1024-sample uniform-control samples
+    of seeds 0 to 2); raw
     weights can be negative, so raw mode has no such bound. A
     normalized fit of a sample whose controls are all equal gives
     every control the same weights (:attr:`Embedding.reads_controls`),
@@ -365,5 +385,5 @@ def value_recursion_max(emb, problem, points, control_grid):
             f"sample controls have {m}"
         )
     policies = [ConstantPolicy(u) for u in control_grid]
-    points, values, choices = _recursion(emb, problem, points, policies)
+    points, values, choices = _recursion(emb, problem, points, policies, choose=True)
     return ValueField(points=points, values=values, policy_choices=choices)

@@ -161,7 +161,8 @@ def _cross_on_raw_rows(emb, states, controls):
 def test_weights_match_cross_on_raw_rows(normalize):
     # the fit lifts the sample rows once; that must give the same bits as
     # a cross kernel on the raw joint rows wherever the weights read the
-    # query controls: in raw mode, and on a sample whose controls vary
+    # query controls: in raw mode, and on a sample whose controls vary;
+    # weights and kernel matrix written to given buffers keep the bits
     constant = make_bench_sample(256, 1)
     rng = np.random.default_rng(10)
     varying = TransitionSample(
@@ -179,6 +180,11 @@ def test_weights_match_cross_on_raw_rows(normalize):
         assert emb.reads_controls
         want = _cross_on_raw_rows(emb, states, controls)
         np.testing.assert_array_equal(emb.weights(states, controls), want)
+        w, k = np.full((2, sample.count, 50), np.nan)
+        assert emb.weights(states, controls, out=(w, k)) is w
+        np.testing.assert_array_equal(w, want)
+        cross = emb.kernel.cross(emb._lifted, states, controls)
+        np.testing.assert_array_equal(k, cross)
 
 
 def test_normalized_weights_on_a_constant_sample_ignore_query_controls():
@@ -247,6 +253,23 @@ def test_fit_keeps_one_matrix_with_the_bits_of_a_separate_solve():
     np.testing.assert_array_equal(emb._inv.view(np.uint64), want.view(np.uint64))
 
 
+def test_fit_traced_peak_is_about_two_matrices():
+    # the Gram matrix becomes the ridge and then, in place, the inverse
+    # Cholesky factor X; the inverse X'X is the second matrix, and the
+    # recursion's quarter-size blocks are freed before it is allocated
+    m = 1024
+    sample = make_bench_sample(m, 0)
+    kernel = RBFKernel(BENCH_SIGMA)
+    Embedding(make_bench_sample(64, 1), kernel, BENCH_LAMBDA)
+    tracemalloc.start()
+    try:
+        Embedding(sample, kernel, BENCH_LAMBDA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * m * m * 8, peak / (m * m * 8)
+
+
 def test_fit_of_a_wide_sample_holds_one_copy_of_its_points():
     # 64 samples of a 40 000-dimensional state: 20 MB per M x n array.
     # The fit may add the lifted rows and O(M^2) (the Gram matrix, the
@@ -295,13 +318,14 @@ print((after - before) * (1 if sys.platform == "darwin" else 1024))
 
 
 def test_fit_peak_memory_is_about_three_matrices():
-    # the ridge, the inverse Cholesky factor X (its upper right quadrant
-    # is never written), the product X'X and the quarter-size blocks of
-    # the recursion: a fit at M = 2048 raises the resident set by 2.4 to
-    # 3.2 M x M matrices, against 3.4 to 4.1 for np.linalg.inv and its
-    # LAPACK work buffers (how much of the freed heap stays resident
-    # varies between runs). tracemalloc would not do here: it counts all
-    # of X and none of the freed heap that stays resident.
+    # the ridge, overwritten in place by the inverse Cholesky factor X,
+    # the product X'X and the quarter-size blocks of the recursion: a
+    # fit at M = 2048 raises the resident set by 2.41 M x M matrices
+    # (3.32 when X and the Schur complements were arrays of their own),
+    # against 3.4 to 4.1 for np.linalg.inv and its LAPACK work buffers.
+    # How much of the freed heap stays resident varies between runs,
+    # and by 0.8 matrices between periods of one machine's load, so the
+    # bound keeps that margin; the traced peak above counts none of it.
     m = 2048
     paths = [str(pathlib.Path(rkhs_reach.__file__).parent.parent)]
     if os.environ.get("PYTHONPATH"):

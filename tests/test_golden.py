@@ -108,7 +108,7 @@ def test_raw_columns_are_held_to_their_own_scale(tmp_path, monkeypatch, name):
     # by 10 to 30 times their own columns' bounds
     weights = Embedding.weights
     monkeypatch.setattr(
-        Embedding, "weights", lambda *args: weights(*args) * (1.0 + 1e-13)
+        Embedding, "weights", lambda *args, **kw: weights(*args, **kw) * (1.0 + 1e-13)
     )
     regenerate.write_reach(name, GOLDEN, tmp_path)
     with pytest.raises(AssertionError, match="column v0 differs"):

@@ -1,5 +1,6 @@
 """Backward recursion on the fitted estimator: semantics and invariants."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +29,14 @@ from rkhs_reach import (
     value_recursion_max,
 )
 
-from bench_setup import BENCH_LAMBDA, BENCH_SIGMA, make_bench_sample
+from bench_setup import (
+    BENCH_HORIZON,
+    BENCH_LAMBDA,
+    BENCH_SAMPLES,
+    BENCH_SIGMA,
+    fit_bench,
+    make_bench_sample,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +118,12 @@ class _UniformControls:
 
 
 def test_max_mode_dominates_up_to_round_off_across_blocks():
-    # the 1078 safe points run in blocks of 682 per control for three
-    # controls and of 2048 for one; a weight column's bits can depend on
-    # its block's width, so max mode can read below a fixed control or a
-    # smaller grid, by round-off only (up to 8.9e-16 at one to three
-    # cells with OpenBLAS on an x86 VM); normalized weights are
-    # nonnegative, so nothing but round-off can lower a value
+    # the 1078 safe points run in blocks of 811, the safe successors, per
+    # control for three controls and of 1024 for one; a weight column's
+    # bits can depend on its block's width, so max mode can read below a
+    # fixed control or a smaller grid, by round-off only (up to 4.4e-16
+    # at one or two cells with OpenBLAS on an x86 VM); normalized
+    # weights are nonnegative, so nothing but round-off can lower a value
     system = IntegratorChain(2, sampling_time=0.25)
     sample = generate_transitions(
         system, _UniformControls(0), BoxSampler([-1.1, -1.1], [1.1, 1.1]),
@@ -125,7 +133,7 @@ def test_max_mode_dominates_up_to_round_off_across_blocks():
     box = BoxSet([-1.0, -1.0], [1.0, 1.0])
     problem = ReachProblem(safe=box, target=box, horizon=3)
     pts = np.random.default_rng(1).uniform(-1.1, 1.1, size=(1300, 2))
-    assert 682 < _safe_count(problem, pts) < 2048
+    assert reach_module._POINT_BLOCK < _safe_count(problem, pts) < 2048
     grid = [[-0.5], [0.0], [0.5]]
     maxed = value_recursion_max(emb, problem, pts, grid)
     for u in grid:
@@ -201,11 +209,11 @@ def _record_solves(monkeypatch, emb, queried=None):
     solves = []
     original = emb.weights
 
-    def weights(states, controls=None):
+    def weights(states, controls=None, out=None):
         solves.append(states.shape[0])
         if queried is not None:
             queried.append(np.array(states))
-        return original(states, controls)
+        return original(states, controls, out=out)
 
     monkeypatch.setattr(emb, "weights", weights)
     return solves
@@ -359,6 +367,15 @@ def _dense_points():
     return np.random.default_rng(5).uniform(-1.2, 1.2, size=(1500, 2))
 
 
+def _inner_problem(problem):
+    """``problem`` with the box [-0.5, 0.5]^2 as safe and target set: it
+    holds 82 of the controlled sample's 400 successors and 274 of the
+    dense points, few enough safe successors that candidates share a
+    block of evaluation points."""
+    box = BoxSet([-0.5, -0.5], [0.5, 0.5])
+    return ReachProblem(safe=box, target=box, horizon=problem.horizon)
+
+
 def _track_point_weights(monkeypatch, emb, problem, stats):
     """Wrap ``emb.weights`` to count successor calls in ``stats`` and to
     track the live point-weight columns, released in a
@@ -369,8 +386,8 @@ def _track_point_weights(monkeypatch, emb, problem, stats):
     def release(cols):
         stats["live"] -= cols
 
-    def weights(states, controls=None):
-        w = original(states, controls)
+    def weights(states, controls=None, out=None):
+        w = original(states, controls, out=out)
         if states.shape == succ.shape and np.array_equal(states, succ):
             stats["succ_calls"] += 1
             return w
@@ -384,20 +401,21 @@ def _track_point_weights(monkeypatch, emb, problem, stats):
 
 
 def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
-    # the controls share one block of 1000 points, 1000 // 3 = 333 each,
+    # the controls share one block of 250 points, 250 // 3 = 83 each,
     # so together they hold no more than one matrix would; ten controls
-    # get the 306 safe successors' width each, no more than the
+    # get the 82 safe successors' width each, no more than the
     # successor pass held
     emb, problem, _ = controlled
+    problem = _inner_problem(problem)
     pts = _dense_points()
     n_succ = _safe_count(problem, emb.sample.successors)
-    assert n_succ == 306 and _safe_count(problem, pts) > 1000
-    monkeypatch.setattr(reach_module, "_POINT_BLOCK", 1000)
+    assert n_succ == 82 and _safe_count(problem, pts) > 250
+    monkeypatch.setattr(reach_module, "_POINT_BLOCK", 250)
     stats = {"live": 0, "peak": 0, "succ_calls": 0, "widths": []}
     _track_point_weights(monkeypatch, emb, problem, stats)
     three = [[-0.5], [0.0], [0.5]]
     ten = np.linspace(-0.6, 0.6, 10)[:, None]
-    for grid, bound in [(three, 1000), (ten, 10 * n_succ)]:
+    for grid, bound in [(three, 250), (ten, 10 * n_succ)]:
         stats.update(peak=0, succ_calls=0)
         value_recursion_max(emb, problem, pts, grid)  # horizon 3
         assert 0 < stats["peak"] <= bound and stats["live"] == 0
@@ -407,7 +425,7 @@ def test_max_mode_keeps_one_point_weight_matrix_alive(controlled, monkeypatch):
     stats.update(peak=0, succ_calls=0)
     value_recursion_max(emb, one, pts, three)
     # a one-step recursion never reads successor values
-    assert stats["succ_calls"] == 0 and 0 < stats["peak"] <= 1000
+    assert stats["succ_calls"] == 0 and 0 < stats["peak"] <= 250
 
 
 @pytest.fixture(scope="module")
@@ -460,11 +478,14 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
     emb, problem, _ = controlled
     if not normalize:
         emb = Embedding(emb.sample, emb.kernel, emb.lam, normalize_weights=False)
+    problem = _inner_problem(problem)
     pts = _dense_points()
     three = [[-0.5], [0.0], [0.5]]
     ten = np.linspace(-0.6, 0.6, 10)[:, None]
-    n_pts, block = _safe_count(problem, pts), 1000
-    assert n_pts < reach_module._POINT_BLOCK and n_pts % block != 0
+    n_pts, block = _safe_count(problem, pts), 250
+    # one block of every safe point for a single candidate: at most M
+    assert n_pts < min(reach_module._POINT_BLOCK, emb.sample.count)
+    assert n_pts % block != 0
     n_succ = _safe_count(problem, emb.sample.successors)
     whole = [
         value_recursion(emb, problem, pts, ZeroPolicy(1)),
@@ -488,11 +509,11 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
     # the controlled sample's controls are distinct, so no choice is a tie
     for got, want in zip(blocked[2:], whole[2:]):
         np.testing.assert_array_equal(got.policy_choices, want.policy_choices)
-    sizes = [1000, 16]  # the 1016 safe points
-    # the same in blocks of 1000 // 3 per control, and, for ten controls,
-    # of the 306 safe successors rather than 1000 // 10
-    shared = [333, 333, 333, 17]
-    widest = [306, 306, 306, 98]
+    sizes = [250, 24]  # the 274 safe points
+    # the same in blocks of 250 // 3 per control, and, for ten controls,
+    # of the 82 safe successors rather than 250 // 10
+    shared = [83, 83, 83, 25]
+    widest = [82, 82, 82, 28]
     # live point-weight columns never exceed one block, or the ten
     # controls' successor matrices
     assert stats["peak"] == 10 * n_succ and stats["live"] == 0
@@ -506,6 +527,29 @@ def test_point_blocks_match_one_block(controlled, monkeypatch, normalize):
     )
     want_calls = [(k, b) for k in (2, 1, 0) for b in sizes]
     assert sorted(varying.calls) == sorted(want_calls + [(2, n_succ), (1, n_succ)])
+
+
+@pytest.mark.parametrize("m", [512, BENCH_SAMPLES])
+def test_sweep_peak_memory_is_about_two_matrices(m):
+    # a fixed policy on the 101 x 101 benchmark grid: the kernel matrix
+    # and the weights of every block go to two buffers of M x min(1024,
+    # M) entries; with the safe indices and the successor values they
+    # read 2.09 M x M matrices at M = 512 and 2.03 at M = 1024, besides
+    # the value rows returned (0.16 more at M = 512). Blocks of 2048
+    # columns allocated afresh read 8.20 and 4.05.
+    emb = fit_bench(make_bench_sample(m, 0))
+    box = BoxSet([-1.0, -1.0], [1.0, 1.0])
+    problem = ReachProblem(safe=box, target=box, horizon=BENCH_HORIZON)
+    axis = np.linspace(-1.1, 1.1, 101)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        field = value_recursion(emb, problem, pts, ZeroPolicy(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sweep = peak - field.values.nbytes
+    assert sweep <= 2.2 * m * m * 8, sweep / (m * m * 8)
 
 
 def _assert_positive_zeros(values):
