@@ -6,12 +6,19 @@ apply of its state matrix, upper-triangular Toeplitz with a band that
 than half an ulp of the whole row (about a dozen diagonals at T = 0.25),
 plus the control product and the disturbance. It sweeps the states in
 row blocks that fit a core's L2 cache, one diagonal at a time, and adds
-the other two terms to each block while it is there. The second is the
+the other two terms to each block while it is there. Every
+``IntegratorChain.step`` runs it: the transition sampler's, the Monte
+Carlo oracle's rollouts and the grid oracle's means. The second is the
 quadrature-plus-interpolation sweep of the grid oracle, a blocked matrix
-contraction. The Gaussian
-cross-kernel matrix is computed in ``RBFKernel.cross``. Threading is
-left to the BLAS library, and both are deterministic: the same inputs
-give the same bits.
+contraction. The Gaussian cross-kernel matrix is computed in
+``RBFKernel.cross``.
+
+``chain_apply`` runs in numpy's elementwise loops, single-threaded but
+for its one BLAS product of the controls; ``oracle.mc_reach`` steps
+rollouts of the chain on several threads of its own (the chain's
+``threaded_rollouts``). ``dp_backup`` is threaded only inside its BLAS
+matrix products. Both are deterministic: the same inputs give the same
+bits.
 
 The benchmark's tracer (``perfbench/tracing.py``) patches
 ``chain_apply`` and ``dp_backup`` by name and its worker records

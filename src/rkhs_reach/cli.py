@@ -116,19 +116,24 @@ def _draw_sample(cfg, system, policy):
     )
 
 
-def _oracle_inputs(args):
-    """Config, system, disturbance, problem, points and policy of an oracle."""
-    cfg = _load_config(args)
+def _check_policy_only(cfg, command):
+    """Refuse max mode and a control grid to a command that runs the policy."""
     if cfg.mode == "max":
         raise InputError(
-            f"mode is max but {args.command} evaluates the configured policy; "
+            f"mode is max but {command} evaluates the configured policy; "
             "only reach searches a control_grid"
         )
     if cfg.control_grid:
         raise InputError(
-            f"control_grid is set but {args.command} evaluates the configured "
+            f"control_grid is set but {command} evaluates the configured "
             "policy; the grid is searched only by reach with mode=max"
         )
+
+
+def _oracle_inputs(args):
+    """Config, system, disturbance, problem, points and policy of an oracle."""
+    cfg = _load_config(args)
+    _check_policy_only(cfg, args.command)
     system = build_system(cfg)
     disturbance = build_disturbance(cfg, system)
     problem = build_problem(cfg, system.n)
@@ -283,6 +288,7 @@ def _cmd_bench_dims(args):
     cfg = _load_config(args)
     if cfg.system != "integrator":
         raise InputError("bench-dims supports only the integrator system")
+    _check_policy_only(cfg, args.command)
     dims = parse_ints(args.dims, "--dims", 1)
     _check_count(args.repeats, "--repeats", 1)
     rows = []

@@ -100,6 +100,15 @@ _CHOICES = {
 }
 _LEAST = {"dp_quad": 2}
 
+# The settings that shape one disturbance, each with the disturbance it
+# belongs to; under another disturbance they must keep their defaults.
+_DISTURBANCE_KEYS = {
+    "noise_sd": "gaussian",
+    "beta_alpha": "beta",
+    "beta_beta": "beta",
+    "beta_centered": "beta",
+}
+
 
 def coerce_value(name, raw):
     """Convert the string ``raw`` to the type of config field ``name``."""
@@ -167,6 +176,9 @@ def validate(cfg):
     Float settings must be finite and positive (an unset optional one
     passes), counts at least 1 (``dp_quad`` at least 2) and within a
     numpy index, ``seed`` non-negative, and choices one of ``_CHOICES``.
+    Across fields, the cwh system refuses ``dim`` but 2 or 4 and any set
+    box, and each setting of ``_DISTURBANCE_KEYS`` must keep its default
+    under another disturbance than its own.
     """
     for name, kind in _FIELD_TYPES.items():
         value, key = getattr(cfg, name), _FIELD_KEYS.get(name, name)
@@ -191,6 +203,12 @@ def validate(cfg):
             raise InputError(
                 f"{name} is set but the cwh system uses its fixed line-of-sight "
                 "cone and docking box"
+            )
+    for name, owner in _DISTURBANCE_KEYS.items():
+        if cfg.disturbance != owner and getattr(cfg, name) != getattr(RunConfig, name):
+            raise InputError(
+                f"{name} is set but the disturbance is {cfg.disturbance}; it "
+                f"shapes only the {owner} disturbance"
             )
     return cfg
 

@@ -1,11 +1,14 @@
-"""Independent ground-truth estimators for reach-avoid probabilities.
+"""Ground-truth estimators for reach-avoid probabilities.
 
-Two oracles with disjoint numerics serve as references for the kernel
-estimator: a dense-grid backward recursion for 2-D linear systems under
-Gaussian noise, and a Monte Carlo rollout estimator for anything the
-package can simulate. Both implement the exact recursion semantics from
-:mod:`rkhs_reach.reach` (target indicator at the final step, safe-set
-indicator multiplying every earlier step).
+Two oracles serve as references for the kernel estimator: a dense-grid
+backward recursion for 2-D systems under additive Gaussian noise, and a
+Monte Carlo rollout estimator for anything the package can simulate.
+Both apply the model through its own ``system.step``, as the transition
+sampler does, and differ in how they integrate over the noise: the grid
+oracle in closed form and by quadrature on an interpolated grid field,
+the Monte Carlo oracle by sampled rollouts. Both implement the exact
+recursion semantics from :mod:`rkhs_reach.reach` (target indicator at
+the final step, safe-set indicator multiplying every earlier step).
 """
 
 import math
@@ -80,14 +83,17 @@ def dp_reach(
 
     Parameters
     ----------
-    system : object with ``dense_a``/``dense_b`` and ``n == 2``
+    system : object with ``n == 2`` and ``step(states, controls, disturbances)``
+        The means of each backward step are ``system.step(points,
+        policy(k, points), None)``, the noise-free successors ``f(x, u)``
+        that the disturbance is added to. The built-in systems' ``step``
+        refuses non-empty controls of another shape than ``(P, m)`` with
+        :class:`InputError`, in this oracle as in :func:`mc_reach`.
     disturbance : GaussianDisturbance
     problem : ReachProblem with 2-D box safe and target sets
     eval_points : (P, 2) array
         Where values are reported (independent of the computation grid).
     policy : callable as in :func:`rkhs_reach.reach.value_recursion`
-        Controls of another shape than ``(P, m)`` raise
-        :class:`InputError`, as in :func:`mc_reach`.
     shape : (int, int)
         Grid nodes per axis, at least 2 each.
     quad_nodes : int
@@ -134,8 +140,6 @@ def dp_reach(
         )
 
     eval_points = checked_points(eval_points, 2)
-    a = system.dense_a()
-    b = system.dense_b()
     ax1, ax2 = (np.linspace(lower[d], upper[d], shape[d]) for d in range(2))
     g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
     grid_pts = np.column_stack([g1.ravel(), g2.ravel()])
@@ -146,13 +150,8 @@ def dp_reach(
     glx, glw = np.polynomial.legendre.leggauss(quad_nodes)
 
     def means_at(pts, k):
-        controls = np.atleast_2d(policy(k, pts))
-        if controls.shape != (len(pts), b.shape[1]):
-            raise InputError(
-                f"controls must have shape {(len(pts), b.shape[1])}, "
-                f"got {controls.shape}"
-            )
-        return pts @ a.T + controls @ b.T
+        # the noise-free successors f(x, u), the model's own step
+        return system.step(pts, policy(k, pts), None)
 
     mask_grid = safe.contains(grid_pts).astype(np.float64)
     mask_eval = safe.contains(eval_points).astype(np.float64)

@@ -476,12 +476,11 @@ def generate_transitions(system, policy, state_sampler, disturbance, count, seed
     :func:`~rkhs_reach._backend.block_rows`, each block's successors
     written into the sample as it is done, so besides the states and the
     successors only a block's worth of noise is live (at n = 10 000 and
-    256 samples, 42.6 MiB traced at the peak, against 79.1 MiB when the
-    noise was drawn whole and the control product was n wide). A disturbance's ``draw(rng, k)`` must
-    therefore give the same rows whether it is called once or in
-    consecutive pieces, as numpy's generators do when they fill arrays
-    in order; :func:`~rkhs_reach.oracle.mc_reach`'s chunks rely on the
-    same.
+    256 samples, 42.6 MiB traced at the peak). A disturbance's
+    ``draw(rng, k)`` must therefore give the same rows whether it is
+    called once or in consecutive pieces, as numpy's generators do when
+    they fill arrays in order; :func:`~rkhs_reach.oracle.mc_reach`'s
+    chunks rely on the same.
     """
     count = int(count)
     if count < 1:

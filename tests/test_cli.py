@@ -606,20 +606,22 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
         assert err.startswith(f"error: {key} must be at most"), args
         assert "Traceback" not in err
 
-    # the oracles evaluate the configured policy; a max-mode request or a
-    # control grid exits 2 naming the key instead of being dropped
-    for oracle in (("oracle-dp",), ("oracle-mc", "--rollouts", "10")):
-        rc, out, err = run(capsys, *oracle, "--point", "0,0", "--mode", "max")
-        assert rc == 2 and out == "" and "mode is max" in err, oracle
+    # the oracles and bench-dims evaluate the configured policy; a
+    # max-mode request or a control grid exits 2 naming the key instead of
+    # being dropped
+    bench = ("bench-dims", "--dims", "2", "--samples", "16", "--repeats", "1")
+    for command in (("oracle-dp",), ("oracle-mc", "--rollouts", "10"), bench):
+        rc, out, err = run(capsys, *command, "--point", "0,0", "--mode", "max")
+        assert rc == 2 and out == "" and "mode is max" in err, command
         rc, out, err = run(
-            capsys, *oracle, "--point", "0,0", "--control-grid=-0.5;0;0.5"
+            capsys, *command, "--point", "0,0", "--control-grid=-0.5;0;0.5"
         )
-        assert rc == 2 and out == "" and "control_grid" in err, oracle
+        assert rc == 2 and out == "" and "control_grid" in err, command
         rc, out, err = run(
-            capsys, *oracle, "--point", "0,0", "--mode", "max",
+            capsys, *command, "--point", "0,0", "--mode", "max",
             "--control-grid=-0.5;0;0.5",
         )
-        assert rc == 2 and out == "" and "mode is max" in err, oracle
+        assert rc == 2 and out == "" and "mode is max" in err, command
 
     # a points file is a configuration input: a table without x columns
     # exits 2, an unreadable or malformed one exits 4
@@ -718,8 +720,9 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
 
 def test_every_config_field_has_a_flag(tmp_path):
     # one non-default value per RunConfig field; valid together but for
-    # the two boxes, which the cwh system refuses, so they are loaded in
-    # a second, integrator configuration
+    # the two boxes, which the cwh system refuses, and noise_sd, which the
+    # beta disturbance refuses, so those three are loaded in a second,
+    # integrator configuration with Gaussian noise
     texts = {
         "system": "cwh",
         "dim": "4",
@@ -766,12 +769,12 @@ def test_every_config_field_has_a_flag(tmp_path):
         assert from_flags == from_file
         return from_flags
 
-    boxes = ["safe_box", "target_box"]
-    cwh = load([name for name in fields if name not in boxes])
-    integrator = load(boxes)
+    second = ["noise_sd", "safe_box", "target_box"]
+    cwh = load([name for name in fields if name not in second])
+    integrator = load(second)
     default = RunConfig()
     for name in fields:
-        cfg = integrator if name in boxes else cwh
+        cfg = integrator if name in second else cwh
         assert getattr(cfg, name) != getattr(default, name), name
 
 

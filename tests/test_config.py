@@ -173,6 +173,36 @@ def test_validate_rejects_boxes_for_cwh():
     validate(dataclasses.replace(RunConfig(), system="cwh", safe_box="-1,1"))
 
 
+@pytest.mark.parametrize(
+    "name, value, owner",
+    [
+        ("noise_sd", 0.3, "gaussian"),
+        ("beta_alpha", 2.0, "beta"),
+        ("beta_beta", 3.0, "beta"),
+        ("beta_centered", True, "beta"),
+    ],
+)
+@pytest.mark.parametrize("disturbance", ["gaussian", "beta", "none"])
+def test_validate_rejects_settings_of_another_disturbance(
+    name, value, owner, disturbance
+):
+    # build_disturbance reads each setting only for its own disturbance,
+    # so under another one it would be dropped without a word
+    cfg = RunConfig(disturbance=disturbance, **{name: value})
+    if disturbance == owner:
+        assert validate(cfg) == cfg
+        return
+    with pytest.raises(InputError) as info:
+        validate(cfg)
+    assert str(info.value) == (
+        f"{name} is set but the disturbance is {disturbance}; it shapes only "
+        f"the {owner} disturbance"
+    )
+    # the default value is not a setting
+    default = getattr(RunConfig, name)
+    validate(RunConfig(disturbance=disturbance, **{name: default}))
+
+
 def test_build_system():
     system = build_system(RunConfig(dim=5))
     assert isinstance(system, IntegratorChain)

@@ -13,6 +13,7 @@ from rkhs_reach import _backend, oracle
 from rkhs_reach import (
     BetaDisturbance,
     BoxSet,
+    ConstantPolicy,
     CWHSystem,
     GaussianDisturbance,
     InputError,
@@ -296,6 +297,39 @@ def test_dp_plain_function_matches_zero_policy_bitwise(setup):
     np.testing.assert_array_equal(got.values, want.values)
     # evaluation points at k = 2, 1, 0; the grid at k = 2, 1
     assert sorted(steps["class"]) == sorted(steps["function"]) == [0, 1, 1, 2, 2]
+
+
+class DenseChain:
+    """A 2-D system with only ``n`` and ``step``: the chain's dense ``x A' + u B'``."""
+
+    n = 2
+
+    def __init__(self, sampling_time):
+        chain = IntegratorChain(2, sampling_time)
+        self.a, self.b = chain.dense_a(), chain.dense_b()
+
+    def step(self, states, controls, disturbances):
+        assert disturbances is None  # the oracle integrates the noise itself
+        return states @ self.a.T + controls @ self.b.T
+
+
+@pytest.mark.parametrize(
+    "policy", [ZeroPolicy(1), ConstantPolicy([0.3])], ids=["zero", "constant"]
+)
+@pytest.mark.parametrize("sampling_time, tol", [(0.25, 0.0), (0.1, 1e-14)])
+def test_dp_needs_of_the_system_only_its_step(setup, policy, sampling_time, tol):
+    # the grid oracle's means are system.step(points, controls, None), so
+    # a stand-in with the dense product gives the chain's values: bit for
+    # bit at T = 0.25, where the banded and the dense product round alike
+    _, disturbance, problem, _ = setup
+    axis = np.linspace(-1.1, 1.1, 41)
+    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.column_stack([g1.ravel(), g2.ravel()])
+    chain = IntegratorChain(2, sampling_time)
+    want = dp_reach(chain, disturbance, problem, pts, policy).values
+    got = dp_reach(DenseChain(sampling_time), disturbance, problem, pts, policy).values
+    assert want.shape == (4, 41 * 41) and 0.0 < want[0].max() <= 1.0
+    assert np.abs(got - want).max() <= tol
 
 
 def test_both_oracles_refuse_controls_of_another_width(setup):
