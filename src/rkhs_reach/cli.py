@@ -284,6 +284,26 @@ def _cmd_compare(args):
     return 0
 
 
+def _time_dimension(cfg, n, repeats):
+    """Median seconds of fit plus recursion at dimension ``n``, and the value at 0.
+
+    Each fit is dropped once its field is made, and the sample on
+    return, so no dimension's arrays are live while the next is drawn.
+    """
+    cfg_n = apply_overrides(cfg, {"dim": n})
+    system = build_system(cfg_n)
+    policy = build_policy(cfg_n, system)
+    sample = _draw_sample(cfg_n, system, policy)
+    problem = build_problem(cfg_n, n)
+    x0 = np.zeros((1, n))
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        field = value_recursion(_fit(cfg, sample), problem, x0, policy)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), field.values[0, 0]
+
+
 def _cmd_bench_dims(args):
     cfg = _load_config(args)
     if cfg.system != "integrator":
@@ -293,21 +313,7 @@ def _cmd_bench_dims(args):
     _check_count(args.repeats, "--repeats", 1)
     rows = []
     for n in dims:
-        cfg_n = apply_overrides(cfg, {"dim": n})
-        system = build_system(cfg_n)
-        policy = build_policy(cfg_n, system)
-        sample = _draw_sample(cfg_n, system, policy)
-        problem = build_problem(cfg_n, n)
-        x0 = np.zeros((1, n))
-        times = []
-        value = None
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            emb = _fit(cfg, sample)
-            field = value_recursion(emb, problem, x0, policy)
-            times.append(time.perf_counter() - t0)
-            value = field.values[0, 0]
-        med = statistics.median(times)
+        med, value = _time_dimension(cfg, n, args.repeats)
         rows.append((float(n), med, value))
         print(
             f"n={n} seconds={med:.3f} value={value:.6f} "

@@ -2,22 +2,27 @@
 
 A point set comes in column parts side by side, such as a sample's
 states and its controls. No other module joins them: the parts become
-one row only in the buffer where they are centered and lifted, on the
-sample side of a fit and on the query side of each cross alike.
+one row only in the kernel's block buffers, where they are centered,
+and lifted for a cross.
 
-A cross matrix is one BLAS product. Both point sets are first shifted
-by the mean ``c`` of the ``a`` rows, which leaves the kernel unchanged
-and keeps points far from the origin from cancelling away their
-distance. The exponent ``-gamma |a' - b'|^2`` then expands to the
-product of the lifted rows ``[2 gamma a', -gamma |a'|^2, 1]`` and
-``[b', 1, -gamma |b'|^2]``. Clamping it at 0 (cancellation can leave a
-small positive exponent for near-coincident points) and exponentiating
-in place makes one matrix-sized array in two elementwise passes. A side
-used in many crosses, such as a fitted sample, is lifted once with
-:meth:`RBFKernel.lift`. A Gram matrix takes the half-cost symmetric
-product of the centered points with themselves instead, and a fit takes
-both from one buffer of centered rows (:meth:`RBFKernel.gram` with
-``lift``).
+A cross matrix is a BLAS product. Both point sets are first shifted
+by one center ``c``, by default the mean of the ``a`` rows, which leaves
+the kernel unchanged and keeps points far from the origin from
+cancelling away their distance. The exponent ``-gamma |a' - b'|^2`` then
+expands to the product of the lifted rows ``[2 gamma a', -gamma |a'|^2,
+1]`` and ``[b', 1, -gamma |b'|^2]``. Clamping it at 0 (cancellation can
+leave a small positive exponent for near-coincident points) and
+exponentiating in place makes one matrix-sized array in two elementwise
+passes. The query side is lifted whole and the ``a`` side, such as a
+fitted sample, in row blocks of 256 KB (or of as many rows as the query
+side, if more), each multiplied into its rows of the matrix. A Gram
+matrix takes the half-cost symmetric product of the centered points
+with themselves instead, summed over column blocks of 1024 columns (or
+of M, if more). So neither makes a copy of the ``a`` points, and a fit
+keeps only its sample's parts and their center (:func:`center`). Points
+that fit one block give the bits of one product; in more blocks the
+sums are split, which moves the values by round-off (at n = 10 000 and
+64 points, 5.9e-16 relative in the Gram matrix and 4.5e-16 in a cross).
 
 A bandwidth that is tiny against the points' distance from their mean
 is an open limit of the cross matrix: the lifted product rounds
@@ -33,10 +38,18 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["RBFKernel", "LiftedRows"]
+__all__ = ["RBFKernel", "center"]
 
-# entries of the norm-sum block in RBFKernel.gram (256 KB)
+# entries of a block of norm sums in RBFKernel.gram, and of lifted sample
+# rows in RBFKernel.cross unless the query side is larger (256 KB)
 _GRAM_BLOCK = 32768
+
+# fewest columns of a block of centered points in RBFKernel.gram, which
+# is also at least as wide as the matrix is tall: at M = 1024 and
+# n = 10 000 blocks of 32, 256 and 1024 columns took 2.0, 0.40 and
+# 0.23 s, one block 0.19 s; at M = 256, 128 and 1024 columns took 43
+# and 23 ms, one block 18 ms (OpenBLAS, 2-vCPU x86 VM)
+_GRAM_COLUMNS = 1024
 
 
 def _point_set(a):
@@ -48,38 +61,66 @@ def _point_set(a):
     return a
 
 
-def _centered(parts, center=None):
-    """The rows of ``parts`` side by side, ``a``, centered on ``center``.
+def _parts(parts, center=None):
+    """The checked point sets ``parts``, side by side, and their center.
 
-    They are written as ``a' = a - c`` into the first columns of a buffer
-    with two more, which :func:`_lift_in_place` fills; returns the buffer
-    and ``c``, by default the rows' mean. The kernel is
-    translation-invariant, and centering both sides of a cross on one
-    point keeps ``|a'|^2`` small, so an offset far from the origin does
-    not cancel away the distance.
+    The center is ``center`` when given, which must be as long as the
+    rows side by side, and else the rows' mean. numpy sums each column
+    of a wider array in row order but a lone column pairwise, so a
+    one-column part beside others is summed as two: the mean has the
+    bits of the mean of the joined rows.
     """
     parts = [_point_set(p) for p in parts]
     m = parts[0].shape[0]
     if any(p.shape[0] != m for p in parts):
         raise InputError("point sets side by side must have equal row counts")
     d = sum(p.shape[1] for p in parts)
-    if center is not None and center.shape[0] != d:
+    if center is None:
+        means = [
+            (np.broadcast_to(p, (m, 2)) if p.shape[1] == 1 < d else p).mean(axis=0)
+            for p in parts
+        ]
+        center = np.concatenate([c[: p.shape[1]] for c, p in zip(means, parts)])
+    elif center.shape[0] != d:
         raise InputError(
             f"point sets have mixed dimensions {center.shape[0]} and {d}"
         )
-    out = np.empty((m, d + 2))
-    rows = out[:, :d]
-    np.concatenate(parts, axis=1, out=rows)
-    if center is None:
-        center = rows.mean(axis=0)
-    rows -= center
-    return out, center
+    return parts, center
+
+
+def center(points, *more):
+    """The mean of the rows of ``points`` and the point sets in ``more`` side by side.
+
+    Both sides of a kernel matrix are centered on one point, by default
+    this mean of the ``a`` rows (:meth:`RBFKernel.cross`).
+    """
+    return _parts((points, *more))[1]
+
+
+def _shifted(parts, center, out, rows=slice(None), start=0):
+    """Write the rows ``a' = a - center`` of the parts side by side to ``out``.
+
+    Only the rows ``rows`` and the columns from ``start`` on, as many as
+    ``out`` has, are written; returns ``out``.
+    """
+    stop = start + out.shape[1]
+    j = 0
+    for p in parts:
+        lo, hi = max(start, j), min(stop, j + p.shape[1])
+        if lo < hi:
+            np.subtract(
+                p[rows, lo - j : hi - j], center[lo:hi],
+                out=out[:, lo - start : hi - start],
+            )
+        j += p.shape[1]
+    return out
 
 
 def _lift_in_place(out, gamma, left):
-    """Lift the centered rows ``a'`` of a :func:`_centered` buffer in place.
+    """Lift the centered rows ``a'`` in the first columns of ``out`` in place.
 
-    Left rows become ``[2 gamma a', -gamma |a'|^2, 1]``, right rows
+    ``out`` has two columns more than the rows. Left rows become
+    ``[2 gamma a', -gamma |a'|^2, 1]``, right rows
     ``[a', 1, -gamma |a'|^2]``.
     """
     d = out.shape[1] - 2
@@ -90,20 +131,6 @@ def _lift_in_place(out, gamma, left):
     out[:, one] = 1.0
     if left:
         rows *= 2.0 * gamma
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedRows:
-    """Left side of :meth:`RBFKernel.cross`, lifted once for many crosses.
-
-    Made by :meth:`RBFKernel.lift`; ``rows`` is ``[2 gamma a', -gamma
-    |a'|^2, 1]`` for the point set ``a`` centered on its mean,
-    ``a' = a - center``.
-    """
-
-    rows: np.ndarray
-    center: np.ndarray
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -141,61 +168,82 @@ class RBFKernel:
         """Exponent scale ``1 / (2 sigma^2)``."""
         return 1.0 / (2.0 * self.sigma * self.sigma)
 
-    def lift(self, points, *more):
-        """The rows of ``points`` lifted for use as ``a`` in :meth:`cross`.
-
-        The rows of the point sets in ``more`` go beside them, as in
-        :meth:`gram`.
-        """
-        out, center = _centered((points, *more))
-        _lift_in_place(out, self.gamma, left=True)
-        return LiftedRows(out, center, self.gamma)
-
-    def cross(self, a, b, *more, out=None):
+    def cross(self, a, b, *more, center=None, out=None):
         """Matrix of kernel values between the rows of ``a`` and of ``b``.
 
-        ``a`` is a point set or its :meth:`lift`; both give the same bits.
-        The rows of the point sets in ``more`` go beside those of ``b``,
-        as in :meth:`gram`, and are centered and lifted with them. As
-        with numpy's ``out``, the matrix is written to ``out`` when
-        given, a float array of its shape, with the same bits.
+        ``a`` is a point set or a tuple of point sets side by side, such
+        as a sample's states and controls, and the rows of the point sets
+        in ``more`` go beside those of ``b``; either way gives the bits
+        of the joined points. Both sides are centered on ``center``, by
+        default the mean of the ``a`` rows (:func:`center`). The query
+        side is lifted whole, the ``a`` side in blocks of at most
+        ``_GRAM_BLOCK`` entries or as many rows as the query side has,
+        whichever is more, each block's product written to its rows of
+        the matrix, so no lifted copy of ``a`` is made. As with
+        numpy's ``out``, the matrix is written to ``out`` when given, a
+        float array of its shape, with the same bits.
         """
-        if not isinstance(a, LiftedRows):
-            a = self.lift(a)
-        elif a.gamma != self.gamma:
-            raise InputError("lifted rows belong to a kernel of another bandwidth")
-        right, _ = _centered((b, *more), a.center)
-        _lift_in_place(right, self.gamma, left=False)
-        e = np.matmul(a.rows, right.T, out=out)
-        np.minimum(e, 0.0, out=e)
-        return np.exp(e, out=e)
+        left, center = _parts(a if isinstance(a, tuple) else (a,), center)
+        right, _ = _parts((b, *more), center)
+        d = center.shape[0]
+        query = np.empty((right[0].shape[0], d + 2))
+        _shifted(right, center, query[:, :d])
+        _lift_in_place(query, self.gamma, left=False)
+        m, p = left[0].shape[0], query.shape[0]
+        if out is None:
+            out = np.empty((m, p))
+        elif out.shape != (m, p):
+            # as numpy's out: the blocks alone would pass extra rows
+            raise ValueError(f"out has shape {out.shape}, the cross has {(m, p)}")
+        # a block of fewer rows than the query side re-reads its lifted
+        # copy per block: at M = P = 1024 and n = 10 000, 3-row blocks
+        # took 2.4 s and one block 0.37 s
+        rows = max(_GRAM_BLOCK // (d + 2), p)
+        block = np.empty((min(rows, m), d + 2))
+        for s in range(0, m, rows):
+            lifted = block[: m - s]
+            _shifted(left, center, lifted[:, :d], rows=slice(s, s + rows))
+            _lift_in_place(lifted, self.gamma, left=True)
+            np.matmul(lifted, query.T, out=out[s : s + rows])
+        np.minimum(out, 0.0, out=out)
+        return np.exp(out, out=out)
 
-    def gram(self, points, *more, lift=False):
+    def gram(self, points, *more):
         """Symmetric PSD matrix of pairwise kernel values over the points.
 
         The points are the rows of ``points`` and of the point sets in
         ``more`` side by side, such as a sample's states and controls,
         which are never joined into a separate array. The rows are
-        centered on their mean, ``a' = a - c``, and ``g = a' a'^T`` is
-        one symmetric product (a rank-k update in BLAS). With
-        ``|a'_i|^2 = g_ii`` from its diagonal, the distance
+        centered on their mean (:func:`center`), ``a' = a - c``, and
+        ``g = a' a'^T`` is summed over blocks of ``_GRAM_COLUMNS``
+        columns, or of M if more, each block centered in one buffer and
+        multiplied by itself in one symmetric product (a rank-k update
+        in BLAS), so no centered copy of the points is made. Points that fit one block give the bits of one product.
+        With ``|a'_i|^2 = g_ii`` from its diagonal, the distance
         ``(g_ii + g_jj) - 2 g_ij`` is symmetric to the bit and exactly 0
         on the diagonal, so the matrix is too, with a unit diagonal.
-
-        With ``lift``, returns ``(matrix, lifted)``, where ``lifted`` has
-        the bits of :meth:`lift` of the same points: the centered rows
-        are lifted in place once the product has read them, so a fit
-        holds one copy of its sample's points, the lifted rows.
         """
-        out, center = _centered((points, *more))
-        a = out[:, : center.shape[0]]
-        g = a @ a.T
+        parts, center = _parts((points, *more))
+        m, d = parts[0].shape[0], center.shape[0]
+        width = max(_GRAM_COLUMNS, m)
+        block = np.empty((m, min(width, d)))
+        g = product = None
+        # past the first block each product goes through one more M x M
+        # matrix; blocks are at least M wide, so only points wider than M
+        # need it
+        for s in range(0, max(d, 1), width):
+            a = _shifted(parts, center, block[:, : d - s], start=s)
+            if g is None:
+                g = a @ a.T
+            else:
+                product = np.matmul(a, a.T, out=product)
+                g += product
+        del block, product
         sq = g.diagonal().copy()
         g *= -2.0
         # the norm sums go in by row blocks: a full-size sum array, freed
         # after the result was allocated, left a heap hole that added its
         # size to the peak memory of the weight sweeps after the fit
-        m = sq.shape[0]
         rows = max(1, _GRAM_BLOCK // m)
         sums = np.empty((min(rows, m), m))
         for s in range(0, m, rows):
@@ -207,7 +255,4 @@ class RBFKernel:
         np.maximum(g, 0.0, out=g)
         g *= -self.gamma
         np.exp(g, out=g)
-        if not lift:
-            return g
-        _lift_in_place(out, self.gamma, left=True)
-        return g, LiftedRows(out, center, self.gamma)
+        return g

@@ -53,6 +53,11 @@ def _state_rows(points, dim):
 # (numpy 2.4, 2-vCPU x86 VM)
 _NARROW_ROW = 8
 
+# booleans per comparison in one block of wider rows: the two
+# comparisons hold 256 KB, not two (P, n) masks (4.9 MiB for the
+# successors at n = 10 000 and 256 samples)
+_BOX_BLOCK = 131072
+
 
 class BoxSet:
     """Axis-aligned box with inclusive faces: lower <= x <= upper."""
@@ -77,10 +82,19 @@ class BoxSet:
         points = _state_rows(points, self.dim)
         # the per-row AND runs along memory: column-major for narrow rows,
         # where reducing a few bytes per row costs more than the compares
-        order = "F" if self.dim <= _NARROW_ROW else "C"
-        inside = np.greater_equal(points, self.lower, order=order)
-        inside &= np.less_equal(points, self.upper, order=order)
-        return np.logical_and.reduce(inside, axis=1)
+        if self.dim <= _NARROW_ROW:
+            inside = np.greater_equal(points, self.lower, order="F")
+            inside &= np.less_equal(points, self.upper, order="F")
+            return np.logical_and.reduce(inside, axis=1)
+        out = np.empty(points.shape[0], dtype=bool)
+        rows = max(1, _BOX_BLOCK // self.dim)
+        above, below = np.empty((2, min(rows, points.shape[0]), self.dim), dtype=bool)
+        for s in range(0, points.shape[0], rows):
+            block = points[s : s + rows]
+            inside = np.greater_equal(block, self.lower, out=above[: len(block)])
+            inside &= np.less_equal(block, self.upper, out=below[: len(block)])
+            np.logical_and.reduce(inside, axis=1, out=out[s : s + rows])
+        return out
 
 
 class PredicateSet:

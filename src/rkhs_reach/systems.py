@@ -72,7 +72,10 @@ class _LinearSystem:
                 f"{self.name} states must have {self.n} components, "
                 f"got {states.shape[1]}"
             )
-        if controls is not None and np.size(controls) > 0:
+        # None is the one way to give no control: an array with no
+        # entries is checked like any other, so a policy's (P, 0) output
+        # is an error, not a silently uncontrolled step
+        if controls is not None:
             controls = np.atleast_2d(np.asarray(controls, dtype=np.float64))
             if controls.shape != (states.shape[0], self.m):
                 raise InputError(
@@ -84,8 +87,6 @@ class _LinearSystem:
                 warnings.warn(
                     f"controls exceed the declared bound {bound}", stacklevel=2
                 )
-        else:
-            controls = None
         return self._update(states, controls, disturbances)
 
 
@@ -476,7 +477,8 @@ def generate_transitions(system, policy, state_sampler, disturbance, count, seed
     :func:`~rkhs_reach._backend.block_rows`, each block's successors
     written into the sample as it is done, so besides the states and the
     successors only a block's worth of noise is live (at n = 10 000 and
-    256 samples, 42.6 MiB traced at the peak). A disturbance's
+    256 samples, 40.5 MiB traced at the peak by ``tools/phase_peaks.py``,
+    against 39.1 MiB of states and successors). A disturbance's
     ``draw(rng, k)`` must therefore give the same rows whether it is
     called once or in consecutive pieces, as numpy's generators do when
     they fill arrays in order; :func:`~rkhs_reach.oracle.mc_reach`'s

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -716,6 +717,34 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
     rc, out, err = run(capsys, "compare", str(good), str(nan))
     assert rc == 4 and "nan.csv" in err and "finite" in err
     assert out == ""
+
+
+def _traced_peak(capsys, *argv):
+    tracemalloc.start()
+    try:
+        rc = main(list(argv))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    return peak
+
+
+@pytest.mark.parametrize("dims, repeats", [("2,N", "1"), ("N,N", "1"), ("N", "2")])
+def test_bench_dims_holds_one_dimension_at_a_time(capsys, dims, repeats):
+    # 64 samples at n = 20 000: 10 MB per M x n array. Each dimension's
+    # sample, fit and field go before the next dimension is drawn, and
+    # each fit before the next repeat's, so more dimensions or repeats
+    # add no sample-sized array to the peak of one
+    n = 20_000
+    bench = ("bench-dims", "--samples", "64", "--seed", "3")
+    _traced_peak(capsys, *bench, "--dims", "2", "--repeats", "1")
+    one = _traced_peak(capsys, *bench, "--dims", str(n), "--repeats", "1")
+    more = _traced_peak(
+        capsys, *bench, "--dims", dims.replace("N", str(n)), "--repeats", repeats
+    )
+    assert more <= one + 2**20, (more - one) / 2**20
+    assert one <= 2.5 * 64 * n * 8, one / (64 * n * 8)
 
 
 def test_every_config_field_has_a_flag(tmp_path):

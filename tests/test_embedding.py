@@ -26,6 +26,7 @@ from rkhs_reach import (
     mc_reach,
     ReachProblem,
 )
+from rkhs_reach import kernels
 from rkhs_reach.embedding import _BASE_ROWS, _invert
 
 from bench_setup import BENCH_LAMBDA, BENCH_NOISE_SD, BENCH_SIGMA, make_bench_sample
@@ -159,10 +160,11 @@ def _cross_on_raw_rows(emb, states, controls):
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_weights_match_cross_on_raw_rows(normalize):
-    # the fit lifts the sample rows once; that must give the same bits as
-    # a cross kernel on the raw joint rows wherever the weights read the
-    # query controls: in raw mode, and on a sample whose controls vary;
-    # weights and kernel matrix written to given buffers keep the bits
+    # the fit keeps the sample's parts and their center; each batch's
+    # cross must give the same bits as a cross kernel on the raw joint
+    # rows wherever the weights read the query controls: in raw mode,
+    # and on a sample whose controls vary; weights and kernel matrix
+    # written to given buffers keep the bits
     constant = make_bench_sample(256, 1)
     rng = np.random.default_rng(10)
     varying = TransitionSample(
@@ -183,8 +185,11 @@ def test_weights_match_cross_on_raw_rows(normalize):
         w, k = np.full((2, sample.count, 50), np.nan)
         assert emb.weights(states, controls, out=(w, k)) is w
         np.testing.assert_array_equal(w, want)
-        cross = emb.kernel.cross(emb._lifted, states, controls)
+        parts = (sample.states, sample.controls)
+        assert emb._center.tobytes() == kernels.center(*parts).tobytes()
+        cross = emb.kernel.cross(parts, states, controls, center=emb._center)
         np.testing.assert_array_equal(k, cross)
+        np.testing.assert_array_equal(k, emb.kernel.cross(parts, states, controls))
 
 
 def test_normalized_weights_on_a_constant_sample_ignore_query_controls():
@@ -270,11 +275,13 @@ def test_fit_traced_peak_is_about_two_matrices():
     assert peak <= 2.1 * m * m * 8, peak / (m * m * 8)
 
 
-def test_fit_of_a_wide_sample_holds_one_copy_of_its_points():
+def test_fit_of_a_wide_sample_holds_no_copy_of_its_points():
     # 64 samples of a 40 000-dimensional state: 20 MB per M x n array.
-    # The fit may add the lifted rows and O(M^2) (the Gram matrix, the
-    # inverse and their blocks, all under 1 MB here); joining states and
-    # controls and centering a copy for the Gram matrix added two arrays
+    # The fit may add O(M^2) (the Gram matrix, the product of a column
+    # block, the inverse and its blocks, 32 KB each here), one 512 KB
+    # block of centered columns and the center (320 KB, and as much
+    # again while it is put together); a lifted copy of the points added
+    # 20 MB
     m, n = 64, 40_000
     rng = np.random.default_rng(8)
     states = rng.uniform(-1.0, 1.0, size=(m, n))
@@ -287,13 +294,18 @@ def test_fit_of_a_wide_sample_holds_one_copy_of_its_points():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    lifted = m * (n + 1 + 2) * 8
-    assert emb._lifted.rows.nbytes == lifted
-    assert peak <= lifted + 2**20, (peak - lifted) / 2**20
-    # the rows have the bits of lifting the same parts
-    want = kernel.lift(sample.states, sample.controls)
-    assert emb._lifted.rows.tobytes() == want.rows.tobytes()
-    assert emb._lifted.center.tobytes() == want.center.tobytes()
+    block = m * kernels._GRAM_COLUMNS * 8
+    assert peak <= 16 * m * m * 8 + block + 2 * (n + 1) * 8, peak / 2**20
+    assert not any(
+        isinstance(v, np.ndarray) and v.size >= m * n for v in vars(emb).values()
+    )
+    # the fit's center has the bits of the parts' mean, and its inverse
+    # those of the Gram matrix of the same parts
+    want = kernels.center(sample.states, sample.controls)
+    assert emb._center.tobytes() == want.tobytes()
+    gram = kernel.gram(sample.states, sample.controls)
+    want = _invert(gram + emb.lam * m * np.eye(m))
+    assert emb._inv.tobytes() == want.tobytes()
 
 
 # Runs in a fresh interpreter, so that the high-water mark of the resident

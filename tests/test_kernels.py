@@ -113,31 +113,165 @@ def test_far_pairs_underflow_to_exact_zero():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_lifted_rows_give_the_same_bits():
+def test_parts_and_a_given_center_give_the_same_bits():
     rng = np.random.default_rng(24)
     a = rng.normal(size=(33, 4))
     b = rng.normal(size=(17, 4))
     k = RBFKernel(0.6)
-    lifted = k.lift(a)
-    np.testing.assert_array_equal(k.cross(lifted, b), k.cross(a, b))
-    np.testing.assert_array_equal(k.cross(lifted, b[:1]), k.cross(a, b[:1]))
-    with pytest.raises(InputError, match="bandwidth"):
-        RBFKernel(0.7).cross(lifted, b)
+    c = kernels.center(a)
+    np.testing.assert_array_equal(k.cross(a, b, center=c), k.cross(a, b))
+    np.testing.assert_array_equal(k.cross(a, b[:1], center=c), k.cross(a, b[:1]))
+    # a center holds no bandwidth: under another kernel it gives that
+    # kernel's bits, not those of the kernel it was first used with
+    other = RBFKernel(0.7)
+    np.testing.assert_array_equal(other.cross(a, b, center=c), other.cross(a, b))
+    assert not np.array_equal(other.cross(a, b, center=c), k.cross(a, b))
     with pytest.raises(InputError, match="mixed dimensions"):
-        k.cross(lifted, b[:, :3])
+        k.cross(a, b[:, :3], center=c)
+    with pytest.raises(InputError, match="mixed dimensions"):
+        k.cross(a[:, :3], b[:, :3], center=c)
     # column parts side by side give the bits of the joined points, on
     # both sides; a part may be a broadcast view
-    parts = k.lift(a[:, :3], a[:, 3:])
-    assert parts.rows.tobytes() == lifted.rows.tobytes()
-    assert parts.center.tobytes() == lifted.center.tobytes()
+    parts = (a[:, :3], a[:, 3:])
+    assert kernels.center(*parts).tobytes() == c.tobytes()
+    np.testing.assert_array_equal(k.gram(*parts), k.gram(a))
     np.testing.assert_array_equal(k.cross(parts, b[:, :1], b[:, 1:]), k.cross(a, b))
     column = np.broadcast_to(b[:1, 3:], (17, 1))
     np.testing.assert_array_equal(
-        k.cross(lifted, b[:, :3], column),
+        k.cross(a, b[:, :3], column),
         k.cross(a, np.hstack([b[:, :3], column])),
     )
     with pytest.raises(InputError, match="mixed dimensions"):
-        k.cross(lifted, b, b[:, :1])
+        k.cross(a, b, b[:, :1])
+    with pytest.raises(InputError, match="mixed dimensions"):
+        k.cross(parts, b[:, :3])
+    # a given matrix must have the cross's shape, as numpy's out, also
+    # where the sample side takes several blocks that the extra rows of
+    # a taller matrix would all fit (32 points of 4094 coordinates, 8
+    # rows per block)
+    for shape in ((34, 17), (32, 17), (33, 16)):
+        with pytest.raises(ValueError):
+            k.cross(a, b, out=np.empty(shape))
+    wide, query = rng.normal(size=(32, 4094)), rng.normal(size=(3, 4094))
+    assert kernels._GRAM_BLOCK // 4096 == 8
+    for shape in ((40, 3), (33, 3), (32, 4)):
+        with pytest.raises(ValueError):
+            k.cross(wide, query, out=np.empty(shape))
+    out = np.empty((32, 3))
+    assert k.cross(wide, query, out=out) is out
+
+
+def _lifted(x, center, gamma, left):
+    # one lifted copy of the points, as the one-block path made it
+    d = x.shape[1]
+    out = np.empty((x.shape[0], d + 2))
+    rows = out[:, :d]
+    np.subtract(x, center, out=rows)
+    norm, one = (d, d + 1) if left else (d + 1, d)
+    np.einsum("ij,ij->i", rows, rows, out=out[:, norm])
+    out[:, norm] *= -gamma
+    out[:, one] = 1.0
+    if left:
+        rows *= 2.0 * gamma
+    return out
+
+
+def one_block_gram(points, gamma):
+    # the joined points centered in one copy and multiplied at once
+    a = points - points.mean(axis=0)
+    g = a @ a.T
+    sq = g.diagonal().copy()
+    g = np.maximum(np.add.outer(sq, sq) + -2.0 * g, 0.0)
+    return np.exp(g * -gamma)
+
+
+def one_block_cross(a, b, gamma):
+    # both sides lifted whole, one product
+    c = a.mean(axis=0)
+    e = _lifted(a, c, gamma, True) @ _lifted(b, c, gamma, False).T
+    return np.exp(np.minimum(e, 0.0))
+
+
+@pytest.mark.parametrize("m, widths", [(1024, (2, 1)), (300, (2, 1)), (64, (100, 1)),
+                                       (33, (1,)), (40, (3, 0, 2))])
+def test_points_in_one_block_give_the_bits_of_one_product(m, widths):
+    # uniform controls: a lone column's mean summed pairwise would move
+    # the center, and every entry with it, by an ulp
+    rng = np.random.default_rng(m)
+    parts = [rng.uniform(-1.0, 1.0, (m, w)) + 3.0 for w in widths]
+    query = [rng.uniform(-1.0, 1.0, (37, w)) + 3.0 for w in widths]
+    joined, joined_query = np.hstack(parts), np.hstack(query)
+    d = joined.shape[1]
+    assert m <= kernels._GRAM_BLOCK // (d + 2) and d <= kernels._GRAM_COLUMNS
+    k = RBFKernel(0.1 * np.sqrt(d))
+    assert k.gram(*parts).tobytes() == one_block_gram(joined, k.gamma).tobytes()
+    want = one_block_cross(joined, joined_query, k.gamma)
+    assert k.cross(tuple(parts), *query).tobytes() == want.tobytes()
+
+
+def _exponent_bound(a, b, gamma, terms):
+    # a sum of ``terms`` products moves by at most terms * eps times the
+    # sum of their sizes when it is split another way (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 3.1); the exponent's sums
+    # are at most 4 gamma r^2, for r the largest distance of a row of
+    # ``a`` or ``b`` from the mean of ``a``
+    c = a.mean(axis=0)
+    r2 = max(((x - c) ** 2).sum(axis=1).max() for x in (a, b))
+    return 4.0 * terms * np.finfo(float).eps * gamma * r2
+
+
+def test_wide_points_in_blocks_agree_with_one_product_to_round_off():
+    # 64 points of 10 001 coordinates: 1024 Gram columns per block, 5
+    # sample rows (as many as the query side has) per lifted block; the
+    # bandwidth keeps values near 1/2. The bound is 4.5e-12; the blocks
+    # read 5.9e-16 (Gram) and 4.5e-16 (cross) relative
+    m, n = 64, 10_000
+    rng = np.random.default_rng(25)
+    states = rng.uniform(-1.0, 1.0, (m, n))
+    controls = rng.uniform(-1.0, 1.0, (m, 1))
+    query = rng.uniform(-1.0, 1.0, (5, n)), rng.uniform(-1.0, 1.0, (5, 1))
+    joined = np.hstack([states, controls])
+    k = RBFKernel(np.sqrt(n / 3.0))
+    bound = _exponent_bound(joined, np.hstack(query), k.gamma, n + 3)
+    g = k.gram(states, controls)
+    np.testing.assert_array_equal(g, g.T)
+    np.testing.assert_array_equal(np.diag(g), 1.0)
+    want = one_block_gram(joined, k.gamma)
+    assert 0.05 < want.min() and not np.array_equal(g, want)
+    np.testing.assert_allclose(g, want, rtol=bound, atol=0.0)
+    got = k.cross((states, controls), *query)
+    want = one_block_cross(joined, np.hstack(query), k.gamma)
+    assert 0.05 < want.min()
+    np.testing.assert_allclose(got, want, rtol=bound, atol=0.0)
+
+
+def test_narrow_points_in_many_blocks_stay_symmetric_with_a_unit_diagonal(monkeypatch):
+    # blocks of 20 Gram columns (as wide as the matrix is tall) and of 9
+    # sample rows (as many as the query side has): 50 columns and 20
+    # rows give a shorter last block each way
+    monkeypatch.setattr(kernels, "_GRAM_COLUMNS", 2)
+    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 16)
+    m, widths = 20, (30, 20)
+    rng = np.random.default_rng(26)
+    parts = [rng.uniform(-1.0, 1.0, (m, w)) + 100.0 for w in widths]
+    joined = np.hstack(parts)
+    query = rng.uniform(-1.0, 1.0, (9, 50)) + 100.0
+    k = RBFKernel(4.0)
+    bound = _exponent_bound(joined, query, k.gamma, 52)
+    g = k.gram(*parts)
+    np.testing.assert_array_equal(g, g.T)
+    np.testing.assert_array_equal(np.diag(g), 1.0)
+    want = one_block_gram(joined, k.gamma)
+    assert 0.05 < want.min()
+    np.testing.assert_allclose(g, want, rtol=bound, atol=0.0)
+    want = one_block_cross(joined, query, k.gamma)
+    assert 0.05 < want.min()
+    np.testing.assert_allclose(
+        k.cross(tuple(parts), query), want, rtol=bound, atol=0.0
+    )
+    np.testing.assert_allclose(
+        g, direct_cross(joined, joined, k.gamma), rtol=1e-13, atol=0.0
+    )
 
 
 def test_same_point_is_one():

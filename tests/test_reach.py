@@ -695,7 +695,8 @@ def test_control_free_sample_rejects_maximization(monkeypatch):
 @pytest.mark.parametrize(
     "shape",
     [(1, 1), (65536, 2), (3, 4), (64, reach_module._NARROW_ROW),
-     (64, reach_module._NARROW_ROW + 1), (256, 10000), (1, 10000), (0, 3)],
+     (64, reach_module._NARROW_ROW + 1), (256, 10000), (1, 10000), (0, 3),
+     (0, 10000), (33, 9000)],
 )
 def test_box_contains_matches_the_row_wise_all(shape):
     rows, dim = shape
@@ -716,6 +717,24 @@ def test_box_contains_matches_the_row_wise_all(shape):
     np.testing.assert_array_equal(got, want)
     if rows > 4:
         assert got[1] and not got[4]  # a face row is inside, a NaN row not
+
+
+def test_box_contains_sweeps_wide_rows_in_blocks():
+    # the successors of bench-dims at n = 10 000: 256 rows of 19.5 MiB;
+    # the test may add the result and one block, not a (P, n) mask
+    rows, dim = 256, 10_000
+    box = BoxSet(-np.ones(dim), np.ones(dim))
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (rows, dim))
+    pts[::3, 7] = 1.5
+    box.contains(pts[:2])
+    tracemalloc.start()
+    try:
+        got = box.contains(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * reach_module._BOX_BLOCK + 2**16, peak
+    np.testing.assert_array_equal(got, np.arange(rows) % 3 != 0)
 
 
 def test_value_field_validation():

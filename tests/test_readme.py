@@ -89,7 +89,8 @@ def removed_names():
 def test_readme_lists_the_latest_removals():
     names = removed_names()
     for name in ("RBFKernel.vector", "Embedding.expectation",
-                 "TransitionSample.joint", "IntegratorChain.apply_a"):
+                 "TransitionSample.joint", "IntegratorChain.apply_a",
+                 "RBFKernel.lift", "kernels.LiftedRows"):
         assert name in names
 
 

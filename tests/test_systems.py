@@ -14,17 +14,21 @@ from rkhs_reach import (
     AffinePolicy,
     BetaDisturbance,
     BoxSampler,
+    BoxSet,
     ConstantPolicy,
     CWHSystem,
     GaussianDisturbance,
     InputError,
     IntegratorChain,
     NumericalError,
+    ReachProblem,
     ZeroDisturbance,
     ZeroPolicy,
     cwh_lqr_policy,
     cwh_sets,
+    dp_reach,
     generate_transitions,
+    mc_reach,
 )
 
 
@@ -177,6 +181,42 @@ def test_integrator_validates_inputs():
         chain.step(np.zeros((2, 5)), None, None)
     with pytest.raises(InputError, match="3 components"):
         chain.step(np.zeros((2, 2)), np.zeros((2, 1)), None)
+
+
+def test_step_refuses_a_control_array_with_no_entries():
+    # None is the one way to give no control: a policy's (P, 0) output
+    # for the 1-control integrator ran uncontrolled in all three callers
+    def empty(k, states):
+        return np.empty((len(states), 0))
+
+    system = IntegratorChain(2)
+    for controls in (np.empty((3, 0)), np.empty(0), [[]]):
+        with pytest.raises(InputError, match="controls must have shape"):
+            system.step(np.zeros((3, 2)), controls, None)
+    problem = ReachProblem(
+        BoxSet([-1.0, -1.0], [1.0, 1.0]), BoxSet([-0.5, -0.5], [0.5, 0.5]), 2
+    )
+    noise = GaussianDisturbance([0.1, 0.1])
+    callers = {
+        "dp_reach": lambda: dp_reach(
+            system, noise, problem, [[0.5, 0.5]], empty, shape=(41, 41)
+        ),
+        "mc_reach": lambda: mc_reach(
+            system, noise, problem, empty, np.array([[0.5, 0.5]]), 100, seed=0
+        ),
+        "generate_transitions": lambda: generate_transitions(
+            system, empty, BoxSampler([-1.0, -1.0], [1.0, 1.0]), noise, 16, 0
+        ),
+    }
+    for name, call in callers.items():
+        with pytest.raises(InputError, match="controls must have shape"):
+            call()
+    # a batch of no states still steps, with no controls or with (0, m)
+    for controls in (None, np.zeros((0, 1))):
+        out = system.step(np.zeros((0, 2)), controls, np.zeros((0, 2)))
+        assert out.shape == (0, 2)
+    out = CWHSystem().step(np.zeros((0, 4)), np.zeros((0, 2)), None)
+    assert out.shape == (0, 4)
 
 
 # ----------------------------------------------------------------------- cwh
