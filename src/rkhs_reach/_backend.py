@@ -10,15 +10,20 @@ the other two terms to each block while it is there. Every
 ``IntegratorChain.step`` runs it: the transition sampler's, the Monte
 Carlo oracle's rollouts and the grid oracle's means. The second is the
 quadrature-plus-interpolation sweep of the grid oracle, a blocked matrix
-contraction. The Gaussian cross-kernel matrix is computed in
+contraction. It builds each quadrature rule once per distinct mean of
+a block of queries, not once per query: the grid oracle's means repeat,
+3 803 distinct first-axis and 201 second-axis means among the 40 401
+queries of a 201 x 201 grid, 1 890 and 101 among the 10 201 of a
+101 x 101 one. The Gaussian cross-kernel matrix is computed in
 ``RBFKernel.cross``.
 
 ``chain_apply`` runs in numpy's elementwise loops, single-threaded but
-for its one BLAS product of the controls; ``oracle.mc_reach`` steps
-rollouts of the chain on several threads of its own (the chain's
-``threaded_rollouts``). ``dp_backup`` is threaded only inside its BLAS
-matrix products. Both are deterministic: the same inputs give the same
-bits.
+for its BLAS product of the controls, which a row block of all-zero
+controls skips, so the zero policy's rollouts make no BLAS call;
+``oracle.mc_reach`` steps rollouts of the chain on several threads of
+its own (the chain's ``threaded_rollouts``). ``dp_backup`` is threaded
+only inside its BLAS matrix products. Both are deterministic: the same
+inputs give the same bits.
 
 The benchmark's tracer (``perfbench/tracing.py``) patches
 ``chain_apply`` and ``dp_backup`` by name and its worker records
@@ -31,6 +36,7 @@ __all__ = [
     "active_backend",
     "block_rows",
     "chain_apply",
+    "distinct",
     "dp_backup",
 ]
 
@@ -71,7 +77,9 @@ def chain_apply(coeffs, x, u=None, bt=None, w=None):
     product. Every entry sums its products in diagonal order starting
     from 0.0, then adds its control product and then its disturbance,
     the order of three passes over the whole array, so the result does
-    not depend on the block size. The output is the only array of the
+    not depend on the block size. ``bt`` must be finite, as the chain's
+    input matrix is: then a block whose controls are all zero skips its
+    product with the same bits. The output is the only array of the
     size of ``x`` that the call allocates.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
@@ -89,7 +97,10 @@ def chain_apply(coeffs, x, u=None, bt=None, w=None):
             prod = scratch[:k, : n - j]
             np.multiply(xb[:, j:], coeffs[j], out=prod)
             ob[:, : n - j] += prod
-        if u is not None:
+        # zero controls times a finite bt add +-0.0 to sums that start from
+        # +0.0 and so never hold -0.0, which changes no bit: such a block
+        # skips its product
+        if u is not None and u[s : s + block].any():
             np.matmul(u[s : s + block], bt, out=scratch[:k])
             ob += scratch[:k]
         if w is not None:
@@ -141,6 +152,31 @@ def _cells(t, w, lo, h, n):
 _BACKUP_BLOCK = 1024
 
 
+def distinct(x):
+    """The distinct entries of the 1-D array ``x`` and each entry's index.
+
+    Entries are told apart by bit pattern, so +0.0 and -0.0 stay apart.
+    Returns ``(values, at)`` with ``values[at]`` equal to ``x`` as
+    float64, bit for bit. ``values`` is sorted by bit pattern and ``at``
+    is an index array; when no entry repeats, ``values`` is ``x`` itself
+    and ``at`` a whole slice, so that gathering by it takes a view.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    bits = x.view(np.int64)
+    keys = np.sort(bits)
+    starts = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    if starts.all():
+        return x, slice(None)
+    keys = keys[starts]
+    return keys.view(np.float64), np.searchsorted(keys, bits)
+
+
+def _split(m, sd, lo, hi, h, n, glx, glw):
+    # the cells of the rule at each of the values m
+    return _cells(*_axis_rule(m, sd, lo, hi, glx, glw), lo, h, n)
+
+
 def dp_backup(values, origin, steps, sds, means, glx, glw):
     """One Gaussian-quadrature backup of a 2-D grid field.
 
@@ -160,15 +196,29 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     times hat function ``a`` at the first-axis nodes and ``c2`` the same
     on the second axis. Queries are sorted by their first-axis mean and
     run in blocks of ``_BACKUP_BLOCK``. A block's ``c1`` rows are built
-    with ``np.bincount`` over the band of grid rows the block touches and
-    contracted with that band of ``values`` in one matrix product; the
-    result is then read at each query's second-axis cells.
+    with ``np.bincount`` over the band of grid rows the block touches,
+    gathered one per query and contracted with that band of ``values``
+    in one matrix product; the result is then read at each query's
+    second-axis cells.
+
+    A rule, its cells and its ``c1`` row depend on the query only
+    through its mean on that axis, so within a block they are built once
+    per distinct mean on each axis (``distinct``) and gathered per
+    query; a block whose means on an axis do not repeat gathers nothing
+    there. Each entry is computed as it would be per query, so the
+    result has the same bits. The band product stays on the gathered
+    rows: on the distinct rows alone, a product of another shape, it
+    moved values by an ulp.
 
     Cost: the band is the +-4 sd window, ``8 * sd / step + 2`` grid rows
     at most ``n1``, plus the block's spread of means, so the product
-    costs about that many times ``n2`` multiply-adds per query; the rest
-    is ``O(quad_nodes)`` per query. At a fixed ``sd`` a finer grid makes
-    each query dearer, in proportion to the number of grid nodes.
+    costs about that many times ``n2`` multiply-adds per query; the
+    rules cost ``O(quad_nodes)`` per distinct mean of a block and the
+    gathers ``O(quad_nodes)`` per query. At a fixed ``sd`` a finer grid
+    makes each query dearer, in proportion to the number of grid nodes.
+    The grid oracle's means repeat: at 201 x 201 on the 2-D benchmark its
+    40 401 grid queries hold 3 803 distinct first-axis means and 201
+    second-axis ones, and its 10 201 evaluation queries 1 890 and 101.
     """
     values = _as2d(values)
     means = _as2d(means)
@@ -183,23 +233,21 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     order = np.argsort(means[:, 0], kind="stable")
     for s in range(0, means.shape[0], _BACKUP_BLOCK):
         q = order[s : s + _BACKUP_BLOCK]
-        rows = np.arange(q.shape[0])[:, None]
-        t1, w1 = _axis_rule(means[q, 0], sd1, a1, b1, glx, glw)
-        i1, lo1, hi1 = _cells(t1, w1, a1, h1, n1)
+        m1, of1 = distinct(means[q, 0])
+        i1, lo1, hi1 = _split(m1, sd1, a1, b1, h1, n1, glx, glw)
         first = int(i1.min())
         band = int(i1.max()) + 2 - first
-        at = rows * band + (i1 - first)
+        at = np.arange(i1.shape[0])[:, None] * band + (i1 - first)
         c1 = np.bincount(
             np.concatenate([at.ravel(), at.ravel() + 1]),
             weights=np.concatenate([lo1.ravel(), hi1.ravel()]),
-            minlength=q.shape[0] * band,
-        )
-        u = (c1.reshape(-1, band) @ values[first : first + band]).ravel()
-        t2, w2 = _axis_rule(means[q, 1], sd2, a2, b2, glx, glw)
-        i2, lo2, hi2 = _cells(t2, w2, a2, h2, n2)
-        at = rows * n2 + i2
-        out[q] = np.einsum("pk,pk->p", u[at], lo2) + np.einsum(
-            "pk,pk->p", u[at + 1], hi2
+            minlength=i1.shape[0] * band,
+        ).reshape(-1, band)
+        u = (c1[of1] @ values[first : first + band]).ravel()
+        m2, of2 = distinct(means[q, 1])
+        i2, lo2, hi2 = _split(m2, sd2, a2, b2, h2, n2, glx, glw)
+        at = np.arange(q.shape[0])[:, None] * n2 + i2[of2]
+        out[q] = np.einsum("pk,pk->p", u[at], lo2[of2]) + np.einsum(
+            "pk,pk->p", u[at + 1], hi2[of2]
         )
     return out
-

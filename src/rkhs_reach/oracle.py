@@ -45,8 +45,14 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _normal_cdf(z):
-    """The standard normal CDF, ``erfc(-z / sqrt(2)) / 2`` per element."""
-    return 0.5 * _erfc(-z / math.sqrt(2.0)).astype(np.float64)
+    """The standard normal CDF, ``erfc(-z / sqrt(2)) / 2`` per element.
+
+    ``math.erfc`` runs once per distinct argument of the 1-D ``z``, told
+    apart by bit pattern: the grid oracle's means repeat.
+    """
+    arg = -np.asarray(z, dtype=np.float64) / math.sqrt(2.0)
+    arg, at = _backend.distinct(arg)
+    return 0.5 * _erfc(arg).astype(np.float64)[at]
 
 
 def _box_hit_probability(means, box, sd):
@@ -236,10 +242,13 @@ def mc_reach(
     at n = 2), and the threads stop at as many as fit in
     ``_MC_POOL_BYTES`` (128 MB) together; a chunk larger than that runs
     on one thread. Only a system whose ``threaded_rollouts`` is true
-    gets more than one thread: a system that steps through BLAS
-    products, such as :class:`~rkhs_reach.systems.CWHSystem`, runs
+    gets more than one thread: a system whose every step is a BLAS
+    product, such as :class:`~rkhs_reach.systems.CWHSystem`, runs
     slower on several, because each product waits for OpenBLAS's own
-    thread pool.
+    thread pool. The integrator chain's step makes one BLAS product,
+    its control product, in each row block whose controls are not all
+    zero: under the zero policy its rollouts make no BLAS call, and
+    under a nonzero control each thread's blocks call OpenBLAS.
 
     When a start raises, the starts after it stop at their next chunk
     and those before it run on; once every thread has ended, the error

@@ -294,6 +294,10 @@ class CWHSystem(_LinearSystem):
         return GaussianDisturbance(np.sqrt([1e-4, 1e-4, 5e-8, 5e-8]))
 
 
+# entries of the scale tile that GaussianDisturbance.draw multiplies by
+_DRAW_TILE = 4096
+
+
 class GaussianDisturbance:
     """Independent zero-mean Gaussian noise per state component."""
 
@@ -316,10 +320,17 @@ class GaussianDisturbance:
         the standard normal stream, so scaling ``standard_normal`` in
         place gives the same bits (but for the sign of an exact zero,
         which ``0.0 +`` clears) without the broadcast over a vector of
-        scales.
+        scales. The draws are scaled as one flat array against ``sd``
+        repeated over whole rows to about ``_DRAW_TILE`` entries, so that
+        numpy's inner loop runs over a tile, not over one short row.
         """
         draws = rng.standard_normal((count, self.dim))
-        draws *= self.sd
+        flat = draws.reshape(-1)
+        tile = np.tile(self.sd, max(1, min(count, _DRAW_TILE // self.dim)))
+        whole = flat.shape[0] - flat.shape[0] % tile.shape[0]
+        body = flat[:whole].reshape(-1, tile.shape[0])
+        body *= tile
+        flat[whole:] *= tile[: flat.shape[0] - whole]
         return draws
 
 

@@ -60,7 +60,16 @@ def test_chain_apply_row_blocks_match_one_pass_bitwise():
         u = rng.normal(size=(shape[0], 1))
         bt = rng.uniform(0.0, 1.0, size=(1, shape[1]))
         w = rng.normal(size=shape)
-        for fused in ((u, bt, w), (u, bt, None), (None, None, w)):
+        # zero controls skip their product; the first block's alone, or
+        # every one, and a product of -0.0 entries, must change no bit
+        mixed = u.copy()
+        mixed[:per_block] = 0.0
+        zero = np.zeros_like(u)
+        cases = (
+            (u, bt, w), (u, bt, None), (None, None, w),
+            (mixed, bt, w), (zero, bt, w), (zero, bt, None), (-zero, bt, None),
+        )
+        for fused in cases:
             got = _backend.chain_apply(coeffs, x, *fused)
             want = _one_pass_chain_apply(coeffs, x, *fused)
             assert got.tobytes() == want.tobytes(), name
@@ -171,6 +180,110 @@ def _brute_force_backup(values, origin, steps, sds, means, glx, glw):
             )
             out += w1[:, j] * w2[:, k] * v
     return out
+
+
+def test_distinct_keeps_each_bit_pattern_apart():
+    x = np.array([0.0, -0.0, np.nan, 1.5, 1.5, -0.0, np.inf, -np.inf, 5e-324])
+    values, at = _backend.distinct(x)
+    assert values[at].tobytes() == x.tobytes()
+    assert values.shape == (7,)
+    # with no entry repeated, the entries themselves and a view
+    values, at = _backend.distinct(x[:4])
+    assert at == slice(None) and np.shares_memory(values, x)
+    # other float types are taken as float64
+    x32 = np.array([0.1, 0.1, -2.5], dtype=np.float32)
+    values, at = _backend.distinct(x32)
+    assert values[at].tobytes() == x32.astype(np.float64).tobytes()
+    values, at = _backend.distinct(np.empty(0))
+    assert values[at].shape == (0,)
+
+
+def _per_query_backup(values, origin, steps, sds, means, glx, glw):
+    # dp_backup as it was before it shared the rules, cells and c1 rows
+    # of repeated means: each built once per query
+    a1, a2 = origin
+    h1, h2 = steps
+    sd1, sd2 = sds
+    n1, n2 = values.shape
+    b1, b2 = a1 + h1 * (n1 - 1), a2 + h2 * (n2 - 1)
+    out = np.empty(means.shape[0])
+    order = np.argsort(means[:, 0], kind="stable")
+    for s in range(0, means.shape[0], _backend._BACKUP_BLOCK):
+        q = order[s : s + _backend._BACKUP_BLOCK]
+        rows = np.arange(q.shape[0])[:, None]
+        t1, w1 = _backend._axis_rule(means[q, 0], sd1, a1, b1, glx, glw)
+        i1, lo1, hi1 = _backend._cells(t1, w1, a1, h1, n1)
+        first = int(i1.min())
+        band = int(i1.max()) + 2 - first
+        at = rows * band + (i1 - first)
+        c1 = np.bincount(
+            np.concatenate([at.ravel(), at.ravel() + 1]),
+            weights=np.concatenate([lo1.ravel(), hi1.ravel()]),
+            minlength=q.shape[0] * band,
+        )
+        u = (c1.reshape(-1, band) @ values[first : first + band]).ravel()
+        t2, w2 = _backend._axis_rule(means[q, 1], sd2, a2, b2, glx, glw)
+        i2, lo2, hi2 = _backend._cells(t2, w2, a2, h2, n2)
+        at = rows * n2 + i2
+        out[q] = np.einsum("pk,pk->p", u[at], lo2) + np.einsum(
+            "pk,pk->p", u[at + 1], hi2
+        )
+    return out
+
+
+def _stepped_grid_means(n):
+    # the grid oracle's means on an n x n grid over [-1, 1]^2: the 2-D
+    # integrator's noise-free step, which repeats means on both axes
+    ax = np.linspace(-1.0, 1.0, n)
+    g1, g2 = np.meshgrid(ax, ax, indexing="ij")
+    return np.column_stack([g1.ravel() + 0.25 * g2.ravel(), g2.ravel()])
+
+
+def _signed_zero_means():
+    # +0.0 and -0.0 on each axis, interleaved so that the stable sort by
+    # the first axis leaves them mixed, among repeated nonzero means
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]])
+    others = np.array([[0.3, -0.0], [-0.0, 0.45], [0.3, 0.45], [-0.7, 0.0]])
+    means = np.resize(np.concatenate([zeros, others]), (3 * 700, 2))
+    assert np.signbit(means).any() and not np.signbit(means[:, 0]).all()
+    return means
+
+
+def _one_axis_repeats(axis):
+    # random means whose given axis takes 7 values: each block gathers
+    # on that axis and takes views on the other
+    means = np.random.default_rng(16).uniform(-1.2, 1.2, size=(2 * 1024 + 37, 2))
+    means[:, axis] = np.round(means[:, axis] * 3.0) / 3.0
+    return means
+
+
+@pytest.mark.parametrize(
+    "means",
+    [
+        _stepped_grid_means(61),
+        np.random.default_rng(14).uniform(-1.2, 1.2, size=(2 * 1024 + 37, 2)),
+        _one_axis_repeats(0),
+        _one_axis_repeats(1),
+        _signed_zero_means(),
+    ],
+    ids=[
+        "grid means",
+        "random means",
+        "first axis repeats",
+        "second axis repeats",
+        "signed zeros",
+    ],
+)
+def test_dp_backup_matches_the_per_query_backup_bitwise(means):
+    # each distinct mean's rule, cells and c1 row are built once per
+    # block and gathered per query; the per-query build gives the same
+    # bits
+    values = np.random.default_rng(15).uniform(size=(41, 37))
+    origin, steps, sds = (-1.0, -1.0), (0.05, 2.0 / 36), (0.1, 0.1)
+    glx, glw = _rule(25)
+    got = _backend.dp_backup(values, origin, steps, sds, means, glx, glw)
+    want = _per_query_backup(values, origin, steps, sds, means, glx, glw)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("sds", [(0.3, 0.25), (0.04, 0.03)])

@@ -164,6 +164,33 @@ def test_normal_cdf_agrees_with_scipy_ndtr():
     assert np.abs(got - ndtr(z)).max() <= np.finfo(np.float64).eps
 
 
+_CDF_ARGS = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.25, 5e-324, 38.5])
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        np.concatenate(
+            [_CDF_ARGS, _CDF_ARGS[::-1], np.linspace(-3.0, 3.0, 7).repeat(3)]
+        ),
+        _CDF_ARGS,
+    ],
+    ids=["repeated", "distinct"],
+)
+def test_normal_cdf_is_the_per_element_erfc_bitwise(z):
+    # erfc runs once per distinct argument when they repeat; signed
+    # zeros and infinities give what the per-element call gives
+    got = oracle._normal_cdf(z)
+    want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_normal_cdf_takes_float32_as_float64():
+    z = np.array([0.1, 0.1, -2.5, 0.0], dtype=np.float32)
+    got = oracle._normal_cdf(z)
+    assert got.tobytes() == oracle._normal_cdf(z.astype(np.float64)).tobytes()
+
+
 def test_dp_terminal_row_and_shape(setup):
     system, disturbance, problem, policy = setup
     pts = np.array([[0.0, 0.0], [0.999, -1.0], [1.2, 0.0]])
@@ -536,6 +563,24 @@ def test_mc_matches_the_frozen_loop_bitwise(case, chunk, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert 0.0 < got[0].max() < 1.0  # the rollouts are genuinely random
+
+
+def test_mc_integrator_zero_policy_makes_no_blas_product(setup, monkeypatch):
+    # zero controls skip the chain's control product, on every thread
+    system, disturbance, problem, policy = setup
+    starts = [[0.1, 0.2], [0.3, 0.4], [-0.5, 0.0]]
+    want = mc_reach(system, disturbance, problem, policy, starts, 3000, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.matmul was called")
+
+    monkeypatch.setattr(_backend.np, "matmul", refuse)
+    use_cores(monkeypatch, 2)
+    got = mc_reach(system, disturbance, problem, policy, starts, 3000, 5)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    with pytest.raises(AssertionError, match="np.matmul"):
+        mc_reach(system, disturbance, problem, ConstantPolicy([0.5]), starts, 10, 5)
 
 
 class ThreadPolicy:

@@ -431,10 +431,11 @@ def test_gaussian_disturbance_moments():
 
 
 # (dim, count) pairs; 10 000 x 65 537 would need 5 GB per array, so the
-# wide case draws 1 and 65 rows
+# wide case draws 1 and 65 rows; 3 x 1366 fills one scale tile of 1365
+# rows and 1 row of the next
 @pytest.mark.parametrize(
     "dim, count",
-    [(1, 1), (1, 65537), (2, 1), (2, 65537), (4, 1), (4, 65537),
+    [(1, 1), (1, 65537), (2, 1), (2, 65537), (3, 1366), (4, 1), (4, 65537),
      (10000, 1), (10000, 65)],
 )
 def test_gaussian_draw_is_the_normal_stream_bitwise(dim, count):
