@@ -46,13 +46,6 @@ def active_backend():
     return "numpy"
 
 
-def _as2d(arr):
-    a = np.ascontiguousarray(arr, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    return a
-
-
 # bytes of states per chain_apply block: the block, its output and the
 # scratch product (three times this) stay in a core's L2 cache while
 # every diagonal of the band passes over them
@@ -83,7 +76,7 @@ def chain_apply(coeffs, x, u=None, bt=None, w=None):
     size of ``x`` that the call allocates.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    x = _as2d(x)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     rows, n = x.shape
     if w is not None:
         w = np.broadcast_to(w, x.shape)
@@ -157,24 +150,12 @@ def distinct(x):
 
     Entries are told apart by bit pattern, so +0.0 and -0.0 stay apart.
     Returns ``(values, at)`` with ``values[at]`` equal to ``x`` as
-    float64, bit for bit. ``values`` is sorted by bit pattern and ``at``
-    is an index array; when no entry repeats, ``values`` is ``x`` itself
-    and ``at`` a whole slice, so that gathering by it takes a view.
+    float64, bit for bit: ``values`` sorted by bit pattern, read as
+    int64, and ``at`` an index array.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    bits = x.view(np.int64)
-    keys = np.sort(bits)
-    starts = np.ones(keys.shape[0], dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    if starts.all():
-        return x, slice(None)
-    keys = keys[starts]
-    return keys.view(np.float64), np.searchsorted(keys, bits)
-
-
-def _split(m, sd, lo, hi, h, n, glx, glw):
-    # the cells of the rule at each of the values m
-    return _cells(*_axis_rule(m, sd, lo, hi, glx, glw), lo, h, n)
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+    keys, at = np.unique(bits, return_inverse=True)
+    return keys.view(np.float64), at
 
 
 def dp_backup(values, origin, steps, sds, means, glx, glw):
@@ -204,8 +185,7 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     A rule, its cells and its ``c1`` row depend on the query only
     through its mean on that axis, so within a block they are built once
     per distinct mean on each axis (``distinct``) and gathered per
-    query; a block whose means on an axis do not repeat gathers nothing
-    there. Each entry is computed as it would be per query, so the
+    query. Each entry is computed as it would be per query, so the
     result has the same bits. The band product stays on the gathered
     rows: on the distinct rows alone, a product of another shape, it
     moved values by an ulp.
@@ -220,8 +200,8 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     40 401 grid queries hold 3 803 distinct first-axis means and 201
     second-axis ones, and its 10 201 evaluation queries 1 890 and 101.
     """
-    values = _as2d(values)
-    means = _as2d(means)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    means = np.ascontiguousarray(means, dtype=np.float64)
     glx = np.ascontiguousarray(glx, dtype=np.float64)
     glw = np.ascontiguousarray(glw, dtype=np.float64)
     a1, a2 = float(origin[0]), float(origin[1])
@@ -234,7 +214,7 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     for s in range(0, means.shape[0], _BACKUP_BLOCK):
         q = order[s : s + _BACKUP_BLOCK]
         m1, of1 = distinct(means[q, 0])
-        i1, lo1, hi1 = _split(m1, sd1, a1, b1, h1, n1, glx, glw)
+        i1, lo1, hi1 = _cells(*_axis_rule(m1, sd1, a1, b1, glx, glw), a1, h1, n1)
         first = int(i1.min())
         band = int(i1.max()) + 2 - first
         at = np.arange(i1.shape[0])[:, None] * band + (i1 - first)
@@ -245,7 +225,7 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
         ).reshape(-1, band)
         u = (c1[of1] @ values[first : first + band]).ravel()
         m2, of2 = distinct(means[q, 1])
-        i2, lo2, hi2 = _split(m2, sd2, a2, b2, h2, n2, glx, glw)
+        i2, lo2, hi2 = _cells(*_axis_rule(m2, sd2, a2, b2, glx, glw), a2, h2, n2)
         at = np.arange(q.shape[0])[:, None] * n2 + i2[of2]
         out[q] = np.einsum("pk,pk->p", u[at], lo2[of2]) + np.einsum(
             "pk,pk->p", u[at + 1], hi2[of2]

@@ -94,7 +94,9 @@ def dp_reach(
         policy(k, points), None)``, the noise-free successors ``f(x, u)``
         that the disturbance is added to. The built-in systems' ``step``
         refuses non-empty controls of another shape than ``(P, m)`` with
-        :class:`InputError`, in this oracle as in :func:`mc_reach`.
+        :class:`InputError`, in this oracle as in :func:`mc_reach`. Means
+        of another shape than the ``(P, 2)`` points raise
+        :class:`InputError`.
     disturbance : GaussianDisturbance
     problem : ReachProblem with 2-D box safe and target sets
     eval_points : (P, 2) array
@@ -157,7 +159,13 @@ def dp_reach(
 
     def means_at(pts, k):
         # the noise-free successors f(x, u), the model's own step
-        return system.step(pts, policy(k, pts), None)
+        means = np.asarray(system.step(pts, policy(k, pts), None), dtype=np.float64)
+        if means.shape != pts.shape:
+            raise InputError(
+                f"system.step returned means of shape {means.shape} "
+                f"for points of shape {pts.shape}"
+            )
+        return means
 
     mask_grid = safe.contains(grid_pts).astype(np.float64)
     mask_eval = safe.contains(eval_points).astype(np.float64)

@@ -67,6 +67,11 @@ class _LinearSystem:
 
     def step(self, states, controls, disturbances):
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        if states.ndim != 2:
+            raise InputError(
+                f"{self.name} states must be one per row, a 2-D array, "
+                f"got shape {states.shape}"
+            )
         if states.shape[1] != self.n:
             raise InputError(
                 f"{self.name} states must have {self.n} components, "

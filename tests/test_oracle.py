@@ -359,6 +359,39 @@ def test_dp_needs_of_the_system_only_its_step(setup, policy, sampling_time, tol)
     assert np.abs(got - want).max() <= tol
 
 
+class ReshapedChain(DenseChain):
+    """The dense chain with its ``(P, 2)`` means passed through ``reshape``."""
+
+    def __init__(self, reshape):
+        super().__init__(0.25)
+        self.reshape = reshape
+
+    def step(self, states, controls, disturbances):
+        return self.reshape(super().step(states, controls, disturbances))
+
+
+@pytest.mark.parametrize("horizon", [1, 3], ids=["closed form", "quadrature"])
+@pytest.mark.parametrize(
+    "reshape", [lambda m: m[:, 0], lambda m: m[:, :, None]], ids=["P", "P-2-1"]
+)
+def test_dp_refuses_means_of_another_shape_than_the_points(setup, horizon, reshape):
+    # a duck-typed step's means of shape (P,) or (P, 2, 1)
+    _, disturbance, problem, policy = setup
+    problem = ReachProblem(problem.safe, problem.target, horizon)
+    pts = np.array([[0.0, 0.0], [0.5, -0.4], [0.2, 0.1]])
+    with pytest.raises(InputError, match="system.step returned means of shape"):
+        dp_reach(ReshapedChain(reshape), disturbance, problem, pts, policy)
+
+
+def test_dp_takes_means_as_nested_lists(setup):
+    _, disturbance, problem, policy = setup
+    pts = np.array([[0.0, 0.0], [0.5, -0.4], [0.2, 0.1]])
+    want = dp_reach(DenseChain(0.25), disturbance, problem, pts, policy).values
+    listed = ReshapedChain(lambda m: m.tolist())
+    got = dp_reach(listed, disturbance, problem, pts, policy).values
+    assert got.tobytes() == want.tobytes()
+
+
 def test_both_oracles_refuse_controls_of_another_width(setup):
     # two control columns for the 1-control integrator
     system, disturbance, problem, _ = setup

@@ -219,6 +219,16 @@ def test_step_refuses_a_control_array_with_no_entries():
     assert out.shape == (0, 4)
 
 
+@pytest.mark.parametrize(
+    "system", [IntegratorChain(2), CWHSystem()], ids=["integrator", "cwh"]
+)
+def test_step_refuses_states_that_are_not_one_per_row(system):
+    # a stack of state matrices, which a matrix product would broadcast
+    states = np.zeros((3, system.n, system.n))
+    with pytest.raises(InputError, match="states must be one per row"):
+        system.step(states, None, None)
+
+
 # ----------------------------------------------------------------------- cwh
 
 
