@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .io import read_points
-from .reach import BoxSet, ConstantPolicy, ReachProblem, ZeroPolicy
+from .reach import BoxSet, ConstantPolicy, ReachProblem, ZeroPolicy, grid_points
 from .systems import (
     BetaDisturbance,
     BoxSampler,
@@ -386,13 +386,6 @@ def parse_grid(text):
     return shape, box
 
 
-def grid_points(shape, box):
-    ax0 = np.linspace(box.lower[0], box.upper[0], shape[0])
-    ax1 = np.linspace(box.lower[1], box.upper[1], shape[1])
-    g0, g1 = np.meshgrid(ax0, ax1, indexing="ij")
-    return np.column_stack([g0.ravel(), g1.ravel()])
-
-
 def evaluation_points(cfg, dim):
     """Resolve where to evaluate: points file, single point, or 2-D grid.
 
@@ -409,5 +402,5 @@ def evaluation_points(cfg, dim):
             f"for dimension {dim}"
         )
     shape, box = parse_grid(cfg.grid)
-    return grid_points(shape, box)
+    return grid_points(shape, box.lower, box.upper)[1]
 

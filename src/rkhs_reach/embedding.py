@@ -37,11 +37,10 @@ The fit inverts ``G + lam*M*I`` once, so a batch of queries costs one
 kernel matrix and one matrix product with the inverse, not a solve per
 query. The kernel takes states and controls as separate column parts
 on both sides and is the one module that lays them side by side
-(:mod:`rkhs_reach.kernels`). The fit keeps the sample's own parts and
-their mean, the center of the Gram matrix and of every cross, and no
-copy of the points: the kernel centers the sample side by column
-blocks for the Gram matrix and lifts it by row blocks for each batch's
-cross (:meth:`RBFKernel.cross`).
+(:mod:`rkhs_reach.kernels`). The fit keeps no copy of the points:
+the kernel centers the sample side by column blocks for the Gram
+matrix and lifts it by row blocks for each batch's cross
+(:meth:`RBFKernel.cross`).
 The fit adds the ridge onto the Gram matrix in place and inverts it
 through the inverse of its Cholesky factor, formed by halves from
 matrix products (:func:`_invert`), so the Gram product, the inverse,
@@ -65,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import RBFKernel, center
+from .kernels import RBFKernel
 
 __all__ = ["TransitionSample", "Embedding"]
 
@@ -265,11 +264,8 @@ class Embedding:
         # the one control every query is evaluated at (module docstring)
         same = self.normalize_weights and np.all(controls == controls[:1])
         self._fixed_control = controls[0] if same and controls.size else None
-        # the Gram matrix and every query cross are centered on this one
-        # point; an overflow is reported by _check_finite, not by numpy's
-        # warnings
+        # an overflow is reported by _check_finite, not by numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            self._center = center(sample.states, sample.controls)
             ridge = kernel.gram(sample.states, sample.controls)
         m = sample.count
         ridge.flat[:: m + 1] += lam * m
@@ -325,9 +321,7 @@ class Embedding:
         parts = self._query_parts(states, controls)
         w, k = (None, None) if out is None else out
         sample = self.sample
-        cross = self.kernel.cross(
-            (sample.states, sample.controls), *parts, center=self._center, out=k
-        )
+        cross = self.kernel.cross((sample.states, sample.controls), *parts, out=k)
         w = np.matmul(self._inv, cross, out=w)
         if self.normalize_weights:
             np.maximum(w, 0.0, out=w)

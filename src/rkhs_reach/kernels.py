@@ -6,9 +6,9 @@ one row only in the kernel's block buffers, where they are centered,
 and lifted for a cross.
 
 A cross matrix is a BLAS product. Both point sets are first shifted
-by one center ``c``, by default the mean of the ``a`` rows, which leaves
-the kernel unchanged and keeps points far from the origin from
-cancelling away their distance. The exponent ``-gamma |a' - b'|^2`` then
+by one center ``c``, the mean of the ``a`` rows, which leaves the
+kernel unchanged and keeps points far from the origin from cancelling
+away their distance. The exponent ``-gamma |a' - b'|^2`` then
 expands to the product of the lifted rows ``[2 gamma a', -gamma |a'|^2,
 1]`` and ``[b', 1, -gamma |b'|^2]``. Clamping it at 0 (cancellation can
 leave a small positive exponent for near-coincident points) and
@@ -19,10 +19,10 @@ side, if more), each multiplied into its rows of the matrix. A Gram
 matrix takes the half-cost symmetric product of the centered points
 with themselves instead, summed over column blocks of 1024 columns (or
 of M, if more). So neither makes a copy of the ``a`` points, and a fit
-keeps only its sample's parts and their center (:func:`center`). Points
-that fit one block give the bits of one product; in more blocks the
-sums are split, which moves the values by round-off (at n = 10 000 and
-64 points, 5.9e-16 relative in the Gram matrix and 4.5e-16 in a cross).
+keeps only its sample's parts. Points that fit one block give the bits
+of one product; in more blocks the sums are split, which moves the
+values by round-off (at n = 10 000 and 64 points, 5.9e-16 relative in
+the Gram matrix and 4.5e-16 in a cross).
 
 A bandwidth that is tiny against the points' distance from their mean
 is an open limit of the cross matrix: the lifted product rounds
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["RBFKernel", "center"]
+__all__ = ["RBFKernel"]
 
 # entries of a block of norm sums in RBFKernel.gram, and of lifted sample
 # rows in RBFKernel.cross unless the query side is larger (256 KB)
@@ -61,40 +61,29 @@ def _point_set(a):
     return a
 
 
-def _parts(parts, center=None):
-    """The checked point sets ``parts``, side by side, and their center.
-
-    The center is ``center`` when given, which must be as long as the
-    rows side by side, and else the rows' mean. numpy sums each column
-    of a wider array in row order but a lone column pairwise, so a
-    one-column part beside others is summed as two: the mean has the
-    bits of the mean of the joined rows.
-    """
+def _parts(parts):
+    """The checked point sets ``parts``, side by side, and their width."""
     parts = [_point_set(p) for p in parts]
     m = parts[0].shape[0]
     if any(p.shape[0] != m for p in parts):
         raise InputError("point sets side by side must have equal row counts")
-    d = sum(p.shape[1] for p in parts)
-    if center is None:
-        means = [
-            (np.broadcast_to(p, (m, 2)) if p.shape[1] == 1 < d else p).mean(axis=0)
-            for p in parts
-        ]
-        center = np.concatenate([c[: p.shape[1]] for c, p in zip(means, parts)])
-    elif center.shape[0] != d:
-        raise InputError(
-            f"point sets have mixed dimensions {center.shape[0]} and {d}"
-        )
-    return parts, center
+    return parts, sum(p.shape[1] for p in parts)
 
 
-def center(points, *more):
-    """The mean of the rows of ``points`` and the point sets in ``more`` side by side.
+def _mean(parts, d):
+    """The mean of the rows of the checked ``parts``, ``d`` columns side by side.
 
-    Both sides of a kernel matrix are centered on one point, by default
-    this mean of the ``a`` rows (:meth:`RBFKernel.cross`).
+    Both sides of a kernel matrix are centered on this mean of the ``a``
+    rows. numpy sums each column of a wider array in row order but a
+    lone column pairwise, so a one-column part beside others is summed
+    as two: the mean has the bits of the mean of the joined rows.
     """
-    return _parts((points, *more))[1]
+    m = parts[0].shape[0]
+    means = [
+        (np.broadcast_to(p, (m, 2)) if p.shape[1] == 1 < d else p).mean(axis=0)
+        for p in parts
+    ]
+    return np.concatenate([c[: p.shape[1]] for c, p in zip(means, parts)])
 
 
 def _shifted(parts, center, out, rows=slice(None), start=0):
@@ -168,24 +157,25 @@ class RBFKernel:
         """Exponent scale ``1 / (2 sigma^2)``."""
         return 1.0 / (2.0 * self.sigma * self.sigma)
 
-    def cross(self, a, b, *more, center=None, out=None):
+    def cross(self, a, b, *more, out=None):
         """Matrix of kernel values between the rows of ``a`` and of ``b``.
 
         ``a`` is a point set or a tuple of point sets side by side, such
         as a sample's states and controls, and the rows of the point sets
         in ``more`` go beside those of ``b``; either way gives the bits
-        of the joined points. Both sides are centered on ``center``, by
-        default the mean of the ``a`` rows (:func:`center`). The query
-        side is lifted whole, the ``a`` side in blocks of at most
-        ``_GRAM_BLOCK`` entries or as many rows as the query side has,
-        whichever is more, each block's product written to its rows of
-        the matrix, so no lifted copy of ``a`` is made. As with
-        numpy's ``out``, the matrix is written to ``out`` when given, a
-        float array of its shape, with the same bits.
+        of the joined points. Both sides are centered on the mean of the
+        ``a`` rows. The query side is lifted whole, the ``a`` side in
+        blocks of at most ``_GRAM_BLOCK`` entries or as many rows as the
+        query side has, whichever is more, each block's product written
+        to its rows of the matrix, so no lifted copy of ``a`` is made. As
+        with numpy's ``out``, the matrix is written to ``out`` when
+        given, a float array of its shape, with the same bits.
         """
-        left, center = _parts(a if isinstance(a, tuple) else (a,), center)
-        right, _ = _parts((b, *more), center)
-        d = center.shape[0]
+        left, d = _parts(a if isinstance(a, tuple) else (a,))
+        right, width = _parts((b, *more))
+        if width != d:
+            raise InputError(f"point sets have mixed dimensions {d} and {width}")
+        center = _mean(left, d)
         query = np.empty((right[0].shape[0], d + 2))
         _shifted(right, center, query[:, :d])
         _lift_in_place(query, self.gamma, left=False)
@@ -214,7 +204,7 @@ class RBFKernel:
         The points are the rows of ``points`` and of the point sets in
         ``more`` side by side, such as a sample's states and controls,
         which are never joined into a separate array. The rows are
-        centered on their mean (:func:`center`), ``a' = a - c``, and
+        centered on their mean, ``a' = a - c``, and
         ``g = a' a'^T`` is summed over blocks of ``_GRAM_COLUMNS``
         columns, or of M if more, each block centered in one buffer and
         multiplied by itself in one symmetric product (a rank-k update
@@ -223,8 +213,8 @@ class RBFKernel:
         ``(g_ii + g_jj) - 2 g_ij`` is symmetric to the bit and exactly 0
         on the diagonal, so the matrix is too, with a unit diagonal.
         """
-        parts, center = _parts((points, *more))
-        m, d = parts[0].shape[0], center.shape[0]
+        parts, d = _parts((points, *more))
+        m, center = parts[0].shape[0], _mean(parts, d)
         width = max(_GRAM_COLUMNS, m)
         block = np.empty((m, min(width, d)))
         g = product = None

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _backend
 from .errors import InputError
-from .reach import BoxSet, ValueField, checked_points
+from .reach import BoxSet, ValueField, checked_points, grid_points
 from .systems import GaussianDisturbance
 
 __all__ = ["dp_reach", "mc_reach"]
@@ -148,11 +148,9 @@ def dp_reach(
         )
 
     eval_points = checked_points(eval_points, 2)
-    ax1, ax2 = (np.linspace(lower[d], upper[d], shape[d]) for d in range(2))
-    g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
-    grid_pts = np.column_stack([g1.ravel(), g2.ravel()])
-    origin = (ax1[0], ax2[0])
-    steps = (ax1[1] - ax1[0], ax2[1] - ax2[0])
+    axes, grid_pts = grid_points(shape, lower, upper)
+    origin = tuple(ax[0] for ax in axes)
+    steps = tuple(ax[1] - ax[0] for ax in axes)
     # Gauss-Legendre nodes and weights on [-1, 1]; the backup rescales
     # them per query onto the +-4 sd window clipped to the grid
     glx, glw = np.polynomial.legendre.leggauss(quad_nodes)

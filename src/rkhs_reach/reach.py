@@ -37,6 +37,7 @@ __all__ = [
     "value_recursion",
     "value_recursion_max",
     "checked_points",
+    "grid_points",
 ]
 
 
@@ -208,6 +209,18 @@ def checked_points(points, dim):
     if not np.all(np.isfinite(points)):
         raise InputError("evaluation points must be finite")
     return points
+
+
+def grid_points(shape, lower, upper):
+    """The axes and the nodes of a 2-D grid over the box ``lower``..``upper``.
+
+    Axis d holds ``shape[d]`` evenly spaced coordinates from ``lower[d]``
+    to ``upper[d]``; the nodes are one per row, the second coordinate
+    varying fastest. Returns ``(axes, points)``.
+    """
+    axes = [np.linspace(lower[d], upper[d], shape[d]) for d in range(2)]
+    g1, g2 = np.meshgrid(*axes, indexing="ij")
+    return axes, np.column_stack([g1.ravel(), g2.ravel()])
 
 
 def _head(buffer, rows, cols):

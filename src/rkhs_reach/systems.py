@@ -38,7 +38,7 @@ class _LinearSystem:
     """Discrete-time ``x' = A x + B u + w``, one state per row.
 
     Subclasses set ``n``, ``m``, ``_b`` (n x m) and either ``_a`` (n x n)
-    or their own ``_update`` and ``dense_a``. A subclass that declares a
+    or their own ``_update``. A subclass that declares a
     per-axis ``control_bound`` gets a warning from :meth:`step` for
     controls beyond it.
     """
@@ -48,12 +48,6 @@ class _LinearSystem:
     # for ``states @ A.T``, whose OpenBLAS product serves one caller at
     # a time with its own thread pool, so threads make it slower
     threaded_rollouts = False
-
-    def dense_a(self):
-        return self._a.copy()
-
-    def dense_b(self):
-        return self._b.copy()
 
     def _update(self, states, controls, disturbances):
         # x A' + u B' + w row-wise, the terms added in that order;
@@ -195,15 +189,6 @@ class IntegratorChain(_LinearSystem):
     def bandwidth(self):
         """Number of kept diagonals: the main one and those above it."""
         return self._coeffs.shape[0]
-
-    def dense_a(self):
-        if self.n > 4096:
-            raise InputError("dense state matrix is limited to n <= 4096")
-        a = np.zeros((self.n, self.n))
-        for j in range(min(self.bandwidth, self.n)):
-            idx = np.arange(self.n - j)
-            a[idx, idx + j] = self._coeffs[j]
-        return a
 
     def _update(self, states, controls, disturbances):
         # the banded apply with the control product and the disturbance
@@ -444,7 +429,8 @@ def cwh_lqr_policy(system):
         raise InputError("cwh_lqr_policy requires a CWHSystem")
     q = np.diag([1.0, 1.0, 1e3, 1e3])
     r = np.eye(2) * 1e4
-    a, b = system.dense_a(), system.dense_b()
+    # _dare writes none of its arguments, so it takes the system's own
+    a, b = system._a, system._b
     p = _dare(a, b, q, r)
     gain = np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
     bound = system.control_bound

@@ -1,9 +1,14 @@
-"""Regenerate the golden recursion outputs in this directory.
+"""Regenerate the golden recursion outputs, by default in this directory.
 
 Run from the repository root after an intended change to the
 recursion's output, and commit the diff with it:
 
-    PYTHONPATH=src python tests/data/golden/regenerate.py
+    PYTHONPATH=src python tests/data/golden/regenerate.py [OUT_DIR]
+
+Given ``OUT_DIR``, every file goes there instead, the committed
+``points_4.csv`` input copied along, so a change can regenerate the
+whole set elsewhere and compare it with the committed files
+(``cmp``) without touching them.
 
 Four 128-sample inputs are written first: an integrator ``generate``
 file drawn under the zero policy, a library sample whose controls are
@@ -35,6 +40,7 @@ directory left out of the paths it names.
 import contextlib
 import io
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -213,17 +219,22 @@ def write_error(name, input_dir, out_dir):
         f.write(f"exit {code}\n{text}")
 
 
-def main():
-    write_inputs(HERE)
+def main(argv=None):
+    """Write every golden file to ``argv[0]``, by default this directory."""
+    argv = sys.argv[1:] if argv is None else argv
+    out = os.path.abspath(argv[0]) if argv else HERE
+    if out != HERE:
+        shutil.copyfile(os.path.join(HERE, POINTS), os.path.join(out, POINTS))
+    write_inputs(out)
     for name in REACH_CASES:
-        write_reach(name, HERE, HERE)
+        write_reach(name, out, out)
     # in order: compare reads oracle_dp.csv
-    for name in cli_cases(HERE):
-        write_cli(name, HERE, HERE)
-    for name in error_cases(HERE):
-        write_error(name, HERE, HERE)
-    count = 5 + len(REACH_CASES) + len(cli_cases(HERE)) + len(error_cases(HERE))
-    print(f"wrote {count} files to {HERE}")
+    for name in cli_cases(out):
+        write_cli(name, out, out)
+    for name in error_cases(out):
+        write_error(name, out, out)
+    count = 5 + len(REACH_CASES) + len(cli_cases(out)) + len(error_cases(out))
+    print(f"wrote {count} files to {out}")
     return 0
 
 

@@ -29,7 +29,6 @@ from rkhs_reach.config import (
     build_system,
     coerce_value,
     evaluation_points,
-    grid_points,
     parse_box,
     parse_config_file,
     parse_control_grid,
@@ -37,6 +36,7 @@ from rkhs_reach.config import (
     parse_point,
     validate,
 )
+from rkhs_reach.reach import grid_points
 
 
 def test_defaults_are_the_documented_baseline():
@@ -325,7 +325,7 @@ def test_default_sample_box_rules():
 def test_parse_grid_and_points():
     shape, box = parse_grid("3x2:0,1,0,10")
     assert shape == (3, 2)
-    pts = grid_points(shape, box)
+    pts = grid_points(shape, box.lower, box.upper)[1]
     assert pts.shape == (6, 2)
     np.testing.assert_array_equal(pts[0], [0.0, 0.0])
     np.testing.assert_array_equal(pts[-1], [1.0, 10.0])

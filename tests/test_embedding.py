@@ -160,7 +160,7 @@ def _cross_on_raw_rows(emb, states, controls):
 
 @pytest.mark.parametrize("normalize", [False, True])
 def test_weights_match_cross_on_raw_rows(normalize):
-    # the fit keeps the sample's parts and their center; each batch's
+    # the fit keeps the sample's parts; each batch's
     # cross must give the same bits as a cross kernel on the raw joint
     # rows wherever the weights read the query controls: in raw mode,
     # and on a sample whose controls vary; weights and kernel matrix
@@ -186,9 +186,6 @@ def test_weights_match_cross_on_raw_rows(normalize):
         assert emb.weights(states, controls, out=(w, k)) is w
         np.testing.assert_array_equal(w, want)
         parts = (sample.states, sample.controls)
-        assert emb._center.tobytes() == kernels.center(*parts).tobytes()
-        cross = emb.kernel.cross(parts, states, controls, center=emb._center)
-        np.testing.assert_array_equal(k, cross)
         np.testing.assert_array_equal(k, emb.kernel.cross(parts, states, controls))
 
 
@@ -299,10 +296,13 @@ def test_fit_of_a_wide_sample_holds_no_copy_of_its_points():
     assert not any(
         isinstance(v, np.ndarray) and v.size >= m * n for v in vars(emb).values()
     )
-    # the fit's center has the bits of the parts' mean, and its inverse
-    # those of the Gram matrix of the same parts
-    want = kernels.center(sample.states, sample.controls)
-    assert emb._center.tobytes() == want.tobytes()
+    # a batch's kernel matrix has the bits of the cross of the parts,
+    # and the fit's inverse those of the Gram matrix of the same parts
+    q, qu = rng.uniform(-1.0, 1.0, size=(3, n)), rng.uniform(-1.0, 1.0, (3, 1))
+    w, k = np.empty((2, m, 3))
+    emb.weights(q, qu, out=(w, k))
+    want = kernel.cross((sample.states, sample.controls), q, qu)
+    assert k.tobytes() == want.tobytes()
     gram = kernel.gram(sample.states, sample.controls)
     want = _invert(gram + emb.lam * m * np.eye(m))
     assert emb._inv.tobytes() == want.tobytes()

@@ -88,6 +88,18 @@ def _assert_matches(got, want):
         warnings.warn(f"{want.name}: bytes differ by up to {gap:.3g}; {shas}")
 
 
+def test_regenerate_into_another_directory_leaves_the_committed_set(tmp_path):
+    # every golden file is written to the given directory, the committed
+    # points input copied along, and no committed file is touched
+    def committed():
+        return {p.name: p.read_bytes() for p in GOLDEN.iterdir() if p.is_file()}
+
+    before = committed()
+    assert regenerate.main([tmp_path]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == set(before) - {"regenerate.py"}
+    assert committed() == before
+
+
 def test_generate_inputs_match(tmp_path):
     regenerate.write_inputs(tmp_path)
     for name in (regenerate.ZERO_SAMPLE, regenerate.UNIFORM_SAMPLE,

@@ -113,27 +113,19 @@ def test_far_pairs_underflow_to_exact_zero():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_parts_and_a_given_center_give_the_same_bits():
+def test_parts_give_the_bits_of_the_joined_points():
     rng = np.random.default_rng(24)
     a = rng.normal(size=(33, 4))
     b = rng.normal(size=(17, 4))
     k = RBFKernel(0.6)
-    c = kernels.center(a)
-    np.testing.assert_array_equal(k.cross(a, b, center=c), k.cross(a, b))
-    np.testing.assert_array_equal(k.cross(a, b[:1], center=c), k.cross(a, b[:1]))
-    # a center holds no bandwidth: under another kernel it gives that
-    # kernel's bits, not those of the kernel it was first used with
-    other = RBFKernel(0.7)
-    np.testing.assert_array_equal(other.cross(a, b, center=c), other.cross(a, b))
-    assert not np.array_equal(other.cross(a, b, center=c), k.cross(a, b))
+    # a query side of another width than the sample side is refused
     with pytest.raises(InputError, match="mixed dimensions"):
-        k.cross(a, b[:, :3], center=c)
+        k.cross(a, b[:, :3])
     with pytest.raises(InputError, match="mixed dimensions"):
-        k.cross(a[:, :3], b[:, :3], center=c)
+        k.cross(a[:, :3], b)
     # column parts side by side give the bits of the joined points, on
     # both sides; a part may be a broadcast view
     parts = (a[:, :3], a[:, 3:])
-    assert kernels.center(*parts).tobytes() == c.tobytes()
     np.testing.assert_array_equal(k.gram(*parts), k.gram(a))
     np.testing.assert_array_equal(k.cross(parts, b[:, :1], b[:, 1:]), k.cross(a, b))
     column = np.broadcast_to(b[:1, 3:], (17, 1))

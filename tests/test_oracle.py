@@ -27,6 +27,9 @@ from rkhs_reach import (
     dp_reach,
     mc_reach,
 )
+from rkhs_reach.reach import grid_points
+
+from test_systems import dense_chain
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,38 @@ def test_dp_grid_spans_safe_target_union(setup, monkeypatch):
         np.testing.assert_allclose(last, [1.0, 1.2], rtol=0, atol=1e-12)
 
 
+def test_dp_values_at_its_own_grid_are_the_stored_field(setup, monkeypatch):
+    # evaluated at its own computation grid, the same shape over the
+    # safe and target boxes' union from the same builder, the oracle
+    # reports at every step k >= 1 the grid field it stored, bit for bit
+    system, disturbance, _, policy = setup
+    problem = ReachProblem(
+        safe=BoxSet([-1.0, -1.0], [1.0, 1.0]),
+        target=BoxSet([-0.5, -1.0], [0.75, 1.2]),
+        horizon=4,
+    )
+    fields = []
+    backup = _backend.dp_backup
+
+    def recording(v2d, *args):
+        if not fields or fields[-1] is not v2d:
+            fields.append(v2d)
+        return backup(v2d, *args)
+
+    monkeypatch.setattr(_backend, "dp_backup", recording)
+    shape = (41, 57)
+    _, pts = grid_points(shape, [-1.0, -1.0], [1.0, 1.2])
+    field = dp_reach(
+        system, disturbance, problem, pts, policy, shape=shape, quad_nodes=7
+    )
+    # the field stored at step k feeds the backups of step k - 1
+    steps = range(problem.horizon - 1, 0, -1)
+    assert len(fields) == len(steps)
+    for k, v2d in zip(steps, fields):
+        assert v2d.shape == shape and v2d.max() > 0.0
+        assert field.values[k].tobytes() == v2d.ravel().tobytes()
+
+
 def test_dp_validates_grid_and_quadrature(setup):
     system, disturbance, problem, policy = setup
     pts = np.zeros((1, 2))
@@ -140,7 +175,7 @@ def test_dp_first_backup_is_the_normal_cdf_closed_form(setup):
     one_step = ReachProblem(problem.safe, problem.target, horizon=1)
     pts = np.array([[0.0, 0.0], [0.7, 0.5], [-0.9, -0.9], [1.05, 0.0]])
     field = dp_reach(system, disturbance, one_step, pts, policy)
-    mu = pts @ system.dense_a().T
+    mu = pts @ dense_chain(system).T
     sd = disturbance.sd
     box = problem.target
 
@@ -333,7 +368,7 @@ class DenseChain:
 
     def __init__(self, sampling_time):
         chain = IntegratorChain(2, sampling_time)
-        self.a, self.b = chain.dense_a(), chain.dense_b()
+        self.a, self.b = dense_chain(chain), chain._b
 
     def step(self, states, controls, disturbances):
         assert disturbances is None  # the oracle integrates the noise itself

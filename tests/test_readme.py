@@ -3,10 +3,12 @@
 The first Python block under "Library use" runs as written, and every
 ``rkhs-reach`` command of the walkthrough parses (nothing is run), so a
 removed name or flag left in the docs fails here. Every dotted name the
-README lists as removed from the library is gone from the package.
+README lists as removed from the library is gone from the package, and
+so is every keyword argument it lists as ``name(argument=)``.
 """
 
 import importlib
+import inspect
 import pathlib
 import re
 import shlex
@@ -62,12 +64,13 @@ def test_walkthrough_command_parses(command):
         pytest.fail(f"README command does not parse (exit {exc.code}): {command}")
 
 
-def removed_names():
-    """Dotted names the README lists as removed from the library.
+def _removals():
+    """Each removal bullet's backticked names before its mark, with their arguments.
 
     Each bullet under "Removed from the library" names what went, then
     after a ``:`` or ``;`` outside backticks, what replaces it; only the
-    names before that mark are returned.
+    names before that mark are returned, each with the text in the
+    parentheses that follow it inside its backticks, if any.
     """
     text = section("Library use")
     start = text.index("Removed from the library")
@@ -82,20 +85,30 @@ def removed_names():
                 quoted = not quoted
             elif char in ":;" and not quoted:
                 break
-        names += re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", bullet[:end])
+        names += re.findall(r"`([A-Za-z_][\w.]*)(?:\(([^`]*)\))?`", bullet[:end])
     return names
 
 
-def test_readme_lists_the_latest_removals():
-    names = removed_names()
-    for name in ("RBFKernel.vector", "Embedding.expectation",
-                 "TransitionSample.joint", "IntegratorChain.apply_a",
-                 "RBFKernel.lift", "kernels.LiftedRows"):
-        assert name in names
+def removed_names():
+    """Dotted names the README lists as removed from the library."""
+    return [
+        name for name, args in _removals() if "." in name and "=" not in args
+    ]
 
 
-@pytest.mark.parametrize("name", removed_names())
-def test_removed_name_is_gone(name):
+def removed_arguments():
+    """``(name, argument)`` for each ``name(argument=)`` the README lists as removed."""
+    return [
+        (name, arg)
+        for name, args in _removals()
+        for arg in re.findall(r"(\w+)=", args)
+    ]
+
+
+def _resolve(name):
+    """The object holding the package name ``name``, and the name's last part."""
+    if "." not in name:
+        return rkhs_reach, name
     head, *middle, last = name.split(".")
     if hasattr(rkhs_reach, head):
         owner = getattr(rkhs_reach, head)
@@ -103,6 +116,35 @@ def test_removed_name_is_gone(name):
         owner = importlib.import_module(f"rkhs_reach.{head}")
     for part in middle:
         owner = getattr(owner, part)
+    return owner, last
+
+
+def test_readme_lists_the_latest_removals():
+    names = removed_names()
+    for name in ("RBFKernel.vector", "Embedding.expectation",
+                 "TransitionSample.joint", "IntegratorChain.apply_a",
+                 "RBFKernel.lift", "kernels.LiftedRows", "kernels.center",
+                 "IntegratorChain.dense_a", "CWHSystem.dense_a",
+                 "CWHSystem.dense_b"):
+        assert name in names
+    assert "RBFKernel.cross" not in names
+    arguments = removed_arguments()
+    for pair in (("RBFKernel.cross", "center"), ("dp_reach", "grid"),
+                 ("CWHSystem", "control_bound"), ("Embedding", "eta")):
+        assert pair in arguments
+
+
+@pytest.mark.parametrize("name", removed_names())
+def test_removed_name_is_gone(name):
+    owner, last = _resolve(name)
     # dir() of a class leaves out its metaclass, whose __call__ every
     # class has
     assert last not in dir(owner), f"the package still has {name}"
+
+
+@pytest.mark.parametrize("name, argument", removed_arguments())
+def test_removed_argument_is_gone(name, argument):
+    owner, last = _resolve(name)
+    # a class's signature is its constructor's
+    parameters = inspect.signature(getattr(owner, last)).parameters
+    assert argument not in parameters, f"{name} still takes {argument}="
