@@ -137,22 +137,25 @@ def parse_config_file(path):
     """Parse a flat key=value config file into a dict of coerced values."""
     if not os.path.exists(path):
         raise InputError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read config file {path}: {exc}")
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(
-                    f"{path}:{lineno}: expected key = value, got {line!r}"
-                )
-            key, _, raw = line.partition("=")
-            try:
-                name, value = coerce_value(key.strip(), raw)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}")
-            values[name] = value
+    # universal newlines have turned every line ending into "\n"
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, _, raw = line.partition("=")
+        try:
+            name, value = coerce_value(key.strip(), raw)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}")
+        values[name] = value
     return values
 
 

@@ -6,9 +6,11 @@ All files are UTF-8 with LF line endings. Optional metadata rides in
 exactly, so a write/read cycle reproduces arrays bit for bit; integer
 columns are written with ``%d``. Each table builds one ``%`` template
 from its column kinds, after checking once that the rows are as wide
-as the header, and formats and writes blocks of ``_BLOCK_ROWS`` rows
-with one ``%`` each, so the text of the whole table is never held at
-once. Writes go through a temporary file in the destination directory
+as the header, and formats and writes blocks of ``_BLOCK_ROWS`` (1024)
+rows, or of ``_BLOCK_CELLS`` (16 384) cells in a table wider than 16
+columns, with one ``%`` each, so the text of the whole table is never
+held at once; the bytes written do not depend on the block size.
+Writes go through a temporary file in the destination directory
 followed by an atomic rename. The file keeps the mode of the one it
 replaces; a new file gets ``0o666`` less the umask, as ``open`` would
 give it.
@@ -36,8 +38,10 @@ __all__ = [
     "atomic_write_text",
 ]
 
-# rows formatted and written per ``%``: about 24 bytes of text a cell
+# rows formatted and written per ``%``, at most _BLOCK_ROWS and at most
+# as many as hold _BLOCK_CELLS cells: about 24 bytes of text a cell
 _BLOCK_ROWS = 1024
+_BLOCK_CELLS = 16384
 
 
 def _target_mode(path):
@@ -99,10 +103,12 @@ def _render(names, rows, metadata=None, int_columns=()):
         "%d" if i in int_set else "%.17g" for i in range(len(names))
     ) + "\n"
 
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(1, len(names))))
+
     def pieces():
         yield "\n".join(lines) + "\n"
-        for start in range(0, rows.shape[0], _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
+        for start in range(0, rows.shape[0], step):
+            block = rows[start : start + step]
             yield (line * block.shape[0]) % tuple(block.ravel().tolist())
 
     return pieces()
@@ -115,7 +121,7 @@ def _parse_table(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw_lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}")
     for lineno, line in enumerate(raw_lines, start=1):
         line = line.strip()

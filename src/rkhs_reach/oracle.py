@@ -24,13 +24,12 @@ from .systems import GaussianDisturbance
 
 __all__ = ["dp_reach", "mc_reach"]
 
-# rollouts stepped at once per start state (1 MB of 2-D states)
+# rollouts stepped at once per start state, at most _MC_CHUNK and at
+# most as many as hold _MC_CHUNK_ENTRIES state entries (2 MiB of float64
+# states): a thread's working set, its states, draws and stepped states,
+# then stays under 8 MiB traced at any n
 _MC_CHUNK = 65536
-# a chunk's working set per state component of a rollout: the states,
-# the draws, the stepped states and temporaries, 8 bytes each
-_MC_ROW_BYTES = 5 * 8
-# bound on the working sets of all of mc_reach's threads together
-_MC_POOL_BYTES = 128 * 2**20
+_MC_CHUNK_ENTRIES = 2**18
 # smallest noise sd the grid oracle integrates, as a share of the largest
 # |coordinate| of the grid on its axis: the quadrature window is placed
 # with the rounding of its centre, about that magnitude's float spacing,
@@ -199,20 +198,6 @@ def _core_count():
         return os.cpu_count() or 1
 
 
-def _mc_threads(system, starts, rows):
-    """Threads for ``starts`` safe starts stepped ``rows`` rollouts at a time.
-
-    One for a system that does not declare ``threaded_rollouts``.
-    Otherwise one per usable core and at most one per start, while the
-    chunks of all threads fit in ``_MC_POOL_BYTES`` together; one thread
-    if not even one chunk fits.
-    """
-    if not getattr(system, "threaded_rollouts", False):
-        return 1
-    per_thread = rows * system.n * _MC_ROW_BYTES
-    return max(1, min(_core_count(), starts, _MC_POOL_BYTES // per_thread))
-
-
 def mc_reach(
     system,
     disturbance,
@@ -229,26 +214,29 @@ def mc_reach(
     and inside the target at step N. Each start state gets its own
     deterministic random stream derived from ``seed`` and its row index,
     so appending more start states leaves earlier estimates unchanged.
-    The rollouts run in chunks of ``_MC_CHUNK``, drawn in order from the
-    start state's stream. A start outside the safe set is answered 0,
-    with half-width 0, without rollouts: each of them would fail at
-    step 0.
+    The rollouts run in chunks of at most ``_MC_CHUNK`` (65 536)
+    rollouts and at most ``_MC_CHUNK_ENTRIES`` (2**18) state entries,
+    that is ``min(65536, 2**18 // n)`` rollouts, drawn in order from the
+    start state's stream. The chunk depends on n only. Up to n = 4 it
+    holds 65 536 rollouts, as in earlier releases; from n = 5 on it
+    holds fewer, so estimates there differ from earlier releases' in
+    their bits only, as other draws from the same distribution. A start
+    outside the safe set is answered 0, with half-width 0, without
+    rollouts: each of them would fail at step 0.
 
-    The safe starts are shared out over the calling thread and one more
-    thread per further usable core, at most one thread per safe start:
-    with k threads, the i-th safe start goes to thread i mod k. Each
-    start keeps its stream, its chunks and its arithmetic, so the
+    The safe starts are shared out over ``min(usable cores, safe
+    starts)`` threads, the calling thread and one more per further
+    core: with k threads, the i-th safe start goes to thread i mod k.
+    Each start keeps its stream, its chunks and its arithmetic, so the
     results are bitwise the same at any thread count, while numpy runs
     the draws, box tests and steps outside the interpreter lock. The
     policy, the set predicates, ``system.step`` and ``disturbance.draw``
     may thus run on several threads at once, and must not share
     unlocked mutable state (the built-in ones do not). A single start
     runs on one thread and gains nothing. Each thread holds one chunk's
-    working set, about ``_MC_CHUNK * n * 8`` bytes five times over (5 MB
-    at n = 2), and the threads stop at as many as fit in
-    ``_MC_POOL_BYTES`` (128 MB) together; a chunk larger than that runs
-    on one thread. Only a system whose ``threaded_rollouts`` is true
-    gets more than one thread: a system whose every step is a BLAS
+    working set, its states, draws and stepped states, about three times
+    2 MiB at any n. Only a system whose ``threaded_rollouts`` is true gets
+    more than one thread: a system whose every step is a BLAS
     product, such as :class:`~rkhs_reach.systems.CWHSystem`, runs
     slower on several, because each product waits for OpenBLAS's own
     thread pool. The integrator chain's step makes one BLAS product,
@@ -282,6 +270,7 @@ def mc_reach(
     # starts after this index stop at their next chunk
     cutoff = [x0s.shape[0]]
     lock = threading.Lock()
+    chunk = max(1, min(_MC_CHUNK, _MC_CHUNK_ENTRIES // system.n))
 
     def stop_after(p):
         with lock:
@@ -296,7 +285,7 @@ def mc_reach(
                 while done < rollouts:
                     if p > cutoff[0]:
                         return
-                    count = min(_MC_CHUNK, rollouts - done)
+                    count = min(chunk, rollouts - done)
                     states = np.repeat(x0s[p : p + 1], count, axis=0)
                     alive = np.ones(count, dtype=bool)
                     for k in range(n_steps):
@@ -316,7 +305,9 @@ def mc_reach(
                 stop_after(p if isinstance(exc, Exception) else -1)
                 return
 
-    threads = _mc_threads(system, len(safe), min(_MC_CHUNK, rollouts))
+    threads = 1
+    if getattr(system, "threaded_rollouts", False):
+        threads = max(1, min(_core_count(), len(safe)))
     workers = [
         threading.Thread(target=run, args=(safe[i::threads],))
         for i in range(1, threads)

@@ -317,6 +317,10 @@ def _recursion(emb, problem, points, policies, choose=False):
     widest = min(_POINT_BLOCK, m)
     block = max(1, widest // len(policies), min(n_succ, widest))
     width = max(min(block, safe_pts.size), n_succ)
+    # the buffers are allocated before the value rows: after them, the
+    # rows could split the heap hole a freed M x M matrix leaves, and the
+    # buffers would grow the heap by one more M x M (8 MB at M = 1024)
+    buffers = [np.empty(m * width) for _ in range(len(policies) + 1)]
     v_succ = np.zeros((n_steps + 1, successors.shape[0]))
     v_succ[n_steps] = problem.target.contains(successors)
     values = np.zeros((n_steps + 1, points.shape[0]))
@@ -324,7 +328,6 @@ def _recursion(emb, problem, points, policies, choose=False):
     choices = None
     if choose:
         choices = np.zeros((n_steps, points.shape[0]), dtype=np.int64)
-    buffers = [np.empty(m * width) for _ in range(len(policies) + 1)]
     if n_succ:
         _sweep(
             emb, policies, successors[safe_succ], range(n_steps - 1, 0, -1),

@@ -301,6 +301,45 @@ def test_oracle_mc_flow(tmp_path, capsys):
     assert metadata["oracle"] == "mc"
 
 
+def test_a_file_that_is_not_utf8_exits_without_a_traceback(
+    tmp_path, capsys, sample_file
+):
+    # a sample, a value table or a points file that does not decode is a
+    # data file that does not parse (exit 4), a config file is
+    # configuration (exit 2)
+    lines = pathlib.Path(sample_file).read_bytes().split(b"\n")
+    lines[2] = b"\xff\xfe"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\xfe\n")
+    table = tmp_path / "mc.csv"
+    rc, _, _ = run(
+        capsys, "oracle-mc", "--point", "0,0", "--rollouts", "10",
+        "--out", str(table),
+    )
+    assert rc == 0
+    cannot_read = f"file error: cannot read {bad}: 'utf-8' codec can't decode"
+    for args, code, label in (
+        (("reach", "--sample-file", str(bad), "--point", "0,0"), 4, cannot_read),
+        (("compare", str(bad), str(table)), 4, cannot_read),
+        (("compare", str(table), str(bad)), 4, cannot_read),
+        (
+            ("oracle-mc", "--rollouts", "10", "--points-file", str(bad)),
+            4,
+            cannot_read,
+        ),
+        (
+            ("reach", "--sample-file", sample_file, "--config", str(cfg)),
+            2,
+            f"error: cannot read config file {cfg}: 'utf-8' codec can't decode",
+        ),
+    ):
+        rc, out, err = run(capsys, *args)
+        assert rc == code and out == "", args
+        assert err.startswith(label) and "Traceback" not in err, args
+
+
 def test_oracle_mc_accepts_points_file(tmp_path, capsys):
     pfile = tmp_path / "pts.csv"
     pfile.write_text("x1,x2,value\n0.0,0.0,0\n0.5,0.5,0\n")

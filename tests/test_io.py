@@ -1,6 +1,7 @@
 """CSV round-trips, header contracts, and failure diagnostics."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,36 @@ def test_row_blocks_match_per_cell_formatting(tmp_path, count):
     assert path.read_text() == per_cell_render(
         ["n", "value"], rows[:, [5, 2]], {"k": "v"}, int_columns=(0,)
     )
+
+
+@pytest.mark.parametrize("shape", [(2000, 17), (3, 16_385)])
+def test_cell_blocks_match_per_cell_formatting(tmp_path, shape):
+    # wider than 16 columns a block holds 16 384 cells: 963 rows of 17
+    # cells, and one row where a row holds more
+    rows = np.random.default_rng(shape[1]).standard_normal(shape)
+    names = [f"c{i}" for i in range(shape[1])]
+    path = tmp_path / "t.csv"
+    write_table(path, names, rows)
+    assert path.read_text() == per_cell_render(names, rows)
+
+
+def test_a_wide_sample_is_written_in_blocks_of_cells(tmp_path):
+    # 64 rows of 10 001 cells: a block of 1024 rows would be the text of
+    # the whole table, several times the arrays' 5 MB
+    rng = np.random.default_rng(0)
+    sample = TransitionSample(
+        states=rng.standard_normal((64, 5000)),
+        controls=np.zeros((64, 1)),
+        successors=rng.standard_normal((64, 5000)),
+    )
+    arrays = sample.states.nbytes + sample.controls.nbytes + sample.successors.nbytes
+    tracemalloc.start()
+    try:
+        write_transitions_csv(tmp_path / "s.csv", sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * arrays, peak / arrays
 
 
 def test_a_row_that_fails_to_format_leaves_no_file(tmp_path):

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -737,44 +738,66 @@ def test_mc_raises_the_first_failing_start_whatever_the_timing(
         mc_reach(system, disturbance, problem, policy, STARTS, 100, 0)
 
 
-def test_mc_thread_count_keeps_the_pool_within_its_bytes(monkeypatch):
-    use_cores(monkeypatch, 64)
-    chunk = oracle._MC_CHUNK
-    # one 2-D chunk is 5 MB: 25 of them fit in 128 MB, more than 20 starts
-    assert oracle._mc_threads(IntegratorChain(2), 20, chunk) == 20
-    assert oracle._mc_threads(IntegratorChain(2), 100, chunk) == 25
-    assert oracle._mc_threads(IntegratorChain(10), 100, chunk) == 5
-    # a chunk at n = 100 is 262 MB, beyond the bound: one thread, as
-    # with no pool
-    assert oracle._mc_threads(IntegratorChain(100), 100, chunk) == 1
-    # 100 rollouts per start need little: one thread per core
-    assert oracle._mc_threads(IntegratorChain(100), 100, 100) == 64
-    for n in (2, 10, 100, 1000):
-        for starts in (1, 20, 1000):
-            for rows in (1, 100, chunk):
-                threads = oracle._mc_threads(IntegratorChain(n), starts, rows)
-                assert 1 <= threads <= min(64, starts)
-                if threads > 1:
-                    assert threads * rows * n * 40 <= oracle._MC_POOL_BYTES
+def chain_case(n):
+    """The n-D integrator chain on the box [-1, 1]^n, 3 steps, zero policy."""
+    problem = ReachProblem(
+        safe=BoxSet([-1.0] * n, [1.0] * n),
+        target=BoxSet([-0.5] * n, [0.5] * n),
+        horizon=3,
+    )
+    return IntegratorChain(n), GaussianDisturbance([0.1] * n), problem, ZeroPolicy(1)
+
+
+@pytest.mark.parametrize(
+    "n, rollouts, want",
+    [
+        (2, 70_000, [65536] * 3 + [4464] * 3),
+        (4, 70_000, [65536] * 3 + [4464] * 3),
+        # 2**18 // 1000 = 262 rollouts a chunk
+        (1000, 600, [262] * 6 + [76] * 3),
+    ],
+)
+def test_mc_chunk_holds_at_most_2_18_state_entries(n, rollouts, want):
+    recording = RecordingDisturbance([0.1] * n)
+    system, _, problem, policy = chain_case(n)
+    mc_reach(system, recording, problem, policy, np.zeros((1, n)), rollouts, 4)
+    assert recording.draws == want
+
+
+def test_mc_threads_are_the_cores_or_the_safe_starts(monkeypatch):
+    # the thread count does not depend on n: at n = 100, four starts of
+    # 40 000 rollouts run on four threads, as at n = 2
+    system, disturbance, problem, _ = chain_case(100)
+    use_cores(monkeypatch, 4)
+    policy = ThreadPolicy()
+    mc_reach(system, disturbance, problem, policy, np.zeros((4, 100)), 40_000, 0)
+    assert len(policy.threads) == 4
+    policy = ThreadPolicy()
+    mc_reach(system, disturbance, problem, policy, np.zeros((2, 100)), 100, 0)
+    assert len(policy.threads) == 2
+
+
+def test_mc_traced_peak_does_not_grow_with_n(monkeypatch):
+    # two threads at n = 400, each holding one chunk of 2**18 entries:
+    # about 13 MiB in all, where a 65 536-row chunk took 184 MiB
+    system, disturbance, problem, policy = chain_case(400)
+    use_cores(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        mc_reach(system, disturbance, problem, policy, np.zeros((2, 400)), 20_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
 
 
 def test_mc_steps_a_blas_system_on_one_thread(monkeypatch):
     use_cores(monkeypatch, 4)
     system, disturbance, problem, _, x0s = cwh_case()
     assert not system.threaded_rollouts
-    assert oracle._mc_threads(system, 20, 100) == 1
     policy = ThreadPolicy(controls=2)
     mc_reach(system, disturbance, problem, policy, x0s[:2], 100, 0)
     assert policy.threads == {threading.get_ident()}
-
-
-def test_mc_pool_bound_caps_the_threads(setup, monkeypatch):
-    system, disturbance, problem, _ = setup
-    use_cores(monkeypatch, 4)
-    monkeypatch.setattr(oracle, "_MC_POOL_BYTES", 2 * 100 * 2 * 40)
-    policy = ThreadPolicy()
-    mc_reach(system, disturbance, problem, policy, STARTS, 100, 0)
-    assert len(policy.threads) == 2
 
 
 def test_mc_unsafe_start_draws_nothing(setup, monkeypatch):

@@ -4,6 +4,7 @@ import importlib.util
 import pathlib
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "phase_peaks.py"
+PHASES = ["generate", "fit", "recursion", "monte-carlo"]
 
 
 def _load_tool():
@@ -14,10 +15,11 @@ def _load_tool():
 
 
 def test_phase_peaks_prints_one_line_per_phase(capsys):
-    assert _load_tool().main(["--samples", "8", "--dim", "3", "--seed", "1"]) == 0
+    argv = ["--samples", "8", "--dim", "3", "--seed", "1", "--rollouts", "50"]
+    assert _load_tool().main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("M=8 n=3 ")
-    assert [line.split()[0] for line in lines[1:]] == ["generate", "fit", "recursion"]
+    assert [line.split()[0] for line in lines[1:]] == PHASES
     for line in lines[1:]:
         _, peak, unit = line.split()
         assert float(peak) >= 0.0 and unit == "MiB"
@@ -25,9 +27,15 @@ def test_phase_peaks_prints_one_line_per_phase(capsys):
 
 def test_each_phase_peak_counts_the_sample():
     # 64 samples at n = 5000: the states and successors, 2.4 MiB each,
-    # are live in every phase, and no phase holds a third such array
+    # are live in every phase, and no estimator phase holds a third such
+    # array; the Monte Carlo phase's rollouts hold the same 2**18 state
+    # entries a chunk at n = 500 and n = 5000, about 7 MiB above the
+    # sample at both, where 2000-row chunks took 24 and 230 MiB
+    tool = _load_tool()
     array = 64 * 5000 * 8
-    peaks = dict(_load_tool().phase_peaks(64, 5000))
-    assert list(peaks) == ["generate", "fit", "recursion"]
-    for name, peak in peaks.items():
-        assert 2 * array <= peak <= 2.5 * array, (name, peak / array)
+    peaks = dict(tool.phase_peaks(64, 5000))
+    assert list(peaks) == PHASES
+    for name in PHASES[:3]:
+        assert 2 * array <= peaks[name] <= 2.5 * array, (name, peaks[name] / array)
+    small = dict(tool.phase_peaks(64, 500))["monte-carlo"] - 2 * 64 * 500 * 8
+    assert peaks["monte-carlo"] - 2 * array <= 1.1 * small

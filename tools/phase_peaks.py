@@ -4,14 +4,17 @@ The phases are those of ``rkhs-reach bench-dims`` at one state
 dimension n, at the configuration's defaults (sigma 0.1, lambda 1,
 horizon 3, zero policy): ``generate`` draws the sample, ``fit`` fits the
 estimator on it and ``recursion`` runs the backward recursion at the
-origin. Each peak is tracemalloc's, in MiB, and counts what the phase
-holds from earlier phases: the fit's includes its sample. Run from the
-repository root:
+origin. A fourth phase, ``monte-carlo``, runs ``mc_reach`` from the
+origin with ``--rollouts`` rollouts, as ``rkhs-reach oracle-mc`` does.
+Each peak is tracemalloc's, in MiB, and counts what the phase holds
+from earlier phases: the fit's includes its sample, and so does the
+Monte Carlo phase's. Run from the repository root:
 
     python tools/phase_peaks.py [--samples M] [--dim N] [--seed S]
+                                [--rollouts R]
 
-The defaults, 256 samples at n = 10 000, are the sizes of the README's
-memory figures.
+The defaults, 256 samples at n = 10 000 and 2000 rollouts, are the
+sizes of the README's memory figures.
 """
 
 import argparse
@@ -23,7 +26,13 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from rkhs_reach import Embedding, RBFKernel, generate_transitions, value_recursion  # noqa: E402
+from rkhs_reach import (  # noqa: E402
+    Embedding,
+    RBFKernel,
+    generate_transitions,
+    mc_reach,
+    value_recursion,
+)
 from rkhs_reach.config import (  # noqa: E402
     RunConfig,
     apply_overrides,
@@ -36,7 +45,7 @@ from rkhs_reach.config import (  # noqa: E402
 )
 
 
-def phase_peaks(samples, dim, seed=0):
+def phase_peaks(samples, dim, seed=0, rollouts=2000):
     """The traced peak of each phase in bytes, as ``(name, peak)`` pairs."""
     overrides = {"samples": samples, "dim": dim, "seed": seed}
     cfg = validate(apply_overrides(RunConfig(), overrides))
@@ -61,6 +70,12 @@ def phase_peaks(samples, dim, seed=0):
         tracemalloc.reset_peak()
         value_recursion(emb, problem, np.zeros((1, dim)), policy)
         peaks.append(("recursion", tracemalloc.get_traced_memory()[1]))
+        tracemalloc.reset_peak()
+        mc_reach(
+            system, disturbance, problem, policy, np.zeros((1, dim)), rollouts,
+            cfg.seed,
+        )
+        peaks.append(("monte-carlo", tracemalloc.get_traced_memory()[1]))
     finally:
         tracemalloc.stop()
     return peaks
@@ -71,11 +86,13 @@ def main(argv=None):
     parser.add_argument("--samples", type=int, default=256)
     parser.add_argument("--dim", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rollouts", type=int, default=2000)
     args = parser.parse_args(argv)
     print(f"M={args.samples} n={args.dim} (one sample-wide array: "
           f"{args.samples * args.dim * 8 / 2**20:.1f} MiB)")
-    for name, peak in phase_peaks(args.samples, args.dim, args.seed):
-        print(f"{name:10s} {peak / 2**20:7.1f} MiB")
+    peaks = phase_peaks(args.samples, args.dim, args.seed, args.rollouts)
+    for name, peak in peaks:
+        print(f"{name:11s} {peak / 2**20:7.1f} MiB")
     return 0
 
 
