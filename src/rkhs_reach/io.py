@@ -14,8 +14,19 @@ Writes go through a temporary file in the destination directory
 followed by an atomic rename. The file keeps the mode of the one it
 replaces; a new file gets ``0o666`` less the umask, as ``open`` would
 give it.
+
+Reading keeps the format's own rules in Python and leaves the numbers
+to numpy. The file is read one line at a time: blank lines are skipped
+anywhere, ``#`` lines before the header are metadata and after it an
+error, the first other line is the header, and a data line must have as
+many cells as the header has names. The data lines go on to
+``np.loadtxt``, which parses every cell into one float64 array, so
+neither the file's text nor a Python float per cell is ever held; a
+cell is a number as numpy parses it (decimal, ``nan``, ``inf``). Every
+error names the file and, where it has one, the line.
 """
 
+import itertools
 import os
 import stat
 import tempfile
@@ -115,56 +126,80 @@ def _render(names, rows, metadata=None, int_columns=()):
 
 
 def _parse_table(path):
+    """Names, float64 rows and metadata of a table (module docstring)."""
     metadata = {}
-    names = None
-    data = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw_lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}")
-    for lineno, line in enumerate(raw_lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if names is not None:
+    names = []
+    lineno = 0
+
+    def data_lines(handle):
+        nonlocal lineno
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if line.startswith("#") and names:
                 raise FileFormatError(
                     f"{path}:{lineno}: comment after the header is not allowed"
                 )
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
-            continue
-        cells = line.split(",")
-        if names is None:
-            names = [c.strip() for c in cells]
-            if any(not n for n in names):
-                raise FileFormatError(f"{path}:{lineno}: empty column name")
-            continue
-        if len(cells) != len(names):
-            raise FileFormatError(
-                f"{path}:{lineno}: expected {len(names)} cells, got {len(cells)}"
-            )
-        try:
-            data.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}")
-    if names is None:
+            if line.startswith("#"):
+                key, eq, value = line.lstrip("#").partition("=")
+                if eq:
+                    metadata[key.strip()] = value.strip()
+            elif line and not names:
+                names.extend(c.strip() for c in line.split(","))
+                if not all(names):
+                    raise FileFormatError(f"{path}:{lineno}: empty column name")
+            elif line:
+                cells = line.count(",") + 1
+                if cells != len(names):
+                    raise FileFormatError(
+                        f"{path}:{lineno}: expected {len(names)} cells, got {cells}"
+                    )
+                yield line
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = data_lines(handle)
+            # a table without data rows never reaches loadtxt, which warns
+            first = next(lines, None)
+            data = np.empty((0, len(names)))
+            if first is not None:
+                try:
+                    data = np.loadtxt(
+                        itertools.chain([first], lines), delimiter=",",
+                        comments=None, ndmin=2,
+                    )
+                except ValueError as exc:
+                    if isinstance(exc, UnicodeDecodeError):
+                        raise
+                    # loadtxt pulls one line at a time, so the bad cell is on
+                    # the line yielded last; the row and column numpy names
+                    # count data rows only and are dropped
+                    text = str(exc).rsplit(" at row ", 1)[0]
+                    raise FileFormatError(f"{path}:{lineno}: {text}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}")
+    if not names:
         raise FileFormatError(f"{path}: no header row found")
-    array = np.array(data, dtype=np.float64).reshape(len(data), len(names))
-    return names, array, metadata
+    return names, data, metadata
 
 
-def _numbered_block(names, prefix, start):
-    """Count how many columns continue ``prefix1, prefix2, ...`` at start."""
+def _numbered_block(names, prefix, start, first=1):
+    """Count how many columns continue ``prefix<first>, ...`` at start."""
     count = 0
     while start + count < len(names) and names[start + count] == (
-        f"{prefix}{count + 1}"
+        f"{prefix}{first + count}"
     ):
         count += 1
     return count
+
+
+def _refuse_cell(path, names, cells, bad, rule):
+    """Raise for the first cell of ``cells`` where ``bad`` holds."""
+    hits = np.argwhere(bad)
+    if hits.size:
+        row, c = hits[0]
+        raise FileFormatError(
+            f"{path}: data row {row + 1}, column {names[c]} is {cells[row, c]}; {rule}"
+        )
 
 
 def _x_table(path):
@@ -228,13 +263,11 @@ def write_values_csv(path, field, metadata=None):
     n_rows = field.values.shape[0]
     names = [f"x{i + 1}" for i in range(n)] + [f"v{k}" for k in range(n_rows)]
     blocks = [field.points, field.values.T]
-    int_columns = []
+    int_columns = ()
     if field.policy_choices is not None:
         names += [f"choice{k}" for k in range(field.policy_choices.shape[0])]
         blocks.append(field.policy_choices.T.astype(np.float64))
-        int_columns = list(
-            range(n + n_rows, n + n_rows + field.policy_choices.shape[0])
-        )
+        int_columns = range(n + n_rows, len(names))
     rows = np.hstack(blocks)
     atomic_write_text(path, _render(names, rows, metadata, int_columns))
 
@@ -242,9 +275,7 @@ def write_values_csv(path, field, metadata=None):
 def read_values_csv(path):
     """Read a value table; returns ``(ValueField, metadata)``."""
     names, data, metadata, n = _x_table(path)
-    k = 0
-    while n + k < len(names) and names[n + k] == f"v{k}":
-        k += 1
+    k = _numbered_block(names, "v", n, first=0)
     if k == 0:
         raise FileFormatError(f"{path}: no v0 column")
     choices = None
@@ -257,15 +288,11 @@ def read_values_csv(path):
             )
         cells = data[:, n + k :]
         # a float below 2**63 converts to int64 exactly; NaN fails every test
-        bad = np.argwhere(
-            ~((cells >= 0.0) & (cells == np.floor(cells)) & (cells < 2.0**63))
+        _refuse_cell(
+            path, rest, cells,
+            ~((cells >= 0.0) & (cells == np.floor(cells)) & (cells < 2.0**63)),
+            "every choice must be a non-negative integer",
         )
-        if bad.size:
-            row, c = bad[0]
-            raise FileFormatError(
-                f"{path}: data row {row + 1}, column {rest[c]} is "
-                f"{cells[row, c]}; every choice must be a non-negative integer"
-            )
         choices = cells.astype(np.int64).T
     field = ValueField(
         points=data[:, :n], values=data[:, n : n + k].T, policy_choices=choices
@@ -290,20 +317,11 @@ def read_value_table(path):
     or infinite cell anywhere in the table is a format error.
     """
     names, data, metadata, n = _x_table(path)
-    if "v0" in names:
-        col = names.index("v0")
-    elif "value" in names:
-        col = names.index("value")
-    else:
+    column = "v0" if "v0" in names else "value"
+    if column not in names:
         raise FileFormatError(f"{path}: no v0 or value column")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, c = bad[0]
-        raise FileFormatError(
-            f"{path}: data row {row + 1}, column {names[c]} is {data[row, c]}; "
-            "every cell must be finite"
-        )
-    return data[:, :n], data[:, col], metadata
+    _refuse_cell(path, names, data, ~np.isfinite(data), "every cell must be finite")
+    return data[:, :n], data[:, names.index(column)], metadata
 
 
 def read_points(path, dim):

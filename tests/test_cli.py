@@ -340,6 +340,20 @@ def test_a_file_that_is_not_utf8_exits_without_a_traceback(
         assert err.startswith(label) and "Traceback" not in err, args
 
 
+def test_a_sample_without_data_rows_exits_4_with_one_line(tmp_path, capsys):
+    # numpy's parser warns on input without data; the reader never hands
+    # it a header-only table, so stderr holds the file error alone
+    sample = tmp_path / "empty.csv"
+    sample.write_text("# seed=0\nx1,x2,u1,y1,y2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(
+            capsys, "reach", "--sample-file", str(sample), "--point", "0,0"
+        )
+    assert (rc, out, err) == (4, "", f"file error: {sample}: no data rows\n")
+    assert caught == []
+
+
 def test_oracle_mc_accepts_points_file(tmp_path, capsys):
     pfile = tmp_path / "pts.csv"
     pfile.write_text("x1,x2,value\n0.0,0.0,0\n0.5,0.5,0\n")

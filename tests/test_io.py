@@ -119,6 +119,22 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(FileFormatError, match="bad.csv:2"):
         read_transitions_csv(path)
 
+    # numpy parses the cells; the line is the file's, past metadata and
+    # blank lines, and numpy's own count of data rows is left out
+    path.write_text("# a=1\n\nx1,u1,y1\n\n0.0,0.0,0.0\n\n0.0,zap,0.0\n")
+    with pytest.raises(FileFormatError) as info:
+        read_transitions_csv(path)
+    assert str(info.value) == f"{path}:7: could not convert string 'zap' to float64"
+
+    path.write_text("x1,u1,y1\n" + "0,0,0\n" * 60_000 + "0,0,zap\n")
+    with pytest.raises(FileFormatError, match="bad.csv:60002: "):
+        read_transitions_csv(path)
+
+    # a trailing comment is a cell that does not parse
+    path.write_text("x1,u1,y1\n1,2,3 # c\n")
+    with pytest.raises(FileFormatError, match="bad.csv:2: "):
+        read_transitions_csv(path)
+
     path.write_text("x1,u1,y1\n0.0,0.0\n")
     with pytest.raises(FileFormatError, match="expected 3 cells, got 2"):
         read_transitions_csv(path)
@@ -387,6 +403,28 @@ def test_a_wide_sample_is_written_in_blocks_of_cells(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 2 * arrays, peak / arrays
+
+
+def test_a_wide_sample_is_read_in_bounded_memory(tmp_path):
+    # the reader's mirror of the writer's test: numpy parses one line at
+    # a time into the array, where a list of Python floats per cell and
+    # the file's whole text took 7.9 times the arrays
+    rng = np.random.default_rng(0)
+    sample = TransitionSample(
+        states=rng.standard_normal((64, 5000)),
+        controls=np.zeros((64, 1)),
+        successors=rng.standard_normal((64, 5000)),
+    )
+    arrays = sample.states.nbytes + sample.controls.nbytes + sample.successors.nbytes
+    write_transitions_csv(tmp_path / "s.csv", sample)
+    tracemalloc.start()
+    try:
+        read = read_transitions_csv(tmp_path / "s.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(read.successors, sample.successors)
     assert peak < 2 * arrays, peak / arrays
 
 

@@ -2,13 +2,16 @@
 
 The phases are those of ``rkhs-reach bench-dims`` at one state
 dimension n, at the configuration's defaults (sigma 0.1, lambda 1,
-horizon 3, zero policy): ``generate`` draws the sample, ``fit`` fits the
-estimator on it and ``recursion`` runs the backward recursion at the
-origin. A fourth phase, ``monte-carlo``, runs ``mc_reach`` from the
-origin with ``--rollouts`` rollouts, as ``rkhs-reach oracle-mc`` does.
-Each peak is tracemalloc's, in MiB, and counts what the phase holds
-from earlier phases: the fit's includes its sample, and so does the
-Monte Carlo phase's. Run from the repository root:
+horizon 3, zero policy): ``generate`` draws the sample, ``read`` writes
+it to a temporary directory, drops the drawn copy and reads the file
+back, as ``rkhs-reach reach --sample-file`` does, ``fit`` fits the
+estimator on the sample read and ``recursion`` runs the backward
+recursion at the origin. A fifth phase, ``monte-carlo``, runs
+``mc_reach`` from the origin with ``--rollouts`` rollouts, as
+``rkhs-reach oracle-mc`` does. Each peak is tracemalloc's, in MiB, and
+counts what the phase holds from earlier phases: the fit's includes its
+sample, and so does the Monte Carlo phase's. The write's own peak is
+counted in no phase. Run from the repository root:
 
     python tools/phase_peaks.py [--samples M] [--dim N] [--seed S]
                                 [--rollouts R]
@@ -20,6 +23,7 @@ sizes of the README's memory figures.
 import argparse
 import pathlib
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -43,6 +47,7 @@ from rkhs_reach.config import (  # noqa: E402
     build_system,
     validate,
 )
+from rkhs_reach.io import read_transitions_csv, write_transitions_csv  # noqa: E402
 
 
 def phase_peaks(samples, dim, seed=0, rollouts=2000):
@@ -62,6 +67,13 @@ def phase_peaks(samples, dim, seed=0, rollouts=2000):
             system, policy, sampler, disturbance, cfg.samples, cfg.seed
         )
         peaks.append(("generate", tracemalloc.get_traced_memory()[1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "sample.csv"
+            write_transitions_csv(path, sample)
+            del sample
+            tracemalloc.reset_peak()
+            sample = read_transitions_csv(path)
+            peaks.append(("read", tracemalloc.get_traced_memory()[1]))
         tracemalloc.reset_peak()
         emb = Embedding(
             sample, kernel, cfg.lam, normalize_weights=cfg.normalize_weights
