@@ -10,12 +10,12 @@ the other two terms to each block while it is there. Every
 ``IntegratorChain.step`` runs it: the transition sampler's, the Monte
 Carlo oracle's rollouts and the grid oracle's means. The second is the
 quadrature-plus-interpolation sweep of the grid oracle, a blocked matrix
-contraction. It builds each quadrature rule once per distinct mean of
-a block of queries, not once per query: the grid oracle's means repeat,
-3 803 distinct first-axis and 201 second-axis means among the 40 401
-queries of a 201 x 201 grid, 1 890 and 101 among the 10 201 of a
-101 x 101 one. The Gaussian cross-kernel matrix is computed in
-``RBFKernel.cross``.
+contraction. It builds each quadrature rule, and runs the band product,
+once per distinct mean of a block of queries, not once per query: the
+grid oracle's means repeat, 3 803 distinct first-axis and 201
+second-axis means among the 40 401 queries of a 201 x 201 grid, 1 890
+and 101 among the 10 201 of a 101 x 101 one. The Gaussian cross-kernel
+matrix is computed in ``RBFKernel.cross``.
 
 ``chain_apply`` runs in numpy's elementwise loops, single-threaded but
 for its BLAS product of the controls, which a row block of all-zero
@@ -177,28 +177,32 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     times hat function ``a`` at the first-axis nodes and ``c2`` the same
     on the second axis. Queries are sorted by their first-axis mean and
     run in blocks of ``_BACKUP_BLOCK``. A block's ``c1`` rows are built
-    with ``np.bincount`` over the band of grid rows the block touches,
-    gathered one per query and contracted with that band of ``values``
-    in one matrix product; the result is then read at each query's
-    second-axis cells.
+    with ``np.bincount`` over the band of grid rows the block touches and
+    contracted with that band of ``values`` in one matrix product; each
+    query then reads its second-axis cells from its first-axis mean's
+    row of the result.
 
     A rule, its cells and its ``c1`` row depend on the query only
     through its mean on that axis, so within a block they are built once
-    per distinct mean on each axis (``distinct``) and gathered per
-    query. Each entry is computed as it would be per query, so the
-    result has the same bits. The band product stays on the gathered
-    rows: on the distinct rows alone, a product of another shape, it
-    moved values by an ulp.
+    per distinct mean on each axis (``distinct``), and the band product
+    runs on the distinct ``c1`` rows alone, an A x band by band x n2
+    product for A distinct first-axis means. The rules and cells are
+    gathered per query with the bits they would have per query. The
+    product's bits depend on its shape, so a value can differ by an ulp
+    from that of a product with one row per query, and from one on
+    another BLAS thread count.
 
     Cost: the band is the +-4 sd window, ``8 * sd / step + 2`` grid rows
     at most ``n1``, plus the block's spread of means, so the product
-    costs about that many times ``n2`` multiply-adds per query; the
-    rules cost ``O(quad_nodes)`` per distinct mean of a block and the
-    gathers ``O(quad_nodes)`` per query. At a fixed ``sd`` a finer grid
-    makes each query dearer, in proportion to the number of grid nodes.
-    The grid oracle's means repeat: at 201 x 201 on the 2-D benchmark its
-    40 401 grid queries hold 3 803 distinct first-axis means and 201
-    second-axis ones, and its 10 201 evaluation queries 1 890 and 101.
+    costs about that many times ``n2`` multiply-adds per distinct
+    first-axis mean of a block; the rules cost ``O(quad_nodes)`` per
+    distinct mean of a block and the reads ``O(quad_nodes)`` per query.
+    At a fixed ``sd`` a finer grid makes each distinct mean dearer, in
+    proportion to the number of grid nodes. The grid oracle's means
+    repeat: at 201 x 201 on the 2-D benchmark its 40 401 grid queries
+    hold 3 803 distinct first-axis means and 201 second-axis ones, a
+    median of 81 first-axis means per 1024-query block, and its 10 201
+    evaluation queries 1 890 and 101, a median of 161 per block.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     means = np.ascontiguousarray(means, dtype=np.float64)
@@ -223,10 +227,10 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
             weights=np.concatenate([lo1.ravel(), hi1.ravel()]),
             minlength=i1.shape[0] * band,
         ).reshape(-1, band)
-        u = (c1[of1] @ values[first : first + band]).ravel()
+        u = (c1 @ values[first : first + band]).ravel()
         m2, of2 = distinct(means[q, 1])
         i2, lo2, hi2 = _cells(*_axis_rule(m2, sd2, a2, b2, glx, glw), a2, h2, n2)
-        at = np.arange(q.shape[0])[:, None] * n2 + i2[of2]
+        at = of1[:, None] * n2 + i2[of2]
         out[q] = np.einsum("pk,pk->p", u[at], lo2[of2]) + np.einsum(
             "pk,pk->p", u[at + 1], hi2[of2]
         )

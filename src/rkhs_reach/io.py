@@ -175,8 +175,19 @@ def _parse_table(path):
                     # count data rows only and are dropped
                     text = str(exc).rsplit(" at row ", 1)[0]
                     raise FileFormatError(f"{path}:{lineno}: {text}")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        # the decoder counts its position from its own chunk, which starts
+        # on the line after the last one read or on that line's unread
+        # part; the bad byte's line is the last of the chunk's lines up to
+        # it, split as the reader splits them (a lone \r that ends the
+        # chunk before is held back and missed)
+        lineno += len(exc.object[: exc.start + 1].splitlines())
+        raise FileFormatError(
+            f"cannot read {path}:{lineno}: 'utf-8' codec can't decode byte "
+            f"0x{exc.object[exc.start]:02x}: {exc.reason}"
+        )
     if not names:
         raise FileFormatError(f"{path}: no header row found")
     return names, data, metadata

@@ -44,23 +44,21 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _normal_cdf(z):
-    """The standard normal CDF, ``erfc(-z / sqrt(2)) / 2`` per element.
-
-    ``math.erfc`` runs once per distinct argument of the 1-D ``z``, told
-    apart by bit pattern: the grid oracle's means repeat.
-    """
+    """The standard normal CDF, ``erfc(-z / sqrt(2)) / 2`` per element."""
     arg = -np.asarray(z, dtype=np.float64) / math.sqrt(2.0)
-    arg, at = _backend.distinct(arg)
-    return 0.5 * _erfc(arg).astype(np.float64)[at]
+    return 0.5 * _erfc(arg).astype(np.float64)
 
 
 def _box_hit_probability(means, box, sd):
-    # closed-form E[1_box(mean + w)] for diagonal Gaussian w
+    # closed-form E[1_box(mean + w)] for diagonal Gaussian w; math.erfc
+    # runs on both faces of each axis's distinct means, told apart by bit
+    # pattern, then each query gathers: the grid oracle's means repeat
     p = np.ones(means.shape[0])
     for d in range(2):
-        p *= _normal_cdf((box.upper[d] - means[:, d]) / sd[d]) - _normal_cdf(
-            (box.lower[d] - means[:, d]) / sd[d]
-        )
+        m, at = _backend.distinct(means[:, d])
+        faces = np.array([[box.upper[d]], [box.lower[d]]])
+        upper, lower = _normal_cdf((faces - m) / sd[d])
+        p *= (upper - lower)[at]
     return p
 
 

@@ -34,7 +34,8 @@ overflows (3, whatever the BLAS's round-off) and a file of the wrong
 format (4). Each ``.txt``
 file holds ``exit <code>`` and the command's stderr, with the input
 directory left out of the paths it names.
-``tests/test_golden.py`` reruns every case and compares.
+``tests/test_golden.py`` reruns every case and compares, reading each
+table with ``table_parts``, as ``tools/blas_matrix.py`` does.
 """
 
 import contextlib
@@ -53,6 +54,9 @@ REPEATED_SAMPLE = "repeated_point_128.csv"
 OVERFLOW_SAMPLE = "overflow_point_128.csv"
 POINTS = "points_4.csv"
 COMPARE_STDOUT = "compare_fixed_dp.txt"
+
+# columns of wall time, which no rerun repeats
+WALL_TIME = ("seconds",)
 
 _COMMON = ["--grid", "11x11:-1.1,1.1,-1.1,1.1", "--horizon", "3"]
 _MAX = ["--mode", "max", "--control-grid=-0.5;0;0.5"]
@@ -131,6 +135,16 @@ def error_cases(inputs):
             os.path.join(inputs, POINTS),
         ],
     }
+
+
+def table_parts(text):
+    """Metadata lines, header and cells of a golden CSV text, without wall time."""
+    lines = text.splitlines()
+    meta = [line for line in lines if line.startswith("#")]
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    keep = [i for i, name in enumerate(body[0]) if name not in WALL_TIME]
+    cells = [[row[i] for i in keep] for row in body]
+    return meta, cells[0], cells[1:]
 
 
 def _run(argv):

@@ -1,5 +1,7 @@
 """Hot numerical kernels against dense, closed-form and loop references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,8 @@ def test_distinct_keeps_each_bit_pattern_apart():
 
 def _per_query_backup(values, origin, steps, sds, means, glx, glw):
     # dp_backup as it was before it shared the rules, cells and c1 rows
-    # of repeated means: each built once per query
+    # of repeated means: each built once per query, and the band product
+    # run on one c1 row per query
     a1, a2 = origin
     h1, h2 = steps
     sd1, sd2 = sds
@@ -277,15 +280,38 @@ def _one_axis_repeats(axis):
     ],
 )
 def test_dp_backup_matches_the_per_query_backup_bitwise(means):
-    # each distinct mean's rule, cells and c1 row are built once per
-    # block and gathered per query; the per-query build gives the same
-    # bits
+    # no longer bitwise, despite the name: the band product runs on the
+    # distinct c1 rows, a product of another shape than the per-query
+    # one, so a value may differ by an ulp; the rules, cells and c1 rows
+    # are built once per distinct mean of a block
     values = np.random.default_rng(15).uniform(size=(41, 37))
     origin, steps, sds = (-1.0, -1.0), (0.05, 2.0 / 36), (0.1, 0.1)
     glx, glw = _rule(25)
     got = _backend.dp_backup(values, origin, steps, sds, means, glx, glw)
     want = _per_query_backup(values, origin, steps, sds, means, glx, glw)
-    assert got.tobytes() == want.tobytes()
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_dp_backup_memory_does_not_grow_with_the_repeats():
+    # 1024 queries on 8 distinct first-axis means over a field 4001
+    # columns wide: the band product holds one row per distinct mean,
+    # 8 x 4001, where one row per query took 1024 x 4001 (31 MiB)
+    rng = np.random.default_rng(17)
+    values = rng.uniform(size=(41, 4001))
+    means = np.column_stack(
+        [np.repeat(np.linspace(-0.5, 0.5, 8), 128), rng.uniform(-1.0, 1.0, 1024)]
+    )
+    origin, steps, sds = (-1.0, -1.0), (0.05, 2.0 / 4000), (0.1, 0.1)
+    glx, glw = _rule(25)
+    tracemalloc.start()
+    try:
+        got = _backend.dp_backup(values, origin, steps, sds, means, glx, glw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak / 2**20
+    want = _per_query_backup(values, origin, steps, sds, means, glx, glw)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
 @pytest.mark.parametrize("sds", [(0.3, 0.25), (0.04, 0.03)])

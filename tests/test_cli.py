@@ -306,11 +306,14 @@ def test_a_file_that_is_not_utf8_exits_without_a_traceback(
 ):
     # a sample, a value table or a points file that does not decode is a
     # data file that does not parse (exit 4), a config file is
-    # configuration (exit 2)
+    # configuration (exit 2); the message names the line of the bad byte,
+    # where the decoder's position counts from its 8 KB chunk
     lines = pathlib.Path(sample_file).read_bytes().split(b"\n")
     lines[2] = b"\xff\xfe"
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"\n".join(lines))
+    deep = tmp_path / "deep.csv"
+    deep.write_bytes(b"1,2\n" * 20001 + b"\xff,3\n")
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"seed = 1\n\xff\xfe\n")
     table = tmp_path / "mc.csv"
@@ -319,7 +322,9 @@ def test_a_file_that_is_not_utf8_exits_without_a_traceback(
         "--out", str(table),
     )
     assert rc == 0
-    cannot_read = f"file error: cannot read {bad}: 'utf-8' codec can't decode"
+    cannot_read = (
+        f"file error: cannot read {bad}:3: 'utf-8' codec can't decode byte 0xff"
+    )
     for args, code, label in (
         (("reach", "--sample-file", str(bad), "--point", "0,0"), 4, cannot_read),
         (("compare", str(bad), str(table)), 4, cannot_read),
@@ -328,6 +333,11 @@ def test_a_file_that_is_not_utf8_exits_without_a_traceback(
             ("oracle-mc", "--rollouts", "10", "--points-file", str(bad)),
             4,
             cannot_read,
+        ),
+        (
+            ("oracle-mc", "--rollouts", "10", "--points-file", str(deep)),
+            4,
+            f"file error: cannot read {deep}:20002: 'utf-8' codec can't decode",
         ),
         (
             ("reach", "--sample-file", sample_file, "--config", str(cfg)),

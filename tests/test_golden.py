@@ -28,8 +28,6 @@ from rkhs_reach import Embedding, FileFormatError, InputError, NumericalError
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden"
 ATOL = 1e-14
-# columns of wall time, which no rerun repeats
-WALL_TIME = ("seconds",)
 
 
 def _load_script():
@@ -46,12 +44,7 @@ regenerate = _load_script()
 
 def _parts(path):
     """Metadata lines, header and cells of a package CSV, without wall time."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    meta = [line for line in lines if line.startswith("#")]
-    body = [line.split(",") for line in lines if not line.startswith("#")]
-    keep = [i for i, name in enumerate(body[0]) if name not in WALL_TIME]
-    cells = [[row[i] for i in keep] for row in body]
-    return meta, cells[0], cells[1:]
+    return regenerate.table_parts(path.read_text(encoding="utf-8"))
 
 
 def _sha256(path):

@@ -1,6 +1,7 @@
 """CSV round-trips, header contracts, and failure diagnostics."""
 
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,43 @@ def test_parse_errors_carry_line_numbers(tmp_path):
 
     with pytest.raises(FileFormatError, match="cannot read"):
         read_transitions_csv(tmp_path / "missing.csv")
+
+
+def test_a_byte_that_is_not_utf8_is_reported_at_the_readers_line(tmp_path):
+    # lines end at \n, \r\n and a lone \r, as the reader counts them; a
+    # valid multibyte character before the bad byte moves no line, and a
+    # sequence cut short at the end of the file is found too
+    path = tmp_path / "bad.csv"
+    head = b"# a=\xc3\xa9\nx1,u1,y1\r\n0,0,0\r0,0,0\n"
+    for tail, line, byte in (
+        (b"0,0,\xff\n", 5, "0xff"),
+        (b"0,0,0\r\r0,0,\xe2\x82\n", 7, "0xe2"),
+        (b"0,0,\xe2\x82", 5, "0xe2"),
+    ):
+        path.write_bytes(head + tail)
+        with pytest.raises(FileFormatError) as info:
+            read_transitions_csv(path)
+        assert str(info.value).startswith(
+            f"cannot read {path}:{line}: 'utf-8' codec can't decode byte {byte}: "
+        ), str(info.value)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_byte_that_is_not_utf8_in_a_pipe_is_reported_at_its_line():
+    # a pipe can be read only once, so the line is counted on the way
+    data = b"x1,u1,y1\n" + b"0,0,0\n" * 20000 + b"0,0,\xff\n"
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: os.fdopen(write_end, "wb").write(data))
+    writer.start()
+    try:
+        with pytest.raises(FileFormatError) as info:
+            read_transitions_csv(f"/dev/fd/{read_end}")
+    finally:
+        writer.join()
+        os.close(read_end)
+    assert str(info.value).startswith(
+        f"cannot read /dev/fd/{read_end}:20002: 'utf-8' codec can't decode byte 0xff: "
+    ), str(info.value)
 
 
 def test_transitions_header_contract(tmp_path):

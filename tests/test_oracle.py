@@ -214,10 +214,32 @@ _CDF_ARGS = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.25, 5e-324, 38.5])
     ids=["repeated", "distinct"],
 )
 def test_normal_cdf_is_the_per_element_erfc_bitwise(z):
-    # erfc runs once per distinct argument when they repeat; signed
-    # zeros and infinities give what the per-element call gives
+    # signed zeros and infinities give what the per-element call gives
     got = oracle._normal_cdf(z)
     want = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_box_hit_probability_is_per_element_on_repeated_means():
+    # erfc runs once per face and distinct mean of an axis; each query
+    # gathers the bits its own per-element evaluation gives, signed
+    # zeros and infinite means included
+    axis = np.concatenate([_CDF_ARGS, np.linspace(-1.5, 1.5, 7)])
+    rng = np.random.default_rng(18)
+    means = np.column_stack([rng.choice(axis, 300), rng.choice(axis, 300)])
+    box = BoxSet([-1.0, -0.5], [1.0, 0.25])
+    sd = np.array([0.3, 0.2])
+
+    def cdf(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    want = np.ones(len(means))
+    for d in range(2):
+        want *= [
+            cdf((box.upper[d] - m) / sd[d]) - cdf((box.lower[d] - m) / sd[d])
+            for m in means[:, d]
+        ]
+    got = oracle._box_hit_probability(means, box, sd)
     assert got.tobytes() == want.tobytes()
 
 

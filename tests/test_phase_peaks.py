@@ -1,7 +1,10 @@
 """``tools/phase_peaks.py`` prints the traced peak of each bench-dims phase."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "phase_peaks.py"
 PHASES = ["generate", "read", "fit", "recursion", "monte-carlo"]
@@ -42,3 +45,25 @@ def test_each_phase_peak_counts_the_sample():
     assert 2 * array <= peaks["read"] <= 3.5 * array, peaks["read"] / array
     small = dict(tool.phase_peaks(64, 500))["monte-carlo"] - 2 * 64 * 500 * 8
     assert peaks["monte-carlo"] - 2 * array <= 1.1 * small
+
+
+def test_no_module_is_imported_while_the_phases_are_traced():
+    # in a fresh interpreter, where no other test has imported numpy's
+    # lazily loaded modules: an import under tracing counts its objects
+    # in the phases' peaks (2.58 sample arrays in generate, bound 2.5)
+    script = (
+        "import importlib.util, sys, tracemalloc\n"
+        f"spec = importlib.util.spec_from_file_location('phase_peaks', {str(TOOL)!r})\n"
+        "tool = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tool)\n"
+        "start, seen = tracemalloc.start, []\n"
+        "tracemalloc.start = lambda: (seen.append(set(sys.modules)), start())\n"
+        "tool.phase_peaks(8, 3, rollouts=50)\n"
+        "print(sorted(set(sys.modules) - seen[0]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(TOOL.parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]", out

@@ -27,6 +27,10 @@ import tempfile
 import tracemalloc
 
 import numpy as np
+# numpy imports numpy.random on its first use, and the modules it pulls
+# in would stay traced in every phase's peak (0.3 sample arrays at
+# 64 x 5000): they are imported here, before tracing starts
+import numpy.random  # noqa: F401
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
