@@ -17,13 +17,20 @@ second-axis means among the 40 401 queries of a 201 x 201 grid, 1 890
 and 101 among the 10 201 of a 101 x 101 one. The Gaussian cross-kernel
 matrix is computed in ``RBFKernel.cross``.
 
-``chain_apply`` runs in numpy's elementwise loops, single-threaded but
-for its BLAS product of the controls, which a row block of all-zero
-controls skips, so the zero policy's rollouts make no BLAS call;
-``oracle.mc_reach`` steps rollouts of the chain on several threads of
-its own (the chain's ``threaded_rollouts``). ``dp_backup`` is threaded
-only inside its BLAS matrix products. Both are deterministic: the same
-inputs give the same bits.
+``chain_apply`` runs in numpy's elementwise loops, single-threaded and
+with no BLAS call, so ``oracle.mc_reach`` steps rollouts of the chain
+on several threads of its own (the chain's ``threaded_rollouts``) under
+any policy. ``dp_backup`` is threaded only inside its BLAS matrix
+products. Both are deterministic: the same inputs give the same bits.
+
+``block_rows`` is the package's one row-block budget: every sweep that
+is blocked to bound its memory, not to shape a BLAS product, takes its
+rows from it, about ``_CHAIN_BLOCK_BYTES`` (256 KiB) a block. Besides
+the chain apply and the sampler these are the norm sums of
+``RBFKernel.gram``, the lifted sample rows of ``RBFKernel.cross``, the
+masks of ``BoxSet.contains`` on wide rows and the text blocks of the
+CSV writer. None of them but the cross changes a bit or a byte with
+the block size (see ``kernels``).
 
 The benchmark's tracer (``perfbench/tracing.py``) patches
 ``chain_apply`` and ``dp_backup`` by name and its worker records
@@ -46,34 +53,35 @@ def active_backend():
     return "numpy"
 
 
-# bytes of states per chain_apply block: the block, its output and the
-# scratch product (three times this) stay in a core's L2 cache while
-# every diagonal of the band passes over them
+# bytes of one row block of every memory-bounded sweep; a chain_apply
+# block, its output and the scratch product (three times this) stay in
+# a core's L2 cache while every diagonal of the band passes over them
 _CHAIN_BLOCK_BYTES = 256 * 1024
 
 
-def block_rows(n):
-    """Rows of ``n`` components that make one ``chain_apply`` block (at least 1)."""
-    return max(1, _CHAIN_BLOCK_BYTES // (8 * max(n, 1)))
+def block_rows(width, itemsize=8):
+    """Rows of ``width`` items of ``itemsize`` bytes in one block (at least 1)."""
+    return max(1, _CHAIN_BLOCK_BYTES // (itemsize * max(width, 1)))
 
 
 def chain_apply(coeffs, x, u=None, bt=None, w=None):
     """``x A' + u bt + w``, for ``A`` the banded upper-triangular Toeplitz ``coeffs``.
 
     ``(x A')[r, i] = sum_j coeffs[j] * x[r, i + j]`` for ``i + j`` in range.
-    Rows of ``x`` are independent state vectors. The controls ``u``
-    (rows x m) with the transposed input matrix ``bt`` (m x n), and the
+    Rows of ``x`` are independent state vectors. The scalar controls
+    ``u`` (rows x 1) with the input row ``bt`` (1 x n), and the
     disturbance ``w`` (broadcast to the shape of ``x``), are optional.
-    The rows are swept in blocks of :func:`block_rows` (about
-    ``_CHAIN_BLOCK_BYTES``), and one scratch buffer holds each diagonal's
-    products and then the block's control product, one BLAS matrix
-    product. Every entry sums its products in diagonal order starting
-    from 0.0, then adds its control product and then its disturbance,
-    the order of three passes over the whole array, so the result does
-    not depend on the block size. ``bt`` must be finite, as the chain's
-    input matrix is: then a block whose controls are all zero skips its
-    product with the same bits. The output is the only array of the
-    size of ``x`` that the call allocates.
+    The rows are swept in blocks of :func:`block_rows`, and one scratch
+    buffer holds each diagonal's products and then the block's control
+    product, the control column times the input row: one rounded product
+    an entry, the bits of a matrix product with an inner dimension of 1,
+    with no BLAS call. Every entry sums its products in diagonal order
+    starting from 0.0, then adds its control product and then its
+    disturbance, the order of three passes over the whole array, so the
+    result does not depend on the block size. ``bt`` must be finite, as
+    the chain's input row is: then a block whose controls are all zero
+    skips its product with the same bits. The output is the only array
+    of the size of ``x`` that the call allocates.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -94,7 +102,7 @@ def chain_apply(coeffs, x, u=None, bt=None, w=None):
         # +0.0 and so never hold -0.0, which changes no bit: such a block
         # skips its product
         if u is not None and u[s : s + block].any():
-            np.matmul(u[s : s + block], bt, out=scratch[:k])
+            np.multiply(u[s : s + block], bt, out=scratch[:k])
             ob += scratch[:k]
         if w is not None:
             ob += w[s : s + block]

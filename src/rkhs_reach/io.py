@@ -6,10 +6,12 @@ All files are UTF-8 with LF line endings. Optional metadata rides in
 exactly, so a write/read cycle reproduces arrays bit for bit; integer
 columns are written with ``%d``. Each table builds one ``%`` template
 from its column kinds, after checking once that the rows are as wide
-as the header, and formats and writes blocks of ``_BLOCK_ROWS`` (1024)
-rows, or of ``_BLOCK_CELLS`` (16 384) cells in a table wider than 16
-columns, with one ``%`` each, so the text of the whole table is never
-held at once; the bytes written do not depend on the block size.
+as the header, and formats and writes blocks of rows with one ``%``
+each, so the text of the whole table is never held at once. A block
+has as many rows as the package's one row-block budget
+(:func:`~rkhs_reach._backend.block_rows`) holds at about 24 bytes of
+text a cell: 10 922 cells, and at least one row. The bytes written do
+not depend on the block size.
 Writes go through a temporary file in the destination directory
 followed by an atomic rename. The file keeps the mode of the one it
 replaces; a new file gets ``0o666`` less the umask, as ``open`` would
@@ -33,6 +35,7 @@ import tempfile
 
 import numpy as np
 
+from ._backend import block_rows
 from .embedding import TransitionSample
 from .errors import FileFormatError, InputError
 from .reach import ValueField
@@ -48,11 +51,6 @@ __all__ = [
     "write_table",
     "atomic_write_text",
 ]
-
-# rows formatted and written per ``%``, at most _BLOCK_ROWS and at most
-# as many as hold _BLOCK_CELLS cells: about 24 bytes of text a cell
-_BLOCK_ROWS = 1024
-_BLOCK_CELLS = 16384
 
 
 def _target_mode(path):
@@ -114,7 +112,7 @@ def _render(names, rows, metadata=None, int_columns=()):
         "%d" if i in int_set else "%.17g" for i in range(len(names))
     ) + "\n"
 
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(1, len(names))))
+    step = block_rows(len(names), itemsize=24)
 
     def pieces():
         yield "\n".join(lines) + "\n"

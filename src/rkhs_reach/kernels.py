@@ -14,15 +14,20 @@ expands to the product of the lifted rows ``[2 gamma a', -gamma |a'|^2,
 leave a small positive exponent for near-coincident points) and
 exponentiating in place makes one matrix-sized array in two elementwise
 passes. The query side is lifted whole and the ``a`` side, such as a
-fitted sample, in row blocks of 256 KB (or of as many rows as the query
-side, if more), each multiplied into its rows of the matrix. A Gram
-matrix takes the half-cost symmetric product of the centered points
-with themselves instead, summed over column blocks of 1024 columns (or
-of M, if more). So neither makes a copy of the ``a`` points, and a fit
-keeps only its sample's parts. Points that fit one block give the bits
-of one product; in more blocks the sums are split, which moves the
-values by round-off (at n = 10 000 and 64 points, 5.9e-16 relative in
-the Gram matrix and 4.5e-16 in a cross).
+fitted sample, in row blocks of the package's one row-block budget,
+:func:`~rkhs_reach._backend.block_rows` (256 KiB), or of as many rows
+as the query side, if more, each multiplied into its rows of the
+matrix. A Gram matrix takes the half-cost symmetric product of the
+centered points with themselves instead, summed over column blocks of
+1024 columns (or of M, if more), and adds its norm sums in row blocks
+of the same budget. So neither makes a copy of the ``a`` points, and a
+fit keeps only its sample's parts. Points that fit one block give the
+bits of one product. In more column blocks the Gram matrix's sums are
+split, and BLAS runs a product's rows in groups (of 4 on OpenBLAS's
+SkylakeX kernels), so a cross in row blocks that are not a multiple of
+the group rounds otherwise; both move the values by round-off (at
+n = 10 000 and 64 points, 5.9e-16 relative in the Gram matrix and
+4.5e-16 in a cross). The norm sums' row blocks change no bit.
 
 A bandwidth that is tiny against the points' distance from their mean
 is an open limit of the cross matrix: the lifted product rounds
@@ -36,13 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import block_rows
 from .errors import InputError
 
 __all__ = ["RBFKernel"]
-
-# entries of a block of norm sums in RBFKernel.gram, and of lifted sample
-# rows in RBFKernel.cross unless the query side is larger (256 KB)
-_GRAM_BLOCK = 32768
 
 # fewest columns of a block of centered points in RBFKernel.gram, which
 # is also at least as wide as the matrix is tall: at M = 1024 and
@@ -165,11 +167,12 @@ class RBFKernel:
         in ``more`` go beside those of ``b``; either way gives the bits
         of the joined points. Both sides are centered on the mean of the
         ``a`` rows. The query side is lifted whole, the ``a`` side in
-        blocks of at most ``_GRAM_BLOCK`` entries or as many rows as the
-        query side has, whichever is more, each block's product written
-        to its rows of the matrix, so no lifted copy of ``a`` is made. As
-        with numpy's ``out``, the matrix is written to ``out`` when
-        given, a float array of its shape, with the same bits.
+        blocks of :func:`~rkhs_reach._backend.block_rows` rows or as many
+        rows as the query side has, whichever is more, each block's
+        product written to its rows of the matrix, so no lifted copy of
+        ``a`` is made. As with numpy's ``out``, the matrix is written to
+        ``out`` when given, a float array of its shape, with the same
+        bits.
         """
         left, d = _parts(a if isinstance(a, tuple) else (a,))
         right, width = _parts((b, *more))
@@ -188,7 +191,7 @@ class RBFKernel:
         # a block of fewer rows than the query side re-reads its lifted
         # copy per block: at M = P = 1024 and n = 10 000, 3-row blocks
         # took 2.4 s and one block 0.37 s
-        rows = max(_GRAM_BLOCK // (d + 2), p)
+        rows = max(block_rows(d + 2), p)
         block = np.empty((min(rows, m), d + 2))
         for s in range(0, m, rows):
             lifted = block[: m - s]
@@ -234,7 +237,7 @@ class RBFKernel:
         # the norm sums go in by row blocks: a full-size sum array, freed
         # after the result was allocated, left a heap hole that added its
         # size to the peak memory of the weight sweeps after the fit
-        rows = max(1, _GRAM_BLOCK // m)
+        rows = block_rows(m)
         sums = np.empty((min(rows, m), m))
         for s in range(0, m, rows):
             head = sq[s : s + rows]

@@ -16,13 +16,17 @@ successor states act as the function being averaged. Estimates are
 clamped to [0, 1], so every returned value is a valid probability, and
 only states inside the safe set are estimated: the indicator makes
 every other value 0 before the last step. The policies the recursion
-queries, ``policy(k, states) -> controls``, are defined here too.
+queries, ``policy(k, states) -> controls``, are defined here too, and so
+is :class:`BoxSet`, whose ``contains`` tests rows wider than a few
+coordinates in row blocks of the package's one row-block budget,
+:func:`~rkhs_reach._backend.block_rows`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import block_rows
 from .embedding import Embedding
 from .errors import InputError
 
@@ -54,11 +58,6 @@ def _state_rows(points, dim):
 # (numpy 2.4, 2-vCPU x86 VM)
 _NARROW_ROW = 8
 
-# booleans per comparison in one block of wider rows: the two
-# comparisons hold 256 KB, not two (P, n) masks (4.9 MiB for the
-# successors at n = 10 000 and 256 samples)
-_BOX_BLOCK = 131072
-
 
 class BoxSet:
     """Axis-aligned box with inclusive faces: lower <= x <= upper."""
@@ -87,8 +86,10 @@ class BoxSet:
             inside = np.greater_equal(points, self.lower, order="F")
             inside &= np.less_equal(points, self.upper, order="F")
             return np.logical_and.reduce(inside, axis=1)
+        # two boolean masks of one row block, not of (P, n) (4.9 MiB for
+        # the successors at n = 10 000 and 256 samples)
         out = np.empty(points.shape[0], dtype=bool)
-        rows = max(1, _BOX_BLOCK // self.dim)
+        rows = block_rows(self.dim, itemsize=2)
         above, below = np.empty((2, min(rows, points.shape[0]), self.dim), dtype=bool)
         for s in range(0, points.shape[0], rows):
             block = points[s : s + rows]

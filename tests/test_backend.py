@@ -5,7 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rkhs_reach import _backend
+from rkhs_reach import (
+    BoxSampler,
+    BoxSet,
+    ConstantPolicy,
+    GaussianDisturbance,
+    IntegratorChain,
+    RBFKernel,
+    _backend,
+    generate_transitions,
+)
+from rkhs_reach.io import write_table
 
 
 def test_chain_apply_matches_dense_matrix():
@@ -45,14 +55,13 @@ def _one_pass_chain_apply(coeffs, x, u=None, bt=None, w=None):
 def test_chain_apply_row_blocks_match_one_pass_bitwise():
     rng = np.random.default_rng(12)
     coeffs = rng.uniform(0.0, 1.0, size=12)
-    budget = _backend._CHAIN_BLOCK_BYTES
-    per_block = budget // (8 * 1000)
+    per_block = _backend.block_rows(1000)
     shapes = {
         "remainder block": (2 * per_block + 5, 1000),
         "single row": (1, 1000),
         "n = 1": (9, 1),
         "n shorter than the band": (9, 7),
-        "one row per block": (3, budget // 8 + 3),
+        "one row per block": (3, _backend.block_rows(1) + 3),
     }
     for name, shape in shapes.items():
         x = rng.normal(size=shape)
@@ -75,6 +84,61 @@ def test_chain_apply_row_blocks_match_one_pass_bitwise():
             got = _backend.chain_apply(coeffs, x, *fused)
             want = _one_pass_chain_apply(coeffs, x, *fused)
             assert got.tobytes() == want.tobytes(), name
+
+
+def _blocked_results(path):
+    """The outputs of every sweep sized by ``block_rows``, by name."""
+    rng = np.random.default_rng(30)
+    chain = IntegratorChain(3)
+    sample = generate_transitions(
+        chain, ConstantPolicy([0.3]), BoxSampler([-1.0] * 3, [1.0] * 3),
+        GaussianDisturbance([0.1] * 3), 1000, 7,
+    )
+    kernel = RBFKernel(0.3)
+    points = rng.uniform(-1.0, 1.0, (300, 2))
+    wide = rng.uniform(-1.0, 1.0, (32, 4093)), rng.uniform(-1.0, 1.0, (32, 1))
+    query = rng.uniform(-1.0, 1.0, (3, 4093)), rng.uniform(-1.0, 1.0, (3, 1))
+    wide_kernel = RBFKernel(np.sqrt(4094 / 3.0))
+    rows = rng.uniform(-1.2, 1.2, (500, 300))
+    write_table(path, [f"c{i}" for i in range(7)], rng.standard_normal((2000, 7)))
+    return {
+        "states": sample.states,
+        "controls": sample.controls,
+        "successors": sample.successors,
+        "gram": kernel.gram(points),
+        "cross": kernel.cross(points, points[:5]),
+        "wide gram": wide_kernel.gram(*wide),
+        "wide cross": wide_kernel.cross(wide, *query),
+        "box": BoxSet(-np.ones(300), np.ones(300)).contains(rows),
+        "table": np.frombuffer(path.read_bytes(), dtype=np.uint8),
+    }
+
+
+@pytest.mark.parametrize("budget", [320, 64 * 2**20])
+def test_outputs_do_not_depend_on_the_row_block_budget(budget, monkeypatch, tmp_path):
+    # a few hundred bytes give blocks of one to a few dozen rows, 64 MiB
+    # one block per sweep: the chain apply and sampler, the Gram matrix's
+    # norm sums, the cross's lifted sample rows (2-D and 4094 wide), the
+    # box masks on 300-wide rows and the CSV writer's text blocks
+    want = _blocked_results(tmp_path / "t.csv")
+    before = [_backend.block_rows(w) for w in (3, 300, 4096)]
+    monkeypatch.setattr(_backend, "_CHAIN_BLOCK_BYTES", budget)
+    assert [_backend.block_rows(w) for w in (3, 300, 4096)] != before
+    got = _blocked_results(tmp_path / "t.csv")
+    for name in want:
+        if name == "wide cross" and budget == 320:
+            # blocks of 3 rows, where the default budget gives 8: BLAS
+            # runs a product's rows in groups (of 4 on OpenBLAS's SkylakeX
+            # kernels) and a remainder rounds otherwise, here 38 of 96
+            # entries by up to 3.3e-16 relative. The bound is the
+            # exponent's round-off: two orders of a sum of 4096 terms whose
+            # sizes add up to less than 2 differ by at most 2 * 4096 eps * 2
+            np.testing.assert_allclose(
+                got[name], want[name], rtol=4 * 4096 * np.finfo(float).eps,
+                atol=0.0,
+            )
+        else:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def _rule(n):

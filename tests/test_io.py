@@ -390,9 +390,10 @@ def test_value_and_sample_bytes_match_per_cell_formatting(tmp_path):
     )
 
 
-@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 10_201])
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 1559, 1560, 1561, 10_201])
 def test_row_blocks_match_per_cell_formatting(tmp_path, count):
-    # counts around the writers' block of 1024 rows, and the 101x101 grid
+    # counts around 1024 rows and around the writer's block of 1560 rows
+    # of 7 cells (block_rows(7, itemsize=24)), and the 101x101 grid
     rng = np.random.default_rng(count)
     points = rng.standard_normal((count, 2))
     values = rng.uniform(size=(3, count))
@@ -416,8 +417,8 @@ def test_row_blocks_match_per_cell_formatting(tmp_path, count):
 
 @pytest.mark.parametrize("shape", [(2000, 17), (3, 16_385)])
 def test_cell_blocks_match_per_cell_formatting(tmp_path, shape):
-    # wider than 16 columns a block holds 16 384 cells: 963 rows of 17
-    # cells, and one row where a row holds more
+    # a block holds about 10 922 cells: 642 rows of 17 cells, and one
+    # row where a row holds more
     rows = np.random.default_rng(shape[1]).standard_normal(shape)
     names = [f"c{i}" for i in range(shape[1])]
     path = tmp_path / "t.csv"

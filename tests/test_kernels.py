@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rkhs_reach import InputError, RBFKernel, kernels
+from rkhs_reach import InputError, RBFKernel, _backend, kernels
 
 
 def double_loop_gram(points, sigma):
@@ -145,7 +145,7 @@ def test_parts_give_the_bits_of_the_joined_points():
         with pytest.raises(ValueError):
             k.cross(a, b, out=np.empty(shape))
     wide, query = rng.normal(size=(32, 4094)), rng.normal(size=(3, 4094))
-    assert kernels._GRAM_BLOCK // 4096 == 8
+    assert _backend.block_rows(4094 + 2) == 8
     for shape in ((40, 3), (33, 3), (32, 4)):
         with pytest.raises(ValueError):
             k.cross(wide, query, out=np.empty(shape))
@@ -194,7 +194,7 @@ def test_points_in_one_block_give_the_bits_of_one_product(m, widths):
     query = [rng.uniform(-1.0, 1.0, (37, w)) + 3.0 for w in widths]
     joined, joined_query = np.hstack(parts), np.hstack(query)
     d = joined.shape[1]
-    assert m <= kernels._GRAM_BLOCK // (d + 2) and d <= kernels._GRAM_COLUMNS
+    assert m <= _backend.block_rows(d + 2) and d <= kernels._GRAM_COLUMNS
     k = RBFKernel(0.1 * np.sqrt(d))
     assert k.gram(*parts).tobytes() == one_block_gram(joined, k.gamma).tobytes()
     want = one_block_cross(joined, joined_query, k.gamma)
@@ -242,7 +242,7 @@ def test_narrow_points_in_many_blocks_stay_symmetric_with_a_unit_diagonal(monkey
     # sample rows (as many as the query side has): 50 columns and 20
     # rows give a shorter last block each way
     monkeypatch.setattr(kernels, "_GRAM_COLUMNS", 2)
-    monkeypatch.setattr(kernels, "_GRAM_BLOCK", 16)
+    monkeypatch.setattr(_backend, "_CHAIN_BLOCK_BYTES", 16 * 8)
     m, widths = 20, (30, 20)
     rng = np.random.default_rng(26)
     parts = [rng.uniform(-1.0, 1.0, (m, w)) + 100.0 for w in widths]
@@ -314,7 +314,7 @@ def test_gram_matches_double_loop():
 def test_gram_row_blocks_are_symmetric_to_the_bit():
     # more points than one norm-sum block holds, with a remainder block
     m = 300
-    assert m % (kernels._GRAM_BLOCK // m)
+    assert m % _backend.block_rows(m)
     pts = np.random.default_rng(5).normal(size=(m, 3))
     k = RBFKernel(0.85)
     g = k.gram(pts)

@@ -657,21 +657,28 @@ def test_mc_matches_the_frozen_loop_bitwise(case, chunk, monkeypatch):
 
 
 def test_mc_integrator_zero_policy_makes_no_blas_product(setup, monkeypatch):
-    # zero controls skip the chain's control product, on every thread
+    # zero controls skip the chain's control product, on every thread,
+    # and a nonzero control's product is a broadcast multiply, so no
+    # rollout calls np.matmul and the bits are the frozen loop's
     system, disturbance, problem, policy = setup
     starts = [[0.1, 0.2], [0.3, 0.4], [-0.5, 0.0]]
     want = mc_reach(system, disturbance, problem, policy, starts, 3000, 5)
+    constant = ConstantPolicy([0.5])
+    frozen = frozen_mc_reach(system, disturbance, problem, constant, starts, 3000, 5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.matmul was called")
 
     monkeypatch.setattr(_backend.np, "matmul", refuse)
-    use_cores(monkeypatch, 2)
-    got = mc_reach(system, disturbance, problem, policy, starts, 3000, 5)
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    with pytest.raises(AssertionError, match="np.matmul"):
-        mc_reach(system, disturbance, problem, ConstantPolicy([0.5]), starts, 10, 5)
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        got = mc_reach(system, disturbance, problem, policy, starts, 3000, 5)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        got = mc_reach(system, disturbance, problem, constant, starts, 3000, 5)
+        np.testing.assert_array_equal(got[0], frozen[0], err_msg=f"{cores}")
+        np.testing.assert_array_equal(got[1], frozen[1], err_msg=f"{cores}")
+    assert 0.0 < frozen[0].max() < 1.0
 
 
 class ThreadPolicy:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rkhs_reach import reach as reach_module
+from rkhs_reach._backend import block_rows
 from rkhs_reach import (
     AffinePolicy,
     BoxSampler,
@@ -733,7 +734,7 @@ def test_box_contains_sweeps_wide_rows_in_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * reach_module._BOX_BLOCK + 2**16, peak
+    assert peak <= 2 * block_rows(dim, itemsize=2) * dim + 2**16, peak
     np.testing.assert_array_equal(got, np.arange(rows) % 3 != 0)
 
 
