@@ -130,11 +130,15 @@ def _axis_rule(m, sd, lo, hi, glx, glw):
     mid = 0.5 * (b + a)
     live = half > 0.0
     t = mid[:, None] + half[:, None] * glx[None, :]
-    z = (t - m[:, None]) / sd
-    w = glw[None, :] * half[:, None] * (
+    # a dead row's window misses the grid: it weighs 0 at the nodes of the
+    # first live row (at lo if none is), so its cells widen no block's
+    # band product and its distance to its mean meets no exponent
+    t[~live] = t[np.argmax(live)] if live.any() else lo
+    w = np.zeros_like(t)
+    z = (t[live] - m[live, None]) / sd
+    w[live] = glw[None, :] * half[live, None] * (
         np.exp(-0.5 * z * z) * (_INV_SQRT_2PI / (sd * full_mass))
     )
-    w[~live] = 0.0
     return t, w
 
 
@@ -143,7 +147,7 @@ def _cells(t, w, lo, h, n):
     # (clipped to the grid) and the weights its cell's lower and upper
     # grid nodes receive
     f = (t - lo) / h
-    i = np.clip(f.astype(np.int64), 0, n - 2)
+    i = np.clip(f, 0, n - 2).astype(np.int64)
     r = f - i
     return i, w * (1.0 - r), w * r
 

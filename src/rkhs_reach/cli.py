@@ -86,7 +86,13 @@ def _load_config(args):
         cfg = apply_overrides(cfg, parse_config_file(args.config))
     # unset flags are None, which apply_overrides skips
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
-    return validate(apply_overrides(cfg, overrides))
+    cfg = validate(apply_overrides(cfg, overrides))
+    if cfg.mode == "max" and args.command != "reach":
+        raise InputError(
+            f"mode is max but {args.command} evaluates the configured policy; "
+            "only reach searches a control_grid"
+        )
+    return cfg
 
 
 def _embedding_metadata(cfg, sample):
@@ -116,24 +122,9 @@ def _draw_sample(cfg, system, policy):
     )
 
 
-def _check_policy_only(cfg, command):
-    """Refuse max mode and a control grid to a command that runs the policy."""
-    if cfg.mode == "max":
-        raise InputError(
-            f"mode is max but {command} evaluates the configured policy; "
-            "only reach searches a control_grid"
-        )
-    if cfg.control_grid:
-        raise InputError(
-            f"control_grid is set but {command} evaluates the configured "
-            "policy; the grid is searched only by reach with mode=max"
-        )
-
-
 def _oracle_inputs(args):
     """Config, system, disturbance, problem, points and policy of an oracle."""
     cfg = _load_config(args)
-    _check_policy_only(cfg, args.command)
     system = build_system(cfg)
     disturbance = build_disturbance(cfg, system)
     problem = build_problem(cfg, system.n)
@@ -163,16 +154,6 @@ def _cmd_generate(args):
 
 def _cmd_reach(args):
     cfg = _load_config(args)
-    if cfg.mode == "fixed" and cfg.control_grid:
-        raise InputError(
-            "control_grid is set but mode is fixed; the grid is searched "
-            "only with mode=max"
-        )
-    if cfg.mode == "max" and cfg.policy != "zero":
-        raise InputError(
-            f"policy is set to {cfg.policy!r} but mode is max; max mode "
-            "searches control_grid and queries no policy"
-        )
     sample = read_transitions_csv(args.sample_file)
     # every configuration check runs before the fit
     if cfg.mode == "max":
@@ -308,7 +289,6 @@ def _cmd_bench_dims(args):
     cfg = _load_config(args)
     if cfg.system != "integrator":
         raise InputError("bench-dims supports only the integrator system")
-    _check_policy_only(cfg, args.command)
     dims = parse_ints(args.dims, "--dims", 1)
     _check_count(args.repeats, "--repeats", 1)
     rows = []

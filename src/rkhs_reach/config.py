@@ -100,13 +100,20 @@ _CHOICES = {
 }
 _LEAST = {"dp_quad": 2}
 
-# The settings that shape one disturbance, each with the disturbance it
-# belongs to; under another disturbance they must keep their defaults.
-_DISTURBANCE_KEYS = {
-    "noise_sd": "gaussian",
-    "beta_alpha": "beta",
-    "beta_beta": "beta",
-    "beta_centered": "beta",
+# The settings that apply only while another setting has one value: per
+# that setting and value, the settings it rules and what refusing one
+# says after "NAME is set but", formatted with the setting's value and
+# the value it needs. Under another value they must keep their defaults.
+_CWH_BOXES = "the cwh system uses its fixed line-of-sight cone and docking box"
+_SHAPES = "the disturbance is {}; it shapes only the {} disturbance"
+_GRID = "mode is {}; the grid is searched only with mode=max"
+_POLICY = "mode is {}; max mode searches control_grid and queries no policy"
+_APPLIES_ONLY_UNDER = {
+    ("system", "integrator"): (("safe_box", "target_box"), _CWH_BOXES),
+    ("disturbance", "gaussian"): (("noise_sd",), _SHAPES),
+    ("disturbance", "beta"): (("beta_alpha", "beta_beta", "beta_centered"), _SHAPES),
+    ("mode", "max"): (("control_grid",), _GRID),
+    ("mode", "fixed"): (("policy",), _POLICY),
 }
 
 
@@ -179,9 +186,9 @@ def validate(cfg):
     Float settings must be finite and positive (an unset optional one
     passes), counts at least 1 (``dp_quad`` at least 2) and within a
     numpy index, ``seed`` non-negative, and choices one of ``_CHOICES``.
-    Across fields, the cwh system refuses ``dim`` but 2 or 4 and any set
-    box, and each setting of ``_DISTURBANCE_KEYS`` must keep its default
-    under another disturbance than its own.
+    Across fields, the cwh system refuses ``dim`` but 2 or 4, and each
+    setting of ``_APPLIES_ONLY_UNDER`` must keep its default unless the
+    setting it applies under has the value it needs.
     """
     for name, kind in _FIELD_TYPES.items():
         value, key = getattr(cfg, name), _FIELD_KEYS.get(name, name)
@@ -201,18 +208,11 @@ def validate(cfg):
         # dim is ignored for the rendezvous system (state is 4-D), but a
         # value other than the default or 4 signals a misconfiguration.
         raise InputError("dim cannot be overridden for the cwh system")
-    for name in ("safe_box", "target_box"):
-        if cfg.system == "cwh" and getattr(cfg, name) != getattr(RunConfig, name):
-            raise InputError(
-                f"{name} is set but the cwh system uses its fixed line-of-sight "
-                "cone and docking box"
-            )
-    for name, owner in _DISTURBANCE_KEYS.items():
-        if cfg.disturbance != owner and getattr(cfg, name) != getattr(RunConfig, name):
-            raise InputError(
-                f"{name} is set but the disturbance is {cfg.disturbance}; it "
-                f"shapes only the {owner} disturbance"
-            )
+    for (key, needed), (names, reason) in _APPLIES_ONLY_UNDER.items():
+        value = getattr(cfg, key)
+        for name in names:
+            if value != needed and getattr(cfg, name) != getattr(RunConfig, name):
+                raise InputError(f"{name} is set but " + reason.format(value, needed))
     return cfg
 
 

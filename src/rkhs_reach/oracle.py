@@ -237,10 +237,9 @@ def mc_reach(
     more than one thread: a system whose every step is a BLAS
     product, such as :class:`~rkhs_reach.systems.CWHSystem`, runs
     slower on several, because each product waits for OpenBLAS's own
-    thread pool. The integrator chain's step makes one BLAS product,
-    its control product, in each row block whose controls are not all
-    zero: under the zero policy its rollouts make no BLAS call, and
-    under a nonzero control each thread's blocks call OpenBLAS.
+    thread pool. The integrator chain's step makes no BLAS call under
+    any policy: its control product, like its band, is an elementwise
+    multiply (:func:`rkhs_reach._backend.chain_apply`).
 
     When a start raises, the starts after it stop at their next chunk
     and those before it run on; once every thread has ended, the error

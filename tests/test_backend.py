@@ -217,6 +217,29 @@ def test_dp_backup_matches_gaussian_closed_form():
     np.testing.assert_allclose(got, [2.0, 0.3 * 4.1 + 0.63], rtol=1e-7)
 
 
+def test_dp_backup_dead_rows_read_zero_and_leave_the_live_rows_bits():
+    # means whose window misses the grid on an axis read 0 with no
+    # warning, and their cells widen no band product: every live mean
+    # keeps the bits it has in a block of its own
+    rng = np.random.default_rng(5)
+    vals = rng.uniform(size=(81, 81))
+    live = rng.uniform(-0.3, 0.3, size=(300, 2))
+    dead = np.array([[1e20, 0.0], [-1e200, 0.1], [0.2, 1e200], [3.0, -3.0]])
+    glx, glw = _rule(25)
+    args = (vals, (-1.0, -1.0), (0.025, 0.025), (0.05, 0.05))
+    want = _backend.dp_backup(*args, live, glx, glw)
+    got = _backend.dp_backup(*args, np.concatenate([live, dead]), glx, glw)
+    assert got[:300].tobytes() == want.tobytes()
+    assert not got[300:].any()
+    # a block of dead means alone
+    assert not _backend.dp_backup(*args, dead, glx, glw).any()
+    # the dead means take cells among the live means' own
+    m = np.concatenate([live[:, 0], dead[:, 0]])
+    rule = _backend._axis_rule(m, 0.05, -1.0, 1.0, glx, glw)
+    i = _backend._cells(*rule, -1.0, 0.025, 81)[0]
+    assert i[:300].min() <= i[300:].min() and i[300:].max() <= i[:300].max()
+
+
 def _brute_force_backup(values, origin, steps, sds, means, glx, glw):
     # per-node bilinear gathers over the same per-axis rules
     n1, n2 = values.shape

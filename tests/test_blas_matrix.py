@@ -1,4 +1,5 @@
-"""``tools/blas_matrix.py`` compares a rerun golden file with the committed one."""
+"""``tools/blas_matrix.py`` compares a rerun golden file with the committed one
+and reads the failing tests from pytest's summary."""
 
 import importlib.util
 import math
@@ -16,7 +17,9 @@ def _load_tool():
     return module
 
 
-largest_change = _load_tool().largest_change
+_tool = _load_tool()
+largest_change = _tool.largest_change
+failed_tests = _tool.failed_tests
 
 WANT = "# horizon=3\nx1,x2,v0\n0.5,-1,0.25\n1,2,0.75\n"
 
@@ -64,3 +67,24 @@ def test_a_text_file_either_matches_or_differs():
     want = "exit 4\nfile error: x.csv: header must start with x1\n"
     assert largest_change(want, want) is None
     assert largest_change("exit 4\nfile error: other\n", want) == math.inf
+
+
+def test_failed_tests_are_read_from_the_short_summary():
+    rule = "=" * 20
+    output = "\n".join([
+        "F.E",
+        f"{rule} FAILURES {rule}",
+        "FAILED lines above the summary are a test's own output",
+        f"{rule} short test summary info {rule}",
+        "FAILED tests/test_embedding.py::test_invert[1024-1e-06] - assert 2 < 1",
+        "FAILED tests/test_golden.py::test_cli_matches[cwh_lqr_64.csv]",
+        "ERROR tests/test_golden.py - ImportError: x - y",
+        "SKIPPED [1] tests/test_golden.py:12: not here",
+        "2 failed, 1 passed, 1 error in 3.21s",
+    ])
+    assert failed_tests(output) == [
+        "tests/test_embedding.py::test_invert[1024-1e-06]",
+        "tests/test_golden.py::test_cli_matches[cwh_lqr_64.csv]",
+        "tests/test_golden.py",
+    ]
+    assert failed_tests("...\n3 passed in 2.10s\n") == []

@@ -176,40 +176,6 @@ def test_reach_max_mode_says_a_constant_sample_cannot_choose(
     assert rc == 0 and err == ""
 
 
-def test_reach_rejects_control_grid_in_fixed_mode(tmp_path, capsys, sample_file):
-    # the grid is searched only in max mode; fixed mode must not drop it
-    out_csv = tmp_path / "values.csv"
-    rc, out, err = run(
-        capsys,
-        "reach",
-        "--sample-file", sample_file,
-        "--point", "0,0",
-        "--control-grid=-0.5;0;0.5",
-        "--out", str(out_csv),
-    )
-    assert rc == 2 and out == ""
-    assert "control_grid" in err and "mode=max" in err
-    assert not out_csv.exists()
-
-
-def test_reach_rejects_policy_in_max_mode(tmp_path, capsys, sample_file):
-    # max mode searches the control grid; a named policy must not be dropped
-    out_csv = tmp_path / "values.csv"
-    rc, out, err = run(
-        capsys,
-        "reach",
-        "--sample-file", sample_file,
-        "--point", "0,0",
-        "--mode", "max",
-        "--control-grid=-0.5;0;0.5",
-        "--policy", "constant:0.3",
-        "--out", str(out_csv),
-    )
-    assert rc == 2 and out == ""
-    assert "policy" in err and "max mode searches control_grid" in err
-    assert not out_csv.exists()
-
-
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -536,6 +502,60 @@ def test_other_value_errors_propagate(monkeypatch, sample_file):
         main(["reach", "--sample-file", sample_file, "--point", "0,0"])
 
 
+_GRID = "--control-grid=-0.5;0;0.5"
+# a request of each setting that applies only under another setting's
+# value, or only to reach, made where it does not apply: its flags and
+# what refusing it says ({} is the command)
+_RULED_OUT = {
+    "grid in fixed mode": (
+        (_GRID,),
+        "control_grid is set but mode is fixed; the grid is searched only "
+        "with mode=max",
+    ),
+    "max outside reach": (
+        ("--mode", "max", _GRID),
+        "mode is max but {} evaluates the configured policy; only reach "
+        "searches a control_grid",
+    ),
+    "policy in max mode": (
+        ("--mode", "max", _GRID, "--policy", "constant:0.3"),
+        "policy is set but mode is max; max mode searches control_grid and "
+        "queries no policy",
+    ),
+}
+_COMMAND_ARGS = {
+    "generate": ("--samples", "16"),
+    "reach": ("--point", "0,0"),
+    "oracle-dp": ("--point", "0,0"),
+    "oracle-mc": ("--point", "0,0", "--rollouts", "10"),
+    "bench-dims": ("--dims", "2", "--samples", "16", "--repeats", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        (command, case)
+        for command in _COMMAND_ARGS
+        for case in _RULED_OUT
+        if (command, case) != ("reach", "max outside reach")
+    ],
+)
+def test_a_setting_that_does_not_apply_exits_2(
+    tmp_path, capsys, sample_file, command, case
+):
+    # every command refuses it with one message instead of dropping it,
+    # before it writes anything
+    flags, message = _RULED_OUT[case]
+    out_csv = tmp_path / "out.csv"
+    argv = [command, *_COMMAND_ARGS[command], *flags, "--out", str(out_csv)]
+    if command == "reach":
+        argv += ["--sample-file", sample_file]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and not out_csv.exists()
+    assert err == f"error: {message.format(command)}\n"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples = 64\nseed = 5\n")
@@ -670,23 +690,6 @@ def test_exit_codes_by_failure_class(tmp_path, capsys, sample_file):
         assert err.startswith(f"error: {key} must be at most"), args
         assert "Traceback" not in err
 
-    # the oracles and bench-dims evaluate the configured policy; a
-    # max-mode request or a control grid exits 2 naming the key instead of
-    # being dropped
-    bench = ("bench-dims", "--dims", "2", "--samples", "16", "--repeats", "1")
-    for command in (("oracle-dp",), ("oracle-mc", "--rollouts", "10"), bench):
-        rc, out, err = run(capsys, *command, "--point", "0,0", "--mode", "max")
-        assert rc == 2 and out == "" and "mode is max" in err, command
-        rc, out, err = run(
-            capsys, *command, "--point", "0,0", "--control-grid=-0.5;0;0.5"
-        )
-        assert rc == 2 and out == "" and "control_grid" in err, command
-        rc, out, err = run(
-            capsys, *command, "--point", "0,0", "--mode", "max",
-            "--control-grid=-0.5;0;0.5",
-        )
-        assert rc == 2 and out == "" and "mode is max" in err, command
-
     # a points file is a configuration input: a table without x columns
     # exits 2, an unreadable or malformed one exits 4
     headless = tmp_path / "headless.csv"
@@ -814,7 +817,9 @@ def test_every_config_field_has_a_flag(tmp_path):
     # one non-default value per RunConfig field; valid together but for
     # the two boxes, which the cwh system refuses, and noise_sd, which the
     # beta disturbance refuses, so those three are loaded in a second,
-    # integrator configuration with Gaussian noise
+    # integrator configuration with Gaussian noise; and for mode=max, which
+    # the lqr policy and every command but reach refuse, so it and the
+    # control grid it searches are loaded in a third, under reach
     texts = {
         "system": "cwh",
         "dim": "4",
@@ -847,8 +852,8 @@ def test_every_config_field_has_a_flag(tmp_path):
     assert list(texts) == fields
     keys = {name: "lambda" if name == "lam" else name for name in fields}
 
-    def load(names):
-        argv = ["generate", "--out", "x.csv"]
+    def load(names, command=("generate", "--out", "x.csv")):
+        argv = list(command)
         for name in names:
             argv.append("--" + keys[name].replace("_", "-") + "=" + texts[name])
         from_flags = _load_config(_build_parser().parse_args(argv))
@@ -856,17 +861,19 @@ def test_every_config_field_has_a_flag(tmp_path):
         cfg_file.write_text(
             "".join(f"{keys[name]} = {texts[name]}\n" for name in names)
         )
-        argv = ["generate", "--out", "x.csv", "--config", str(cfg_file)]
+        argv = [*command, "--config", str(cfg_file)]
         from_file = _load_config(_build_parser().parse_args(argv))
         assert from_flags == from_file
         return from_flags
 
     second = ["noise_sd", "safe_box", "target_box"]
-    cwh = load([name for name in fields if name not in second])
+    third = ["mode", "control_grid"]
+    cwh = load([name for name in fields if name not in second + third])
     integrator = load(second)
+    max_mode = load(third, ("reach", "--sample-file", "x.csv"))
     default = RunConfig()
     for name in fields:
-        cfg = integrator if name in second else cwh
+        cfg = integrator if name in second else max_mode if name in third else cwh
         assert getattr(cfg, name) != getattr(default, name), name
 
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ def test_dp_unsafe_start_is_exactly_zero(setup):
     pts = np.array([[1.05, 0.0], [0.0, -1.3], [2.0, 2.0]])
     field = dp_reach(system, disturbance, problem, pts, policy)
     np.testing.assert_array_equal(field.values[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("far", [1e20, 1e200])
+def test_dp_far_unsafe_start_is_zero_without_a_warning(setup, far):
+    # the start's means lie so far beyond the grid that their cell index
+    # overflows an int64 and their squared distance a float
+    system, disturbance, problem, policy = setup
+    two_step = ReachProblem(problem.safe, problem.target, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = dp_reach(
+            system, disturbance, two_step, [[far, 0.0]], policy, shape=(21, 21)
+        )
+    assert field.values[0][0] == 0.0
 
 
 def test_dp_keeps_mass_far_from_boundaries():

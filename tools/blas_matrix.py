@@ -9,11 +9,15 @@ one table: per golden file and run, ``=`` when the file's text is the
 committed one's, the largest change of a cell when only numbers moved,
 or ``differs`` when anything else did (metadata, header, row count, a
 line of text). Columns of wall time are left out, as the golden tests
-leave them out. Run from the repository root:
+leave them out. Then it reruns the tests that carry a round-off bound,
+``ROUND_OFF_TESTS``, under the same kernels and thread counts, and
+prints per run the ids of the tests that fail. Run from the repository
+root:
 
     python tools/blas_matrix.py
 
-The eight runs take about 2 s in all on a 2-vCPU x86 VM.
+The eight golden runs take about 2 s in all on a 2-vCPU x86 VM, and
+the eight test runs about 3 s each.
 """
 
 import importlib.util
@@ -29,6 +33,10 @@ GOLDEN = ROOT / "tests" / "data" / "golden"
 REGENERATE = GOLDEN / "regenerate.py"
 KERNELS = ("native", "Haswell", "Sandybridge", "Prescott")
 THREADS = (1, 2)
+ROUND_OFF_TESTS = (
+    "tests/test_golden.py",
+    "tests/test_embedding.py::test_invert_matches_a_cholesky_inverse",
+)
 
 
 def _load_regenerate():
@@ -81,8 +89,24 @@ def _cell(change):
     return "differs" if change == math.inf else f"{change:.3g}"
 
 
-def _run(kernel, threads, out):
-    """Regenerate the golden set into ``out`` under one kernel and thread count."""
+def failed_tests(output):
+    """The ids of the tests that fail or err in pytest's ``output``.
+
+    They are read from its short test summary, the text after the last
+    ``short test summary info`` line (all of ``output`` if it has none):
+    each ``FAILED`` or ``ERROR`` line gives one id, the text before its
+    `` - `` reason.
+    """
+    ids = []
+    for line in output.rpartition("short test summary info")[2].splitlines():
+        head, _, rest = line.partition(" ")
+        if head in ("FAILED", "ERROR") and rest:
+            ids.append(rest.split(" - ", 1)[0])
+    return ids
+
+
+def _run(kernel, threads, argv):
+    """Run ``argv`` from the root under one kernel and thread count."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -90,21 +114,31 @@ def _run(kernel, threads, out):
     env.pop("OPENBLAS_CORETYPE", None)
     if kernel != "native":
         env["OPENBLAS_CORETYPE"] = kernel
-    subprocess.run(
-        [sys.executable, str(REGENERATE), str(out)],
-        env=env, capture_output=True, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True
     )
+
+
+def _failures(kernel, threads):
+    """One line on the round-off tests under one kernel and thread count."""
+    done = _run(
+        kernel, threads,
+        ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ROUND_OFF_TESTS],
+    )
+    if done.returncode not in (0, 1):
+        return f"pytest exited {done.returncode}"
+    return " ".join(failed_tests(done.stdout)) or "all passed"
 
 
 def main():
     names = sorted(
         p.name for p in GOLDEN.iterdir() if p.is_file() and p != REGENERATE
     )
-    heads, columns = [], []
+    heads, columns, failures = [], [], []
     for kernel in KERNELS:
         for threads in THREADS:
             with tempfile.TemporaryDirectory() as tmp:
-                _run(kernel, threads, tmp)
+                _run(kernel, threads, [str(REGENERATE), tmp]).check_returncode()
                 out = pathlib.Path(tmp)
                 columns.append([
                     _cell(largest_change(
@@ -114,6 +148,7 @@ def main():
                     for name in names
                 ])
             heads.append(f"{kernel}/{threads}")
+            failures.append(_failures(kernel, threads))
     rows = [["file", *heads]] + [
         [name, *(column[i] for column in columns)] for i, name in enumerate(names)
     ]
@@ -123,6 +158,10 @@ def main():
             cell.ljust(w) if j == 0 else cell.rjust(w)
             for j, (cell, w) in enumerate(zip(row, widths))
         ))
+    print("\nfailing round-off tests:")
+    width = max(len(head) for head in heads)
+    for head, line in zip(heads, failures):
+        print(f"{head.ljust(width)}  {line}")
     return 0
 
 
