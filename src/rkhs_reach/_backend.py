@@ -9,19 +9,25 @@ row blocks that fit a core's L2 cache, one diagonal at a time, and adds
 the other two terms to each block while it is there. Every
 ``IntegratorChain.step`` runs it: the transition sampler's, the Monte
 Carlo oracle's rollouts and the grid oracle's means. The second is the
-quadrature-plus-interpolation sweep of the grid oracle, a blocked matrix
-contraction. It builds each quadrature rule, and runs the band product,
-once per distinct mean of a block of queries, not once per query: the
-grid oracle's means repeat, 3 803 distinct first-axis and 201
-second-axis means among the 40 401 queries of a 201 x 201 grid, 1 890
-and 101 among the 10 201 of a 101 x 101 one. The Gaussian cross-kernel
-matrix is computed in ``RBFKernel.cross``.
+quadrature-plus-interpolation sweep of the grid oracle, a blocked
+contraction. It builds each quadrature rule once per distinct mean, not
+once per query, and the grid oracle's means repeat: 3 803 distinct
+first-axis and 201 second-axis means among the 40 401 queries of a
+201 x 201 grid, 1 890 and 101 among the 10 201 of a 101 x 101 one. When
+the second-axis means repeat, as there, it contracts the field against
+their rules once per call, in numpy's elementwise loops; otherwise it
+runs a BLAS band product once per distinct first-axis mean of a block
+of queries. The Gaussian cross-kernel matrix is computed in
+``RBFKernel.cross``.
 
 ``chain_apply`` runs in numpy's elementwise loops, single-threaded and
 with no BLAS call, so ``oracle.mc_reach`` steps rollouts of the chain
 on several threads of its own (the chain's ``threaded_rollouts``) under
-any policy. ``dp_backup`` is threaded only inside its BLAS matrix
-products. Both are deterministic: the same inputs give the same bits.
+any policy. ``dp_backup`` is threaded only inside its band product, and
+on repeated second-axis means makes no BLAS call, so the grid oracle
+leaves no OpenBLAS thread spinning behind it. Both are deterministic:
+the same inputs give the same bits, and where no BLAS call is made the
+same bits on every BLAS kernel and thread count.
 
 ``block_rows`` is the package's one row-block budget: every sweep that
 is blocked to bound its memory, not to shape a BLAS product, takes its
@@ -36,6 +42,8 @@ The benchmark's tracer (``perfbench/tracing.py``) patches
 ``chain_apply`` and ``dp_backup`` by name and its worker records
 ``active_backend()``, so the three names stay in this module.
 """
+
+import math
 
 import numpy as np
 
@@ -120,9 +128,10 @@ def _axis_rule(m, sd, lo, hi, glx, glw):
     # beyond the clip, so dropping that part of the window is exact.
     # Normalizing by the rule's own full-window mass makes an interior
     # constant field integrate to exactly 1 at any node count; clipped
-    # queries keep only their in-window fraction.
-    full_mass = _QUAD_SPAN * _INV_SQRT_2PI * float(
-        glw @ np.exp(-0.5 * (_QUAD_SPAN * glx) ** 2)
+    # queries keep only their in-window fraction. The mass is summed
+    # correctly rounded, with no BLAS dot, so it has one value anywhere.
+    full_mass = _QUAD_SPAN * _INV_SQRT_2PI * math.fsum(
+        glw * np.exp(-0.5 * (_QUAD_SPAN * glx) ** 2)
     )
     a = np.maximum(m - _QUAD_SPAN * sd, lo)
     b = np.minimum(m + _QUAD_SPAN * sd, hi)
@@ -157,6 +166,44 @@ def _cells(t, w, lo, h, n):
 _BACKUP_BLOCK = 1024
 
 
+# most second-axis table entries a query of a backup that takes the
+# table path (see dp_backup's cost paragraph for the measured crossover)
+_TABLE_SHARE = 4
+
+
+def _second_axis_table(values, i2, lo2, hi2):
+    # table[r, b] = sum_k lo2[b, k] values[r, i2[b, k]]
+    #                     + hi2[b, k] values[r, i2[b, k] + 1]
+    # for the B rules (i2, lo2, hi2) of quad_nodes columns each, summed
+    # node by node from 0.0; each row block and its scratch gather stay
+    # in a core's L2 cache across the nodes
+    n1, width = values.shape[0], i2.shape[0]
+    i2, lo2, hi2 = (np.ascontiguousarray(a.T) for a in (i2, lo2, hi2))
+    table = np.zeros((n1, width))
+    rows = block_rows(width)
+    scratch = np.empty((min(rows, n1), width))
+    for r in range(0, n1, rows):
+        vb, tb = values[r : r + rows], table[r : r + rows]
+        sb = scratch[: vb.shape[0]]
+        for k in range(i2.shape[0]):
+            for cells, weights in ((i2[k], lo2[k]), (i2[k] + 1, hi2[k])):
+                # the cells are in range; "clip" lets take write into sb
+                # without a buffer of its own
+                np.take(vb, cells, axis=1, out=sb, mode="clip")
+                sb *= weights
+                tb += sb
+    return table
+
+
+def _sorted_distinct(bits):
+    # the distinct entries of the int64 array bits, sorted: a sort and a
+    # compare, where np.unique on 40 401 entries took 25 times as long
+    bits = np.sort(bits)
+    keep = np.ones(bits.size, dtype=bool)
+    keep[1:] = bits[1:] != bits[:-1]
+    return bits[keep]
+
+
 def distinct(x):
     """The distinct entries of the 1-D array ``x`` and each entry's index.
 
@@ -187,34 +234,60 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     tensor rule each query's sum over node pairs factorises exactly as
     ``c1 @ values @ c2``, where ``c1[a]`` collects the first-axis weights
     times hat function ``a`` at the first-axis nodes and ``c2`` the same
-    on the second axis. Queries are sorted by their first-axis mean and
-    run in blocks of ``_BACKUP_BLOCK``. A block's ``c1`` rows are built
-    with ``np.bincount`` over the band of grid rows the block touches and
-    contracted with that band of ``values`` in one matrix product; each
-    query then reads its second-axis cells from its first-axis mean's
-    row of the result.
+    on the second axis. A rule and its cells depend on the query only
+    through its mean on that axis, so they are built once per distinct
+    mean (``distinct``) and gathered per query with the bits they would
+    have per query. Queries are sorted by their first-axis mean and run
+    in blocks of ``_BACKUP_BLOCK``, and a block builds its first-axis
+    rules once per distinct mean. One axis is contracted first, by one of
+    two paths, chosen from the counts the call sees:
 
-    A rule, its cells and its ``c1`` row depend on the query only
-    through its mean on that axis, so within a block they are built once
-    per distinct mean on each axis (``distinct``), and the band product
-    runs on the distinct ``c1`` rows alone, an A x band by band x n2
-    product for A distinct first-axis means. The rules and cells are
-    gathered per query with the bits they would have per query. The
-    product's bits depend on its shape, so a value can differ by an ulp
-    from that of a product with one row per query, and from one on
-    another BLAS thread count.
+    - The table path, when the call's second-axis means repeat: when the
+      ``n1 x B2`` table over their B2 distinct values holds at most
+      ``_TABLE_SHARE`` entries a query. Once per call, ``values`` is
+      contracted against each distinct mean's second-axis rule,
+      ``table[r, b] = sum_k lo2[b, k] values[r, i2[b, k]]
+      + hi2[b, k] values[r, i2[b, k] + 1]``, node by node in numpy's
+      elementwise loops, in row blocks of :func:`block_rows`. Each query
+      then reads its first-axis cells from its mean's column. The path
+      makes no BLAS call, so its bits depend on no BLAS kernel and no
+      thread count.
+    - The band path, otherwise. A block's ``c1`` rows, one per distinct
+      first-axis mean, are built with ``np.bincount`` over the band of
+      grid rows the block touches and contracted with that band of
+      ``values`` in one BLAS matrix product, an A x band by band x n2
+      product for A distinct means. Each query then reads its
+      second-axis cells, from rules built once per distinct mean of the
+      block, from its first-axis mean's row of the product. The
+      product's bits depend on its shape, so a value can differ by an
+      ulp from that of a product with one row per query, and from one
+      on another BLAS kernel or thread count.
 
-    Cost: the band is the +-4 sd window, ``8 * sd / step + 2`` grid rows
-    at most ``n1``, plus the block's spread of means, so the product
-    costs about that many times ``n2`` multiply-adds per distinct
-    first-axis mean of a block; the rules cost ``O(quad_nodes)`` per
-    distinct mean of a block and the reads ``O(quad_nodes)`` per query.
-    At a fixed ``sd`` a finer grid makes each distinct mean dearer, in
-    proportion to the number of grid nodes. The grid oracle's means
-    repeat: at 201 x 201 on the 2-D benchmark its 40 401 grid queries
-    hold 3 803 distinct first-axis means and 201 second-axis ones, a
-    median of 81 first-axis means per 1024-query block, and its 10 201
-    evaluation queries 1 890 and 101, a median of 161 per block.
+    The paths sum in another order, so their values can differ by an
+    ulp.
+
+    Cost: the table costs ``2 * n1 * B2 * quad_nodes`` multiply-adds
+    once per call. The band product costs about ``band * n2`` per
+    distinct first-axis mean of a block, where the band is the +-4 sd
+    window, ``8 * sd / step + 2`` grid rows at most ``n1``, plus the
+    block's spread of means; so at a fixed ``sd`` a finer grid makes
+    each distinct mean dearer, in proportion to the number of grid
+    nodes. The rules cost ``O(quad_nodes)`` per distinct mean and the
+    reads ``O(quad_nodes)`` per query on either path. On random
+    first-axis means (grids of 51 x 51 to 801 x 801, 10 201 to 160 801
+    queries) the table path took 0.64 to 0.99 of the band path's time
+    at 4 table entries a query, and 0.71 to 1.55 at 8. The grid
+    oracle's means repeat: at 201 x 201 on the 2-D benchmark its 40 401
+    grid queries hold 3 803 distinct first-axis means and 201
+    second-axis ones, and its 10 201 evaluation queries 1 890 and 101,
+    so both take the table path, at 1 and 2 entries a query. Means that
+    never repeat take the band path.
+
+    Memory: the output and the sort order, in 4-byte indices below 2**31
+    queries, hold 12 bytes a query, and the table 8 bytes an entry. At
+    801 x 801 grid means the call peaks at 13.8 MiB traced, under the
+    24 bytes a query (14.7 MiB) of the output, an 8-byte order and the
+    copy that a sort of the strided first-axis column makes.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     means = np.ascontiguousarray(means, dtype=np.float64)
@@ -225,25 +298,41 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     sd1, sd2 = float(sds[0]), float(sds[1])
     n1, n2 = values.shape
     b1, b2 = a1 + h1 * (n1 - 1), a2 + h2 * (n2 - 1)
-    out = np.empty(means.shape[0])
-    order = np.argsort(means[:, 0], kind="stable")
-    for s in range(0, means.shape[0], _BACKUP_BLOCK):
+    queries = means.shape[0]
+    # the distinct second-axis means of the call, by bit pattern
+    keys2 = _sorted_distinct(means[:, 1].view(np.int64))
+    # the sort runs on a contiguous copy of the first-axis means, which
+    # then becomes the output, and keeps its order in 4-byte indices
+    out = means[:, 0].copy()
+    order = np.argsort(out, kind="stable")
+    if queries <= np.iinfo(np.int32).max:
+        order = order.astype(np.int32)
+    table = None
+    if n1 * keys2.size <= _TABLE_SHARE * queries:
+        rule2 = _axis_rule(keys2.view(np.float64), sd2, a2, b2, glx, glw)
+        table = _second_axis_table(values, *_cells(*rule2, a2, h2, n2)).ravel()
+    for s in range(0, queries, _BACKUP_BLOCK):
         q = order[s : s + _BACKUP_BLOCK]
         m1, of1 = distinct(means[q, 0])
         i1, lo1, hi1 = _cells(*_axis_rule(m1, sd1, a1, b1, glx, glw), a1, h1, n1)
-        first = int(i1.min())
-        band = int(i1.max()) + 2 - first
-        at = np.arange(i1.shape[0])[:, None] * band + (i1 - first)
-        c1 = np.bincount(
-            np.concatenate([at.ravel(), at.ravel() + 1]),
-            weights=np.concatenate([lo1.ravel(), hi1.ravel()]),
-            minlength=i1.shape[0] * band,
-        ).reshape(-1, band)
-        u = (c1 @ values[first : first + band]).ravel()
-        m2, of2 = distinct(means[q, 1])
-        i2, lo2, hi2 = _cells(*_axis_rule(m2, sd2, a2, b2, glx, glw), a2, h2, n2)
-        at = of1[:, None] * n2 + i2[of2]
-        out[q] = np.einsum("pk,pk->p", u[at], lo2[of2]) + np.einsum(
-            "pk,pk->p", u[at + 1], hi2[of2]
+        if table is None:
+            first = int(i1.min())
+            band = int(i1.max()) + 2 - first
+            at = np.arange(i1.shape[0])[:, None] * band + (i1 - first)
+            c1 = np.bincount(
+                np.concatenate([at.ravel(), at.ravel() + 1]),
+                weights=np.concatenate([lo1.ravel(), hi1.ravel()]),
+                minlength=i1.shape[0] * band,
+            ).reshape(-1, band)
+            u = (c1 @ values[first : first + band]).ravel()
+            m2, of = distinct(means[q, 1])
+            i2, lo, hi = _cells(*_axis_rule(m2, sd2, a2, b2, glx, glw), a2, h2, n2)
+            at, step = of1[:, None] * n2 + i2[of], 1
+        else:
+            u, of, lo, hi, step = table, of1, lo1, hi1, keys2.size
+            col = np.searchsorted(keys2, means[q, 1].view(np.int64))
+            at = i1[of] * step + col[:, None]
+        out[q] = np.einsum("pk,pk->p", u[at], lo[of]) + np.einsum(
+            "pk,pk->p", u[at + step], hi[of]
         )
     return out

@@ -33,6 +33,22 @@ def pytest_configure(config):
     config._acceptance = {}
 
 
+@pytest.fixture
+def record_round_off(record_property):
+    """Record a measured value and the round-off bound it is held to.
+
+    ``record_round_off(label, measured, bound)`` adds a ``round-off``
+    property, ``"LABEL MEASURED BOUND"``, to the test's JUnit XML entry,
+    where ``tools/blas_matrix.py`` reads it. Call it before asserting, so
+    that a failing run records its value too.
+    """
+
+    def record(label, measured, bound):
+        record_property("round-off", f"{label} {float(measured)!r} {float(bound)!r}")
+
+    return record
+
+
 @pytest.fixture(scope="session")
 def acceptance(request):
     """Mutable mapping: criterion number -> (passed, detail line)."""

@@ -290,9 +290,9 @@ def test_distinct_keeps_each_bit_pattern_apart():
 
 
 def _per_query_backup(values, origin, steps, sds, means, glx, glw):
-    # dp_backup as it was before it shared the rules, cells and c1 rows
-    # of repeated means: each built once per query, and the band product
-    # run on one c1 row per query
+    # dp_backup's band path as it was before it shared the rules, cells
+    # and c1 rows of repeated means: each built once per query, and the
+    # band product run on one c1 row per query, first axis first
     a1, a2 = origin
     h1, h2 = steps
     sd1, sd2 = sds
@@ -323,6 +323,43 @@ def _per_query_backup(values, origin, steps, sds, means, glx, glw):
     return out
 
 
+def _per_query_table_backup(values, origin, steps, sds, means, glx, glw):
+    # dp_backup's table path with nothing shared: each query's rules built
+    # for it alone, and the field contracted against its own second-axis
+    # rule, node by node from 0.0, before its first-axis cells are read
+    a1, a2 = origin
+    h1, h2 = steps
+    n1, n2 = values.shape
+    b1, b2 = a1 + h1 * (n1 - 1), a2 + h2 * (n2 - 1)
+    t1, w1 = _backend._axis_rule(means[:, 0], sds[0], a1, b1, glx, glw)
+    i1, lo1, hi1 = _backend._cells(t1, w1, a1, h1, n1)
+    t2, w2 = _backend._axis_rule(means[:, 1], sds[1], a2, b2, glx, glw)
+    i2, lo2, hi2 = _backend._cells(t2, w2, a2, h2, n2)
+    z = np.zeros((means.shape[0], n1))
+    for k in range(len(glx)):
+        z += lo2[:, k, None] * values.T[i2[:, k]]
+        z += hi2[:, k, None] * values.T[i2[:, k] + 1]
+    rows = np.arange(means.shape[0])[:, None]
+    return np.einsum("pk,pk->p", z[rows, i1], lo1) + np.einsum(
+        "pk,pk->p", z[rows, i1 + 1], hi1
+    )
+
+
+@pytest.fixture
+def table_widths(monkeypatch):
+    # the width of each second-axis table dp_backup builds: calls on the
+    # table path add one, calls on the band path none
+    widths = []
+    build = _backend._second_axis_table
+
+    def recording(values, i2, lo2, hi2):
+        widths.append(i2.shape[0])
+        return build(values, i2, lo2, hi2)
+
+    monkeypatch.setattr(_backend, "_second_axis_table", recording)
+    return widths
+
+
 def _stepped_grid_means(n):
     # the grid oracle's means on an n x n grid over [-1, 1]^2: the 2-D
     # integrator's noise-free step, which repeats means on both axes
@@ -341,9 +378,20 @@ def _signed_zero_means():
     return means
 
 
+def _second_axis_of(width):
+    # random means whose second axis takes `width` values, each at least
+    # once: on the 41-row field below, 203 values take the table path
+    # (8 323 entries for 2 085 queries, at most 4 a query) and 204 not
+    rng = np.random.default_rng(18)
+    means = rng.uniform(-1.2, 1.2, size=(2 * 1024 + 37, 2))
+    means[:, 1] = rng.permutation(np.resize(rng.uniform(-1.2, 1.2, width), 2085))
+    return means
+
+
 def _one_axis_repeats(axis):
-    # random means whose given axis takes 7 values: each block shares
-    # its rules on that axis and builds one per query on the other
+    # random means whose given axis takes 9 values, the thirds from -4/3
+    # to 4/3 (0 with both signs): each block shares its rules on that
+    # axis and builds one per query on the other
     means = np.random.default_rng(16).uniform(-1.2, 1.2, size=(2 * 1024 + 37, 2))
     means[:, axis] = np.round(means[:, axis] * 3.0) / 3.0
     return means
@@ -357,6 +405,8 @@ def _one_axis_repeats(axis):
         _one_axis_repeats(0),
         _one_axis_repeats(1),
         _signed_zero_means(),
+        _second_axis_of(203),
+        _second_axis_of(204),
     ],
     ids=[
         "grid means",
@@ -364,19 +414,48 @@ def _one_axis_repeats(axis):
         "first axis repeats",
         "second axis repeats",
         "signed zeros",
+        "table path at the crossover",
+        "band path past the crossover",
     ],
 )
-def test_dp_backup_matches_the_per_query_backup_bitwise(means):
+def test_dp_backup_matches_the_per_query_backup_bitwise(means, table_widths):
     # no longer bitwise, despite the name: the band product runs on the
     # distinct c1 rows, a product of another shape than the per-query
     # one, so a value may differ by an ulp; the rules, cells and c1 rows
-    # are built once per distinct mean of a block
+    # are built once per distinct mean of a block. A call on repeated
+    # second-axis means takes the table path, which contracts the second
+    # axis first, and is held to a reference that does so too
     values = np.random.default_rng(15).uniform(size=(41, 37))
     origin, steps, sds = (-1.0, -1.0), (0.05, 2.0 / 36), (0.1, 0.1)
     glx, glw = _rule(25)
     got = _backend.dp_backup(values, origin, steps, sds, means, glx, glw)
-    want = _per_query_backup(values, origin, steps, sds, means, glx, glw)
+    reference = _per_query_table_backup if table_widths else _per_query_backup
+    want = reference(values, origin, steps, sds, means, glx, glw)
     assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "means, width",
+    [
+        (_stepped_grid_means(61), 61),
+        # 0 takes both signs among the thirds, and among 0 and 0.45
+        (_one_axis_repeats(1), 10),
+        (_signed_zero_means(), 3),
+        (_second_axis_of(203), 203),
+        (_second_axis_of(204), None),
+        (_one_axis_repeats(0), None),
+    ],
+    ids=["grid means", "second axis repeats", "signed zeros", "203", "204", "random"],
+)
+def test_dp_backup_takes_the_table_path_up_to_4_entries_a_query(
+    means, width, table_widths
+):
+    # one table over the distinct second-axis means, when it holds at
+    # most 4 entries a query on the 41-row field
+    values = np.zeros((41, 37))
+    origin, steps, sds = (-1.0, -1.0), (0.05, 2.0 / 36), (0.1, 0.1)
+    _backend.dp_backup(values, origin, steps, sds, means, *_rule(9))
+    assert table_widths == ([] if width is None else [width])
 
 
 def test_dp_backup_memory_does_not_grow_with_the_repeats():
@@ -401,6 +480,27 @@ def test_dp_backup_memory_does_not_grow_with_the_repeats():
     assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
+def test_dp_backup_table_path_holds_at_most_24_bytes_a_query(table_widths):
+    # 801 x 801 grid means on an 801 x 801 field: the table has one entry
+    # a query. The output, the 4-byte sort order and the table hold 20
+    # bytes a query; the band path's sort of the strided first-axis column
+    # held 24 (the output, its order and the sort's copy), 14.7 MiB here
+    rng = np.random.default_rng(20)
+    values = rng.uniform(size=(801, 801))
+    means = _stepped_grid_means(801)
+    args = ((-1.0, -1.0), (0.0025, 0.0025), (0.1, 0.1), means, *_rule(25))
+    # lazy imports of a first call count toward no peak
+    _backend.dp_backup(values[:3, :3], *args[:3], means[:3], *args[4:])
+    tracemalloc.start()
+    try:
+        _backend.dp_backup(values, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_widths[-1] == 801
+    assert peak <= 24 * means.shape[0], peak / 2**20
+
+
 @pytest.mark.parametrize("sds", [(0.3, 0.25), (0.04, 0.03)])
 def test_dp_backup_matches_brute_force(sds):
     # non-square grid with unequal steps over [-1, 1] x [-0.72, 0.72];
@@ -421,3 +521,23 @@ def test_dp_backup_matches_brute_force(sds):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
     far = len(inside) + len(edge)
     np.testing.assert_array_equal(got[far : far + len(outside)], 0.0)
+
+
+@pytest.mark.parametrize("sds", [(0.3, 0.25), (0.04, 0.03)])
+def test_dp_backup_table_path_matches_brute_force(sds, table_widths):
+    # the grid above, with each second-axis mean one of 9 values from
+    # inside the grid to beyond its edge, so that the call takes the
+    # table path, and dead means on either axis, which read 0
+    rng = np.random.default_rng(21)
+    values = rng.uniform(size=(21, 19))
+    origin, steps = (-1.0, -0.72), (0.1, 0.08)
+    means = rng.uniform(-1.3, 1.3, size=(2 * _backend._BACKUP_BLOCK + 37, 2))
+    means[:, 1] = rng.choice(np.linspace(-0.9, 0.9, 9), size=means.shape[0])
+    dead = np.array([[1e20, 0.0], [-1e200, 0.36], [0.2, 1e200], [5.0, -4.0]])
+    means = np.concatenate([means, dead])
+    glx, glw = _rule(9)
+    got = _backend.dp_backup(values, origin, steps, sds, means, glx, glw)
+    assert len(table_widths) == 1
+    want = _brute_force_backup(values, origin, steps, sds, means, glx, glw)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    assert not got[-len(dead) :].any()

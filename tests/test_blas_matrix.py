@@ -88,3 +88,47 @@ def test_failed_tests_are_read_from_the_short_summary():
         "tests/test_golden.py",
     ]
     assert failed_tests("...\n3 passed in 2.10s\n") == []
+
+
+def test_round_off_records_are_read_from_the_junit_report():
+    report = (
+        '<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite>'
+        '<testcase name="test_a"><properties>'
+        '<property name="round-off" value="oracle_dp.csv v1 2.2e-16 1e-14" />'
+        '<property name="other" value="x 1 2" />'
+        '</properties><failure message="m">text</failure></testcase>'
+        '<testcase name="test_b"><properties>'
+        '<property name="round-off" value="inverse[lam=1e-06] 1.806e-12 1.8e-12" />'
+        "</properties></testcase><testcase name=\"test_c\" />"
+        "</testsuite></testsuites>"
+    )
+    assert _tool.round_off_records(report) == [
+        ("oracle_dp.csv v1", 2.2e-16, 1e-14),
+        ("inverse[lam=1e-06]", 1.806e-12, 1.8e-12),
+    ]
+
+
+def test_nearest_bounds_take_each_labels_largest_value():
+    records = [
+        ("reach_fixed.csv v0", 1e-16, 1e-14),
+        ("reach_fixed.csv v2", 6.6e-15, 1e-14),
+        ("reach_fixed.csv v0", 3e-16, 1e-14),
+        # a small value against a small bound comes nearer
+        ("reach_raw.csv v0", 1e-19, 1e-19),
+        ("reach_raw.csv v2", 1e-16, 1e-14),
+        # a column of zeros allows only zero
+        ("zeros.csv v0", 0.0, 0.0),
+        ("zeros.csv v1", 0.0, 1e-14),
+        ("inverse[lam=1e-06]", 1.2e-12, 1.8e-12),
+        ("inverse[lam=1e-06]", 2.58e-12, 1.8e-12),
+        ("inverse[lam=1]", 9e-16, 1.1e-15),
+    ]
+    assert _tool.nearest_bounds(records) == [
+        ("inverse[lam=1]", 9e-16, 1.1e-15),
+        ("inverse[lam=1e-06]", 2.58e-12, 1.8e-12),
+        ("reach_fixed.csv v2", 6.6e-15, 1e-14),
+        ("reach_raw.csv v0", 1e-19, 1e-19),
+        ("zeros.csv v0", 0.0, 0.0),
+    ]
+    moved = [("zeros.csv v0", 1e-20, 0.0), ("zeros.csv v1", 5e-15, 1e-14)]
+    assert _tool.nearest_bounds(moved) == [("zeros.csv v0", 1e-20, 0.0)]

@@ -129,7 +129,7 @@ _INVERSE_BOUNDS = {1.0: 1.1e-15, 1e-4: 1.7e-14, 1e-6: 1.8e-12}
 @pytest.mark.parametrize(
     "m", [1, _BASE_ROWS - 1, _BASE_ROWS, _BASE_ROWS + 1, 300, 1024]
 )
-def test_invert_matches_a_cholesky_inverse(m, lam):
+def test_invert_matches_a_cholesky_inverse(m, lam, record_round_off):
     # sizes on either side of the recursion's base case, and two that
     # split into uneven halves (300) and into base cases only (1024)
     sample = make_bench_sample(m, 0)
@@ -140,6 +140,7 @@ def test_invert_matches_a_cholesky_inverse(m, lam):
     assert got.flags.f_contiguous
     np.testing.assert_array_equal(got, got.T)
     err = np.abs(got - want).max() / np.abs(want).max()
+    record_round_off(f"inverse[lam={lam:g}]", err, _INVERSE_BOUNDS[lam])
     assert err <= _INVERSE_BOUNDS[lam], err
 
 

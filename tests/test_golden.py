@@ -12,8 +12,9 @@ which peak at 9.2e-6 in ``v0``, are held to their own scale. Columns
 of wall time are skipped. A failure reports the sha256 of both files,
 and a byte change within the tolerance is reported as a warning, so it
 shows on the machine that made it. The exit codes and stderr lines
-must match exactly. After an intended change, rerun the script and
-commit the diff.
+must match exactly. Each value column's largest change and its bound
+are recorded with ``record_round_off``, for ``tools/blas_matrix.py``.
+After an intended change, rerun the script and commit the diff.
 """
 
 import hashlib
@@ -51,7 +52,7 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _assert_matches(got, want):
+def _assert_matches(got, want, record=None):
     shas = f"sha256 golden {_sha256(want)}, rerun {_sha256(got)}"
     g_meta, g_names, g_cells = _parts(got)
     w_meta, w_names, w_cells = _parts(want)
@@ -69,6 +70,9 @@ def _assert_matches(got, want):
     # each column within ATOL of its own scale, never looser than ATOL
     bounds = ATOL * np.minimum(1.0, np.abs(w_vals).max(axis=0, initial=0.0))
     gaps = np.abs(g_vals - w_vals).max(axis=0, initial=0.0)
+    if record is not None:
+        for name, gap, bound in zip(names, gaps, bounds):
+            record(f"{want.name} {name}", gap, bound)
     for name, gap, bound in zip(names, gaps, bounds):
         assert gap <= bound, (
             f"{want.name}: column {name} differs by {gap:.3g}, "
@@ -93,17 +97,17 @@ def test_regenerate_into_another_directory_leaves_the_committed_set(tmp_path):
     assert committed() == before
 
 
-def test_generate_inputs_match(tmp_path):
+def test_generate_inputs_match(tmp_path, record_round_off):
     regenerate.write_inputs(tmp_path)
     for name in (regenerate.ZERO_SAMPLE, regenerate.UNIFORM_SAMPLE,
                  regenerate.REPEATED_SAMPLE, regenerate.OVERFLOW_SAMPLE):
-        _assert_matches(tmp_path / name, GOLDEN / name)
+        _assert_matches(tmp_path / name, GOLDEN / name, record_round_off)
 
 
 @pytest.mark.parametrize("name", sorted(regenerate.REACH_CASES))
-def test_reach_matches(tmp_path, name):
+def test_reach_matches(tmp_path, name, record_round_off):
     regenerate.write_reach(name, GOLDEN, tmp_path)
-    _assert_matches(tmp_path / name, GOLDEN / name)
+    _assert_matches(tmp_path / name, GOLDEN / name, record_round_off)
 
 
 @pytest.mark.parametrize("name", ["reach_raw_fixed.csv", "reach_raw_max.csv"])
@@ -121,9 +125,9 @@ def test_raw_columns_are_held_to_their_own_scale(tmp_path, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", sorted(regenerate.cli_cases(GOLDEN)))
-def test_cli_matches(tmp_path, name):
+def test_cli_matches(tmp_path, name, record_round_off):
     regenerate.write_cli(name, GOLDEN, tmp_path)
-    _assert_matches(tmp_path / name, GOLDEN / name)
+    _assert_matches(tmp_path / name, GOLDEN / name, record_round_off)
     if name == "compare_fixed_dp.csv":
         stdout = regenerate.COMPARE_STDOUT
         assert (tmp_path / stdout).read_text() == (GOLDEN / stdout).read_text()

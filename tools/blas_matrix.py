@@ -11,7 +11,11 @@ or ``differs`` when anything else did (metadata, header, row count, a
 line of text). Columns of wall time are left out, as the golden tests
 leave them out. Then it reruns the tests that carry a round-off bound,
 ``ROUND_OFF_TESTS``, under the same kernels and thread counts, and
-prints per run the ids of the tests that fail. Run from the repository
+prints per run the ids of the tests that fail. Last, it prints each
+round-off bound beside the largest value measured against it over every
+run, as the tests record them (``record_round_off`` in
+``tests/conftest.py``): per golden file the column that comes nearest
+its bound, and each bound of the inverse. Run from the repository
 root:
 
     python tools/blas_matrix.py
@@ -27,6 +31,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -105,6 +110,46 @@ def failed_tests(output):
     return ids
 
 
+def round_off_records(report):
+    """The ``(label, measured, bound)`` of each ``round-off`` property
+    in the text of pytest's JUnit XML ``report``."""
+    records = []
+    for prop in ET.fromstring(report).iter("property"):
+        if prop.get("name") == "round-off":
+            label, measured, bound = prop.get("value").rsplit(" ", 2)
+            records.append((label, float(measured), float(bound)))
+    return records
+
+
+def _share(measured, bound):
+    # how much of its bound a value takes; a bound of 0 allows only 0
+    if bound > 0.0:
+        return measured / bound
+    return math.inf if measured > 0.0 else 0.0
+
+
+def nearest_bounds(records):
+    """Per group of ``records``, the label that comes nearest its bound.
+
+    A label's group is its first word: the golden file of a ``"FILE
+    COLUMN"`` label. Each label's largest measured value is taken over
+    all its records, and each group gives the row ``(label, largest,
+    bound)`` of its label whose largest value takes the largest share of
+    its bound. The rows are sorted by group.
+    """
+    largest = {}
+    for label, measured, bound in records:
+        if label not in largest or measured > largest[label][0]:
+            largest[label] = (measured, bound)
+    nearest = {}
+    for label, (measured, bound) in sorted(largest.items()):
+        group = label.split(" ", 1)[0]
+        share = _share(measured, bound)
+        if group not in nearest or share > _share(*nearest[group][1:]):
+            nearest[group] = (label, measured, bound)
+    return [nearest[group] for group in sorted(nearest)]
+
+
 def _run(kernel, threads, argv):
     """Run ``argv`` from the root under one kernel and thread count."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
@@ -119,22 +164,36 @@ def _run(kernel, threads, argv):
     )
 
 
-def _failures(kernel, threads):
-    """One line on the round-off tests under one kernel and thread count."""
-    done = _run(
-        kernel, threads,
-        ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *ROUND_OFF_TESTS],
-    )
-    if done.returncode not in (0, 1):
-        return f"pytest exited {done.returncode}"
-    return " ".join(failed_tests(done.stdout)) or "all passed"
+def _round_off_tests(kernel, threads):
+    """The round-off tests under one kernel and thread count: one line on
+    the tests that fail, and the values they recorded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = pathlib.Path(tmp) / "report.xml"
+        done = _run(
+            kernel, threads,
+            ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             f"--junitxml={report}", *ROUND_OFF_TESTS],
+        )
+        if done.returncode not in (0, 1):
+            return f"pytest exited {done.returncode}", []
+        records = round_off_records(report.read_text(encoding="utf-8"))
+    return " ".join(failed_tests(done.stdout)) or "all passed", records
+
+
+def _print_columns(rows):
+    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
+    for row in rows:
+        print("  ".join(
+            cell.ljust(w) if j == 0 else cell.rjust(w)
+            for j, (cell, w) in enumerate(zip(row, widths))
+        ))
 
 
 def main():
     names = sorted(
         p.name for p in GOLDEN.iterdir() if p.is_file() and p != REGENERATE
     )
-    heads, columns, failures = [], [], []
+    heads, columns, failures, records = [], [], [], []
     for kernel in KERNELS:
         for threads in THREADS:
             with tempfile.TemporaryDirectory() as tmp:
@@ -148,20 +207,21 @@ def main():
                     for name in names
                 ])
             heads.append(f"{kernel}/{threads}")
-            failures.append(_failures(kernel, threads))
-    rows = [["file", *heads]] + [
+            line, recorded = _round_off_tests(kernel, threads)
+            failures.append(line)
+            records.extend(recorded)
+    _print_columns([["file", *heads]] + [
         [name, *(column[i] for column in columns)] for i, name in enumerate(names)
-    ]
-    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(
-            cell.ljust(w) if j == 0 else cell.rjust(w)
-            for j, (cell, w) in enumerate(zip(row, widths))
-        ))
+    ])
     print("\nfailing round-off tests:")
     width = max(len(head) for head in heads)
     for head, line in zip(heads, failures):
         print(f"{head.ljust(width)}  {line}")
+    print("\nlargest value against each bound, over every run:")
+    _print_columns([["value", "largest", "bound"]] + [
+        [label, f"{measured:.3g}", f"{bound:.3g}"]
+        for label, measured, bound in nearest_bounds(records)
+    ])
     return 0
 
 
