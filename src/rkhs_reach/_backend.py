@@ -166,8 +166,9 @@ def _cells(t, w, lo, h, n):
 _BACKUP_BLOCK = 1024
 
 
-# most second-axis table entries a query of a backup that takes the
-# table path (see dp_backup's cost paragraph for the measured crossover)
+# most second-axis table entries a query, and fewest queries a distinct
+# second-axis mean, of a backup that takes the table path (see
+# dp_backup's cost paragraph for the measured crossovers)
 _TABLE_SHARE = 4
 
 
@@ -197,7 +198,10 @@ def _second_axis_table(values, i2, lo2, hi2):
 
 def _sorted_distinct(bits):
     # the distinct entries of the int64 array bits, sorted: a sort and a
-    # compare, where np.unique on 40 401 entries took 25 times as long
+    # compare. np.unique with no inverse took 1.08 ms against 0.26 ms on
+    # the 40 401 second-axis means of a 201 x 201 grid, and 6.9 ms against
+    # 0.31 ms on 40 401 random means; distinct's np.unique with an
+    # inverse would hold 8 bytes a query more on the table path
     bits = np.sort(bits)
     keep = np.ones(bits.size, dtype=bool)
     keep[1:] = bits[1:] != bits[:-1]
@@ -244,8 +248,12 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
 
     - The table path, when the call's second-axis means repeat: when the
       ``n1 x B2`` table over their B2 distinct values holds at most
-      ``_TABLE_SHARE`` entries a query. Once per call, ``values`` is
-      contracted against each distinct mean's second-axis rule,
+      ``_TABLE_SHARE`` entries a query, or when each distinct value is
+      shared by at least ``_TABLE_SHARE`` queries on average and the
+      table is at most a ``_TABLE_SHARE``-th of the field
+      (``_TABLE_SHARE * B2 <= min(Q, n2)`` for Q queries). Once per
+      call, ``values`` is contracted against each distinct mean's
+      second-axis rule,
       ``table[r, b] = sum_k lo2[b, k] values[r, i2[b, k]]
       + hi2[b, k] values[r, i2[b, k] + 1]``, node by node in numpy's
       elementwise loops, in row blocks of :func:`block_rows`. Each query
@@ -280,14 +288,21 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     oracle's means repeat: at 201 x 201 on the 2-D benchmark its 40 401
     grid queries hold 3 803 distinct first-axis means and 201
     second-axis ones, and its 10 201 evaluation queries 1 890 and 101,
-    so both take the table path, at 1 and 2 entries a query. Means that
-    never repeat take the band path.
+    so both take the table path, at 1 and 2 entries a query. A small
+    evaluation grid holds more table entries a query, but its band spans
+    the whole grid too. On an n x n field a k x k grid with k >= 4 takes
+    the table by the first rule when 4k >= n, else by the second. At
+    21 x 21 evaluation queries on the 201 x 201 benchmark grid the call
+    took 0.95 ms on the table path against 1.96 ms on the band path, at
+    31 x 31 1.74 against 3.89 ms, and at 11 x 11 0.65 against 0.57 ms.
+    Means that never repeat, and single queries, take the band path.
 
     Memory: the output and the sort order, in 4-byte indices below 2**31
-    queries, hold 12 bytes a query, and the table 8 bytes an entry. At
-    801 x 801 grid means the call peaks at 13.8 MiB traced, under the
-    24 bytes a query (14.7 MiB) of the output, an 8-byte order and the
-    copy that a sort of the strided first-axis column makes.
+    queries, hold 12 bytes a query, and the table 8 bytes an entry, at
+    most ``_TABLE_SHARE`` entries a query or a ``_TABLE_SHARE``-th of the
+    field. At 801 x 801 grid means the call peaks at 13.8 MiB traced,
+    under the 24 bytes a query (14.7 MiB) of the output, an 8-byte order
+    and the copy that a sort of the strided first-axis column makes.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     means = np.ascontiguousarray(means, dtype=np.float64)
@@ -308,7 +323,10 @@ def dp_backup(values, origin, steps, sds, means, glx, glw):
     if queries <= np.iinfo(np.int32).max:
         order = order.astype(np.int32)
     table = None
-    if n1 * keys2.size <= _TABLE_SHARE * queries:
+    if (
+        n1 * keys2.size <= _TABLE_SHARE * queries
+        or _TABLE_SHARE * keys2.size <= min(queries, n2)
+    ):
         rule2 = _axis_rule(keys2.view(np.float64), sd2, a2, b2, glx, glw)
         table = _second_axis_table(values, *_cells(*rule2, a2, h2, n2)).ravel()
     for s in range(0, queries, _BACKUP_BLOCK):

@@ -49,6 +49,23 @@ def record_round_off(record_property):
     return record
 
 
+@pytest.fixture
+def record_golden(record_property):
+    """Record how a rerun golden file compares with the committed one.
+
+    ``record_golden(name, state)`` adds a ``golden`` property, ``"NAME
+    STATE"``, to the test's JUnit XML entry, where
+    ``tools/blas_matrix.py`` reads it. ``state`` is ``same``, ``moved
+    LARGEST`` or ``differs`` (``tests/test_golden.py`` says when). Call it
+    before asserting, so that a failing run records its state too.
+    """
+
+    def record(name, state):
+        record_property("golden", f"{name} {state}")
+
+    return record
+
+
 @pytest.fixture(scope="session")
 def acceptance(request):
     """Mutable mapping: criterion number -> (passed, detail line)."""

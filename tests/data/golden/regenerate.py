@@ -35,7 +35,7 @@ format (4). Each ``.txt``
 file holds ``exit <code>`` and the command's stderr, with the input
 directory left out of the paths it names.
 ``tests/test_golden.py`` reruns every case and compares, reading each
-table with ``table_parts``, as ``tools/blas_matrix.py`` does.
+table with ``table_parts``.
 """
 
 import contextlib

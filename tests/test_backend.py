@@ -438,6 +438,9 @@ def test_dp_backup_matches_the_per_query_backup_bitwise(means, table_widths):
     "means, width",
     [
         (_stepped_grid_means(61), 61),
+        # 41 x 9 entries for 81 queries, but each of the 9 values is
+        # shared by 9 queries and the table is under a quarter of the field
+        (_stepped_grid_means(9), 9),
         # 0 takes both signs among the thirds, and among 0 and 0.45
         (_one_axis_repeats(1), 10),
         (_signed_zero_means(), 3),
@@ -445,13 +448,18 @@ def test_dp_backup_matches_the_per_query_backup_bitwise(means, table_widths):
         (_second_axis_of(204), None),
         (_one_axis_repeats(0), None),
     ],
-    ids=["grid means", "second axis repeats", "signed zeros", "203", "204", "random"],
+    ids=[
+        "grid means", "small grid", "second axis repeats", "signed zeros",
+        "203", "204", "random",
+    ],
 )
 def test_dp_backup_takes_the_table_path_up_to_4_entries_a_query(
     means, width, table_widths
 ):
     # one table over the distinct second-axis means, when it holds at
-    # most 4 entries a query on the 41-row field
+    # most 4 entries a query on the 41-row field, or when each of its
+    # columns serves at least 4 queries and it is at most a quarter of the
+    # 37-column field
     values = np.zeros((41, 37))
     origin, steps, sds = (-1.0, -1.0), (0.05, 2.0 / 36), (0.1, 0.1)
     _backend.dp_backup(values, origin, steps, sds, means, *_rule(9))

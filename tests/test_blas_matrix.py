@@ -1,11 +1,8 @@
-"""``tools/blas_matrix.py`` compares a rerun golden file with the committed one
-and reads the failing tests from pytest's summary."""
+"""``tools/blas_matrix.py`` reads the failing tests from pytest's summary, and
+the golden files' states and the round-off values from its JUnit report."""
 
 import importlib.util
-import math
 import pathlib
-
-import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "blas_matrix.py"
 
@@ -18,55 +15,7 @@ def _load_tool():
 
 
 _tool = _load_tool()
-largest_change = _tool.largest_change
 failed_tests = _tool.failed_tests
-
-WANT = "# horizon=3\nx1,x2,v0\n0.5,-1,0.25\n1,2,0.75\n"
-
-
-@pytest.mark.parametrize(
-    "got, change",
-    [
-        (WANT, None),
-        # the largest change over every cell, the coordinates included
-        ("# horizon=3\nx1,x2,v0\n0.5,-1,0.25000000000000006\n1,2,0.75\n", 5.551e-17),
-        ("# horizon=3\nx1,x2,v0\n0.5,-1,0.25\n1.5,2,0.5\n", 0.5),
-        # the same numbers written another way
-        ("# horizon=3\nx1,x2,v0\n0.5,-1.0,0.25\n1,2,0.75\n", 0.0),
-        # anything but a number
-        ("# horizon=4\nx1,x2,v0\n0.5,-1,0.25\n1,2,0.75\n", math.inf),
-        ("# horizon=3\nx1,x2,value\n0.5,-1,0.25\n1,2,0.75\n", math.inf),
-        ("# horizon=3\nx1,x2,v0\n0.5,-1,0.25\n", math.inf),
-        ("# horizon=3\nx1,x2,v0\n0.5,-1,0.25\n1,2\n", math.inf),
-        ("# horizon=3\nx1,x2,v0\n0.5,-1,0.25\n1,2,zap\n", math.inf),
-        ("# horizon=3\nx1,x2,v0\n0.5,-1,0.25\n1,2,nan\n", math.inf),
-        ("", math.inf),
-    ],
-    ids=[
-        "same text", "one ulp", "largest of two", "another spelling",
-        "metadata", "header", "row count", "row width", "not a number", "nan",
-        "empty",
-    ],
-)
-def test_largest_change_of_a_table(got, change):
-    got = largest_change(got, WANT)
-    if change is None or change in (0.0, math.inf):
-        assert got == change
-    else:
-        assert got == pytest.approx(change, rel=1e-3)
-
-
-def test_wall_time_columns_are_left_out():
-    want = "n,seconds,value\n2,0.031,0.5\n10,0.042,0.25\n"
-    assert largest_change("n,seconds,value\n2,0.5,0.5\n10,9,0.25\n", want) is None
-    moved = largest_change("n,seconds,value\n2,0.5,0.5\n10,9,0.375\n", want)
-    assert moved == 0.125
-
-
-def test_a_text_file_either_matches_or_differs():
-    want = "exit 4\nfile error: x.csv: header must start with x1\n"
-    assert largest_change(want, want) is None
-    assert largest_change("exit 4\nfile error: other\n", want) == math.inf
 
 
 def test_failed_tests_are_read_from_the_short_summary():
@@ -108,6 +57,30 @@ def test_round_off_records_are_read_from_the_junit_report():
     ]
 
 
+def test_golden_cells_are_read_from_the_junit_report():
+    report = (
+        '<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite>'
+        '<testcase name="test_a"><properties>'
+        '<property name="golden" value="integrator_128.csv same" />'
+        '<property name="round-off" value="integrator_128.csv u1 0.0 0.0" />'
+        '<property name="golden" value="uniform_controls_128.csv moved 0.0" />'
+        '</properties></testcase>'
+        '<testcase name="test_b"><properties>'
+        '<property name="golden" value="reach_fixed.csv moved 6.550315845288424e-15" />'
+        '</properties><failure message="m">text</failure></testcase>'
+        '<testcase name="test_c"><properties>'
+        '<property name="golden" value="exit_2_configuration.txt differs" />'
+        "</properties></testcase><testcase name=\"test_d\" />"
+        "</testsuite></testsuites>"
+    )
+    assert _tool.golden_cells(report) == {
+        "integrator_128.csv": "=",
+        "uniform_controls_128.csv": "0",
+        "reach_fixed.csv": "6.55e-15",
+        "exit_2_configuration.txt": "differs",
+    }
+
+
 def test_nearest_bounds_take_each_labels_largest_value():
     records = [
         ("reach_fixed.csv v0", 1e-16, 1e-14),
@@ -132,3 +105,24 @@ def test_nearest_bounds_take_each_labels_largest_value():
     ]
     moved = [("zeros.csv v0", 1e-20, 0.0), ("zeros.csv v1", 5e-15, 1e-14)]
     assert _tool.nearest_bounds(moved) == [("zeros.csv v0", 1e-20, 0.0)]
+
+
+def test_a_run_that_recorded_no_state_prints_no_equal_sign(monkeypatch, capsys):
+    # the byte table's rows are every output any run recorded; a run that
+    # recorded none for an output, as when its test erred first, reads ?
+    runs = iter([
+        ("all passed", [("inverse[lam=1]", 9e-16, 1.1e-15)],
+         {"oracle_dp.csv": "=", "reach_fixed.csv": "="}),
+        ("tests/test_golden.py::test_reach_matches[reach_fixed.csv]", [],
+         {"oracle_dp.csv": "="}),
+    ])
+    monkeypatch.setattr(_tool, "KERNELS", ("native",))
+    monkeypatch.setattr(_tool, "_round_off_tests", lambda kernel, threads: next(runs))
+    assert _tool.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "file             native/1  native/2",
+        "oracle_dp.csv           =         =",
+        "reach_fixed.csv         =         ?",
+    ]
+    assert "native/2  tests/test_golden.py::test_reach_matches[reach_fixed.csv]" in lines

@@ -110,35 +110,37 @@ _BLAS_ENVIRONMENTS = [
 
 
 def test_dp_bytes_hold_on_every_blas_kernel_and_thread_count(tmp_path):
-    # the benchmark's grid oracle (201 x 201, 25 nodes, 101 x 101 points)
-    # takes the backup's table path at every step and so makes no BLAS
-    # call: its output keeps its bytes whatever OpenBLAS loads. With the
-    # band product, one thread against two moved 7 cells and the
-    # Prescott kernels 4 529
+    # the benchmark's grid oracle (201 x 201, 25 nodes, 101 x 101 points),
+    # and the same on a 21 x 21 evaluation grid, take the backup's table
+    # path at every step and so make no BLAS call: each output keeps its
+    # bytes whatever OpenBLAS loads. With the band product, one thread
+    # against two moved 7 cells of the 101 x 101 output and the Prescott
+    # kernels 4 529; the three 21 x 21 outputs were three different files
     paths = [str(pathlib.Path(rkhs_reach.__file__).parent.parent)]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
-    outputs = []
-    for i, blas in enumerate(_BLAS_ENVIRONMENTS):
-        env = {
-            k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
-        }
-        env.update(blas, PYTHONPATH=os.pathsep.join(paths))
-        out = tmp_path / f"dp_{i}.csv"
-        subprocess.run(
-            [
-                sys.executable, "-m", "rkhs_reach.cli", "oracle-dp",
-                "--sigma", "0.1", "--lambda", "1", "--horizon", "3",
-                "--grid", "101x101:-1.1,1.1,-1.1,1.1",
-                "--dp-grid", "201x201", "--dp-quad", "25", "--out", str(out),
-            ],
-            env=env, capture_output=True, text=True, check=True, timeout=300,
-        )
-        outputs.append(out.read_bytes())
-    assert outputs[0].count(b"\n") == 10_201 + 5
-    for blas, got in zip(_BLAS_ENVIRONMENTS[1:], outputs[1:]):
-        assert got == outputs[0], blas
+    for side in (101, 21):
+        outputs = []
+        for i, blas in enumerate(_BLAS_ENVIRONMENTS):
+            env = {
+                k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")
+            }
+            env.update(blas, PYTHONPATH=os.pathsep.join(paths))
+            out = tmp_path / f"dp_{side}_{i}.csv"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "rkhs_reach.cli", "oracle-dp",
+                    "--sigma", "0.1", "--lambda", "1", "--horizon", "3",
+                    "--grid", f"{side}x{side}:-1.1,1.1,-1.1,1.1",
+                    "--dp-grid", "201x201", "--dp-quad", "25", "--out", str(out),
+                ],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == side * side + 5
+        for blas, got in zip(_BLAS_ENVIRONMENTS[1:], outputs[1:]):
+            assert got == outputs[0], (side, blas)
 
 
 def test_dp_values_at_its_own_grid_are_the_stored_field(setup, monkeypatch):

@@ -3,28 +3,29 @@
 numpy's OpenBLAS picks its kernels for the CPU at load time, and
 ``OPENBLAS_CORETYPE`` makes it load another CPU's kernels on the same
 machine. For each kernel of ``KERNELS`` (``native`` leaves the choice to
-OpenBLAS) and each ``OPENBLAS_NUM_THREADS`` of ``THREADS``, this reruns
-``tests/data/golden/regenerate.py OUT_DIR`` in a subprocess and prints
-one table: per golden file and run, ``=`` when the file's text is the
-committed one's, the largest change of a cell when only numbers moved,
-or ``differs`` when anything else did (metadata, header, row count, a
-line of text). Columns of wall time are left out, as the golden tests
-leave them out. Then it reruns the tests that carry a round-off bound,
-``ROUND_OFF_TESTS``, under the same kernels and thread counts, and
-prints per run the ids of the tests that fail. Last, it prints each
-round-off bound beside the largest value measured against it over every
-run, as the tests record them (``record_round_off`` in
-``tests/conftest.py``): per golden file the column that comes nearest
-its bound, and each bound of the inverse. Run from the repository
-root:
+OpenBLAS) and each ``OPENBLAS_NUM_THREADS`` of ``THREADS``, this runs
+the tests that carry a round-off bound, ``ROUND_OFF_TESTS``, once in a
+pytest subprocess, and builds three tables from that run's short
+summary and JUnit XML, where the tests record what they measure
+(``record_golden`` and ``record_round_off`` in ``tests/conftest.py``).
+First, per golden output and run, ``=`` when its text is the committed
+one's, the largest change of a cell when only numbers moved, or
+``differs`` when anything else did (metadata, header, row count, a
+choice column, a line of text), and ``?`` when the run recorded no
+state, as when its test failed before it could. Columns of wall time
+are left out. The golden tests rerun each output from the committed
+inputs, so an output moves only by its own arithmetic: ``compare``'s
+table does not move with the ``reach_fixed.csv`` it reads. Second, per
+run, the ids of the tests that fail. Last, each round-off bound beside
+the largest value measured against it over every run: per golden file
+the column that comes nearest its bound, and each bound of the inverse.
+Run from the repository root:
 
     python tools/blas_matrix.py
 
-The eight golden runs take about 2 s in all on a 2-vCPU x86 VM, and
-the eight test runs about 3 s each.
+The eight pytest runs take about 30 s in all on a 2-vCPU x86 VM.
 """
 
-import importlib.util
 import math
 import os
 import pathlib
@@ -34,64 +35,12 @@ import tempfile
 import xml.etree.ElementTree as ET
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "data" / "golden"
-REGENERATE = GOLDEN / "regenerate.py"
 KERNELS = ("native", "Haswell", "Sandybridge", "Prescott")
 THREADS = (1, 2)
 ROUND_OFF_TESTS = (
     "tests/test_golden.py",
     "tests/test_embedding.py::test_invert_matches_a_cholesky_inverse",
 )
-
-
-def _load_regenerate():
-    spec = importlib.util.spec_from_file_location("golden_regenerate", REGENERATE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# the golden tests' reader of a table, wall-time columns left out
-_table = _load_regenerate().table_parts
-
-
-def largest_change(got, want):
-    """How far the text ``got`` moved from the text ``want`` of a golden file.
-
-    ``None`` when both hold the same text, wall-time columns left out;
-    the largest absolute change of a cell when only the numbers in the
-    cells moved (0.0 for a cell written another way, such as ``-0`` for
-    ``0``); ``math.inf`` when anything else differs.
-    """
-    if got == want:
-        return None
-    try:
-        g_meta, g_names, g_cells = _table(got)
-        w_meta, w_names, w_cells = _table(want)
-    except IndexError:  # a text without a header line
-        return math.inf
-    if (g_meta, g_names) != (w_meta, w_names) or len(g_cells) != len(w_cells):
-        return math.inf
-    if g_cells == w_cells:
-        return None
-    change = 0.0
-    for g_row, w_row in zip(g_cells, w_cells):
-        if len(g_row) != len(w_row):
-            return math.inf
-        for g, w in zip(g_row, w_row):
-            try:
-                gap = abs(float(g) - float(w)) if g != w else 0.0
-            except ValueError:
-                return math.inf
-            # a NaN against a number differs by no number
-            change = max(change, gap if gap == gap else math.inf)
-    return change
-
-
-def _cell(change):
-    if change is None:
-        return "="
-    return "differs" if change == math.inf else f"{change:.3g}"
 
 
 def failed_tests(output):
@@ -110,15 +59,39 @@ def failed_tests(output):
     return ids
 
 
+def _properties(report, name):
+    # the values of the properties called name in a JUnit XML report
+    return [
+        prop.get("value")
+        for prop in ET.fromstring(report).iter("property")
+        if prop.get("name") == name
+    ]
+
+
 def round_off_records(report):
     """The ``(label, measured, bound)`` of each ``round-off`` property
     in the text of pytest's JUnit XML ``report``."""
     records = []
-    for prop in ET.fromstring(report).iter("property"):
-        if prop.get("name") == "round-off":
-            label, measured, bound = prop.get("value").rsplit(" ", 2)
-            records.append((label, float(measured), float(bound)))
+    for value in _properties(report, "round-off"):
+        label, measured, bound = value.rsplit(" ", 2)
+        records.append((label, float(measured), float(bound)))
     return records
+
+
+def golden_cells(report):
+    """Golden output -> its byte-table cell, from each ``golden`` property
+    in the text of pytest's JUnit XML ``report``: ``=`` for ``same``, the
+    largest change to 3 digits for ``moved LARGEST``, else ``differs``."""
+    cells = {}
+    for value in _properties(report, "golden"):
+        name, state = value.split(" ", 1)
+        if state == "same":
+            cells[name] = "="
+        elif state.startswith("moved "):
+            cells[name] = f"{float(state.split()[1]):.3g}"
+        else:
+            cells[name] = "differs"
+    return cells
 
 
 def _share(measured, bound):
@@ -166,18 +139,26 @@ def _run(kernel, threads, argv):
 
 def _round_off_tests(kernel, threads):
     """The round-off tests under one kernel and thread count: one line on
-    the tests that fail, and the values they recorded."""
+    the tests that fail, the values they recorded and the golden cells."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel != "native":
+        env["OPENBLAS_CORETYPE"] = kernel
     with tempfile.TemporaryDirectory() as tmp:
         report = pathlib.Path(tmp) / "report.xml"
-        done = _run(
-            kernel, threads,
-            ["-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
              f"--junitxml={report}", *ROUND_OFF_TESTS],
+            cwd=ROOT, env=env, capture_output=True, text=True,
         )
         if done.returncode not in (0, 1):
-            return f"pytest exited {done.returncode}", []
-        records = round_off_records(report.read_text(encoding="utf-8"))
-    return " ".join(failed_tests(done.stdout)) or "all passed", records
+            return f"pytest exited {done.returncode}", [], {}
+        text = report.read_text(encoding="utf-8")
+    line = " ".join(failed_tests(done.stdout)) or "all passed"
+    return line, round_off_records(text), golden_cells(text)
 
 
 def _print_columns(rows):
@@ -190,28 +171,17 @@ def _print_columns(rows):
 
 
 def main():
-    names = sorted(
-        p.name for p in GOLDEN.iterdir() if p.is_file() and p != REGENERATE
-    )
     heads, columns, failures, records = [], [], [], []
     for kernel in KERNELS:
         for threads in THREADS:
-            with tempfile.TemporaryDirectory() as tmp:
-                _run(kernel, threads, [str(REGENERATE), tmp]).check_returncode()
-                out = pathlib.Path(tmp)
-                columns.append([
-                    _cell(largest_change(
-                        (out / name).read_text(encoding="utf-8"),
-                        (GOLDEN / name).read_text(encoding="utf-8"),
-                    ))
-                    for name in names
-                ])
             heads.append(f"{kernel}/{threads}")
-            line, recorded = _round_off_tests(kernel, threads)
+            line, recorded, cells = _round_off_tests(kernel, threads)
             failures.append(line)
             records.extend(recorded)
+            columns.append(cells)
+    names = sorted(set().union(*columns))
     _print_columns([["file", *heads]] + [
-        [name, *(column[i] for column in columns)] for i, name in enumerate(names)
+        [name, *(column.get(name, "?") for column in columns)] for name in names
     ])
     print("\nfailing round-off tests:")
     width = max(len(head) for head in heads)
